@@ -6,9 +6,14 @@ nu * dx * Laplacian of the conserved variables enters through the
 diffusive interface flux -nu * (U_R - U_L).  Varying nu produces the
 vanishing-viscosity families the ensemble diagnostics consume.
 
-Negative densities abort with the offending cell named; there is no
-positivity limiter, since a silent fix would corrupt every defect
-measurement downstream.
+Each axis sweep evaluates velocity, sound speed, pressure and physical
+flux once per cell of the ghost-extended (rho, m); the left and right
+states of every interface are views into it.  ``step`` re-checks the
+CFL bound through ``stable_dt`` and rejects a NaN time step.
+
+Negative densities and non-finite values abort with the offending cell
+named; there is no positivity limiter, since a silent fix would corrupt
+every defect measurement downstream.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .eos import GasLaw, pressure, sound_speed
 from .fields import DataTriple, FluidState, integrate_energy, validate_initial_data
 from .trajectory import Trajectory
 
-__all__ = ["SchemeSpec", "CFLViolation", "max_wave_speed", "stable_dt", "step", "run"]
+__all__ = ["SchemeSpec", "CFLViolation", "stable_dt", "step", "run"]
 
 FLUX_KINDS = ("llf", "hll")
 ENERGY_MODES = ("envelope", "budget")
@@ -50,17 +55,7 @@ class SchemeSpec:
 
 
 def _velocity(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
-    u = np.zeros_like(m)
-    pos = rho > 0
-    u[pos] = m[pos] / rho[pos][..., None]
-    return u
-
-
-def max_wave_speed(state: FluidState, law: GasLaw) -> float:
-    """Largest |u_k| + c over cells and axes."""
-    c = sound_speed(state.rho, law)
-    u = _velocity(state.rho, state.m)
-    return float(np.max(np.abs(u) + c[..., None]))
+    return np.divide(m, rho[..., None], out=np.zeros_like(m), where=(rho > 0)[..., None])
 
 
 def stable_dt(state: FluidState, spec: SchemeSpec, law: GasLaw) -> float:
@@ -76,45 +71,37 @@ def stable_dt(state: FluidState, spec: SchemeSpec, law: GasLaw) -> float:
     return spec.cfl / rate
 
 
-def _extend(arr: np.ndarray, axis: int, boundary: str, normal_component: int | None):
-    """Add one ghost layer on each side along ``axis``."""
-    a = np.moveaxis(arr, axis, 0)
-    if boundary == "periodic":
-        left, right = a[-1:], a[:1]
-    else:  # reflective: mirror, negating the normal momentum component
-        left, right = a[:1].copy(), a[-1:].copy()
-        if normal_component is not None:
-            left[..., normal_component] *= -1.0
-            right[..., normal_component] *= -1.0
-    return np.moveaxis(np.concatenate([left, a, right], axis=0), 0, axis)
+def _extend(rho: np.ndarray, m: np.ndarray, axis: int, boundary: str):
+    """Ghost-extend rho and m by one cell per side along ``axis``: indices -1
+    and n wrap round (periodic) or clip to the edge cell, the mirror cell of
+    a reflective wall, whose normal momentum is negated."""
+    index = np.arange(-1, rho.shape[axis] + 1)
+    mode = "wrap" if boundary == "periodic" else "clip"
+    rho_ext, m_ext = np.take(rho, index, axis, mode=mode), np.take(m, index, axis, mode=mode)
+    if boundary == "reflective":
+        m_ext[(slice(None),) * axis + ([0, -1], ..., axis)] *= -1.0
+    return rho_ext, m_ext
 
 
-def _physical_flux(rho, m, law, axis_comp):
-    """Flux of (rho, m) along one axis; axis_comp indexes the momentum."""
-    u = _velocity(rho, m)
-    un = u[..., axis_comp]
-    f_rho = m[..., axis_comp]
+def _interface_flux(rho, m, left, right, law, spec, axis):
+    """Numerical flux between the ``left`` and ``right`` views of ghost-extended
+    (rho, m); primitives and the physical flux are evaluated once per cell."""
+    un = _velocity(rho, m[..., axis:axis + 1])[..., 0]
+    c = sound_speed(rho, law)
+    f_rho = m[..., axis]
     f_m = m * un[..., None]
-    f_m[..., axis_comp] += pressure(rho, law)
-    return f_rho, f_m
-
-
-def _interface_flux(rl, ml, rr, mr, law, spec, axis_comp):
-    """Numerical flux between left/right cell values along one axis."""
-    fl_rho, fl_m = _physical_flux(rl, ml, law, axis_comp)
-    fr_rho, fr_m = _physical_flux(rr, mr, law, axis_comp)
-    cl, cr = sound_speed(rl, law), sound_speed(rr, law)
-    ul = _velocity(rl, ml)[..., axis_comp]
-    ur = _velocity(rr, mr)[..., axis_comp]
+    f_m[..., axis] += pressure(rho, law)
+    rl, rr, ml, mr = rho[left], rho[right], m[left], m[right]
+    fl_rho, fr_rho, fl_m, fr_m = f_rho[left], f_rho[right], f_m[left], f_m[right]
     if spec.flux == "llf":
-        s = np.maximum(np.abs(ul) + cl, np.abs(ur) + cr)
+        a = np.abs(un) + c
+        s = np.maximum(a[left], a[right])
         f_rho = 0.5 * (fl_rho + fr_rho) - 0.5 * s * (rr - rl)
         f_m = 0.5 * (fl_m + fr_m) - 0.5 * s[..., None] * (mr - ml)
     else:  # hll
-        sl = np.minimum(ul - cl, ur - cr)
-        sr = np.maximum(ul + cl, ur + cr)
-        sl = np.minimum(sl, 0.0)
-        sr = np.maximum(sr, 0.0)
+        lo, hi = un - c, un + c
+        sl = np.minimum(np.minimum(lo[left], lo[right]), 0.0)
+        sr = np.maximum(np.maximum(hi[left], hi[right]), 0.0)
         den = sr - sl
         den = np.where(den > 0, den, 1.0)
         f_rho = (sr * fl_rho - sl * fr_rho + sl * sr * (rr - rl)) / den
@@ -129,26 +116,23 @@ def _interface_flux(rl, ml, rr, mr, law, spec, axis_comp):
 def step(state: FluidState, spec: SchemeSpec, law: GasLaw, dt: float) -> FluidState:
     """One conservative update by dt; dt must satisfy the CFL bound."""
     dt_max = stable_dt(state, spec, law)
-    if dt > dt_max * (1.0 + 1e-12):
+    if not (dt <= dt_max * (1.0 + 1e-12)):  # also rejects a NaN dt or bound
         raise CFLViolation(f"dt={dt} exceeds the stable bound {dt_max}")
     grid = state.grid
     rho_new = state.rho.copy()
     m_new = state.m.copy()
     for axis in range(grid.d):
+        rho_ext, m_ext = _extend(state.rho, state.m, axis, grid.boundary[axis])
+        left = (slice(None),) * axis + (slice(None, -1),)
+        right = (slice(None),) * axis + (slice(1, None),)
+        f_rho, f_m = _interface_flux(rho_ext, m_ext, left, right, law, spec, axis)
         h = grid.spacing[axis]
-        bkind = grid.boundary[axis]
-        rho_ext = _extend(state.rho, axis, bkind, None)
-        m_ext = _extend(state.m, axis, bkind, axis)
-        sl = [slice(None)] * grid.d
-        sl[axis] = slice(None, -1)
-        left = tuple(sl)
-        sl[axis] = slice(1, None)
-        right = tuple(sl)
-        f_rho, f_m = _interface_flux(rho_ext[left], m_ext[left],
-                                     rho_ext[right], m_ext[right],
-                                     law, spec, axis)
         rho_new -= dt / h * (f_rho[right] - f_rho[left])
         m_new -= dt / h * (f_m[right] - f_m[left])
+    bad = ~(np.isfinite(rho_new) & np.all(np.isfinite(m_new), axis=-1))
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+        raise ValueError(f"non-finite state produced at cell {idx}")
     if np.any(rho_new < 0):
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(rho_new)), rho_new.shape))
         raise ValueError(f"negative density {rho_new[idx]:.3e} produced at cell {idx}")

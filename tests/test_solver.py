@@ -1,13 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import eulerlab.solver as solver_mod
 from eulerlab.eos import GasLaw
 from eulerlab.fields import DataTriple, FluidState, Grid, integrate_energy
 from eulerlab.riemann import RiemannData, solve_riemann
-from eulerlab.solver import CFLViolation, SchemeSpec, run, stable_dt, step
+from eulerlab.solver import FLUX_KINDS, CFLViolation, SchemeSpec, run, stable_dt, step
 
 LAW2 = GasLaw(a=1.0, gamma=2.0)
 
@@ -119,6 +123,33 @@ def test_negative_density_error_names_cell(monkeypatch):
         step(s, SchemeSpec(flux="llf"), LAW2, 0.2)
 
 
+def test_nan_dt_raises_cfl_violation():
+    s = FluidState.constant(periodic_grid(16), 1.0, 0.5)
+    with pytest.raises(CFLViolation):
+        step(s, SchemeSpec(), LAW2, math.nan)
+
+
+def test_nan_stable_bound_raises_cfl_violation():
+    # a NaN density makes stable_dt NaN; the guard must not wave dt through
+    rho = np.ones(16)
+    rho[3] = math.nan
+    s = FluidState(periodic_grid(16), rho, np.zeros((16, 1)), check=False)
+    with pytest.raises(CFLViolation):
+        step(s, SchemeSpec(), LAW2, 1e-3)
+
+
+def test_non_finite_update_names_cell():
+    # p(1e200) overflows to inf, so the fluxes around cell 5 become inf and
+    # the update turns non-finite; cell 4 is the first one hit
+    rho = np.ones(8)
+    rho[5] = 1e200
+    s = FluidState(periodic_grid(8), rho, np.zeros((8, 1)))
+    spec = SchemeSpec()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"non-finite state .* cell \(4,\)"):
+            step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+
+
 def test_shock_speed_matches_jump_conditions():
     # single right-moving shock: left state on the 2-shock curve of the
     # right state, so the exact solution is one discontinuity
@@ -206,3 +237,74 @@ def test_smooth_acoustic_energy_decay_refines():
         losses.append(e0 - traj.mean_energies[-1])
     assert losses[0] > losses[1] > 0
     assert losses[1] <= 0.75 * losses[0]
+
+
+# sha256 of rho.tobytes() + m.tobytes() after five nu > 0 steps from the
+# seeded state of ``_pinned_state``: bundles are compared byte for byte,
+# so the scheme's arithmetic is pinned, not just its accuracy
+PINNED_DIGESTS = {
+    ("llf", "periodic", (16,)): "849e1840454a8f730a3c13cc7a1c682fd94b99350f04ed957859233f00a97e2d",
+    ("llf", "periodic", (12, 10)): "9e6ef28620e5991e18a504da1f81d3b25a10d16351e9250bf50c46aa129705af",
+    ("llf", "reflective", (16,)): "0574035765e913ea5272882755e8ed438894afd3d4c5aa4d51c34f88a3374221",
+    ("llf", "reflective", (12, 10)): "8107e7b7c9a1aaa2f43bfda1243fa7e008a2f870ab47b0f60d240ffb61b44f9f",
+    ("hll", "periodic", (16,)): "3caaccac532c525b30c00ae461c1b547c7401458238b45c1cb2f8856d19c9856",
+    ("hll", "periodic", (12, 10)): "7604012d3d437aaaed4b7f4621decc210052ecce5fa9450bc6fa1fa643385f69",
+    ("hll", "reflective", (16,)): "90cbe36eca6478c78ca11813312aa9e7d566672baaa3b9dfd0940d7ddf643fd3",
+    ("hll", "reflective", (12, 10)): "9b17fba2fa5bd87f2e6369545afd7dcd0f9b05602f1a374efcc87a9a7cf89152",
+}
+
+
+def _pinned_state(boundary, counts):
+    d = len(counts)
+    g = Grid(counts=counts, lower=(0.0,) * d, upper=(1.0,) * d, boundary=(boundary,) * d)
+    rng = np.random.default_rng(2024)
+    return FluidState(g, rng.uniform(0.5, 1.5, counts), rng.uniform(-0.4, 0.4, counts + (d,)))
+
+
+@pytest.mark.parametrize("flux, boundary, counts", sorted(PINNED_DIGESTS),
+                         ids=[f"{f}-{b}-{len(c)}d" for f, b, c in sorted(PINNED_DIGESTS)])
+def test_step_bits_pinned(flux, boundary, counts):
+    s = _pinned_state(boundary, counts)
+    spec = SchemeSpec(flux=flux, nu=0.15)
+    for _ in range(5):
+        s = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+    digest = hashlib.sha256(s.rho.tobytes() + s.m.tobytes()).hexdigest()
+    assert digest == PINNED_DIGESTS[(flux, boundary, counts)]
+
+
+
+@st.composite
+def fluid_states(draw, boundary):
+    d = draw(st.integers(1, 2))
+    counts = tuple(draw(st.integers(2, 9)) for _ in range(d))
+    g = Grid(counts=counts, lower=(0.0,) * d, upper=(1.0,) * d, boundary=(boundary,) * d)
+    rho = draw(hnp.arrays(float, counts, elements=st.floats(0.1, 2.0)))
+    m = draw(hnp.arrays(float, counts + (d,), elements=st.floats(-1.0, 1.0)))
+    return FluidState(g, rho, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), flux=st.sampled_from(FLUX_KINDS),
+       boundary=st.sampled_from(("periodic", "reflective")), nu=st.floats(0.0, 0.5))
+def test_step_conserves_mass_and_periodic_momentum(data, flux, boundary, nu):
+    s = data.draw(fluid_states(boundary))
+    spec = SchemeSpec(flux=flux, nu=nu)
+    out = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+    assert abs(out.rho.sum() - s.rho.sum()) <= 1e-12 * s.rho.sum()
+    if boundary == "periodic":
+        cells = tuple(range(s.grid.d))
+        scale = max(np.abs(s.m).sum(), 1.0)
+        assert np.all(np.abs(out.m.sum(axis=cells) - s.m.sum(axis=cells)) <= 1e-12 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(counts=st.sampled_from([(2,), (7,), (2, 2), (5, 3)]), rho0=st.floats(0.01, 10.0),
+       flux=st.sampled_from(FLUX_KINDS), nu=st.floats(0.0, 0.5))
+def test_reflective_rest_state_is_steady(counts, rho0, flux, nu):
+    d = len(counts)
+    g = Grid(counts=counts, lower=(0.0,) * d, upper=(1.0,) * d, boundary=("reflective",) * d)
+    s = FluidState.constant(g, rho0, 0.0)
+    spec = SchemeSpec(flux=flux, nu=nu)
+    out = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+    assert np.array_equal(out.rho, s.rho)
+    assert np.array_equal(out.m, s.m)
