@@ -26,14 +26,15 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from .eos import GasLaw, defect_constant, sound_speed
-from .fields import DataTriple, FluidState, Grid, integrate_energy, load_state_csv
+from .fields import (DataTriple, FluidState, Grid, integrate_energy, load_state_csv,
+                     read_csv, write_csv)
 from .riemann import RiemannData, solve_riemann
 from .solver import SchemeSpec, run
 from .stress import ReynoldsField
 from .trajectory import (Trajectory, concatenate, improve, load_bundle,
                          save_bundle, stopping_time)
-from .dissipative import (CertificateTolerances, certificate_to_csv,
-                          certificate_to_json, certify, estimate_reynolds)
+from .dissipative import (CertificateTolerances, certificate_to_json, certify,
+                          estimate_reynolds, save_defect_csv)
 from .selection import (CandidateSet, check_order_coherence,
                         is_absolute_minimizer, select)
 from .svgplot import write_line_svg
@@ -326,11 +327,8 @@ def cmd_ensemble(cfg: dict, out: str, energy_mode: str | None = None) -> int:
     r = defect_constant(avg.grid.d, law)
     defects = avg.defects()
     traces = R.trace_integrals()
-    slacks = defects - r * traces
-    with open(os.path.join(out, "defect.csv"), "w") as f:
-        f.write("t,defect,traceR,slack\n")
-        for t, d, tr_, s in zip(avg.times, defects, traces, slacks):
-            f.write(f"{t:.17g},{d:.17g},{tr_:.17g},{s:.17g}\n")
+    save_defect_csv(os.path.join(out, "defect.csv"), avg.times, defects, traces,
+                    defects - r * traces)
     return 0
 
 
@@ -352,8 +350,8 @@ def cmd_diagnose(cfg: dict, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "certificate.json"), "w") as f:
         f.write(certificate_to_json(cert))
-    with open(os.path.join(out, "certificate.csv"), "w") as f:
-        f.write(certificate_to_csv(cert))
+    save_defect_csv(os.path.join(out, "certificate.csv"), cert.times, cert.defects,
+                    cert.traces, cert.slacks)
     return 0 if cert.passed else 1
 
 
@@ -401,10 +399,7 @@ def cmd_riemann(cfg: dict, out: str) -> int:
     xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["samples"])
     rho, u = sol.sample_array(xs / t)
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "profile.csv"), "w") as f:
-        f.write("x,rho,u\n")
-        for x, r, v in zip(xs, rho, u):
-            f.write(f"{x:.17g},{r:.17g},{v:.17g}\n")
+    write_csv(os.path.join(out, "profile.csv"), ("x", "rho", "u"), (xs, rho, u))
     _write_json(os.path.join(out, "star.json"),
                 {"rho_star": sol.rho_star, "u_star": sol.u_star})
     return 0
@@ -447,10 +442,8 @@ def cmd_dt1(cfg: dict, out: str) -> int:
     passed = max_defect <= delta * (1.0 + 1e-9)
     os.makedirs(out, exist_ok=True)
     save_bundle(result, os.path.join(out, "trajectory"))
-    with open(os.path.join(out, "defect.csv"), "w") as f:
-        f.write("t,defect\n")
-        for t, d in zip(result.times, result.defects()):
-            f.write(f"{t:.17g},{d:.17g}\n")
+    write_csv(os.path.join(out, "defect.csv"), ("t", "defect"),
+              (result.times, result.defects()))
     _write_json(os.path.join(out, "report.json"), {
         "delta": delta,
         "max_defect": max_defect,
@@ -510,13 +503,14 @@ def cmd_dt2(cfg: dict, out: str) -> int:
 
 def cmd_plot(csv_path: str, kind: str, out: str) -> int:
     try:
-        data = np.genfromtxt(csv_path, delimiter=",", names=True)
+        names, table = read_csv(csv_path)
     except OSError:
         raise ConfigError(f"CSV file not found: {csv_path}")
-    if data.dtype.names is None:
-        raise ConfigError(f"{csv_path} has no header row")
-    names = data.dtype.names
-    data = np.atleast_1d(data)
+    except ValueError as e:
+        raise ConfigError(f"{csv_path} is not a numeric table under a header row: {e}")
+    if table.size == 0:
+        raise ConfigError(f"{csv_path} has no data rows")
+    data = dict(zip(names, table.T))
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"{kind}.svg")
     if kind == "energy":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eos import GasLaw, defect_constant, pressure
-from .fields import FluidState, Grid
+from .fields import FluidState, Grid, write_csv
 from .stress import ReynoldsField, kinetic_tensor
 from .trajectory import Trajectory
 
@@ -36,7 +36,7 @@ __all__ = [
     "DissipativeCertificate",
     "certify",
     "certificate_to_json",
-    "certificate_to_csv",
+    "save_defect_csv",
 ]
 
 # 3-point Gauss-Legendre on [-1, 1]: exact for polynomials of degree 5,
@@ -333,16 +333,15 @@ def estimate_reynolds(ensemble: list, law: GasLaw | None = None) -> tuple:
     return ReynoldsField(base.grid, base.times.copy(), tensor), avg
 
 
-def energy_defect(traj: Trajectory, t: float, law: GasLaw | None = None,
-                  tol: float | None = None) -> float:
+def energy_defect(traj: Trajectory, t: float) -> float:
     """Energy defect E(t+) - mean energy at a sample time, clamped at 0.
 
-    Negative excursions beyond the tolerance indicate a broken energy
-    bookkeeping; certify() reports them as failures.
+    A NaN defect stays NaN.  Negative excursions beyond the tolerance
+    indicate a broken energy bookkeeping; certify() reports them as
+    failures.
     """
     k = traj.index_of(t)
-    raw = float(traj.defects()[k])
-    return max(0.0, raw)
+    return float(np.maximum(0.0, traj.defects()[k]))
 
 
 @dataclass
@@ -431,20 +430,20 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
     if dictionary is None:
         dictionary = default_dictionary(traj.grid, traj.t_end)
     notes = []
-    cont = 0.0
-    mom = 0.0
+    # every reduction below is a NumPy max/min, so a NaN input turns the
+    # check value NaN and the check fails instead of reading 0
+    scalars = [phi for phi in dictionary if phi.direction is None]
+    vectors = [phi for phi in dictionary if phi.direction is not None]
+    cont = np.max([abs(continuity_residual(traj, phi)) for phi in scalars], initial=0.0)
+    mom = np.max([abs(momentum_residual(traj, phi, R, law)) for phi in vectors], initial=0.0)
     mom_raw = 0.0
-    for phi in dictionary:
-        if phi.direction is None:
-            cont = max(cont, abs(continuity_residual(traj, phi)))
-        else:
-            mom = max(mom, abs(momentum_residual(traj, phi, R, law)))
-            if R is not None:
-                mom_raw = max(mom_raw, abs(momentum_residual(traj, phi, None, law)))
+    if R is not None:
+        mom_raw = np.max([abs(momentum_residual(traj, phi, None, law)) for phi in vectors],
+                         initial=0.0)
 
     # energy monotonicity, including the initial jump
     diffs = np.diff(traj.energy, prepend=traj.e0)
-    mono_violation = float(max(0.0, np.max(diffs))) if len(diffs) else 0.0
+    mono_violation = float(np.max(diffs, initial=0.0))
 
     vacuum_ok = True
     for s in traj.states:
@@ -453,9 +452,8 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
             vacuum_ok = False
             break
 
-    scale = max(1.0, abs(traj.e0))
     defects = traj.defects()
-    neg_excursion = float(max(0.0, -np.min(defects)))
+    neg_excursion = float(np.max(-defects, initial=0.0))
 
     if R is not None:
         psd_margin = R.min_eigenvalue()
@@ -505,8 +503,6 @@ def certificate_to_json(cert: DissipativeCertificate) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def certificate_to_csv(cert: DissipativeCertificate) -> str:
-    lines = ["t,defect,traceR,slack"]
-    for t, d, tr, s in zip(cert.times, cert.defects, cert.traces, cert.slacks):
-        lines.append(f"{t:.17g},{d:.17g},{tr:.17g},{s:.17g}")
-    return "\n".join(lines) + "\n"
+def save_defect_csv(path, times, defects, traces, slacks) -> None:
+    """Write the per-sample ``t,defect,traceR,slack`` table."""
+    write_csv(path, ("t", "defect", "traceR", "slack"), (times, defects, traces, slacks))

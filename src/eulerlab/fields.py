@@ -21,6 +21,8 @@ __all__ = [
     "ValidationReport",
     "integrate_energy",
     "validate_initial_data",
+    "write_csv",
+    "read_csv",
     "save_state_csv",
     "load_state_csv",
 ]
@@ -137,14 +139,6 @@ class FluidState:
         self.rho = rho
         self.m = m
 
-    def copy_with(self, rho=None, m=None, check: bool = True) -> "FluidState":
-        return FluidState(
-            self.grid,
-            self.rho if rho is None else rho,
-            self.m if m is None else m,
-            check=check,
-        )
-
     def allclose(self, other: "FluidState", rtol: float = 1e-10) -> bool:
         """Relative L1 comparison used by junction and prefix checks."""
         return rel_l1_distance(self, other) <= rtol
@@ -221,36 +215,69 @@ def validate_initial_data(triple: DataTriple, law: GasLaw,
     return ValidationReport(True, mean, slack)
 
 
-def save_state_csv(state: FluidState, path) -> None:
-    """Write one row per cell: ``i[,j],rho,mx[,my]``."""
-    g = state.grid
+# -- CSV codec --------------------------------------------------------
+
+# rows formatted per write: large enough to amortise the per-call
+# overhead, small enough that a block's Python floats and strings
+# (~60 KB) do not raise the peak memory of a 200k-row profile write;
+# 1024-row blocks measured about 0.25 MB higher peak RSS
+_BLOCK_ROWS = 256
+
+_STATE_COLUMNS = {1: ("i", "rho", "mx"), 2: ("i", "j", "rho", "mx", "my")}
+
+
+def write_csv(path, names, columns) -> None:
+    """Write a header line ``names`` and one row per entry of ``columns``.
+
+    Integer columns are written as decimal integers, float columns with
+    ``.17g``, which reads back to the same double.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("{:d}" if c.dtype.kind in "iu" else "{:.17g}" for c in columns) + "\n"
     with open(path, "w") as f:
-        if g.d == 1:
-            f.write("i,rho,mx\n")
-            for i in range(g.counts[0]):
-                f.write(f"{i},{state.rho[i]:.17g},{state.m[i, 0]:.17g}\n")
-        else:
-            f.write("i,j,rho,mx,my\n")
-            for i in range(g.counts[0]):
-                for j in range(g.counts[1]):
-                    f.write(f"{i},{j},{state.rho[i, j]:.17g},"
-                            f"{state.m[i, j, 0]:.17g},{state.m[i, j, 1]:.17g}\n")
+        f.write(",".join(names) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
+            f.write("".join(map(row.format, *block)))
 
 
-def load_state_csv(grid: Grid, path) -> FluidState:
-    """Read a state written by :func:`save_state_csv` onto ``grid``."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
+def read_csv(path, names=None) -> tuple:
+    """Header names and the (rows, columns) float array of a CSV table.
+
+    With ``names`` given, the header line must be exactly those names.
+    """
+    with open(path) as f:
+        header = tuple(f.readline().strip().split(","))
+        if names is not None and header != tuple(names):
+            raise ValueError(f"{path}: expected header {','.join(names)!r}, "
+                             f"got {','.join(header)!r}")
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
+    if data.size and data.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {data.shape[1]} columns, "
+                         f"the header names {len(header)}")
+    return header, data
+
+
+def save_state_csv(state: FluidState, path) -> None:
+    """Write one row per cell: ``i[,j],rho,mx[,my]``, in row-major order."""
+    g = state.grid
+    index = np.indices(g.counts).reshape(g.d, -1)
+    m = state.m.reshape(-1, g.d)
+    write_csv(path, _STATE_COLUMNS[g.d],
+              [*index, state.rho.ravel(), *(m[:, k] for k in range(g.d))])
+
+
+def load_state_csv(grid: Grid, path, check: bool = True) -> FluidState:
+    """Read a state written by :func:`save_state_csv` onto ``grid``.
+
+    Rows are placed by their ``i[,j]`` columns, so their order is free;
+    ``check`` is passed on to :class:`FluidState`.
+    """
+    d = grid.d
+    _, data = read_csv(path, _STATE_COLUMNS[d])
+    idx = tuple(data[:, k].astype(int) for k in range(d))
     rho = np.zeros(grid.counts)
-    m = np.zeros(grid.counts + (grid.d,))
-    if grid.d == 1:
-        idx = data["i"].astype(int)
-        rho[idx] = data["rho"]
-        m[idx, 0] = data["mx"]
-    else:
-        i = data["i"].astype(int)
-        j = data["j"].astype(int)
-        rho[i, j] = data["rho"]
-        m[i, j, 0] = data["mx"]
-        m[i, j, 1] = data["my"]
-    return FluidState(grid, rho, m)
+    m = np.zeros(grid.counts + (d,))
+    rho[idx] = data[:, d]
+    m[idx] = data[:, d + 1:]
+    return FluidState(grid, rho, m, check=check)

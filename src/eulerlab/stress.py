@@ -83,9 +83,6 @@ class ReynoldsField:
         """Smallest eigenvalue over all cells and sample times."""
         return float(np.min(symmetric_min_eigenvalues(self.tensor)))
 
-    def is_psd(self, tol_factor: float = 1e-10) -> bool:
-        return self.min_eigenvalue() >= -tol_factor * max(self.norm_scale(), 1e-300)
-
     def save_npz(self, path) -> None:
         np.savez(path,
                  tensor=self.tensor,

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import GasLaw, pressure
-from .fields import FluidState, Grid, integrate_energy, load_state_csv, rel_l1_distance, save_state_csv
+from .fields import (FluidState, Grid, integrate_energy, load_state_csv, read_csv,
+                     rel_l1_distance, save_state_csv, write_csv)
 from .stress import ReynoldsField, kinetic_tensor
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 _TIME_RTOL = 1e-9
+_ENERGY_COLUMNS = ("t", "E")
 
 
 class Trajectory:
@@ -91,8 +93,10 @@ class Trajectory:
         if len(E) > 1 and np.any(np.diff(E) > tol):
             k = int(np.argmax(np.diff(E)))
             raise ValueError(f"energy curve increases across knot t={t[k + 1]}")
-        if np.any(np.isinf(self.mean_energies)):
-            raise ValueError("a sampled state has infinite mean energy")
+        if not np.all(np.isfinite(self.mean_energies)):
+            k = int(np.argmin(np.isfinite(self.mean_energies)))
+            raise ValueError(f"the state at t={t[k]} has non-finite mean energy "
+                             f"{self.mean_energies[k]}")
         short = E - self.mean_energies
         if np.any(short < -tol):
             k = int(np.argmin(short))
@@ -443,10 +447,7 @@ def save_bundle(traj: Trajectory, dirpath: str) -> None:
         f.write("\n")
     for k, s in enumerate(traj.states):
         save_state_csv(s, os.path.join(dirpath, f"state_{k:06d}.csv"))
-    with open(os.path.join(dirpath, "energy.csv"), "w") as f:
-        f.write("t,E\n")
-        for t, e in zip(traj.times, traj.energy):
-            f.write(f"{t:.17g},{e:.17g}\n")
+    write_csv(os.path.join(dirpath, "energy.csv"), _ENERGY_COLUMNS, (traj.times, traj.energy))
 
 
 def load_bundle(dirpath: str, check: bool = True) -> Trajectory:
@@ -461,30 +462,11 @@ def load_bundle(dirpath: str, check: bool = True) -> Trajectory:
     grid = Grid.from_dict(meta["grid"])
     law = GasLaw(a=meta["law"]["a"], gamma=meta["law"]["gamma"])
     times = np.array(meta["times"], dtype=float)
-    raw = np.genfromtxt(os.path.join(dirpath, "energy.csv"), delimiter=",", names=True)
-    raw = np.atleast_1d(raw)
+    _, raw = read_csv(os.path.join(dirpath, "energy.csv"), _ENERGY_COLUMNS)
     if len(raw) != len(times):
         raise ValueError("energy.csv rows do not match the sample times")
-    energy = np.array(raw["E"], dtype=float)
-    states = []
-    for k in range(len(times)):
-        path = os.path.join(dirpath, f"state_{k:06d}.csv")
-        if check:
-            states.append(load_state_csv(grid, path))
-        else:
-            data = np.genfromtxt(path, delimiter=",", names=True)
-            data = np.atleast_1d(data)
-            rho = np.zeros(grid.counts)
-            m = np.zeros(grid.counts + (grid.d,))
-            if grid.d == 1:
-                idx = data["i"].astype(int)
-                rho[idx] = data["rho"]
-                m[idx, 0] = data["mx"]
-            else:
-                i, j = data["i"].astype(int), data["j"].astype(int)
-                rho[i, j] = data["rho"]
-                m[i, j, 0] = data["mx"]
-                m[i, j, 1] = data["my"]
-            states.append(FluidState(grid, rho, m, check=False))
+    energy = raw[:, 1]
+    states = [load_state_csv(grid, os.path.join(dirpath, f"state_{k:06d}.csv"), check=check)
+              for k in range(len(times))]
     return Trajectory(grid, law, times, states, energy,
                       e0=float(meta.get("e0", energy[0])), check=check)

@@ -165,6 +165,25 @@ def test_diagnose_pass_and_fail(tmp_path):
     assert "energy_monotone" in failed
 
 
+def test_diagnose_fails_on_nan_density(tmp_path):
+    run_cfg = write_config(tmp_path, "r.json", run_config(tmp_path))
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", run_cfg, "--out", str(bundle)]) == 0
+    state = bundle / "state_000002.csv"
+    lines = state.read_text().splitlines()
+    i, _, mx = lines[10].split(",")
+    lines[10] = f"{i},nan,{mx}"
+    state.write_text("\n".join(lines) + "\n")
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle)})
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "nan")]) == 1
+    doc = json.loads((tmp_path / "nan" / "certificate.json").read_text())
+    failed = {c["name"] for c in doc["checks"] if not c["passed"]}
+    assert {"continuity_residual", "momentum_residual", "defect_nonnegative"} <= failed
+    values = {c["name"]: c["value"] for c in doc["checks"]}
+    assert all(np.isnan(values[name]) for name in
+               ("continuity_residual", "momentum_residual", "defect_nonnegative"))
+
+
 def test_diagnose_malformed_bundle(tmp_path, capsys):
     bad = tmp_path / "nonsense"
     bad.mkdir()

@@ -255,6 +255,18 @@ def test_energy_defect_examples():
     assert energy_defect(offset, 0.0) == pytest.approx(0.5)
 
 
+def test_energy_defect_propagates_nan():
+    g = grid_1d(16)
+    s = FluidState.constant(g, 1.0, 0.0)
+    rho = np.ones(16)
+    rho[5] = np.nan
+    bad = FluidState(g, rho, np.zeros((16, 1)), check=False)
+    e = integrate_energy(s, LAW2)
+    traj = Trajectory(g, LAW2, [0.0, 0.5], [s, bad], [e, e], check=False)
+    assert energy_defect(traj, 0.0) == 0.0
+    assert np.isnan(energy_defect(traj, 0.5))
+
+
 def test_compatibility_arithmetic():
     g = grid_1d(16)
     s = FluidState.constant(g, 1.0, 0.0)

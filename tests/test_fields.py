@@ -1,8 +1,14 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from eulerlab.cli import main
 from eulerlab.eos import GasLaw
 from eulerlab.fields import (DataTriple, FluidState, Grid, integrate_energy,
                              load_state_csv, save_state_csv, validate_initial_data)
@@ -129,3 +135,118 @@ def test_state_csv_roundtrip_2d(tmp_path):
     loaded = load_state_csv(g, path)
     assert np.array_equal(loaded.rho, s.rho)
     assert np.array_equal(loaded.m, s.m)
+
+
+# -- state CSV codec ---------------------------------------------------------
+
+def edge_state_1d():
+    """1D state with a signed zero, a subnormal and values near the float range."""
+    g = unit_grid_1d(6)
+    rho = [1.0, -0.0, 5e-324, 1e300, 0.1, 2.0 / 3.0]
+    m = [[0.5], [-0.0], [-5e-324], [1e300], [-1e-300], [1.0 / 3.0]]
+    return FluidState(g, rho, m)
+
+
+def edge_state_2d():
+    g = Grid(counts=(3, 4), lower=(0.0, -1.0), upper=(1.0, 1.0))
+    rng = np.random.default_rng(21)
+    rho = rng.uniform(0.1, 3.0, (3, 4))
+    m = rng.uniform(-2.0, 2.0, (3, 4, 2))
+    rho[0, 1], m[0, 1] = -0.0, (-0.0, 0.0)
+    rho[1, 2], m[1, 2] = 1e300, (-1e300, 1e-300)
+    rho[2, 3], m[2, 3] = 5e-324, (-0.0, 2.5e-320)
+    return FluidState(g, rho, m)
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# digests recorded with the per-row writer that preceded the block codec
+STATE_CSV_SHA256 = {
+    "1d": "3d8510ec7ec6be0ffe7cf851ae3f1d3f26d639ff81c6af956b2d6d51f16798a1",
+    "2d": "2ebc03dc12b599a20fcd8d70ae7a781432c85d86e4d8dd1b63825a8eb9648783",
+}
+PROFILE_CSV_SHA256 = "eee230009d511ce2ef327284cf05d95fdd798aa905379419aecfd116e33ed044"
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_state_csv_bytes_pinned(tmp_path, dim):
+    s = edge_state_1d() if dim == "1d" else edge_state_2d()
+    path = tmp_path / "state.csv"
+    save_state_csv(s, path)
+    assert sha256_of(path) == STATE_CSV_SHA256[dim]
+    loaded = load_state_csv(s.grid, path)
+    assert loaded.rho.tobytes() == s.rho.tobytes()
+    assert loaded.m.tobytes() == s.m.tobytes()
+
+
+def test_riemann_profile_csv_bytes_pinned(tmp_path):
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps({
+        "kind": "riemann", "law": {"a": 1.0, "gamma": 1.4},
+        "rho_l": 1.0, "u_l": 0.3, "rho_r": 0.25, "u_r": -0.2,
+        "time": 0.2, "x_min": -1.0, "x_max": 1.0, "samples": 2501,
+    }))
+    out = tmp_path / "rp"
+    assert main(["riemann", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sha256_of(out / "profile.csv") == PROFILE_CSV_SHA256
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def fluid_states(draw):
+    counts = draw(st.sampled_from([(2,), (5,), (17,), (2, 2), (3, 5), (4, 3)]))
+    g = Grid(counts=counts, lower=(0.0,) * len(counts), upper=(1.0,) * len(counts))
+    rho = draw(hnp.arrays(float, counts, elements=st.floats(
+        0.0, 1e300, allow_nan=False, allow_infinity=False, allow_subnormal=True)))
+    m = draw(hnp.arrays(float, counts + (len(counts),), elements=_finite))
+    m[rho == 0.0] = 0.0
+    return FluidState(g, rho, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=fluid_states())
+def test_state_csv_roundtrip_bit_identical(tmp_path_factory, state):
+    path = tmp_path_factory.mktemp("codec") / "state.csv"
+    save_state_csv(state, path)
+    loaded = load_state_csv(state.grid, path)
+    assert loaded.rho.tobytes() == state.rho.tobytes()
+    assert loaded.m.tobytes() == state.m.tobytes()
+
+
+def test_state_csv_permuted_rows_load(tmp_path):
+    s = edge_state_2d()
+    path = tmp_path / "state.csv"
+    save_state_csv(s, path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    order = np.random.default_rng(5).permutation(len(rows))
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows[k] for k in order))
+    loaded = load_state_csv(s.grid, shuffled)
+    assert loaded.rho.tobytes() == s.rho.tobytes()
+    assert loaded.m.tobytes() == s.m.tobytes()
+
+
+def test_state_csv_wrong_header_names_file(tmp_path):
+    g = unit_grid_1d(2)
+    path = tmp_path / "bad_header.csv"
+    path.write_text("i,rho,my\n0,1,0\n1,1,0\n")
+    with pytest.raises(ValueError, match="bad_header.csv"):
+        load_state_csv(g, path)
+    g2 = Grid(counts=(2, 2), lower=(0.0, 0.0), upper=(1.0, 1.0))
+    path1d = tmp_path / "one_d.csv"
+    save_state_csv(FluidState.constant(g, 1.0), path1d)
+    with pytest.raises(ValueError, match="one_d.csv"):
+        load_state_csv(g2, path1d)
+
+
+def test_state_csv_single_row_loads(tmp_path):
+    g = unit_grid_1d(2)
+    path = tmp_path / "one_row.csv"
+    path.write_text("i,rho,mx\n1,2.5,-0.5\n")
+    loaded = load_state_csv(g, path)
+    assert loaded.rho.tolist() == [0.0, 2.5]
+    assert loaded.m.tolist() == [[0.0], [-0.5]]

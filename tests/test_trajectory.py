@@ -352,6 +352,16 @@ def test_defect_reset_identity_when_no_defect():
     assert out.same_content(traj)
 
 
+def test_nan_state_rejected():
+    g = unit_grid()
+    s = FluidState.constant(g, 1.0, 0.0)
+    rho = np.ones(g.counts)
+    rho[3] = np.nan
+    bad = FluidState(g, rho, np.zeros(g.counts + (1,)), check=False)
+    with pytest.raises(ValueError, match=r"t=0.5 has non-finite mean energy nan"):
+        Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s, bad, s], [1.4, 1.4, 1.4])
+
+
 def test_defect_reset_requires_mean_energy_start():
     g = unit_grid()
     s = FluidState.constant(g, 1.0, 0.0)
