@@ -12,6 +12,7 @@ import numpy as np
 
 from eulerlab import GasLaw, RiemannData, solve_riemann
 from eulerlab.eos import sound_speed
+from eulerlab.fields import write_csv
 from eulerlab.svgplot import write_line_svg
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
@@ -35,10 +36,7 @@ print(f"2-shock speed:     {data.u_r + j / data.rho_r:+.6f}")
 t = 0.2
 x = np.linspace(-1.0, 1.0, 401)
 rho, u = sol.sample_array(x / t)
-with open(os.path.join(OUT, "riemann_profile.csv"), "w") as f:
-    f.write("x,rho,u\n")
-    for xi, r, v in zip(x, rho, u):
-        f.write(f"{xi:.17g},{r:.17g},{v:.17g}\n")
+write_csv(os.path.join(OUT, "riemann_profile.csv"), ("x", "rho", "u"), (x, rho, u))
 write_line_svg(os.path.join(OUT, "riemann_profile.svg"), x, [rho, u],
                ["rho", "u"], title=f"Riemann profile at t = {t}",
                xlabel="x", ylabel="value")

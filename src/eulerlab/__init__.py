@@ -3,7 +3,7 @@
 from .eos import GasLaw, defect_constant, energy, pressure, pressure_potential, sound_speed
 from .fields import (DataTriple, FluidState, Grid, integrate_energy,
                      validate_initial_data)
-from .riemann import RiemannData, exact_riemann, solve_riemann
+from .riemann import RiemannData, solve_riemann
 from .solver import SchemeSpec, run, stable_dt, step
 from .stress import ReynoldsField
 from .trajectory import (OrderResult, Trajectory, compare_admissible, compare_local,

@@ -93,13 +93,6 @@ class TestFunction:
     def time_deriv(self, t):
         return _bump_deriv((np.asarray(t) - self.t_center) / self.t_width) / self.t_width
 
-    def space_value(self, grid: Grid) -> np.ndarray:
-        """Pointwise values at cell centers (diagnostics only)."""
-        out = np.ones(grid.counts)
-        for k, x in enumerate(grid.meshgrid()):
-            out = out * _bump((x - self.centers[k]) / self.widths[k])
-        return out
-
     def check_interior(self, grid: Grid, t_end: float) -> None:
         lo, hi = self.t_support
         if lo < 0.0 or hi > t_end:
@@ -491,16 +484,21 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
                                   slacks, passed, notes)
 
 
+def _json_number(x: float):
+    return x if math.isfinite(x) else None
+
+
 def certificate_to_json(cert: DissipativeCertificate) -> str:
+    """Strict JSON: a non-finite check value or tolerance is written as null."""
     doc = {
         "passed": cert.passed,
         "checks": [
-            {"name": n, "value": v, "tolerance": tol, "passed": ok}
+            {"name": n, "value": _json_number(v), "tolerance": _json_number(tol), "passed": ok}
             for n, v, tol, ok in cert.checks
         ],
         "notes": cert.notes,
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
 def save_defect_csv(path, times, defects, traces, slacks) -> None:

@@ -252,7 +252,9 @@ def read_csv(path, names=None) -> tuple:
             raise ValueError(f"{path}: expected header {','.join(names)!r}, "
                              f"got {','.join(header)!r}")
         data = np.loadtxt(f, delimiter=",", ndmin=2)
-    if data.size and data.shape[1] != len(header):
+    if not data.size:
+        data = data.reshape(0, len(header))
+    if data.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {data.shape[1]} columns, "
                          f"the header names {len(header)}")
     return header, data
@@ -270,14 +272,26 @@ def save_state_csv(state: FluidState, path) -> None:
 def load_state_csv(grid: Grid, path, check: bool = True) -> FluidState:
     """Read a state written by :func:`save_state_csv` onto ``grid``.
 
-    Rows are placed by their ``i[,j]`` columns, so their order is free;
-    ``check`` is passed on to :class:`FluidState`.
+    Rows are placed by their ``i[,j]`` columns, so their order is free,
+    but each cell must be given by exactly one row with integer indices
+    in range; ``check`` is passed on to :class:`FluidState`.
     """
     d = grid.d
     _, data = read_csv(path, _STATE_COLUMNS[d])
-    idx = tuple(data[:, k].astype(int) for k in range(d))
+    index = data[:, :d]
+    bad = ~np.all((index == np.floor(index)) & (index >= 0) & (index < grid.counts), axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{path}: data row {k + 1}: cell index {index[k].tolist()} is not "
+                         f"an integer index of the {grid.counts} grid")
+    cell = np.ravel_multi_index(tuple(index.T.astype(int)), grid.counts)
+    rows = np.bincount(cell, minlength=math.prod(grid.counts))
+    if np.any(rows != 1):
+        c = int(np.argmax(rows != 1))
+        where = [int(k) for k in np.unravel_index(c, grid.counts)]
+        raise ValueError(f"{path}: cell {where} is given by {rows[c]} rows, not 1")
     rho = np.zeros(grid.counts)
     m = np.zeros(grid.counts + (d,))
-    rho[idx] = data[:, d]
-    m[idx] = data[:, d + 1:]
+    rho.flat[cell] = data[:, d]
+    m.reshape(-1, d)[cell] = data[:, d + 1:]
     return FluidState(grid, rho, m, check=check)

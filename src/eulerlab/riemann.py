@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .eos import GasLaw
 
-__all__ = ["RiemannData", "RiemannSolution", "exact_riemann", "solve_riemann"]
+__all__ = ["RiemannData", "RiemannSolution", "solve_riemann"]
 
 _BISECT_TOL = 1e-12
 
@@ -45,6 +46,8 @@ class RiemannData:
             raise ValueError("the exact solver requires positive densities on both sides")
 
 
+# scalar math twins of eos.sound_speed/eos.pressure: the NumPy versions
+# round differently in the last bit, which would move the pinned samples
 def _sound(rho: float, law: GasLaw) -> float:
     return math.sqrt(law.a * law.gamma * rho ** (law.gamma - 1.0))
 
@@ -71,65 +74,58 @@ class RiemannSolution:
     u_star: float
 
     def sample(self, xi: float) -> tuple:
-        """Self-similar solution (rho, u) at xi = x/t."""
-        d, law = self.data, self.data.law
-        g = law.gamma
-        rs, us = self.rho_star, self.u_star
+        """Self-similar solution (rho, u) at xi = x/t, as two floats."""
+        rho, u = self.sample_array(np.array([xi], dtype=float))
+        return float(rho[0]), float(u[0])
 
-        # left 1-wave
-        if rs > d.rho_l:  # shock
-            j = math.sqrt((_pressure(rs, law) - _pressure(d.rho_l, law))
-                          / (1.0 / d.rho_l - 1.0 / rs))
-            s = d.u_l - j / d.rho_l
-            if xi < s:
-                return d.rho_l, d.u_l
-            left_edge = s
-        else:  # rarefaction fan between head and tail
-            head = d.u_l - _sound(d.rho_l, law)
-            tail = us - _sound(rs, law)
-            if xi < head:
-                return d.rho_l, d.u_l
-            if xi < tail:
-                # inside the fan: u - c = xi with invariant u + 2c/(g-1) const
-                const = d.u_l + 2.0 * _sound(d.rho_l, law) / (g - 1.0)
-                c = (const - xi) * (g - 1.0) / (g + 1.0)
-                rho = (c * c / (law.a * g)) ** (1.0 / (g - 1.0))
-                return rho, xi + c
-            left_edge = tail
+    def sample_array(self, xi) -> tuple:
+        """Self-similar solution (rho, u) at xi = x/t, as arrays of xi's shape.
 
-        # right 2-wave
-        if rs > d.rho_r:  # shock
-            j = math.sqrt((_pressure(rs, law) - _pressure(d.rho_r, law))
-                          / (1.0 / d.rho_r - 1.0 / rs))
-            s = d.u_r + j / d.rho_r
-            if xi > s:
-                return d.rho_r, d.u_r
-            right_edge = s
-        else:
-            head = d.u_r + _sound(d.rho_r, law)
-            tail = us + _sound(rs, law)
-            if xi > head:
-                return d.rho_r, d.u_r
-            if xi > tail:
-                const = d.u_r - 2.0 * _sound(d.rho_r, law) / (g - 1.0)
-                c = (xi - const) * (g - 1.0) / (g + 1.0)
-                rho = (c * c / (law.a * g)) ** (1.0 / (g - 1.0))
-                return rho, xi - c
-            right_edge = tail
-
-        assert left_edge <= right_edge + 1e-12
-        return rs, us
-
-    def sample_array(self, xi: np.ndarray) -> tuple:
-        """Vectorized sampling; returns (rho, u) arrays of xi's shape."""
+        Each wave's edges are computed once per call, then each region is
+        filled through a boolean mask.  Where round-off lets the regions of
+        the two waves overlap, the 1-wave takes precedence.
+        """
         xi = np.asarray(xi, dtype=float)
-        rho = np.empty(xi.shape)
-        u = np.empty(xi.shape)
-        flat = xi.ravel()
-        r = rho.ravel()
-        v = u.ravel()
-        for k in range(flat.size):
-            r[k], v[k] = self.sample(flat[k])
+        d, law = self.data, self.data.law
+        g, rs = law.gamma, self.rho_star
+        rho = np.full(xi.shape, rs)
+        u = np.full(xi.shape, self.u_star)
+        left = np.zeros(xi.shape, dtype=bool)  # the 1-wave's region, once sampled
+        inner_edges = []
+        for sign, r0, u0, beyond in ((-1.0, d.rho_l, d.u_l, np.less),
+                                     (1.0, d.rho_r, d.u_r, np.greater)):
+            if rs > r0:  # shock: both edges at the shock speed
+                j = math.sqrt((_pressure(rs, law) - _pressure(r0, law)) / (1.0 / r0 - 1.0 / rs))
+                outer = inner = u0 + sign * j / r0
+            else:  # rarefaction fan from head (outer) to tail (inner)
+                outer = u0 + sign * _sound(r0, law)
+                inner = self.u_star + sign * _sound(rs, law)
+            inner_edges.append(inner)
+            wave = beyond(xi, inner)
+            wave[left] = False
+            outside = beyond(xi, outer)
+            outside &= wave
+            rho[outside] = r0
+            u[outside] = u0
+            if rs <= r0:
+                fan = wave ^ outside
+                # inside the fan u -/+ c = xi with the outer state's invariant
+                # u +/- 2c/(g-1); w = -/+ c, kept to two fan-sized arrays (memory)
+                invariant = u0 - sign * 2.0 * _sound(r0, law) / (g - 1.0)
+                w = xi[fan]
+                w -= invariant
+                w *= g - 1.0
+                w /= g + 1.0
+                u[fan] = xi[fan]
+                u[fan] -= w
+                w *= w
+                w /= law.a * g
+                # libm pow through Python floats: NumPy's SIMD np.power differs
+                # in the last bit for exponents other than 1 and 2
+                rho[fan] = np.fromiter(map(pow, memoryview(w), repeat(1.0 / (g - 1.0))),
+                                       float, count=w.size)
+            left = wave
+        assert inner_edges[0] <= inner_edges[1] + 1e-12
         return rho, u
 
 
@@ -168,11 +164,6 @@ def solve_riemann(data: RiemannData) -> RiemannSolution:
     rho_star = 0.5 * (lo + hi)
     u_star = _wave_u(rho_star, data.rho_l, data.u_l, law, -1.0)
     return RiemannSolution(data, rho_star, u_star)
-
-
-def exact_riemann(data: RiemannData, xi: float) -> tuple:
-    """Entropy solution (rho, u) of the Riemann problem at xi = x/t."""
-    return solve_riemann(data).sample(xi)
 
 
 _AVG_NODES, _AVG_WEIGHTS = np.polynomial.legendre.leggauss(8)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import rel_l1_distance
-from .trajectory import (OrderResult, Trajectory, concatenate, exp_weights,
+from .trajectory import (OrderResult, Trajectory, _check_q, concatenate, exp_weights,
                          field_q_integrals, q_max, shift)
 
 __all__ = [
@@ -82,9 +82,7 @@ def _density_series(traj: Trajectory, functional: str, q: float | None) -> np.nd
         return traj.energy.astype(float)
     if q is None:
         q = default_q(traj.law)
-    hi = q_max(traj.law)
-    if not (1.0 < q <= hi + 1e-12):
-        raise ValueError(f"exponent q={q} outside the admissible range (1, {hi}]")
+    _check_q(q, traj.law)
     out = np.empty(traj.n_samples)
     for k, s in enumerate(traj.states):
         rq, mq = field_q_integrals(s, q)
@@ -97,9 +95,14 @@ def _density_series(traj: Trajectory, functional: str, q: float | None) -> np.nd
     return out
 
 
+def _weighted_integral(traj: Trajectory, functional: str, q: float | None) -> float:
+    """Exponentially weighted time integral of :func:`_density_series`."""
+    return float(np.dot(exp_weights(traj.times), _density_series(traj, functional, q)))
+
+
 def F1(traj: Trajectory) -> float:
     """Exponentially weighted time integral of the total energy."""
-    return float(np.dot(exp_weights(traj.times), traj.energy))
+    return _weighted_integral(traj, "F1", None)
 
 
 def F2(traj: Trajectory, variant: str = "full", q: float | None = None) -> float:
@@ -111,9 +114,7 @@ def F2(traj: Trajectory, variant: str = "full", q: float | None = None) -> float
     """
     if variant not in F2_VARIANTS:
         raise ValueError(f"variant must be one of {F2_VARIANTS}")
-    name = "F2-full" if variant == "full" else "F2-momentum"
-    g = _density_series(traj, name, q)
-    return float(np.dot(exp_weights(traj.times), g))
+    return _weighted_integral(traj, "F2-full" if variant == "full" else "F2-momentum", q)
 
 
 @dataclass
@@ -263,11 +264,6 @@ def lerch_equal(u: Trajectory, v: Trajectory,
 
 # -- consistency identities -------------------------------------------
 
-def _functional_value(traj: Trajectory, functional: str, q: float | None) -> float:
-    g = _density_series(traj, functional, q)
-    return float(np.dot(exp_weights(traj.times), g))
-
-
 def check_shift_identity(traj: Trajectory, T: float, functional: str = "F1",
                          q: float | None = None) -> float:
     """Residual of F(shift(u, T)) = e^T (F(u) - int_0^T e^-t f(u(t)) dt).
@@ -276,7 +272,7 @@ def check_shift_identity(traj: Trajectory, T: float, functional: str = "F1",
     the residual is a pure quadrature/shift regression check.
     """
     k = traj.index_of(T)
-    lhs = _functional_value(shift(traj, T), functional, q)
+    lhs = _weighted_integral(shift(traj, T), functional, q)
     g = _density_series(traj, functional, q)
     w = exp_weights(traj.times)
     head = float(np.dot(w[:k], g[:k]))
@@ -294,8 +290,8 @@ def check_concatenation_inequality(u: Trajectory, v: Trajectory, T: float,
     tail of u in the functional; zero for self-concatenation.
     """
     joined = concatenate(u, v, T)
-    return (_functional_value(u, functional, q)
-            - _functional_value(joined, functional, q))
+    return (_weighted_integral(u, functional, q)
+            - _weighted_integral(joined, functional, q))
 
 
 def check_order_coherence(less: Trajectory, greater: Trajectory,

@@ -165,6 +165,10 @@ def test_diagnose_pass_and_fail(tmp_path):
     assert "energy_monotone" in failed
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def test_diagnose_fails_on_nan_density(tmp_path):
     run_cfg = write_config(tmp_path, "r.json", run_config(tmp_path))
     bundle = tmp_path / "bundle"
@@ -176,12 +180,27 @@ def test_diagnose_fails_on_nan_density(tmp_path):
     state.write_text("\n".join(lines) + "\n")
     diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle)})
     assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "nan")]) == 1
-    doc = json.loads((tmp_path / "nan" / "certificate.json").read_text())
+    doc = json.loads((tmp_path / "nan" / "certificate.json").read_text(),
+                     parse_constant=_reject_constant)
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
     assert {"continuity_residual", "momentum_residual", "defect_nonnegative"} <= failed
     values = {c["name"]: c["value"] for c in doc["checks"]}
-    assert all(np.isnan(values[name]) for name in
+    assert all(values[name] is None for name in
                ("continuity_residual", "momentum_residual", "defect_nonnegative"))
+
+
+def test_diagnose_rejects_wrapped_cell_index(tmp_path, capsys):
+    run_cfg = write_config(tmp_path, "r.json", run_config(tmp_path))
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", run_cfg, "--out", str(bundle)]) == 0
+    state = bundle / "state_000001.csv"
+    lines = state.read_text().splitlines()
+    lines[1] = "-1" + lines[1][lines[1].index(","):]
+    state.write_text("\n".join(lines) + "\n")
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle)})
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed bundle" in err and "state_000001.csv: data row 1" in err
 
 
 def test_diagnose_malformed_bundle(tmp_path, capsys):

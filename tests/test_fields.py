@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 from eulerlab.cli import main
 from eulerlab.eos import GasLaw
 from eulerlab.fields import (DataTriple, FluidState, Grid, integrate_energy,
-                             load_state_csv, save_state_csv, validate_initial_data)
+                             load_state_csv, read_csv, save_state_csv,
+                             validate_initial_data)
 
 LAW2 = GasLaw(a=1.0, gamma=2.0)
 
@@ -244,9 +245,36 @@ def test_state_csv_wrong_header_names_file(tmp_path):
 
 
 def test_state_csv_single_row_loads(tmp_path):
+    # a one-row table is read as one row; on a 2-cell grid it lacks a cell
     g = unit_grid_1d(2)
     path = tmp_path / "one_row.csv"
     path.write_text("i,rho,mx\n1,2.5,-0.5\n")
-    loaded = load_state_csv(g, path)
-    assert loaded.rho.tolist() == [0.0, 2.5]
-    assert loaded.m.tolist() == [[0.0], [-0.5]]
+    _, data = read_csv(path, ("i", "rho", "mx"))
+    assert data.tolist() == [[1.0, 2.5, -0.5]]
+    with pytest.raises(ValueError, match=r"one_row.csv: cell \[0\] is given by 0 rows"):
+        load_state_csv(g, path)
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("rows, message", [
+    ("-1,2.0,0\n0,1,0\n", r"data row 1: cell index \[-1.0\] is not an integer index"),
+    ("0,1,0\n3,1,0\n1,1,0\n2,1,0\n", r"data row 2: cell index \[3.0\] is not an integer index"),
+    ("0,1,0\n1.5,1,0\n2,1,0\n", r"data row 2: cell index \[1.5\] is not an integer index"),
+    ("0,1,0\n2,1,0\n", r"cell \[1\] is given by 0 rows, not 1"),
+    ("0,1,0\n1,1,0\n2,1,0\n1,3,0\n", r"cell \[1\] is given by 2 rows, not 1"),
+], ids=["wrapped-negative", "out-of-range", "non-integer", "missing", "duplicate"])
+def test_state_csv_rejects_bad_cell_index(tmp_path, rows, message, check):
+    path = tmp_path / "state.csv"
+    path.write_text("i,rho,mx\n" + rows)
+    with pytest.raises(ValueError, match="state.csv: " + message):
+        load_state_csv(unit_grid_1d(3), path, check=check)
+
+
+def test_state_csv_2d_missing_cell_named(tmp_path):
+    g = Grid(counts=(2, 3), lower=(0.0, 0.0), upper=(1.0, 1.0))
+    path = tmp_path / "state.csv"
+    save_state_csv(FluidState.constant(g, 1.0), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:5] + lines[6:]))  # drops cell (1, 1)
+    with pytest.raises(ValueError, match=r"cell \[1, 1\] is given by 0 rows"):
+        load_state_csv(g, path, check=False)

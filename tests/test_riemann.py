@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from eulerlab.eos import GasLaw, sound_speed
-from eulerlab.riemann import (RiemannData, exact_riemann, sample_cell_averages,
-                              solve_riemann)
+from eulerlab.eos import GasLaw, pressure, sound_speed
+from eulerlab.riemann import RiemannData, sample_cell_averages, solve_riemann
 
 LAW2 = GasLaw(a=1.0, gamma=2.0)
 
@@ -34,7 +37,7 @@ def test_equal_states_constant_solution():
 
 def test_symmetric_collision_zero_velocity_at_center():
     data = RiemannData(1.0, 0.5, 1.0, -0.5, LAW2)
-    rho, u = exact_riemann(data, 0.0)
+    rho, u = solve_riemann(data).sample(0.0)
     assert u == pytest.approx(0.0, abs=1e-10)
     assert rho > 1.0  # compression
 
@@ -117,3 +120,115 @@ def test_cell_averages_of_jump_datum():
     exact_mix = frac_left * 1.0 + (1 - frac_left) * 0.25
     assert rho[1] == pytest.approx(exact_mix, abs=0.05)
     assert 0.25 < rho[1] < 1.0
+
+
+# (rho_l, u_l, rho_r, u_r): the three wave patterns of the perfbench
+# riemann-exact workload, an asymmetric 2-rarefaction and a 1-shock with
+# a 2-rarefaction
+PINNED_DATA = {
+    "2-shock": (1.0, 0.5, 1.0, -0.5),
+    "2-rarefaction": (1.0, -0.5, 1.0, 0.5),
+    "mixed": (1.0, 0.0, 0.25, 0.0),
+    "2-rarefaction-asym": (1.2, -0.2, 0.6, 0.4),
+    "1-shock": (0.5, 0.3, 1.0, 0.0),
+}
+PINNED_GAMMAS = {"1.4": 1.4, "5/3": 5.0 / 3.0, "2": 2.0, "3": 3.0}
+# sha256 of sample_array's (rho, u) bytes over linspace(-3, 3, 6001),
+# recorded with the per-point scalar sampler this one replaced
+PINNED_SAMPLE_DIGESTS = {
+    ("2-shock", "1.4"): "e500347828995833fb3483da8758fa5342044cde4cee0c3a34757c3a3f12182a",
+    ("2-shock", "5/3"): "d97c09843b05006157508f555c67c1792e3f05a99e77dc91e67fb9454e864044",
+    ("2-shock", "2"): "2966dcb452880ffe7188f389b6b1575670ba463bdf1cbc25cc9e0aa0f9d6b892",
+    ("2-shock", "3"): "fcf179ceb06053294f8c9bf5700f484f2468decc7336085ae6bb1db66d40e84a",
+    ("2-rarefaction", "1.4"): "5e0c78284a0e7438941ecc9046b3e186b41b5cfd146c0023e4d7b569dc40af46",
+    ("2-rarefaction", "5/3"): "45da08e707b7300d195c375fe2ba5253d3e6c61e37c9b0ac79b95aad56ccebf9",
+    ("2-rarefaction", "2"): "5010e19c4dd4250dc712faeaee06b0470821ecd99f2fbc50a98b94e1d74ac140",
+    ("2-rarefaction", "3"): "508b6f756b1769eabe5b1f8dbbbf33c4f79c0323940724756a48f6e096ffc69c",
+    ("mixed", "1.4"): "2077efdbafe7db95ee80c7b2569e8d3a66e03ff5960e37dd1b79d4a231c46198",
+    ("mixed", "5/3"): "9f0b364697fc070bd3d9bba7bd091af7bbba41e6a8f3c7d9dcc535e5eb0bd04a",
+    ("mixed", "2"): "43cc10ca478a2054b02b6aedad97f9ff87848db7c6b0d3e5b0b6604c32fa0a91",
+    ("mixed", "3"): "56840bf4e2c0588ea3b9193dcfe42770f3bd105deb83b4ef81775b4973fc9d42",
+    ("2-rarefaction-asym", "1.4"): "bd3455f5e1e53fd451c0ebf2b88ed3171b420eef821480237ef51a01c0b3e11c",
+    ("2-rarefaction-asym", "5/3"): "f279b3a60c397b9a531651af3ac59d175589c2b51e3fdd24bbb16cdeaa499b83",
+    ("2-rarefaction-asym", "2"): "5118f294f673045d84eb53f7ab82980975d56509b63ef2715cbf3e1138b64a72",
+    ("2-rarefaction-asym", "3"): "e2262366bbdec5d0a4f7252450364f3b5e44588da167512ee1f79974ff0a676c",
+    ("1-shock", "1.4"): "f407d0337f65e34f16f27760c0a93010a1a3f7e3a436b5750f542a3786a2ab25",
+    ("1-shock", "5/3"): "b4667ff021e973c6f5a2e3a81027a423d99ee42c920fbcf0d4d23afbd93ec9f4",
+    ("1-shock", "2"): "ff2da69ebdf363b036633582f13890d30da20b697c48fccf4677aea51e79a145",
+    ("1-shock", "3"): "2481ac6d996fadca65f8d08486d8e159ed2dcf8ae6d9c685e08d30a08420f5a8",
+}
+
+
+@pytest.mark.parametrize("name, gamma", sorted(PINNED_SAMPLE_DIGESTS),
+                         ids=[f"{n}-{g}" for n, g in sorted(PINNED_SAMPLE_DIGESTS)])
+def test_sample_array_bits_pinned(name, gamma):
+    law = GasLaw(a=1.0, gamma=PINNED_GAMMAS[gamma])
+    sol = solve_riemann(RiemannData(*PINNED_DATA[name], law))
+    rho, u = sol.sample_array(np.linspace(-3.0, 3.0, 6001))
+    digest = hashlib.sha256(rho.tobytes() + u.tobytes()).hexdigest()
+    assert digest == PINNED_SAMPLE_DIGESTS[(name, gamma)]
+
+
+@st.composite
+def riemann_solutions(draw):
+    law = GasLaw(a=draw(st.floats(0.5, 2.0)), gamma=draw(st.floats(1.1, 3.0)))
+    data = RiemannData(draw(st.floats(0.1, 3.0)), draw(st.floats(-2.0, 2.0)),
+                       draw(st.floats(0.1, 3.0)), draw(st.floats(-2.0, 2.0)), law)
+    try:
+        sol = solve_riemann(data)
+    except ValueError:  # vacuum-forming data
+        assume(False)
+    assume(sol.rho_star > 1e-3 * min(data.rho_l, data.rho_r))
+    return sol
+
+
+def _waves(sol):
+    """(sign, rho0, u0) of the 1-wave and the 2-wave with their outer states."""
+    d = sol.data
+    return ((-1.0, d.rho_l, d.u_l), (1.0, d.rho_r, d.u_r))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sol=riemann_solutions())
+def test_rankine_hugoniot_at_every_shock(sol):
+    law, rs, us = sol.data.law, sol.rho_star, sol.u_star
+    for sign, r0, u0 in _waves(sol):
+        if rs <= r0 * (1.0 + 1e-6):
+            continue
+        s = (rs * us - r0 * u0) / (rs - r0)  # from the mass jump
+        flux = lambda r, v: r * v * (v - s) + float(pressure(r, law))
+        scale = max(abs(flux(rs, us)), abs(flux(r0, u0)), 1.0)
+        assert flux(rs, us) == pytest.approx(flux(r0, u0), abs=1e-8 * scale)
+        # the sampled profile jumps from the star state to the outer state at s
+        eps = 1e-7 * (1.0 + abs(s))
+        assert sol.sample(s - sign * eps) == pytest.approx((rs, us), rel=1e-9, abs=1e-9)
+        assert sol.sample(s + sign * eps) == (r0, u0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sol=riemann_solutions())
+def test_fan_characteristics_and_continuity(sol):
+    law, rs, us = sol.data.law, sol.rho_star, sol.u_star
+    for sign, r0, u0 in _waves(sol):
+        if rs >= r0:
+            continue
+        head = u0 + sign * float(sound_speed(r0, law))
+        tail = us + sign * float(sound_speed(rs, law))
+        xi = np.linspace(head, tail, 9)[1:-1]
+        rho, u = sol.sample_array(xi)
+        # u -/+ c = xi inside the fan
+        assert np.allclose(u + sign * sound_speed(rho, law), xi, rtol=0.0, atol=1e-9)
+        # rho is continuous at the head and at the tail
+        eps = 1e-9 * (1.0 + abs(head) + abs(tail))
+        for edge, value in ((head, r0), (tail, rs)):
+            rho_edge, _ = sol.sample_array(np.array([edge - eps, edge + eps]))
+            assert rho_edge == pytest.approx([value, value], rel=1e-6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sol=riemann_solutions(),
+       xi=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=20))
+def test_sample_equals_sample_array(sol, xi):
+    rho, u = sol.sample_array(np.array(xi))
+    for k, x in enumerate(xi):
+        assert sol.sample(x) == (rho[k], u[k])
