@@ -301,7 +301,7 @@ def _run_ensemble(cfg: dict, energy_mode: str | None = None):
                                cfg["t_end"], cfg["sample_dt"], energy_mode=mode))
         except Exception as e:
             raise ConfigError(f"ensemble member {i} (nu={nu}) failed: {e}")
-    R, avg = estimate_reynolds(members, law)
+    R, avg = estimate_reynolds(members)
     return members, R, avg, triple, law, scheme
 
 
@@ -317,8 +317,8 @@ def cmd_run(cfg: dict, out: str) -> int:
     return 0
 
 
-def cmd_ensemble(cfg: dict, out: str, energy_mode: str | None = None) -> int:
-    members, R, avg, triple, law, _ = _run_ensemble(cfg, energy_mode)
+def cmd_ensemble(cfg: dict, out: str) -> int:
+    members, R, avg, triple, law, _ = _run_ensemble(cfg)
     os.makedirs(out, exist_ok=True)
     for i, tr in enumerate(members):
         save_bundle(tr, os.path.join(out, f"member_{i:02d}"))
@@ -435,7 +435,7 @@ def cmd_dt1(cfg: dict, out: str) -> int:
             for nu in cfg["nu_list"]:
                 ms.append(run(sub_triple, replace(scheme, nu=float(nu)), law,
                               horizon, sample_dt, energy_mode="budget"))
-            _, cont = estimate_reynolds(ms, law)
+            _, cont = estimate_reynolds(ms)
         result = concatenate(result, cont, T)
         resets.append(float(T))
     max_defect = float(np.max(result.defects()))
@@ -470,7 +470,7 @@ def cmd_dt2(cfg: dict, out: str) -> int:
                         law, cfg["t_end"] - T, cfg["sample_dt"],
                         energy_mode="envelope")
                     for nu in cfg["nu_list"]]
-    _, cont = estimate_reynolds(cont_members, law)
+    _, cont = estimate_reynolds(cont_members)
     competitor, order = improve(base, T, cont)
     threshold, violations = check_order_coherence(competitor, base, order) \
         if order.relation == "less" else (None, None)

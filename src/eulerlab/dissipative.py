@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eos import GasLaw, defect_constant, pressure
+from .eos import defect_constant, pressure
 from .fields import FluidState, Grid, write_csv
 from .stress import ReynoldsField, kinetic_tensor
 from .trajectory import Trajectory
@@ -144,7 +144,7 @@ def _place_centers(lo: float, hi: float, halfwidth: float, n: int) -> list:
     return [a + i * (b - a) / (n - 1) for i in range(n)]
 
 
-def default_dictionary(grid: Grid, t_end: float, vector: bool = True) -> tuple:
+def default_dictionary(grid: Grid, t_end: float) -> tuple:
     """Multiscale bump dictionary: 24 scalar and 24 vector members.
 
     Three dyadic scales; at scale j the space bump half-width is a
@@ -171,13 +171,10 @@ def default_dictionary(grid: Grid, t_end: float, vector: bool = True) -> tuple:
                     scalars.append(TestFunction(tc, tw, (c0,), (w0,)))
                 else:
                     scalars.append(TestFunction(tc, tw, (c0, c1), (w0, w1)))
-    members = list(scalars)
-    if vector:
-        for i, phi in enumerate(scalars):
-            members.append(TestFunction(phi.t_center, phi.t_width,
-                                        phi.centers, phi.widths,
-                                        direction=i % d))
-    return members
+    vectors = [TestFunction(phi.t_center, phi.t_width, phi.centers, phi.widths,
+                            direction=i % d)
+               for i, phi in enumerate(scalars)]
+    return scalars + vectors
 
 
 # -- weak-form residuals ----------------------------------------------
@@ -244,7 +241,7 @@ def continuity_residual(traj: Trajectory, phi: TestFunction) -> float:
 
 
 def momentum_residual(traj: Trajectory, phi: TestFunction,
-                      R: ReynoldsField | None, law: GasLaw | None = None) -> float:
+                      R: ReynoldsField | None) -> float:
     """Weak-form imbalance of the stress-augmented momentum balance.
 
     Evaluates  int int [m . dphi/dt + 1_{rho>0} (m x m / rho) : grad phi
@@ -253,8 +250,6 @@ def momentum_residual(traj: Trajectory, phi: TestFunction,
     """
     if phi.direction is None:
         raise ValueError("momentum residual takes a vector test function")
-    if law is None:
-        law = traj.law
     phi.check_interior(traj.grid, traj.t_end)
     if R is not None:
         if R.grid.counts != traj.grid.counts or len(R.times) != traj.n_samples:
@@ -272,7 +267,7 @@ def momentum_residual(traj: Trajectory, phi: TestFunction,
         A[k] = float(np.sum(s.m[..., dir_] * P))
         kin = kinetic_tensor(s.rho, s.m)
         flux = float(np.sum(kin[..., dir_, :] * G))
-        flux += float(np.sum(pressure(s.rho, law) * G[..., dir_]))
+        flux += float(np.sum(pressure(s.rho, traj.law) * G[..., dir_]))
         if R is not None:
             flux += float(np.sum(R.tensor[k][..., dir_, :] * G))
         B[k] = flux
@@ -284,7 +279,7 @@ def momentum_residual(traj: Trajectory, phi: TestFunction,
 
 # -- ensembles and the energy defect ----------------------------------
 
-def estimate_reynolds(ensemble: list, law: GasLaw | None = None) -> tuple:
+def estimate_reynolds(ensemble: list) -> tuple:
     """Reynolds stress of an equal-weight ensemble of trajectories.
 
     Per cell and sample time,
@@ -295,15 +290,17 @@ def estimate_reynolds(ensemble: list, law: GasLaw | None = None) -> tuple:
     the convexity gap of the flux under averaging; it is positive
     semi-definite and vanishes iff the members coincide.  Also returns
     the averaged trajectory (rhobar, mbar, averaged energy curve).
+    All members must share one gas law.
     """
     if not ensemble:
         raise ValueError("ensemble must contain at least one member")
     base = ensemble[0]
-    if law is None:
-        law = base.law
+    law = base.law
     for tr in ensemble[1:]:
         if tr.grid.counts != base.grid.counts or tr.grid.lower != base.grid.lower:
             raise ValueError("ensemble members live on different grids")
+        if tr.law != law:
+            raise ValueError("ensemble members have different gas laws")
         if tr.n_samples != base.n_samples or np.max(np.abs(tr.times - base.times)) > 1e-9:
             raise ValueError("ensemble members have different sample times")
     K = len(ensemble)
@@ -346,22 +343,16 @@ class CompatibilityReport:
     passed: bool
 
 
-def check_compatibility(traj: Trajectory, R: ReynoldsField | None,
-                        law: GasLaw | None = None, t: float = 0.0,
-                        r_override: float | None = None,
-                        tol_slack: float | None = None) -> CompatibilityReport:
+def check_compatibility(traj: Trajectory, R: ReynoldsField | None, t: float = 0.0,
+                        r_override: float | None = None) -> CompatibilityReport:
     """Slack of the defect-versus-stress-trace inequality at one time."""
-    if law is None:
-        law = traj.law
     k = traj.index_of(t)
-    if tol_slack is None:
-        tol_slack = 1e-10 * max(1.0, abs(traj.e0))
-    r = defect_constant(traj.grid.d, law, override=r_override)
+    r = defect_constant(traj.grid.d, traj.law, override=r_override)
     defect = float(traj.defects()[k])
     trace = R.trace_integral(k) if R is not None else 0.0
     slack = defect - r * trace
     return CompatibilityReport(float(traj.times[k]), defect, trace, slack,
-                               slack >= -tol_slack)
+                               slack >= -1e-10 * max(1.0, abs(traj.e0)))
 
 
 # -- certification ----------------------------------------------------
@@ -406,44 +397,41 @@ class DissipativeCertificate:
 
 
 def certify(traj: Trajectory, R: ReynoldsField | None = None,
-            law: GasLaw | None = None, dictionary: list | None = None,
-            tolerances: CertificateTolerances | None = None,
-            r_override: float | None = None) -> DissipativeCertificate:
+            tolerances: CertificateTolerances | None = None) -> DissipativeCertificate:
     """Aggregate verification of all dissipative-solution conditions.
 
-    Runs every dictionary member through the weak-form residuals, checks
-    energy monotonicity, vacuum consistency, positive semi-definiteness
-    of the stress and the defect-trace compatibility at every sample
-    time.  Failures are recorded, never raised.
+    Runs every member of the default dictionary through the weak-form
+    residuals, checks energy monotonicity, vacuum consistency, positive
+    semi-definiteness of the stress and the defect-trace compatibility
+    at every sample time.  Failures are recorded, never raised.
     """
-    if law is None:
-        law = traj.law
     if tolerances is None:
         tolerances = CertificateTolerances.for_trajectory(traj)
-    if dictionary is None:
-        dictionary = default_dictionary(traj.grid, traj.t_end)
+    dictionary = default_dictionary(traj.grid, traj.t_end)
     notes = []
     # every reduction below is a NumPy max/min, so a NaN input turns the
     # check value NaN and the check fails instead of reading 0
     scalars = [phi for phi in dictionary if phi.direction is None]
     vectors = [phi for phi in dictionary if phi.direction is not None]
     cont = np.max([abs(continuity_residual(traj, phi)) for phi in scalars], initial=0.0)
-    mom = np.max([abs(momentum_residual(traj, phi, R, law)) for phi in vectors], initial=0.0)
+    mom = np.max([abs(momentum_residual(traj, phi, R)) for phi in vectors], initial=0.0)
     mom_raw = 0.0
     if R is not None:
-        mom_raw = np.max([abs(momentum_residual(traj, phi, None, law)) for phi in vectors],
+        mom_raw = np.max([abs(momentum_residual(traj, phi, None)) for phi in vectors],
                          initial=0.0)
 
     # energy monotonicity, including the initial jump
     diffs = np.diff(traj.energy, prepend=traj.e0)
     mono_violation = float(np.max(diffs, initial=0.0))
 
-    vacuum_ok = True
+    # 1 when a vacuum cell carries momentum, NaN when a field is not finite
+    vacuum = 0.0
     for s in traj.states:
-        vac = s.rho == 0.0
-        if np.any(vac) and np.any(s.m[vac] != 0.0):
-            vacuum_ok = False
+        if not (np.all(np.isfinite(s.rho)) and np.all(np.isfinite(s.m))):
+            vacuum = math.nan
             break
+        if np.any(s.m[s.rho == 0.0] != 0.0):
+            vacuum = 1.0
 
     defects = traj.defects()
     neg_excursion = float(np.max(-defects, initial=0.0))
@@ -457,10 +445,7 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
         psd_tol = tolerances.psd_factor
         traces = np.zeros(traj.n_samples)
 
-    r = defect_constant(traj.grid.d, law, override=r_override)
-    slacks = defects - r * traces
-    if r_override is not None:
-        notes.append(f"compatibility constant overridden to {r}")
+    slacks = defects - defect_constant(traj.grid.d, traj.law) * traces
 
     checks = [
         ("continuity_residual", float(cont), float(tolerances.residual),
@@ -469,7 +454,7 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
          bool(mom <= tolerances.residual)),
         ("energy_monotone", float(mono_violation), float(tolerances.energy_monotone),
          bool(mono_violation <= tolerances.energy_monotone)),
-        ("vacuum_consistency", 0.0 if vacuum_ok else 1.0, 0.0, bool(vacuum_ok)),
+        ("vacuum_consistency", vacuum, 0.0, vacuum == 0.0),
         ("stress_psd_margin", float(psd_margin), float(psd_tol),
          bool(psd_margin >= -psd_tol)),
         ("defect_nonnegative", float(neg_excursion), float(tolerances.defect_negative),

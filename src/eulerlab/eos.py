@@ -90,13 +90,9 @@ def energy_cellwise(rho: np.ndarray, m: np.ndarray, law: GasLaw) -> np.ndarray:
     _check_density(rho)
     rho = np.asarray(rho, dtype=float)
     m2 = np.sum(np.asarray(m, dtype=float) ** 2, axis=-1)
-    out = np.full(rho.shape, np.inf)
-    pos = rho > 0
-    out[pos] = 0.5 * m2[pos] / rho[pos]
-    vac = ~pos & (m2 == 0.0)
-    out[vac] = 0.0
-    out = out + law.a / (law.gamma - 1.0) * rho**law.gamma
-    return out
+    kinetic = np.divide(0.5 * m2, rho, out=np.where(m2 == 0.0, 0.0, np.inf),
+                        where=rho > 0)
+    return kinetic + law.a / (law.gamma - 1.0) * rho**law.gamma
 
 
 def defect_constant(d: int, law: GasLaw, override: float | None = None) -> float:

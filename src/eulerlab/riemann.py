@@ -170,13 +170,13 @@ _AVG_NODES, _AVG_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def sample_cell_averages(sol: RiemannSolution, centers: np.ndarray, h: float,
-                         t: float, interface: float = 0.0) -> tuple:
+                         t: float) -> tuple:
     """Cell averages (rho, m) of the self-similar solution at time t.
 
-    At t = 0 the initial datum is averaged directly.  Cell averaging
-    (8-point Gauss per cell) is the finite-volume-consistent sampling;
-    it keeps the spatial projection error second order even across the
-    waves.
+    The initial discontinuity sits at x = 0; at t = 0 the initial datum
+    is averaged directly.  Cell averaging (8-point Gauss per cell) is
+    the finite-volume-consistent sampling; it keeps the spatial
+    projection error second order even across the waves.
     """
     centers = np.asarray(centers, dtype=float)
     rho = np.zeros_like(centers)
@@ -185,10 +185,10 @@ def sample_cell_averages(sol: RiemannSolution, centers: np.ndarray, h: float,
     for s, w in zip(_AVG_NODES, _AVG_WEIGHTS):
         xq = centers + 0.5 * h * s
         if t <= 0.0:
-            r = np.where(xq < interface, d.rho_l, d.rho_r)
-            u = np.where(xq < interface, d.u_l, d.u_r)
+            r = np.where(xq < 0.0, d.rho_l, d.rho_r)
+            u = np.where(xq < 0.0, d.u_l, d.u_r)
         else:
-            r, u = sol.sample_array((xq - interface) / t)
+            r, u = sol.sample_array(xq / t)
         rho += 0.5 * w * r
         m += 0.5 * w * r * u
     return rho, m

@@ -45,7 +45,6 @@ class CandidateSet:
     """Finite set of trajectories sharing grid, law, times and data."""
 
     members: list
-    tol_eq: float = 1e-9
 
     def __post_init__(self):
         if not self.members:
@@ -60,7 +59,7 @@ class CandidateSet:
             if (tr.n_samples != base.n_samples
                     or np.max(np.abs(tr.times - base.times)) > 1e-9):
                 raise ValueError(f"member {i} has different sample times")
-            if rel_l1_distance(tr.states[0], base.states[0]) > self.tol_eq:
+            if rel_l1_distance(tr.states[0], base.states[0]) > 1e-9:
                 raise ValueError(f"member {i} starts from different fields")
             if abs(tr.e0 - base.e0) > 1e-12 * scale:
                 raise ValueError(f"member {i} starts from a different total energy")
@@ -182,8 +181,9 @@ def laplace_energy(traj: Trajectory, lam: float) -> float:
     return float(np.dot(exp_weights(traj.times, lam), traj.energy))
 
 
-def default_lambda_grid(n: int = 32, lo: float = 0.5, hi: float = 128.0) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
+def default_lambda_grid() -> np.ndarray:
+    """32 geometrically spaced transform rates from 0.5 to 128."""
+    return np.geomspace(0.5, 128.0, 32)
 
 
 def laplace_gap(u: Trajectory, v: Trajectory, lam: float) -> float:
@@ -206,23 +206,21 @@ class MinimizerVerdict:
 
 
 def is_absolute_minimizer(candidate: Trajectory, candidates: CandidateSet,
-                          lambda_grid: np.ndarray | None = None,
-                          tol: float | None = None) -> MinimizerVerdict:
+                          lambda_grid: np.ndarray | None = None) -> MinimizerVerdict:
     """Grid check of eventual transform domination over every competitor.
 
     For each competitor the reported rate is the smallest grid point
     after which the candidate's transform stays below the competitor's
-    (within tol) at every larger grid point; the verdict holds iff such
-    a rate exists for all competitors.  The rates are grid-relative
-    lower brackets, not continuum thresholds.
+    (within 1e-12 * max(1, |E0|)) at every larger grid point; the
+    verdict holds iff such a rate exists for all competitors.  The rates
+    are grid-relative lower brackets, not continuum thresholds.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid[0] > 1.0 or lambda_grid[-1] < 100.0:
         raise ValueError("lambda grid must span at least [1, 100]")
-    if tol is None:
-        tol = 1e-12 * max(1.0, abs(candidate.e0))
+    tol = 1e-12 * max(1.0, abs(candidate.e0))
     if not any(tr is candidate for tr in candidates):
         raise ValueError("candidate must be a member of the set")
     lowers = []
@@ -243,21 +241,17 @@ def is_absolute_minimizer(candidate: Trajectory, candidates: CandidateSet,
     return MinimizerVerdict(ok_all, lowers)
 
 
-def lerch_equal(u: Trajectory, v: Trajectory,
-                lambda_grid: np.ndarray | None = None,
-                tol: float = 1e-9) -> bool:
+def lerch_equal(u: Trajectory, v: Trajectory) -> bool:
     """Transform-based equality certificate for two energy curves.
 
-    True iff the transforms agree within tol/lam * max(E0) at every
-    grid rate; by density of the exponentials, disagreement certifies
-    genuinely different curves.
+    True iff the transforms agree within 1e-9/lam * max(E0) at every
+    default grid rate; by density of the exponentials, disagreement
+    certifies genuinely different curves.
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
     scale = max(abs(u.e0), abs(v.e0), 1e-30)
-    for lam in np.asarray(lambda_grid, dtype=float):
+    for lam in default_lambda_grid():
         gap = abs(laplace_energy(u, lam) - laplace_energy(v, lam))
-        if gap > tol * scale / lam:
+        if gap > 1e-9 * scale / lam:
             return False
     return True
 
@@ -295,20 +289,17 @@ def check_concatenation_inequality(u: Trajectory, v: Trajectory, T: float,
 
 
 def check_order_coherence(less: Trajectory, greater: Trajectory,
-                          order: OrderResult,
-                          lambda_grid: np.ndarray | None = None) -> tuple:
+                          order: OrderResult) -> tuple:
     """Transform-side consequence of a local-order verdict.
 
     Given compare_local(less, greater) == "less" with witness window
     (T, T+delta), computes the rate threshold 2*max(E0)/gap (gap = time
     integral of the energy difference over the window) above which the
     transform difference must be negative, and returns the threshold
-    together with any violating grid rates.
+    together with any violating rates of the default grid.
     """
     if order.relation != "less" or order.T is None:
         raise ValueError("coherence check needs a 'less' result with a witness window")
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
     k = less.index_of(order.T)
     t_hi = order.T + order.delta if math.isfinite(order.delta) else math.inf
     gap = 0.0
@@ -325,7 +316,7 @@ def check_order_coherence(less: Trajectory, greater: Trajectory,
         raise ValueError("witness window carries no positive energy gap")
     threshold = 2.0 * max(less.e0, greater.e0) / gap
     violations = []
-    for lam in np.asarray(lambda_grid, dtype=float):
+    for lam in default_lambda_grid():
         if lam >= threshold:
             if laplace_gap(less, greater, lam) >= 0:
                 violations.append(float(lam))

@@ -17,10 +17,8 @@ __all__ = ["ReynoldsField", "kinetic_tensor", "symmetric_min_eigenvalues"]
 def kinetic_tensor(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Cell-wise tensor m (x) m / rho, zero on the vacuum set."""
     outer = m[..., :, None] * m[..., None, :]
-    out = np.zeros_like(outer)
-    pos = rho > 0
-    out[pos] = outer[pos] / rho[pos][..., None, None]
-    return out
+    return np.divide(outer, rho[..., None, None], out=np.zeros_like(outer),
+                     where=(rho > 0)[..., None, None])
 
 
 def symmetric_min_eigenvalues(tensor: np.ndarray) -> np.ndarray:

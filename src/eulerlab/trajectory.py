@@ -220,20 +220,21 @@ def shift(traj: Trajectory, T: float) -> Trajectory:
     )
 
 
-def concatenate(u: Trajectory, v: Trajectory, T: float,
-                tol_match: float = 1e-10, tol_energy: float | None = None) -> Trajectory:
+def concatenate(u: Trajectory, v: Trajectory, T: float) -> Trajectory:
     """u on [0, T] followed by v started at T.
 
-    Requires v to start from u's state at T, with initial energy inside
-    the admissible window [mean energy of u at T, E_u(T)].
+    Requires v to share u's gas law and to start from u's state at T,
+    with initial energy inside the admissible window
+    [mean energy of u at T, E_u(T)].
     """
     if u.grid.counts != v.grid.counts:
         raise ValueError("trajectories live on different grids")
+    if u.law != v.law:
+        raise ValueError("trajectories have different gas laws")
     k = u.index_of(T)
-    if tol_energy is None:
-        tol_energy = 1e-9 * max(1.0, abs(u.e0))
+    tol_energy = 1e-9 * max(1.0, abs(u.e0))
     d = rel_l1_distance(u.states[k], v.states[0])
-    if d > tol_match:
+    if d > 1e-10:
         raise ValueError(f"fields mismatch at the junction (relative L1 {d:.3e})")
     lo = u.mean_energies[k] - tol_energy
     hi = u.energy_left_at(k) + tol_energy
@@ -296,16 +297,12 @@ def _full_energy_curves(u: Trajectory, v: Trajectory) -> tuple:
     return eu, ev
 
 
-def compare_admissible(u: Trajectory, v: Trajectory,
-                       tol_eq: float | None = None,
-                       tol_strict: float | None = None) -> OrderResult:
+def compare_admissible(u: Trajectory, v: Trajectory) -> OrderResult:
     """Global energy-curve order: less means E_u <= E_v everywhere with a
     strict gap somewhere; crossing curves are incomparable."""
     scale = max(1.0, abs(u.e0), abs(v.e0))
-    if tol_eq is None:
-        tol_eq = 1e-9 * scale
-    if tol_strict is None:
-        tol_strict = 1e-6 * scale
+    tol_eq = 1e-9 * scale
+    tol_strict = 1e-6 * scale
     eu, ev = _full_energy_curves(u, v)
     diff = eu - ev
     if np.max(np.abs(diff)) <= tol_eq:
@@ -317,17 +314,13 @@ def compare_admissible(u: Trajectory, v: Trajectory,
     return OrderResult("incomparable")
 
 
-def compare_local(u: Trajectory, v: Trajectory,
-                  tol_eq: float | None = None,
-                  tol_strict: float | None = None) -> OrderResult:
+def compare_local(u: Trajectory, v: Trajectory) -> OrderResult:
     """Local (prefix) order: trajectories must agree in fields and energy
     up to some sample time T and then separate strictly in energy on at
     least one full sample window (T, T + delta]."""
     scale = max(1.0, abs(u.e0), abs(v.e0))
-    if tol_eq is None:
-        tol_eq = 1e-9
-    if tol_strict is None:
-        tol_strict = 1e-6 * scale
+    tol_eq = 1e-9
+    tol_strict = 1e-6 * scale
     tol_eq_energy = tol_eq * scale
     if u.n_samples != v.n_samples or np.max(np.abs(u.times - v.times)) > _TIME_RTOL:
         raise ValueError("order comparisons need common sample times")
@@ -364,7 +357,7 @@ def compare_local(u: Trajectory, v: Trajectory,
 
 # -- stopping, reset, improvement ------------------------------------
 
-def stopping_time(traj: Trajectory, delta: float, law: GasLaw | None = None) -> float:
+def stopping_time(traj: Trajectory, delta: float) -> float:
     """First sample time whose energy defect exceeds delta; inf if none."""
     if not (delta > 0):
         raise ValueError("delta must be positive")
@@ -374,8 +367,7 @@ def stopping_time(traj: Trajectory, delta: float, law: GasLaw | None = None) -> 
     return float(traj.times[int(np.argmax(over))])
 
 
-def defect_reset(traj: Trajectory, T: float, continuation: Trajectory,
-                 tol: float | None = None) -> Trajectory:
+def defect_reset(traj: Trajectory, T: float, continuation: Trajectory) -> Trajectory:
     """Concatenation that resets the energy defect to zero at time T.
 
     The continuation must start from traj's state at T with total energy
@@ -383,35 +375,29 @@ def defect_reset(traj: Trajectory, T: float, continuation: Trajectory,
     mean energy and the defect vanishes at T+.
     """
     k = traj.index_of(T)
-    if tol is None:
-        tol = 1e-9 * max(1.0, abs(traj.e0))
     target = traj.mean_energies[k]
-    if abs(continuation.e0 - target) > tol:
+    if abs(continuation.e0 - target) > 1e-9 * max(1.0, abs(traj.e0)):
         raise ValueError(
             f"continuation must start at the mean energy {target}, got {continuation.e0}")
-    return concatenate(traj, continuation, T, tol_energy=tol)
+    return concatenate(traj, continuation, T)
 
 
-def improve(traj: Trajectory, T: float, continuation: Trajectory,
-            law: GasLaw | None = None, tol: float | None = None) -> tuple:
+def improve(traj: Trajectory, T: float, continuation: Trajectory) -> tuple:
     """Competitor strictly below traj in the local order, built by
     resetting the positive defect at T; returns it with the comparison."""
-    if tol is None:
-        tol = 1e-12 * max(1.0, abs(traj.e0))
     k = traj.index_of(T)
     eps = float(traj.defects()[k])
-    if eps <= tol:
+    if eps <= 1e-12 * max(1.0, abs(traj.e0)):
         raise ValueError(f"nothing to improve: defect at t={T} is {eps:.3e}")
     competitor = defect_reset(traj, T, continuation)
     order = compare_local(competitor, traj)
     return competitor, order
 
 
-def min_energy_merge(u: Trajectory, v: Trajectory, T: float,
-                     tol_eq: float = 1e-9) -> tuple:
+def min_energy_merge(u: Trajectory, v: Trajectory, T: float) -> tuple:
     """Replace both energy curves by their pointwise minimum from T on.
 
-    Requires the fields of u and v to agree (relative L1 within tol_eq)
+    Requires the fields of u and v to agree (relative L1 within 1e-9)
     at every sample time >= T.  Both outputs keep their own states and
     their original energy before T.
     """
@@ -420,7 +406,7 @@ def min_energy_merge(u: Trajectory, v: Trajectory, T: float,
     k = u.index_of(T)
     for j in range(k, u.n_samples):
         d = rel_l1_distance(u.states[j], v.states[j])
-        if d > tol_eq:
+        if d > 1e-9:
             raise ValueError(f"fields differ at t={u.times[j]} (relative L1 {d:.3e})")
     tail = np.minimum(u.energy[k:], v.energy[k:])
     eu = np.concatenate([u.energy[:k], tail])

@@ -189,6 +189,26 @@ def test_diagnose_fails_on_nan_density(tmp_path):
                ("continuity_residual", "momentum_residual", "defect_nonnegative"))
 
 
+@pytest.mark.parametrize("column", [1, 2], ids=["rho", "mx"])
+def test_diagnose_nan_field_fails_vacuum_consistency(tmp_path, column):
+    run_cfg = write_config(tmp_path, "r.json", run_config(tmp_path))
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", run_cfg, "--out", str(bundle)]) == 0
+    state = bundle / "state_000003.csv"
+    lines = state.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[column] = "nan"
+    lines[5] = ",".join(cells)
+    state.write_text("\n".join(lines) + "\n")
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle)})
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "nan")]) == 1
+    doc = json.loads((tmp_path / "nan" / "certificate.json").read_text(),
+                     parse_constant=_reject_constant)
+    vacuum = next(c for c in doc["checks"] if c["name"] == "vacuum_consistency")
+    assert vacuum == {"name": "vacuum_consistency", "value": None, "tolerance": 0.0,
+                      "passed": False}
+
+
 def test_diagnose_rejects_wrapped_cell_index(tmp_path, capsys):
     run_cfg = write_config(tmp_path, "r.json", run_config(tmp_path))
     bundle = tmp_path / "bundle"

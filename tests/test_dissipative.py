@@ -204,6 +204,16 @@ def test_member_grid_mismatch_errors():
         estimate_reynolds([u, v])
 
 
+def test_members_with_different_laws_rejected():
+    g = grid_1d(16)
+    u = constant_traj(g, 1.0, 0.2, np.linspace(0, 1, 5))
+    law = GasLaw(a=1.0, gamma=1.4)
+    s = FluidState.constant(g, 1.0, 0.2)
+    v = Trajectory(g, law, u.times, [s] * 5, np.full(5, integrate_energy(s, law)))
+    with pytest.raises(ValueError, match="gas laws"):
+        estimate_reynolds([u, v])
+
+
 def test_ensemble_psd_randomized():
     rng = np.random.default_rng(42)
     g = grid_1d(12, 0.0, 1.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from eulerlab.eos import (GasLaw, defect_constant, energy, energy_cellwise,
                           pressure, pressure_potential)
+from eulerlab.stress import kinetic_tensor
 
 # power-law values frozen from 50-digit arithmetic
 POW_2_14 = 2.6390158215457885
@@ -120,3 +122,35 @@ def test_defect_constant_override_and_errors():
         defect_constant(3, law)
     with pytest.raises(ValueError):
         defect_constant(1, law, override=-1.0)
+
+
+def _vacuum_fields(counts):
+    """Seeded raw fields: every 5th cell vacuum, every 10th with no momentum."""
+    rng = np.random.default_rng(7)
+    rho = rng.uniform(0.1, 3.0, counts)
+    m = rng.normal(size=counts + (len(counts),))
+    rho.reshape(-1)[::5] = 0.0
+    m.reshape(-1, len(counts))[::10] = 0.0
+    return rho, m
+
+
+# sha256 of the output bytes on ``_vacuum_fields``: certificates and
+# bundles are compared byte for byte, so the vacuum values (0, inf) and
+# the division in every other cell are pinned bit for bit
+VACUUM_DIGESTS = {
+    ("kinetic", (40,)): "bc8c7b11683d324e4e396d018860a25e4cc51404c00a37da5c396bf6639458c5",
+    ("kinetic", (16, 12)): "b9649aa9232e119b873959cf54b4f59059bd4e08459e1d34ce2952c7e2690993",
+    ("energy", (40,)): "c4b27185c987b67a9503318cdf9b981f4e8c153f6dced06440cceebc89dbdf0a",
+    ("energy", (16, 12)): "bb1fad425a640934442882c3d67d50e6ef79313bfe89c39492e51b7bdcc3e3ba",
+}
+
+
+@pytest.mark.parametrize("kind, counts", sorted(VACUUM_DIGESTS),
+                         ids=[f"{k}-{len(c)}d" for k, c in sorted(VACUUM_DIGESTS)])
+def test_cellwise_division_bits_pinned(kind, counts):
+    rho, m = _vacuum_fields(counts)
+    if kind == "kinetic":
+        out = kinetic_tensor(rho, m)
+    else:
+        out = energy_cellwise(rho, m, GasLaw(a=0.7, gamma=1.9))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == VACUUM_DIGESTS[(kind, counts)]

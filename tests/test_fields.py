@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,23 @@ def test_state_csv_single_row_loads(tmp_path):
     assert data.tolist() == [[1.0, 2.5, -0.5]]
     with pytest.raises(ValueError, match=r"one_row.csv: cell \[0\] is given by 0 rows"):
         load_state_csv(g, path)
+
+
+def test_header_only_csv_reads_without_warning(tmp_path, capsys):
+    # a header-only table reads as (0, n); the caller's error is the only message
+    path = tmp_path / "empty.csv"
+    path.write_text("i,rho,mx\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        names, data = read_csv(path)
+        with pytest.raises(ValueError, match=r"empty.csv: cell \[0\] is given by 0 rows"):
+            load_state_csv(unit_grid_1d(3), path)
+        code = main(["plot", "--csv", str(path), "--kind", "profile",
+                     "--out", str(tmp_path / "plot")])
+    assert names == ("i", "rho", "mx")
+    assert data.shape == (0, 3)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path} has no data rows\n"
 
 
 @pytest.mark.parametrize("check", [True, False])

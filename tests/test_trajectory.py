@@ -183,6 +183,15 @@ def test_concatenation_rejects_field_mismatch():
         concatenate(u, v, 0.5)
 
 
+def test_concatenation_rejects_different_law():
+    g = unit_grid()
+    s = FluidState.constant(g, 1.0, 0.0)  # mean energy 1 at gamma 2, 1/2 at gamma 3
+    u = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [2.0, 2.0, 2.0])
+    v = Trajectory(g, GasLaw(a=1.0, gamma=3.0), [0.0, 0.5], [s] * 2, [1.0, 1.0])
+    with pytest.raises(ValueError, match="gas laws"):
+        concatenate(u, v, 0.5)
+
+
 def test_concatenation_associativity():
     rng = np.random.default_rng(6)
     traj = random_step_traj(rng, n_times=9, t_end=2.0)
