@@ -2,8 +2,10 @@
 selection and plotting.
 
 Every experiment is described by a strict JSON config (unknown keys are
-rejected) and writes its outputs under a single directory.  With a
-fixed config and seed all outputs are byte-identical across reruns.
+rejected) and writes its outputs under a single directory.  Every
+subcommand is deterministic: with a fixed config all outputs are
+byte-identical across reruns, and ``--seed`` (like the ``seed`` key) is
+accepted and ignored.
 
 Exit codes: 0 success or certified pass, 1 certified failure, 2 usage
 or config error.
@@ -571,7 +573,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="reproducibility seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="accepted and ignored: every subcommand is deterministic")
     p = sub.add_parser("plot")
     p.add_argument("--csv", required=True, help="input CSV file")
     p.add_argument("--kind", required=True, choices=["energy", "defect", "profile"])

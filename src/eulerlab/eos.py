@@ -45,7 +45,7 @@ class GasLaw:
 
 
 def _check_density(rho) -> None:
-    if np.any(np.asarray(rho) < 0):
+    if (np.asarray(rho) < 0).any():
         raise ValueError("density must be nonnegative")
 
 

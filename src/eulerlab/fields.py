@@ -7,6 +7,7 @@ sum of cell-center values times the cell volume.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -74,7 +75,7 @@ class Grid:
     def d(self) -> int:
         return len(self.counts)
 
-    @property
+    @functools.cached_property
     def spacing(self) -> tuple:
         return tuple((u - lo) / n for lo, u, n in zip(self.lower, self.upper, self.counts))
 
@@ -117,10 +118,12 @@ class FluidState:
 
     ``rho`` has shape ``grid.counts``; ``m`` has one extra trailing axis of
     length d.  States are immutable after construction: rho >= 0
-    everywhere, every entry finite, and m = 0 wherever rho = 0.
+    everywhere, every entry finite, and m = 0 wherever rho = 0.  The
+    private ``_memo`` slot holds the solver's primitives of the state
+    (see ``solver._waves``); it changes no field.
     """
 
-    __slots__ = ("grid", "rho", "m")
+    __slots__ = ("grid", "rho", "m", "_memo")
 
     def __init__(self, grid: Grid, rho, m, check: bool = True):
         rho = np.array(rho, dtype=float).reshape(grid.counts)
@@ -139,6 +142,7 @@ class FluidState:
         self.grid = grid
         self.rho = rho
         self.m = m
+        self._memo = None
 
     @staticmethod
     def constant(grid: Grid, rho0: float, u0=0.0) -> "FluidState":
@@ -225,15 +229,16 @@ def write_csv(path, names, columns) -> None:
     """Write a header line ``names`` and one row per entry of ``columns``.
 
     Integer columns are written as decimal integers, float columns with
-    ``.17g``, which reads back to the same double.
+    ``%.17g``, which reads back to the same double.  Each row is one
+    ``%``-format of a tuple, which is faster than ``str.format``.
     """
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("{:d}" if c.dtype.kind in "iu" else "{:.17g}" for c in columns) + "\n"
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
-            f.write("".join(map(row.format, *block)))
+            f.write("".join(map(row.__mod__, zip(*block))))
 
 
 def read_csv(path, names=None) -> tuple:

@@ -6,10 +6,14 @@ nu * dx * Laplacian of the conserved variables enters through the
 diffusive interface flux -nu * (U_R - U_L).  Varying nu produces the
 vanishing-viscosity families the ensemble diagnostics consume.
 
-Each axis sweep evaluates velocity, sound speed, pressure and physical
-flux once per cell of the ghost-extended (rho, m); the left and right
-states of every interface are views into it.  ``step`` re-checks the
-CFL bound through ``stable_dt`` and rejects a NaN time step.
+Velocity, sound speed and the per-axis maximal wave speeds are computed
+once per state (``_waves``) and kept on it until ``step`` has used them:
+``run``'s ``stable_dt``, ``step``'s re-check of the CFL bound and the
+flux pass all read the same arrays, and ``step`` drops them before it
+returns, so no sampled state holds them.  Each axis sweep ghost-extends
+(rho, m, u, c) and evaluates pressure and physical flux once per cell
+of the extension; the left and right states of every interface are
+views into it.  ``step`` rejects a dt above the bound and a NaN dt.
 
 Negative densities and non-finite values abort with the offending cell
 named; there is no positivity limiter, since a silent fix would corrupt
@@ -54,40 +58,50 @@ class SchemeSpec:
             raise ValueError("CFL number must lie in (0, 1]")
 
 
-def _velocity(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return np.divide(m, rho[..., None], out=np.zeros_like(m), where=(rho > 0)[..., None])
+def _waves(state: FluidState, law: GasLaw):
+    """Velocity ``u``, sound speed ``c`` and the per-axis maximal wave speeds
+    ``max|u_k| + c`` of ``state``, computed once per state and law."""
+    memo = state._memo
+    if memo is None or memo[0] is not law:
+        u = np.divide(state.m, state.rho[..., None], out=np.zeros_like(state.m),
+                      where=(state.rho > 0)[..., None])
+        c = sound_speed(state.rho, law)
+        speeds = tuple(float((np.abs(u[..., k]) + c).max()) for k in range(state.grid.d))
+        memo = state._memo = (law, u, c, speeds)
+    return memo[1:]
 
 
 def stable_dt(state: FluidState, spec: SchemeSpec, law: GasLaw) -> float:
     """CFL-stable time step, viscosity included in the speed budget."""
-    c = sound_speed(state.rho, law)
-    u = _velocity(state.rho, state.m)
     rate = 0.0
-    for k, h in enumerate(state.grid.spacing):
-        s_k = float(np.max(np.abs(u[..., k]) + c))
+    for s_k, h in zip(_waves(state, law)[2], state.grid.spacing):
         rate += (s_k + 2.0 * spec.nu) / h
     if rate == 0.0:
         return math.inf
     return spec.cfl / rate
 
 
-def _extend(rho: np.ndarray, m: np.ndarray, axis: int, boundary: str):
-    """Ghost-extend rho and m by one cell per side along ``axis``: indices -1
-    and n wrap round (periodic) or clip to the edge cell, the mirror cell of
-    a reflective wall, whose normal momentum is negated."""
-    index = np.arange(-1, rho.shape[axis] + 1)
+def _extend(state: FluidState, u, c, axis: int, boundary: str):
+    """Ghost-extend rho, m, the normal velocity and the sound speed by one
+    cell per side along ``axis``: indices -1 and n wrap round (periodic) or
+    clip to the edge cell, the mirror cell of a reflective wall, whose
+    normal momentum and velocity are negated."""
+    index = np.arange(-1, state.rho.shape[axis] + 1)
     mode = "wrap" if boundary == "periodic" else "clip"
-    rho_ext, m_ext = np.take(rho, index, axis, mode=mode), np.take(m, index, axis, mode=mode)
+    rho, m, un, c = (a.take(index, axis, mode=mode)
+                     for a in (state.rho, state.m, u[..., axis], c))
     if boundary == "reflective":
-        m_ext[(slice(None),) * axis + ([0, -1], ..., axis)] *= -1.0
-    return rho_ext, m_ext
+        wall = (slice(None),) * axis + ([0, -1],)
+        m[wall + (..., axis)] *= -1.0
+        # a vacuum ghost keeps velocity +0.0, not the -0.0 of a negation
+        g = un[wall]
+        un[wall] = np.negative(g, out=np.zeros_like(g), where=rho[wall] > 0)
+    return rho, m, un, c
 
 
-def _interface_flux(rho, m, left, right, law, spec, axis):
+def _interface_flux(rho, m, un, c, left, right, law, spec, axis):
     """Numerical flux between the ``left`` and ``right`` views of ghost-extended
-    (rho, m); primitives and the physical flux are evaluated once per cell."""
-    un = _velocity(rho, m[..., axis:axis + 1])[..., 0]
-    c = sound_speed(rho, law)
+    (rho, m, un, c); the physical flux is evaluated once per cell."""
     f_rho = m[..., axis]
     f_m = m * un[..., None]
     f_m[..., axis] += pressure(rho, law)
@@ -116,27 +130,30 @@ def _interface_flux(rho, m, left, right, law, spec, axis):
 def step(state: FluidState, spec: SchemeSpec, law: GasLaw, dt: float) -> FluidState:
     """One conservative update by dt; dt must satisfy the CFL bound."""
     dt_max = stable_dt(state, spec, law)
+    u, c, _ = _waves(state, law)
+    state._memo = None
     if not (dt <= dt_max * (1.0 + 1e-12)):  # also rejects a NaN dt or bound
         raise CFLViolation(f"dt={dt} exceeds the stable bound {dt_max}")
     grid = state.grid
     rho_new = state.rho.copy()
     m_new = state.m.copy()
     for axis in range(grid.d):
-        rho_ext, m_ext = _extend(state.rho, state.m, axis, grid.boundary[axis])
+        rho_ext, m_ext, un, c_ext = _extend(state, u, c, axis, grid.boundary[axis])
         left = (slice(None),) * axis + (slice(None, -1),)
         right = (slice(None),) * axis + (slice(1, None),)
-        f_rho, f_m = _interface_flux(rho_ext, m_ext, left, right, law, spec, axis)
+        f_rho, f_m = _interface_flux(rho_ext, m_ext, un, c_ext, left, right, law, spec, axis)
         h = grid.spacing[axis]
         rho_new -= dt / h * (f_rho[right] - f_rho[left])
         m_new -= dt / h * (f_m[right] - f_m[left])
-    bad = ~(np.isfinite(rho_new) & np.all(np.isfinite(m_new), axis=-1))
-    if np.any(bad):
+    if not (np.isfinite(rho_new).all() and np.isfinite(m_new).all()):
+        bad = ~(np.isfinite(rho_new) & np.isfinite(m_new).all(axis=-1))
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
         raise ValueError(f"non-finite state produced at cell {idx}")
-    if np.any(rho_new < 0):
+    if (rho_new < 0).any():
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(rho_new)), rho_new.shape))
         raise ValueError(f"negative density {rho_new[idx]:.3e} produced at cell {idx}")
-    m_new[rho_new == 0.0] = 0.0
+    if not rho_new.all():
+        m_new[rho_new == 0.0] = 0.0
     return FluidState(grid, rho_new, m_new, check=False)
 
 

@@ -403,6 +403,9 @@ def test_ensemble_rerun_byte_identical(tmp_path):
     assert main(["ensemble", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
     assert main(["ensemble", "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
     assert read_tree(out1) == read_tree(out2)
+    out3 = tmp_path / "e3"
+    assert main(["ensemble", "--config", cfg, "--out", str(out3), "--seed", "8"]) == 0
+    assert read_tree(out3) == read_tree(out1)  # --seed is accepted and ignored
 
 
 def test_select_rerun_byte_identical(tmp_path):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eulerlab.eos import GasLaw
 from eulerlab.fields import FluidState, Grid, integrate_energy
@@ -403,3 +406,64 @@ def test_order_coherence_randomized_corpus():
         _, violations = check_order_coherence(lower, u, order)
         assert violations == []
     assert checked >= 10
+
+
+# -- properties on generated trajectories ----------------------------------
+
+def _curve_above(states, slack):
+    """Non-increasing energy curve: the running maximum of the later mean
+    energies plus a non-increasing slack."""
+    mean = np.array([integrate_energy(s, LAW2) for s in states])
+    return np.maximum.accumulate(mean[::-1])[::-1] + slack
+
+
+@st.composite
+def trajectory_pairs(draw):
+    """Two trajectories on one grid and time line.  ``v`` repeats the first
+    ``shared`` fields of ``u`` and possibly its energy slack, so pairs range
+    over equal, prefix-sharing and unrelated trajectories."""
+    n, cells = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    g = unit_grid(cells)
+    times = 0.25 * np.arange(n)
+
+    def fields():
+        rho = draw(hnp.arrays(float, (n, cells), elements=st.floats(0.25, 2.0)))
+        m = draw(hnp.arrays(float, (n, cells, 1), elements=st.floats(-1.0, 1.0)))
+        return [FluidState(g, r, mk) for r, mk in zip(rho, m)]
+
+    def slack():
+        values = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=n, max_size=n))
+        return np.sort(values)[::-1]
+
+    su, sl = fields(), slack()
+    shared = draw(st.integers(0, n))
+    sv = su[:shared] + fields()[shared:]
+    if not draw(st.booleans()):
+        sl = slack()
+    u = Trajectory(g, LAW2, times, su, _curve_above(su, sl))
+    return u, Trajectory(g, LAW2, times, sv, _curve_above(sv, sl))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=trajectory_pairs())
+def test_orders_irreflexive(pair):
+    for u in pair:
+        for compare in (compare_local, compare_admissible):
+            assert compare(u, u).relation == "equal"  # so never less than itself
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=trajectory_pairs())
+def test_orders_asymmetric(pair):
+    u, v = pair
+    for compare in (compare_local, compare_admissible):
+        uv, vu = compare(u, v).relation, compare(v, u).relation
+        assert not (uv == vu and uv in ("less", "greater"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=trajectory_pairs(), lam=st.floats(0.0, 1.0))
+def test_f1_affine_under_generated_convex_combinations(pair, lam):
+    u, v = pair
+    w, _ = convex_combine(u, v, lam)
+    assert F1(w) == pytest.approx(lam * F1(u) + (1.0 - lam) * F1(v), rel=1e-12, abs=1e-12)
