@@ -33,7 +33,7 @@ from .fields import (DataTriple, FluidState, Grid, integrate_energy, load_state_
 from .riemann import RiemannData, solve_riemann
 from .solver import SchemeSpec, run
 from .stress import ReynoldsField
-from .trajectory import (Trajectory, concatenate, improve, load_bundle,
+from .trajectory import (Trajectory, concatenate, improve, load_bundle, require_shared,
                          save_bundle, stopping_time)
 from .dissipative import (CertificateTolerances, certificate_to_json, certify,
                           estimate_reynolds, save_defect_csv)
@@ -290,21 +290,25 @@ def _write_json(path: str, doc: dict) -> None:
         f.write("\n")
 
 
-def _run_ensemble(cfg: dict, energy_mode: str | None = None):
-    grid = _build_grid(cfg)
-    law = _build_law(cfg)
+def _ensemble(cfg: dict, triple: DataTriple, law: GasLaw, t_end: float, mode: str):
+    """Run every viscosity of ``nu_list`` from ``triple`` to ``t_end``;
+    returns the members, their Reynolds stress and their average."""
     scheme = _build_scheme(cfg)
-    triple = _build_initial(cfg, grid, law)
-    mode = energy_mode or cfg.get("energy_mode", "envelope")
     members = []
     for i, nu in enumerate(cfg["nu_list"]):
         try:
             members.append(run(triple, replace(scheme, nu=float(nu)), law,
-                               cfg["t_end"], cfg["sample_dt"], energy_mode=mode))
+                               t_end, cfg["sample_dt"], energy_mode=mode))
         except Exception as e:
             raise ConfigError(f"ensemble member {i} (nu={nu}) failed: {e}")
     R, avg = estimate_reynolds(members)
-    return members, R, avg, triple, law, scheme
+    return members, R, avg
+
+
+def _run_ensemble(cfg: dict, mode: str):
+    law = _build_law(cfg)
+    triple = _build_initial(cfg, _build_grid(cfg), law)
+    return _ensemble(cfg, triple, law, cfg["t_end"], mode) + (triple, law)
 
 
 # -- subcommands -------------------------------------------------------
@@ -320,7 +324,7 @@ def cmd_run(cfg: dict, out: str) -> int:
 
 
 def cmd_ensemble(cfg: dict, out: str) -> int:
-    members, R, avg, triple, law, _ = _run_ensemble(cfg)
+    members, R, avg, _, law = _run_ensemble(cfg, cfg.get("energy_mode", "envelope"))
     os.makedirs(out, exist_ok=True)
     for i, tr in enumerate(members):
         save_bundle(tr, os.path.join(out, f"member_{i:02d}"))
@@ -344,6 +348,7 @@ def cmd_diagnose(cfg: dict, out: str) -> int:
     if "reynolds" in cfg:
         try:
             R = ReynoldsField.load_npz(cfg["reynolds"], grid=traj.grid)
+            require_shared(traj, R)
         except Exception as e:
             raise ConfigError(f"malformed Reynolds field {cfg['reynolds']}: {e}")
     tol = CertificateTolerances.for_trajectory(
@@ -409,7 +414,7 @@ def cmd_riemann(cfg: dict, out: str) -> int:
 
 def cmd_dt1(cfg: dict, out: str) -> int:
     """Stopping-time/reset loop keeping the energy defect below delta."""
-    members, R, result, triple, law, scheme = _run_ensemble(cfg, "budget")
+    _, _, result, triple, law = _run_ensemble(cfg, "budget")
     e0 = triple.E0
     if "delta" in cfg:
         delta = cfg["delta"]
@@ -432,12 +437,7 @@ def cmd_dt1(cfg: dict, out: str) -> int:
             cont = Trajectory(result.grid, law, [0.0], [state],
                               [mean_t], e0=mean_t)
         else:
-            sub_triple = DataTriple(state, mean_t)
-            ms = []
-            for nu in cfg["nu_list"]:
-                ms.append(run(sub_triple, replace(scheme, nu=float(nu)), law,
-                              horizon, sample_dt, energy_mode="budget"))
-            _, cont = estimate_reynolds(ms)
+            _, _, cont = _ensemble(cfg, DataTriple(state, mean_t), law, horizon, "budget")
         result = concatenate(result, cont, T)
         resets.append(float(T))
     max_defect = float(np.max(result.defects()))
@@ -457,7 +457,7 @@ def cmd_dt1(cfg: dict, out: str) -> int:
 
 def cmd_dt2(cfg: dict, out: str) -> int:
     """Defect-reset competitor strictly below the base trajectory."""
-    members, R, base, triple, law, scheme = _run_ensemble(cfg, "budget")
+    _, _, base, _, law = _run_ensemble(cfg, "budget")
     defects = base.defects()
     k = int(np.argmax(defects[:-1])) if base.n_samples > 1 else 0
     T = float(base.times[k])
@@ -466,13 +466,8 @@ def cmd_dt2(cfg: dict, out: str) -> int:
     if eps <= 1e-6 * scale:
         raise ConfigError("base trajectory has no defect to improve; "
                           "increase the horizon or sharpen the datum")
-    state = base.states[k]
-    mean_t = float(base.mean_energies[k])
-    cont_members = [run(DataTriple(state, mean_t), replace(scheme, nu=float(nu)),
-                        law, cfg["t_end"] - T, cfg["sample_dt"],
-                        energy_mode="envelope")
-                    for nu in cfg["nu_list"]]
-    _, cont = estimate_reynolds(cont_members)
+    _, _, cont = _ensemble(cfg, DataTriple(base.states[k], float(base.mean_energies[k])),
+                           law, cfg["t_end"] - T, "envelope")
     competitor, order = improve(base, T, cont)
     threshold, violations = check_order_coherence(competitor, base, order) \
         if order.relation == "less" else (None, None)

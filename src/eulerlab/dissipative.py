@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eos import defect_constant, pressure
-from .fields import FluidState, Grid, write_csv
-from .stress import ReynoldsField, kinetic_tensor
-from .trajectory import Trajectory
+from .fields import Grid, write_csv
+from .stress import ReynoldsField, convexity_gap, kinetic_tensor
+from .trajectory import Trajectory, require_shared
 
 __all__ = [
     "TestFunction",
@@ -231,9 +231,8 @@ def continuity_residual(traj: Trajectory, phi: TestFunction) -> float:
     A = np.zeros(n)
     B = np.zeros(n)
     for k in range(k0, k1 + 1):
-        s = traj.states[k]
-        A[k] = float(np.sum(s.rho * P))
-        B[k] = float(np.sum(s.m * G))
+        A[k] = float(np.sum(traj.rho[k] * P))
+        B[k] = float(np.sum(traj.m[k] * G))
     interior = _time_integral(traj.times, A, B, phi, k0, k1)
     boundary = (float(phi.time_value(traj.times[k1])) * A[k1]
                 - float(phi.time_value(traj.times[k0])) * A[k0])
@@ -252,10 +251,7 @@ def momentum_residual(traj: Trajectory, phi: TestFunction,
         raise ValueError("momentum residual takes a vector test function")
     phi.check_interior(traj.grid, traj.t_end)
     if R is not None:
-        if R.grid.counts != traj.grid.counts or len(R.times) != traj.n_samples:
-            raise ValueError("Reynolds field does not match the trajectory discretization")
-        if np.max(np.abs(R.times - traj.times)) > 1e-9 * max(1.0, traj.t_end):
-            raise ValueError("Reynolds field sample times do not match the trajectory")
+        require_shared(traj, R)
     k0, k1 = _time_window(traj, phi)
     P, G = phi.cell_integrals(traj.grid)
     dir_ = phi.direction
@@ -263,11 +259,11 @@ def momentum_residual(traj: Trajectory, phi: TestFunction,
     A = np.zeros(n)
     B = np.zeros(n)
     for k in range(k0, k1 + 1):
-        s = traj.states[k]
-        A[k] = float(np.sum(s.m[..., dir_] * P))
-        kin = kinetic_tensor(s.rho, s.m)
+        rho, m = traj.rho[k], traj.m[k]
+        A[k] = float(np.sum(m[..., dir_] * P))
+        kin = kinetic_tensor(rho, m)
         flux = float(np.sum(kin[..., dir_, :] * G))
-        flux += float(np.sum(pressure(s.rho, traj.law) * G[..., dir_]))
+        flux += float(np.sum(pressure(rho, traj.law) * G[..., dir_]))
         if R is not None:
             flux += float(np.sum(R.tensor[k][..., dir_, :] * G))
         B[k] = flux
@@ -290,36 +286,29 @@ def estimate_reynolds(ensemble: list) -> tuple:
     the convexity gap of the flux under averaging; it is positive
     semi-definite and vanishes iff the members coincide.  Also returns
     the averaged trajectory (rhobar, mbar, averaged energy curve).
-    All members must share one gas law.
+    All members must share grid, gas law and sample times.  Averages are
+    Python sums from +0 over the members, one sample at a time, which
+    bounds the temporaries to one sample's kinetic tensors.
     """
     if not ensemble:
         raise ValueError("ensemble must contain at least one member")
     base = ensemble[0]
     law = base.law
     for tr in ensemble[1:]:
-        if tr.grid.counts != base.grid.counts or tr.grid.lower != base.grid.lower:
-            raise ValueError("ensemble members live on different grids")
-        if tr.law != law:
-            raise ValueError("ensemble members have different gas laws")
-        if tr.n_samples != base.n_samples or np.max(np.abs(tr.times - base.times)) > 1e-9:
-            raise ValueError("ensemble members have different sample times")
+        require_shared(base, tr)
     K = len(ensemble)
-    d = base.grid.d
-    eye = np.eye(d)
-    tensor = np.zeros((base.n_samples,) + base.grid.counts + (d, d))
-    states = []
+    rho_bar = np.zeros(base.rho.shape)  # not np.empty: see solver.run
+    m_bar = np.zeros(base.m.shape)
+    tensor = np.zeros(base.m.shape + (base.grid.d,))
     for k in range(base.n_samples):
-        rho_bar = sum(tr.states[k].rho for tr in ensemble) / K
-        m_bar = sum(tr.states[k].m for tr in ensemble) / K
-        kin = sum(kinetic_tensor(tr.states[k].rho, tr.states[k].m)
-                  for tr in ensemble) / K
-        pbar = sum(pressure(tr.states[k].rho, law) for tr in ensemble) / K
-        tensor[k] = (kin - kinetic_tensor(rho_bar, m_bar)
-                     + (pbar - pressure(rho_bar, law))[..., None, None] * eye)
-        states.append(FluidState(base.grid, rho_bar, m_bar, check=False))
+        rho_bar[k] = sum(tr.rho[k] for tr in ensemble) / K
+        m_bar[k] = sum(tr.m[k] for tr in ensemble) / K
+        kin = sum(kinetic_tensor(tr.rho[k], tr.m[k]) for tr in ensemble) / K
+        pbar = sum(pressure(tr.rho[k], law) for tr in ensemble) / K
+        tensor[k] = convexity_gap(kin, pbar, rho_bar[k], m_bar[k], law)
     energy = sum(tr.energy for tr in ensemble) / K
     e0 = sum(tr.e0 for tr in ensemble) / K
-    avg = Trajectory(base.grid, law, base.times, states, energy, e0=e0)
+    avg = Trajectory(base.grid, law, base.times, (rho_bar, m_bar), energy, e0=e0)
     return ReynoldsField(base.grid, base.times.copy(), tensor), avg
 
 
@@ -425,13 +414,10 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
     mono_violation = float(np.max(diffs, initial=0.0))
 
     # 1 when a vacuum cell carries momentum, NaN when a field is not finite
-    vacuum = 0.0
-    for s in traj.states:
-        if not (np.all(np.isfinite(s.rho)) and np.all(np.isfinite(s.m))):
-            vacuum = math.nan
-            break
-        if np.any(s.m[s.rho == 0.0] != 0.0):
-            vacuum = 1.0
+    if not (np.isfinite(traj.rho).all() and np.isfinite(traj.m).all()):
+        vacuum = math.nan
+    else:
+        vacuum = float(np.any(traj.m[traj.rho == 0.0] != 0.0))
 
     defects = traj.defects()
     neg_excursion = float(np.max(-defects, initial=0.0))

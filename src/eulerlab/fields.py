@@ -22,6 +22,7 @@ __all__ = [
     "DataTriple",
     "ValidationReport",
     "integrate_energy",
+    "integrate_energies",
     "validate_initial_data",
     "write_csv",
     "read_csv",
@@ -144,6 +145,13 @@ class FluidState:
         self.m = m
         self._memo = None
 
+    @classmethod
+    def _view(cls, grid: Grid, rho: np.ndarray, m: np.ndarray) -> "FluidState":
+        """A state over the given read-only arrays, without copy or check."""
+        state = object.__new__(cls)
+        state.grid, state.rho, state.m, state._memo = grid, rho, m, None
+        return state
+
     @staticmethod
     def constant(grid: Grid, rho0: float, u0=0.0) -> "FluidState":
         rho = np.full(grid.counts, float(rho0))
@@ -154,24 +162,28 @@ class FluidState:
         return FluidState(grid, rho, m)
 
 
-def rel_l1_distance(s1: FluidState, s2: FluidState) -> float:
-    """Relative L1 distance between two states on the same grid."""
-    if s1.grid.counts != s2.grid.counts:
-        raise ValueError("states live on different grids")
-    num = np.sum(np.abs(s1.rho - s2.rho)) + np.sum(np.abs(s1.m - s2.m))
-    den = max(np.sum(np.abs(s1.rho)) + np.sum(np.abs(s1.m)), 1.0)
-    return float(num / den)
+def rel_l1_distance(rho1, m1, rho2, m2) -> np.ndarray:
+    """Relative L1 distance between (rho1, m1) and (rho2, m2), one value per
+    entry of the leading sample axis."""
+    cells, mcells = tuple(range(1, rho1.ndim)), tuple(range(1, m1.ndim))
+    num = np.sum(np.abs(rho1 - rho2), axis=cells) + np.sum(np.abs(m1 - m2), axis=mcells)
+    den = np.maximum(np.sum(np.abs(rho1), axis=cells) + np.sum(np.abs(m1), axis=mcells), 1.0)
+    return num / den
+
+
+def integrate_energies(grid: Grid, rho, m, law: GasLaw) -> np.ndarray:
+    """Mean energy, the midpoint-rule integral of the energy density, of each
+    sample of stacked ``rho`` (n, *counts) and ``m`` (n, *counts, d); +inf
+    exactly where some cell is vacuum with nonzero momentum."""
+    e = energy_cellwise(rho, m, law)
+    cells = tuple(range(1, e.ndim))
+    return np.where(np.isinf(e).any(axis=cells), math.inf,
+                    np.sum(e, axis=cells) * grid.cell_volume)
 
 
 def integrate_energy(state: FluidState, law: GasLaw) -> float:
-    """Mean energy: midpoint-rule integral of the energy density.
-
-    Returns +inf exactly when some cell is vacuum with nonzero momentum.
-    """
-    e = energy_cellwise(state.rho, state.m, law)
-    if np.any(np.isinf(e)):
-        return math.inf
-    return float(np.sum(e) * state.grid.cell_volume)
+    """Mean energy of one state: :func:`integrate_energies` of one sample."""
+    return float(integrate_energies(state.grid, state.rho[None], state.m[None], law)[0])
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import rel_l1_distance
-from .trajectory import (OrderResult, Trajectory, _check_q, concatenate, exp_weights,
-                         field_q_integrals, q_max, shift)
+from .trajectory import (OrderResult, Trajectory, _density_series, _weighted_integral,
+                         concatenate, default_q, exp_weights, require_shared, shift)
 
 __all__ = [
     "CandidateSet",
@@ -52,14 +52,11 @@ class CandidateSet:
         base = self.members[0]
         scale = max(1.0, abs(base.e0))
         for i, tr in enumerate(self.members[1:], start=1):
-            if tr.grid.counts != base.grid.counts:
-                raise ValueError(f"member {i} lives on a different grid")
-            if tr.law != base.law:
-                raise ValueError(f"member {i} has a different gas law")
-            if (tr.n_samples != base.n_samples
-                    or np.max(np.abs(tr.times - base.times)) > 1e-9):
-                raise ValueError(f"member {i} has different sample times")
-            if rel_l1_distance(tr.states[0], base.states[0]) > 1e-9:
+            try:
+                require_shared(base, tr)
+            except ValueError as e:
+                raise ValueError(f"member {i}: {e}") from None
+            if rel_l1_distance(tr.rho[:1], tr.m[:1], base.rho[:1], base.m[:1])[0] > 1e-9:
                 raise ValueError(f"member {i} starts from different fields")
             if abs(tr.e0 - base.e0) > 1e-12 * scale:
                 raise ValueError(f"member {i} starts from a different total energy")
@@ -69,34 +66,6 @@ class CandidateSet:
 
     def __iter__(self):
         return iter(self.members)
-
-
-def default_q(law) -> float:
-    return min(4.0 / 3.0, q_max(law))
-
-
-def _density_series(traj: Trajectory, functional: str, q: float | None) -> np.ndarray:
-    """Per-sample integrand values of a selection functional."""
-    if functional == "F1":
-        return traj.energy.astype(float)
-    if q is None:
-        q = default_q(traj.law)
-    _check_q(q, traj.law)
-    out = np.empty(traj.n_samples)
-    for k, s in enumerate(traj.states):
-        rq, mq = field_q_integrals(s, q)
-        if functional == "F2-full":
-            out[k] = rq + mq + abs(traj.energy[k]) ** q
-        elif functional == "F2-momentum":
-            out[k] = mq
-        else:
-            raise ValueError(f"unknown functional {functional!r}")
-    return out
-
-
-def _weighted_integral(traj: Trajectory, functional: str, q: float | None) -> float:
-    """Exponentially weighted time integral of :func:`_density_series`."""
-    return float(np.dot(exp_weights(traj.times), _density_series(traj, functional, q)))
 
 
 def F1(traj: Trajectory) -> float:
@@ -193,8 +162,7 @@ def laplace_gap(u: Trajectory, v: Trajectory, lam: float) -> float:
     cancellation of subtracting two nearly equal transforms at large
     rates: windows where the curves agree contribute exactly zero.
     """
-    if u.n_samples != v.n_samples or np.max(np.abs(u.times - v.times)) > 1e-9:
-        raise ValueError("gap transform needs common sample times")
+    require_shared(u, v)
     return float(np.dot(exp_weights(u.times, lam), u.energy - v.energy))
 
 

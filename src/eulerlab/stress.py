@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .eos import GasLaw, pressure
 from .fields import Grid
 
-__all__ = ["ReynoldsField", "kinetic_tensor", "symmetric_min_eigenvalues"]
+__all__ = ["ReynoldsField", "kinetic_tensor", "convexity_gap", "symmetric_min_eigenvalues"]
 
 
 def kinetic_tensor(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -19,6 +20,16 @@ def kinetic_tensor(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
     outer = m[..., :, None] * m[..., None, :]
     return np.divide(outer, rho[..., None, None], out=np.zeros_like(outer),
                      where=(rho > 0)[..., None, None])
+
+
+def convexity_gap(kin_mean: np.ndarray, p_mean: np.ndarray, rho: np.ndarray,
+                  m: np.ndarray, law: GasLaw) -> np.ndarray:
+    """Flux convexity gap kin_mean - m (x) m / rho + (p_mean - p(rho)) I of a
+    family with averaged kinetic tensor, pressure and fields (rho, m): PSD
+    for convex averages.  Callers average in their own arithmetic, which
+    fixes the bits (and the sign of zeros)."""
+    eye = np.eye(m.shape[-1])
+    return kin_mean - kinetic_tensor(rho, m) + (p_mean - pressure(rho, law))[..., None, None] * eye
 
 
 def symmetric_min_eigenvalues(tensor: np.ndarray) -> np.ndarray:
@@ -66,11 +77,11 @@ class ReynoldsField:
 
     def trace_integral(self, k: int) -> float:
         """Integral of the trace measure over the domain at sample k."""
-        tr = np.trace(self.tensor[k], axis1=-2, axis2=-1)
-        return float(np.sum(tr) * self.grid.cell_volume)
+        return float(self.trace_integrals()[k])
 
     def trace_integrals(self) -> np.ndarray:
-        return np.array([self.trace_integral(k) for k in range(self.n_samples)])
+        tr = np.trace(self.tensor, axis1=-2, axis2=-1)
+        return np.sum(tr, axis=tuple(range(1, tr.ndim))) * self.grid.cell_volume
 
     def norm_scale(self) -> float:
         """Largest cell Frobenius norm, the scale for PSD tolerances."""

@@ -1,16 +1,21 @@
 """Trajectories and their algebra.
 
-A Trajectory bundles time-sampled fluid states with a total-energy curve
-E.  The curve is piecewise constant and left-continuous with right
-limits (caglad): the stored value ``energy[k]`` is E(t_k+), constant on
+A Trajectory holds its time samples as two stacked read-only arrays,
+``rho`` (n, *counts) and ``m`` (n, *counts, d), and a total-energy curve
+E; ``states`` gives the samples as FluidState views of the rows.  The
+algebra works on the sample axis of these arrays, between trajectories
+that share grid, gas law and sample times (:func:`require_shared`).
+The curve is piecewise constant and left-continuous with right limits
+(caglad): the stored value ``energy[k]`` is E(t_k+), constant on
 the window (t_k, t_{k+1}]; ``e0`` is the initial value E(0), which may
 sit above ``energy[0]`` (an instantaneous dissipation jump at t = 0).
 Beyond the final sample every quantity extends as a constant, which
 makes all exponentially weighted time integrals closed-form.
 
-Invariants enforced at construction: E non-increasing across knots, and
-E(t+) at least the mean (integrated) energy of the fields at every
-sample time, up to a relative tolerance.
+Invariants enforced at construction: finite sample times from 0, strictly
+increasing; E non-increasing across knots; and E(t+) at least the mean
+(integrated) energy of the fields at every sample time, up to a relative
+tolerance.
 """
 
 from __future__ import annotations
@@ -23,13 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import GasLaw, pressure
-from .fields import (FluidState, Grid, integrate_energy, load_state_csv, read_csv,
+from .fields import (FluidState, Grid, integrate_energies, load_state_csv, read_csv,
                      rel_l1_distance, save_state_csv, write_csv)
-from .stress import ReynoldsField, kinetic_tensor
+from .stress import ReynoldsField, convexity_gap, kinetic_tensor
 
 __all__ = [
     "Trajectory",
     "OrderResult",
+    "require_shared",
     "weighted_norm",
     "q_max",
     "shift",
@@ -50,41 +56,51 @@ _ENERGY_COLUMNS = ("t", "E")
 
 
 class Trajectory:
-    """Sampled (rho, m) fields with a caglad total-energy curve."""
+    """Stacked sampled (rho, m) fields with a caglad total-energy curve.
 
-    __slots__ = ("grid", "law", "times", "states", "energy", "e0", "mean_energies")
+    ``states`` is either a sequence of FluidState, stacked once, or a pair
+    ``(rho, m)`` of stacked arrays, which are kept without a copy and made
+    read-only.
+    """
+
+    __slots__ = ("grid", "law", "times", "rho", "m", "energy", "e0", "mean_energies")
 
     def __init__(self, grid: Grid, law: GasLaw, times, states, energy,
                  e0: float | None = None, check: bool = True, rtol: float = 1e-9):
+        if not (isinstance(states, tuple) and isinstance(states[0], np.ndarray)):
+            states = list(states)
+            states = [s.rho for s in states], [s.m for s in states]
+        rho, m = (np.asarray(a, dtype=float) for a in states)
+        if rho.shape[1:] != grid.counts or m.shape != rho.shape + (grid.d,):
+            raise ValueError(f"fields {rho.shape}, {m.shape} are not samples of {grid}")
         times = np.array(times, dtype=float)
         energy = np.array(energy, dtype=float)
-        times.setflags(write=False)
-        energy.setflags(write=False)
-        states = list(states)
+        for a in (times, energy, rho, m):
+            a.setflags(write=False)
         if e0 is None:
             e0 = float(energy[0])
         self.grid = grid
         self.law = law
         self.times = times
-        self.states = states
+        self.rho = rho
+        self.m = m
         self.energy = energy
         self.e0 = float(e0)
-        self.mean_energies = np.array([integrate_energy(s, law) for s in states])
+        self.mean_energies = integrate_energies(grid, rho, m, law)
         self.mean_energies.setflags(write=False)
         if check:
             self._validate(rtol)
 
     def _validate(self, rtol: float) -> None:
         t, E = self.times, self.energy
-        if t.ndim != 1 or len(t) < 1 or len(t) != len(self.states) or len(t) != len(E):
+        if t.ndim != 1 or len(t) < 1 or len(t) != len(self.rho) or len(t) != len(E):
             raise ValueError("times, states and energy must have equal positive length")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"sample times must be finite, got {t[~np.isfinite(t)][0]}")
         if abs(t[0]) > _TIME_RTOL:
             raise ValueError("sample times must start at 0")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        for s in self.states:
-            if s.grid.counts != self.grid.counts:
-                raise ValueError("all states must live on the trajectory grid")
         if not np.all(np.isfinite(E)) or not math.isfinite(self.e0):
             raise ValueError("energy curve must be finite")
         tol = rtol * max(1.0, abs(self.e0))
@@ -114,6 +130,11 @@ class Trajectory:
     def n_samples(self) -> int:
         return len(self.times)
 
+    @property
+    def states(self) -> list:
+        """The samples as FluidState views of the stacked rows, in time order."""
+        return [FluidState._view(self.grid, r, m) for r, m in zip(self.rho, self.m)]
+
     def index_of(self, t: float) -> int:
         """Index of the sample time t; raises if t is not a sample time."""
         k = int(np.argmin(np.abs(self.times - t)))
@@ -130,7 +151,7 @@ class Trajectory:
         return self.energy - self.mean_energies
 
     def same_content(self, other: "Trajectory", tol: float = 1e-12) -> bool:
-        if self.n_samples != other.n_samples:
+        if self.n_samples != other.n_samples or self.grid.counts != other.grid.counts:
             return False
         if np.max(np.abs(self.times - other.times)) > tol:
             return False
@@ -139,8 +160,19 @@ class Trajectory:
             return False
         if np.max(np.abs(self.energy - other.energy)) > tol * scale:
             return False
-        return all(rel_l1_distance(a, b) <= tol
-                   for a, b in zip(self.states, other.states))
+        return bool(np.all(rel_l1_distance(self.rho, self.m, other.rho, other.m) <= tol))
+
+
+def require_shared(u, v, times: bool = True) -> None:
+    """Raise ValueError unless u and v share grid, gas law and, with
+    ``times``, sample times; ``v`` may be a ReynoldsField (no gas law)."""
+    if u.grid != v.grid:
+        raise ValueError(f"grids do not match: {u.grid} and {v.grid}")
+    if getattr(v, "law", u.law) != u.law:
+        raise ValueError(f"gas laws do not match: {u.law} and {v.law}")
+    if times and (len(u.times) != len(v.times)
+                  or not np.all(np.abs(u.times - v.times) <= _TIME_RTOL)):  # NaN fails
+        raise ValueError(f"sample times do not match: {u.times} and {v.times}")
 
 
 @dataclass
@@ -182,23 +214,39 @@ def exp_weights(times: np.ndarray, lam: float = 1.0) -> np.ndarray:
     return w
 
 
-def field_q_integrals(state: FluidState, q: float) -> tuple:
-    """(||rho||_q^q, ||m||_q^q) by the cell-sum quadrature."""
-    vol = state.grid.cell_volume
-    rq = float(np.sum(state.rho**q) * vol)
-    mq = float(np.sum(np.sqrt(np.sum(state.m**2, axis=-1)) ** q) * vol)
-    return rq, mq
+def default_q(law: GasLaw) -> float:
+    return min(4.0 / 3.0, q_max(law))
+
+
+def _density_series(traj: Trajectory, functional: str, q: float | None) -> np.ndarray:
+    """Per-sample integrand of a weighted functional: the total energy
+    ("F1"), or the q-th powers of the density and momentum norms plus |E|^q
+    ("F2-full"), or the momentum term alone ("F2-momentum"), with the
+    cell-sum quadrature."""
+    if functional == "F1":
+        return traj.energy.astype(float)
+    if functional not in ("F2-full", "F2-momentum"):
+        raise ValueError(f"unknown functional {functional!r}")
+    if q is None:
+        q = default_q(traj.law)
+    _check_q(q, traj.law)
+    cells = tuple(range(1, traj.rho.ndim))
+    vol = traj.grid.cell_volume
+    mq = np.sum(np.sqrt(np.sum(traj.m**2, axis=-1)) ** q, axis=cells) * vol
+    if functional == "F2-momentum":
+        return mq
+    return np.sum(traj.rho**q, axis=cells) * vol + mq + np.abs(traj.energy) ** q
+
+
+def _weighted_integral(traj: Trajectory, functional: str, q: float | None) -> float:
+    """Exponentially weighted time integral of :func:`_density_series`."""
+    return float(np.dot(exp_weights(traj.times), _density_series(traj, functional, q)))
 
 
 def weighted_norm(traj: Trajectory, q: float) -> float:
-    """Exponentially weighted space-time q-norm of (rho, m, E)."""
-    _check_q(q, traj.law)
-    w = exp_weights(traj.times)
-    total = 0.0
-    for k, s in enumerate(traj.states):
-        rq, mq = field_q_integrals(s, q)
-        total += w[k] * (rq + mq + abs(traj.energy[k]) ** q)
-    return total ** (1.0 / q)
+    """Exponentially weighted space-time q-norm of (rho, m, E): the q-th
+    root of the "F2-full" integral."""
+    return _weighted_integral(traj, "F2-full", q) ** (1.0 / q)
 
 
 # -- shift and concatenation -----------------------------------------
@@ -213,7 +261,7 @@ def shift(traj: Trajectory, T: float) -> Trajectory:
     return Trajectory(
         traj.grid, traj.law,
         traj.times[k:] - traj.times[k],
-        traj.states[k:],
+        (traj.rho[k:], traj.m[k:]),
         traj.energy[k:],
         e0=traj.energy_left_at(k),
         check=False,
@@ -227,13 +275,10 @@ def concatenate(u: Trajectory, v: Trajectory, T: float) -> Trajectory:
     with initial energy inside the admissible window
     [mean energy of u at T, E_u(T)].
     """
-    if u.grid.counts != v.grid.counts:
-        raise ValueError("trajectories live on different grids")
-    if u.law != v.law:
-        raise ValueError("trajectories have different gas laws")
+    require_shared(u, v, times=False)
     k = u.index_of(T)
     tol_energy = 1e-9 * max(1.0, abs(u.e0))
-    d = rel_l1_distance(u.states[k], v.states[0])
+    d = rel_l1_distance(u.rho[k:k + 1], u.m[k:k + 1], v.rho[:1], v.m[:1])[0]
     if d > 1e-10:
         raise ValueError(f"fields mismatch at the junction (relative L1 {d:.3e})")
     lo = u.mean_energies[k] - tol_energy
@@ -242,9 +287,9 @@ def concatenate(u: Trajectory, v: Trajectory, T: float) -> Trajectory:
         raise ValueError(
             f"continuation energy {v.e0} outside the admissible window [{lo}, {hi}]")
     times = np.concatenate([u.times[:k], T + v.times])
-    states = u.states[:k] + v.states
+    fields = (np.concatenate([u.rho[:k], v.rho]), np.concatenate([u.m[:k], v.m]))
     energy = np.concatenate([u.energy[:k], v.energy])
-    return Trajectory(u.grid, u.law, times, states, energy, e0=u.e0)
+    return Trajectory(u.grid, u.law, times, fields, energy, e0=u.e0)
 
 
 # -- convex combination ----------------------------------------------
@@ -259,39 +304,22 @@ def convex_combine(u: Trajectory, v: Trajectory, lam: float) -> tuple:
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError("lambda must lie in [0, 1]")
-    if u.grid.counts != v.grid.counts or u.grid.d != v.grid.d:
-        raise ValueError("mismatched grids")
-    if u.n_samples != v.n_samples or np.max(np.abs(u.times - v.times)) > _TIME_RTOL:
-        raise ValueError("mismatched sample times")
-    if u.law != v.law:
-        raise ValueError("mismatched gas laws")
-    d = u.grid.d
-    shape = (u.n_samples,) + u.grid.counts + (d, d)
-    tensor = np.zeros(shape)
-    states = []
-    eye = np.eye(d)
-    for k in range(u.n_samples):
-        su, sv = u.states[k], v.states[k]
-        rho = lam * su.rho + (1.0 - lam) * sv.rho
-        m = lam * su.m + (1.0 - lam) * sv.m
-        states.append(FluidState(u.grid, rho, m, check=False))
-        kin = (lam * kinetic_tensor(su.rho, su.m)
-               + (1.0 - lam) * kinetic_tensor(sv.rho, sv.m)
-               - kinetic_tensor(rho, m))
-        pgap = (lam * pressure(su.rho, u.law) + (1.0 - lam) * pressure(sv.rho, u.law)
-                - pressure(rho, u.law))
-        tensor[k] = kin + pgap[..., None, None] * eye
+    require_shared(u, v)
+    rho = lam * u.rho + (1.0 - lam) * v.rho
+    m = lam * u.m + (1.0 - lam) * v.m
+    kin = lam * kinetic_tensor(u.rho, u.m) + (1.0 - lam) * kinetic_tensor(v.rho, v.m)
+    p = lam * pressure(u.rho, u.law) + (1.0 - lam) * pressure(v.rho, u.law)
+    tensor = convexity_gap(kin, p, rho, m, u.law)
     energy = lam * u.energy + (1.0 - lam) * v.energy
     e0 = lam * u.e0 + (1.0 - lam) * v.e0
-    traj = Trajectory(u.grid, u.law, u.times, states, energy, e0=e0)
+    traj = Trajectory(u.grid, u.law, u.times, (rho, m), energy, e0=e0)
     return traj, ReynoldsField(u.grid, u.times.copy(), tensor)
 
 
 # -- order relations --------------------------------------------------
 
 def _full_energy_curves(u: Trajectory, v: Trajectory) -> tuple:
-    if u.n_samples != v.n_samples or np.max(np.abs(u.times - v.times)) > _TIME_RTOL:
-        raise ValueError("order comparisons need common sample times")
+    require_shared(u, v)
     eu = np.concatenate([[u.e0], u.energy])
     ev = np.concatenate([[v.e0], v.energy])
     return eu, ev
@@ -322,18 +350,14 @@ def compare_local(u: Trajectory, v: Trajectory) -> OrderResult:
     tol_eq = 1e-9
     tol_strict = 1e-6 * scale
     tol_eq_energy = tol_eq * scale
-    if u.n_samples != v.n_samples or np.max(np.abs(u.times - v.times)) > _TIME_RTOL:
-        raise ValueError("order comparisons need common sample times")
+    require_shared(u, v)
     n = u.n_samples
-
-    def fields_eq(k):
-        return rel_l1_distance(u.states[k], v.states[k]) <= tol_eq
-
-    if not fields_eq(0) or abs(u.e0 - v.e0) > tol_eq_energy:
+    fields_eq = rel_l1_distance(u.rho, u.m, v.rho, v.m) <= tol_eq
+    if not fields_eq[0] or abs(u.e0 - v.e0) > tol_eq_energy:
         return OrderResult("incomparable")
     k = 0
     while (k < n - 1 and abs(u.energy[k] - v.energy[k]) <= tol_eq_energy
-           and fields_eq(k + 1)):
+           and fields_eq[k + 1]):
         k += 1
     # prefix [0, t_k] agrees; inspect the energy window (t_k, t_{k+1}]
     gap = u.energy[k] - v.energy[k]
@@ -401,18 +425,17 @@ def min_energy_merge(u: Trajectory, v: Trajectory, T: float) -> tuple:
     at every sample time >= T.  Both outputs keep their own states and
     their original energy before T.
     """
-    if u.n_samples != v.n_samples or np.max(np.abs(u.times - v.times)) > _TIME_RTOL:
-        raise ValueError("merge needs common sample times")
+    require_shared(u, v)
     k = u.index_of(T)
-    for j in range(k, u.n_samples):
-        d = rel_l1_distance(u.states[j], v.states[j])
-        if d > 1e-9:
-            raise ValueError(f"fields differ at t={u.times[j]} (relative L1 {d:.3e})")
+    d = rel_l1_distance(u.rho[k:], u.m[k:], v.rho[k:], v.m[k:])
+    if np.any(d > 1e-9):
+        j = int(np.argmax(d > 1e-9))
+        raise ValueError(f"fields differ at t={u.times[k + j]} (relative L1 {d[j]:.3e})")
     tail = np.minimum(u.energy[k:], v.energy[k:])
     eu = np.concatenate([u.energy[:k], tail])
     ev = np.concatenate([v.energy[:k], tail])
-    mu = Trajectory(u.grid, u.law, u.times, u.states, eu, e0=u.e0)
-    mv = Trajectory(v.grid, v.law, v.times, v.states, ev, e0=v.e0)
+    mu = Trajectory(u.grid, u.law, u.times, (u.rho, u.m), eu, e0=u.e0)
+    mv = Trajectory(v.grid, v.law, v.times, (v.rho, v.m), ev, e0=v.e0)
     return mu, mv
 
 
@@ -452,7 +475,10 @@ def load_bundle(dirpath: str, check: bool = True) -> Trajectory:
     if len(raw) != len(times):
         raise ValueError("energy.csv rows do not match the sample times")
     energy = raw[:, 1]
-    states = [load_state_csv(grid, os.path.join(dirpath, f"state_{k:06d}.csv"), check=check)
-              for k in range(len(times))]
-    return Trajectory(grid, law, times, states, energy,
+    rho = np.zeros((len(times),) + grid.counts)  # not np.empty: see solver.run
+    m = np.zeros(rho.shape + (grid.d,))
+    for k in range(len(times)):
+        state = load_state_csv(grid, os.path.join(dirpath, f"state_{k:06d}.csv"), check=check)
+        rho[k], m[k] = state.rho, state.m
+    return Trajectory(grid, law, times, (rho, m), energy,
                       e0=float(meta.get("e0", energy[0])), check=check)

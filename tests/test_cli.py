@@ -232,6 +232,42 @@ def test_diagnose_malformed_bundle(tmp_path, capsys):
     assert "malformed bundle" in capsys.readouterr().err
 
 
+def test_diagnose_nan_sample_time_reports_nan_checks(tmp_path):
+    run_cfg = write_config(tmp_path, "r.json", run_config(tmp_path))
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", run_cfg, "--out", str(bundle)]) == 0
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["times"][2] = float("nan")
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle)})
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "o")]) == 1
+    doc = json.loads((tmp_path / "o" / "certificate.json").read_text(),
+                     parse_constant=_reject_constant)
+    values = {c["name"]: c["value"] for c in doc["checks"]}
+    assert values["continuity_residual"] is None and values["momentum_residual"] is None
+
+
+@pytest.mark.parametrize("sample_dt,t_end", [(0.1, 0.2), (0.1, 0.4)],
+                         ids=["count", "times"])
+def test_diagnose_rejects_mismatched_reynolds_field(tmp_path, capsys, sample_dt, t_end):
+    doc = run_config(tmp_path, extra={"kind": "ensemble", "nu_list": [0.2, 0.1]})
+    doc["initial"] = {"preset": "riemann", "rho_l": 1.0, "u_l": 0.0,
+                      "rho_r": 0.25, "u_r": 0.0}
+    ens = tmp_path / "ens"
+    assert main(["ensemble", "--config", write_config(tmp_path, "e.json", doc),
+                 "--out", str(ens)]) == 0
+    run_cfg = run_config(tmp_path, sample_dt=sample_dt, t_end=t_end)
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", write_config(tmp_path, "r.json", run_cfg),
+                 "--out", str(bundle)]) == 0
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle),
+                                             "reynolds": str(ens / "reynolds.npz")})
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed Reynolds field" in err and "sample times" in err
+    assert not (tmp_path / "o").exists()
+
+
 # -- select --------------------------------------------------------------------
 
 def _write_candidates(tmp_path):
@@ -282,6 +318,17 @@ def test_select_rejects_inconsistent_members(tmp_path, capsys):
     cfg = write_config(tmp_path, "s.json", {"kind": "select", "candidates": str(root)})
     assert main(["select", "--config", cfg, "--out", str(tmp_path / "sel")]) == 2
     assert "member" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_select_rejects_non_finite_sample_time(tmp_path, capsys, bad):
+    root = _write_candidates(tmp_path)
+    meta_path = root / "member_01" / "meta.json"
+    meta_path.write_text(meta_path.read_text().replace("0.5", bad, 1))
+    cfg = write_config(tmp_path, "s.json", {"kind": "select", "candidates": str(root)})
+    assert main(["select", "--config", cfg, "--out", str(tmp_path / "sel")]) == 2
+    err = capsys.readouterr().err
+    assert "candidate member_01 is inconsistent" in err and "finite" in err
 
 
 # -- dt2 demo -----------------------------------------------------------------

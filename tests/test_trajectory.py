@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from eulerlab.dissipative import check_compatibility, estimate_reynolds
 from eulerlab.eos import GasLaw
-from eulerlab.fields import DataTriple, FluidState, Grid, integrate_energy
+from eulerlab.fields import DataTriple, FluidState, Grid, integrate_energies, integrate_energy
+from eulerlab.selection import CandidateSet, check_shift_identity, laplace_gap
 from eulerlab.solver import SchemeSpec, run
 from eulerlab.trajectory import (Trajectory, compare_admissible, compare_local,
                                  concatenate, convex_combine, defect_reset,
@@ -69,6 +74,36 @@ def test_rejects_unsorted_times():
     s = FluidState.constant(g, 1.0, 0.0)
     with pytest.raises(ValueError):
         Trajectory(g, LAW2, [0.0, 0.5, 0.5], [s] * 3, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_rejects_non_finite_times(bad, where):
+    g = unit_grid()
+    s = FluidState.constant(g, 1.0, 0.0)
+    times = [0.0, 0.5, 1.0]
+    times[where] = bad
+    with pytest.raises(ValueError, match="sample times must be finite"):
+        Trajectory(g, LAW2, times, [s] * 3, [1.0, 1.0, 1.0])
+
+
+def test_stacked_fields_kept_without_copy_and_read_only():
+    rng = np.random.default_rng(2)
+    g = Grid(counts=(4, 3), lower=(0.0, 0.0), upper=(1.0, 1.0))
+    rho = rng.uniform(0.5, 1.5, (3, 4, 3))
+    m = rng.uniform(-1.0, 1.0, (3, 4, 3, 2))
+    mean = integrate_energies(g, rho, m, LAW2)
+    traj = Trajectory(g, LAW2, [0.0, 0.5, 1.0], (rho, m), np.full(3, mean.max()))
+    assert traj.rho is rho and traj.m is m
+    assert not (rho.flags.writeable or m.flags.writeable)
+    states = traj.states
+    assert all(np.shares_memory(st.rho, rho) and np.shares_memory(st.m, m) for st in states)
+    assert np.array_equal(states[2].m, m[2]) and states[2].grid is g
+    assert np.shares_memory(shift(traj, 0.5).rho, rho)
+    listed = Trajectory(g, LAW2, traj.times, states, traj.energy)
+    assert listed.same_content(traj, tol=0.0) and not np.shares_memory(listed.rho, rho)
+    with pytest.raises(ValueError, match="not samples"):
+        Trajectory(g, LAW2, traj.times, (rho, m[..., :1]), traj.energy)
 
 
 def test_defects_and_left_values():
@@ -254,6 +289,27 @@ def test_convex_combine_psd_and_compatibility():
         for t in comb.times:
             rep = check_compatibility(comb, stress, t=float(t))
             assert rep.slack >= -1e-10 * max(1.0, comb.e0)
+
+
+def _different_grid_calls():
+    u = constant_traj([0.0, 1.0])
+    v = constant_traj([0.0, 1.0], grid=unit_grid(6))
+    return [
+        lambda: convex_combine(u, v, 0.5),
+        lambda: compare_admissible(u, v),
+        lambda: compare_local(u, v),
+        lambda: min_energy_merge(u, v, 0.0),
+        lambda: estimate_reynolds([u, v]),
+        lambda: CandidateSet([u, v]),
+        lambda: laplace_gap(u, v, 1.0),
+        lambda: concatenate(u, v, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("which", range(8))
+def test_every_pairing_rejects_different_grids(which):
+    with pytest.raises(ValueError, match="grids do not match"):
+        _different_grid_calls()[which]()
 
 
 def test_convex_combine_mismatch_errors():
@@ -502,3 +558,93 @@ def test_bundle_load_unchecked_tolerates_bad_energy(tmp_path):
         load_bundle(tmp_path / "b")
     loaded = load_bundle(tmp_path / "b", check=False)
     assert loaded.energy[1] == 5.0
+
+
+# -- properties on generated trajectories ----------------------------------
+
+@st.composite
+def stacked_fields(draw, g, n):
+    """(rho, m) stacks with vacuum cells, whose momentum is +0.0 or -0.0."""
+    shape = (n,) + g.counts
+    rho = draw(hnp.arrays(float, shape, elements=st.floats(0.25, 2.0)))
+    m = draw(hnp.arrays(float, shape + (g.d,), elements=st.floats(-1.0, 1.0)))
+    vac = draw(hnp.arrays(bool, shape))
+    return np.where(vac, 0.0, rho), np.where(vac[..., None], 0.0 * m, m)
+
+
+def _curve_above(g, fields, slack):
+    """Non-increasing energy curve: running maximum of the later mean
+    energies plus a non-increasing slack."""
+    mean = integrate_energies(g, *fields, LAW2)
+    return np.maximum.accumulate(mean[::-1])[::-1] + np.sort(slack)[::-1]
+
+
+@st.composite
+def grids(draw):
+    counts = draw(st.sampled_from([(2,), (3,), (5,), (2, 2), (3, 2), (2, 3)]))
+    d = len(counts)
+    return Grid(counts=counts, lower=(0.0,) * d, upper=(1.0,) * d)
+
+
+slacks = st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=6, max_size=6)
+
+
+@st.composite
+def trajectories(draw, g=None, n=None):
+    g = g or draw(grids())
+    n = n or draw(st.integers(1, 5))
+    fields = draw(stacked_fields(g, n))
+    energy = _curve_above(g, fields, draw(slacks)[:n])
+    return Trajectory(g, LAW2, 0.25 * np.arange(n), fields, energy,
+                      e0=energy[0] + draw(st.sampled_from([0.0, 0.5])))
+
+
+@st.composite
+def continuations(draw, u, k):
+    """A trajectory that starts from u's fields at sample k and scales them
+    down, with initial energy inside the admissible window of u at t_k."""
+    scale = np.sort(draw(st.lists(st.floats(0.5, 1.0), min_size=0, max_size=3)))[::-1]
+    scale = np.concatenate([[1.0], scale]).reshape((-1,) + (1,) * u.grid.d)
+    fields = (scale * u.rho[k], scale[..., None] * u.m[k])
+    mean = integrate_energies(u.grid, *fields, LAW2)  # non-increasing
+    lo, hi = u.mean_energies[k], u.energy_left_at(k)
+    e0 = lo + draw(st.floats(0.0, 1.0)) * max(hi - lo, 0.0)
+    share = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=len(scale),
+                                  max_size=len(scale))))[::-1]
+    energy = np.maximum(mean + share * (e0 - mean[0]), mean)
+    return Trajectory(u.grid, LAW2, 0.25 * np.arange(len(scale)), fields, energy, e0=e0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), lam=st.floats(0.0, 1.0))
+def test_convex_combine_gap_psd_with_nonnegative_slack(data, lam):
+    g = data.draw(grids())
+    n = data.draw(st.integers(1, 5))
+    u, v = data.draw(trajectories(g, n)), data.draw(trajectories(g, n))
+    comb, gap = convex_combine(u, v, lam)
+    assert gap.min_eigenvalue() >= -1e-12 * max(gap.norm_scale(), 1.0)
+    for t in comb.times:
+        assert check_compatibility(comb, gap, t=float(t)).slack >= -1e-12 * max(1.0, comb.e0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_concatenation_associative_on_generated_trajectories(data):
+    u = data.draw(trajectories())
+    k1 = data.draw(st.integers(0, u.n_samples - 1))
+    v = data.draw(continuations(u, k1))
+    k2 = data.draw(st.integers(0, v.n_samples - 1))
+    w = data.draw(continuations(v, k2))
+    T1, T2 = float(u.times[k1]), float(v.times[k2])
+    left = concatenate(concatenate(u, v, T1), w, T1 + T2)
+    right = concatenate(u, concatenate(v, w, T2), T1)
+    assert left.same_content(right)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shift_identity_on_generated_trajectories(data):
+    traj = data.draw(trajectories())
+    T = float(traj.times[data.draw(st.integers(0, traj.n_samples - 1))])
+    for functional in ("F1", "F2-full"):
+        assert check_shift_identity(traj, T, functional) <= 1e-12 * max(1.0, traj.e0)
