@@ -11,7 +11,7 @@ from .trajectory import (OrderResult, Trajectory, compare_admissible, compare_lo
                          load_bundle, min_energy_merge, save_bundle, shift,
                          stopping_time, weighted_norm)
 from .dissipative import (CertificateTolerances, DissipativeCertificate, TestFunction,
-                          certify, check_compatibility, continuity_residual,
+                          certify, check_compatibility, compatibility, continuity_residual,
                           default_dictionary, energy_defect, estimate_reynolds,
                           momentum_residual)
 from .selection import (CandidateSet, F1, F2, MinimizerVerdict, SelectionReport,

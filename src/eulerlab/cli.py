@@ -18,16 +18,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
+import jsonschema
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
-from .eos import GasLaw, defect_constant, sound_speed
+from .eos import GasLaw, sound_speed
 from .fields import (DataTriple, FluidState, Grid, integrate_energy, load_state_csv,
                      read_csv, write_csv)
 from .riemann import RiemannData, solve_riemann
@@ -36,7 +32,7 @@ from .stress import ReynoldsField
 from .trajectory import (Trajectory, concatenate, improve, load_bundle, require_shared,
                          save_bundle, stopping_time)
 from .dissipative import (CertificateTolerances, certificate_to_json, certify,
-                          estimate_reynolds, save_defect_csv)
+                          compatibility, estimate_reynolds, save_defect_csv)
 from .selection import (CandidateSet, check_order_coherence,
                         is_absolute_minimizer, select)
 from .svgplot import write_line_svg
@@ -133,21 +129,26 @@ _RUN_PROPS = {
     "energy_mode": {"enum": ["envelope", "budget"]},
 }
 
+_RUN_SCHEMA = {
+    "type": "object", "additionalProperties": False,
+    "required": ["kind", "grid", "law", "t_end", "sample_dt", "initial"],
+    "properties": _RUN_PROPS,
+}
+
+# ensemble, dt1-demo and dt2-demo: a run plus the viscosity ladder
+_ENSEMBLE_SCHEMA = {
+    **_RUN_SCHEMA,
+    "required": _RUN_SCHEMA["required"] + ["nu_list"],
+    "properties": {
+        **_RUN_PROPS,
+        "nu_list": {"type": "array", "minItems": 1,
+                    "items": {"type": "number", "minimum": 0}},
+    },
+}
+
 SCHEMAS = {
-    "run": {
-        "type": "object", "additionalProperties": False,
-        "required": ["kind", "grid", "law", "t_end", "sample_dt", "initial"],
-        "properties": _RUN_PROPS,
-    },
-    "ensemble": {
-        "type": "object", "additionalProperties": False,
-        "required": ["kind", "grid", "law", "t_end", "sample_dt", "initial", "nu_list"],
-        "properties": {
-            **_RUN_PROPS,
-            "nu_list": {"type": "array", "minItems": 1,
-                        "items": {"type": "number", "minimum": 0}},
-        },
-    },
+    "run": _RUN_SCHEMA,
+    "ensemble": _ENSEMBLE_SCHEMA,
     "diagnose": {
         "type": "object", "additionalProperties": False,
         "required": ["kind", "bundle"],
@@ -185,25 +186,14 @@ SCHEMAS = {
         },
     },
     "dt1-demo": {
-        "type": "object", "additionalProperties": False,
-        "required": ["kind", "grid", "law", "t_end", "sample_dt", "initial", "nu_list"],
+        **_ENSEMBLE_SCHEMA,
         "properties": {
-            **_RUN_PROPS,
-            "nu_list": {"type": "array", "minItems": 1,
-                        "items": {"type": "number", "minimum": 0}},
+            **_ENSEMBLE_SCHEMA["properties"],
             "delta": {"type": "number", "exclusiveMinimum": 0},
             "delta_rel": {"type": "number", "exclusiveMinimum": 0},
         },
     },
-    "dt2-demo": {
-        "type": "object", "additionalProperties": False,
-        "required": ["kind", "grid", "law", "t_end", "sample_dt", "initial", "nu_list"],
-        "properties": {
-            **_RUN_PROPS,
-            "nu_list": {"type": "array", "minItems": 1,
-                        "items": {"type": "number", "minimum": 0}},
-        },
-    },
+    "dt2-demo": _ENSEMBLE_SCHEMA,
 }
 
 
@@ -215,24 +205,16 @@ def load_config(path: str, kind: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}")
-    schema = SCHEMAS[kind]
-    if jsonschema is not None:
-        validator = jsonschema.Draft202012Validator(schema)
-        errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-        if errors:
-            e = errors[0]
-            where = "/".join(str(p) for p in e.absolute_path) or "<root>"
-            raise ConfigError(f"config {path}: at {where}: {e.message}")
+    validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
+    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    if errors:
+        e = errors[0]
+        where = "/".join(str(p) for p in e.absolute_path) or "<root>"
+        raise ConfigError(f"config {path}: at {where}: {e.message}")
     if cfg.get("kind") != kind:
         raise ConfigError(
             f"config kind {cfg.get('kind')!r} does not match the subcommand {kind!r}")
     return cfg
-
-
-def _build_grid(cfg: dict) -> Grid:
-    g = cfg["grid"]
-    return Grid(counts=tuple(g["counts"]), lower=tuple(g["lower"]),
-                upper=tuple(g["upper"]), boundary=tuple(g.get("boundary", ())))
 
 
 def _build_law(cfg: dict) -> GasLaw:
@@ -307,14 +289,14 @@ def _ensemble(cfg: dict, triple: DataTriple, law: GasLaw, t_end: float, mode: st
 
 def _run_ensemble(cfg: dict, mode: str):
     law = _build_law(cfg)
-    triple = _build_initial(cfg, _build_grid(cfg), law)
+    triple = _build_initial(cfg, Grid.from_dict(cfg["grid"]), law)
     return _ensemble(cfg, triple, law, cfg["t_end"], mode) + (triple, law)
 
 
 # -- subcommands -------------------------------------------------------
 
 def cmd_run(cfg: dict, out: str) -> int:
-    grid = _build_grid(cfg)
+    grid = Grid.from_dict(cfg["grid"])
     law = _build_law(cfg)
     triple = _build_initial(cfg, grid, law)
     traj = run(triple, _build_scheme(cfg), law, cfg["t_end"], cfg["sample_dt"],
@@ -324,17 +306,13 @@ def cmd_run(cfg: dict, out: str) -> int:
 
 
 def cmd_ensemble(cfg: dict, out: str) -> int:
-    members, R, avg, _, law = _run_ensemble(cfg, cfg.get("energy_mode", "envelope"))
+    members, R, avg, _, _ = _run_ensemble(cfg, cfg.get("energy_mode", "envelope"))
     os.makedirs(out, exist_ok=True)
     for i, tr in enumerate(members):
         save_bundle(tr, os.path.join(out, f"member_{i:02d}"))
     save_bundle(avg, os.path.join(out, "average"))
     R.save_npz(os.path.join(out, "reynolds.npz"))
-    r = defect_constant(avg.grid.d, law)
-    defects = avg.defects()
-    traces = R.trace_integrals()
-    save_defect_csv(os.path.join(out, "defect.csv"), avg.times, defects, traces,
-                    defects - r * traces)
+    save_defect_csv(os.path.join(out, "defect.csv"), avg.times, *compatibility(avg, R))
     return 0
 
 
@@ -386,7 +364,7 @@ def cmd_select(cfg: dict, out: str) -> int:
                     q=sel.get("q"), tie_tol=sel.get("tie_tol"))
     verdict = is_absolute_minimizer(cands.members[report.selected], cands)
     os.makedirs(out, exist_ok=True)
-    doc = json.loads(report.to_json())
+    doc = asdict(report)
     doc["members"] = list(subdirs)
     doc["absolute_minimizer"] = {
         "verdict": verdict.is_minimizer,

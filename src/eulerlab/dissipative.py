@@ -30,6 +30,7 @@ __all__ = [
     "momentum_residual",
     "estimate_reynolds",
     "energy_defect",
+    "compatibility",
     "check_compatibility",
     "CompatibilityReport",
     "CertificateTolerances",
@@ -179,16 +180,6 @@ def default_dictionary(grid: Grid, t_end: float) -> tuple:
 
 # -- weak-form residuals ----------------------------------------------
 
-def _time_window(traj: Trajectory, phi: TestFunction) -> tuple:
-    lo, hi = phi.t_support
-    if lo < -1e-12 or hi > traj.t_end + 1e-12:
-        raise ValueError(
-            f"test-function support ({lo}, {hi}) exceeds the horizon [0, {traj.t_end}]")
-    k0 = int(np.searchsorted(traj.times, lo + 1e-14, side="right") - 1)
-    k1 = int(np.searchsorted(traj.times, hi - 1e-14, side="left"))
-    return max(k0, 0), min(k1, traj.n_samples - 1)
-
-
 def _time_integral(times: np.ndarray, A: np.ndarray, B: np.ndarray,
                    phi: TestFunction, k0: int, k1: int) -> float:
     """Integral of psi'(t) A(t) + psi(t) B(t) over [t_k0, t_k1] with the
@@ -215,6 +206,26 @@ def _time_integral(times: np.ndarray, A: np.ndarray, B: np.ndarray,
     return total
 
 
+def _weak_residual(traj: Trajectory, phi: TestFunction, pairing) -> float:
+    """int int [psi' A + psi B] dt - [psi A] between the support endpoints,
+    where pairing(k, P, G) gives the spatial pairings (A, B) of sample k
+    with the cell integrals P of phi and G of grad(phi), and psi is the
+    time bump.  check_interior keeps the support inside [0, t_end]."""
+    phi.check_interior(traj.grid, traj.t_end)
+    lo, hi = phi.t_support
+    k0 = max(int(np.searchsorted(traj.times, lo + 1e-14, side="right") - 1), 0)
+    k1 = min(int(np.searchsorted(traj.times, hi - 1e-14, side="left")), traj.n_samples - 1)
+    P, G = phi.cell_integrals(traj.grid)
+    A = np.zeros(traj.n_samples)
+    B = np.zeros(traj.n_samples)
+    for k in range(k0, k1 + 1):
+        A[k], B[k] = pairing(k, P, G)
+    interior = _time_integral(traj.times, A, B, phi, k0, k1)
+    boundary = (float(phi.time_value(traj.times[k1])) * A[k1]
+                - float(phi.time_value(traj.times[k0])) * A[k0])
+    return interior - boundary
+
+
 def continuity_residual(traj: Trajectory, phi: TestFunction) -> float:
     """Weak-form imbalance of mass conservation against one test function.
 
@@ -224,19 +235,8 @@ def continuity_residual(traj: Trajectory, phi: TestFunction) -> float:
     """
     if phi.direction is not None:
         raise ValueError("continuity residual takes a scalar test function")
-    phi.check_interior(traj.grid, traj.t_end)
-    k0, k1 = _time_window(traj, phi)
-    P, G = phi.cell_integrals(traj.grid)
-    n = traj.n_samples
-    A = np.zeros(n)
-    B = np.zeros(n)
-    for k in range(k0, k1 + 1):
-        A[k] = float(np.sum(traj.rho[k] * P))
-        B[k] = float(np.sum(traj.m[k] * G))
-    interior = _time_integral(traj.times, A, B, phi, k0, k1)
-    boundary = (float(phi.time_value(traj.times[k1])) * A[k1]
-                - float(phi.time_value(traj.times[k0])) * A[k0])
-    return interior - boundary
+    return _weak_residual(traj, phi, lambda k, P, G: (np.sum(traj.rho[k] * P),
+                                                      np.sum(traj.m[k] * G)))
 
 
 def momentum_residual(traj: Trajectory, phi: TestFunction,
@@ -249,28 +249,19 @@ def momentum_residual(traj: Trajectory, phi: TestFunction,
     """
     if phi.direction is None:
         raise ValueError("momentum residual takes a vector test function")
-    phi.check_interior(traj.grid, traj.t_end)
     if R is not None:
         require_shared(traj, R)
-    k0, k1 = _time_window(traj, phi)
-    P, G = phi.cell_integrals(traj.grid)
-    dir_ = phi.direction
-    n = traj.n_samples
-    A = np.zeros(n)
-    B = np.zeros(n)
-    for k in range(k0, k1 + 1):
+    i = phi.direction
+
+    def pairing(k, P, G):
         rho, m = traj.rho[k], traj.m[k]
-        A[k] = float(np.sum(m[..., dir_] * P))
-        kin = kinetic_tensor(rho, m)
-        flux = float(np.sum(kin[..., dir_, :] * G))
-        flux += float(np.sum(pressure(rho, traj.law) * G[..., dir_]))
+        flux = float(np.sum(kinetic_tensor(rho, m)[..., i, :] * G))
+        flux += float(np.sum(pressure(rho, traj.law) * G[..., i]))
         if R is not None:
-            flux += float(np.sum(R.tensor[k][..., dir_, :] * G))
-        B[k] = flux
-    interior = _time_integral(traj.times, A, B, phi, k0, k1)
-    boundary = (float(phi.time_value(traj.times[k1])) * A[k1]
-                - float(phi.time_value(traj.times[k0])) * A[k0])
-    return interior - boundary
+            flux += float(np.sum(R.tensor[k][..., i, :] * G))
+        return np.sum(m[..., i] * P), flux
+
+    return _weak_residual(traj, phi, pairing)
 
 
 # -- ensembles and the energy defect ----------------------------------
@@ -332,14 +323,20 @@ class CompatibilityReport:
     passed: bool
 
 
-def check_compatibility(traj: Trajectory, R: ReynoldsField | None, t: float = 0.0,
-                        r_override: float | None = None) -> CompatibilityReport:
-    """Slack of the defect-versus-stress-trace inequality at one time."""
+def compatibility(traj: Trajectory, R: ReynoldsField | None) -> tuple:
+    """Per-sample ``(defects, traces, slacks)`` of the compatibility
+    inequality r * tr R <= D, with slack D - r * tr R; the traces are 0
+    without a stress."""
+    defects = traj.defects()
+    traces = R.trace_integrals() if R is not None else np.zeros(traj.n_samples)
+    return defects, traces, defects - defect_constant(traj.grid.d, traj.law) * traces
+
+
+def check_compatibility(traj: Trajectory, R: ReynoldsField | None,
+                        t: float = 0.0) -> CompatibilityReport:
+    """The row of :func:`compatibility` at one sample time."""
     k = traj.index_of(t)
-    r = defect_constant(traj.grid.d, traj.law, override=r_override)
-    defect = float(traj.defects()[k])
-    trace = R.trace_integral(k) if R is not None else 0.0
-    slack = defect - r * trace
+    defect, trace, slack = (float(a[k]) for a in compatibility(traj, R))
     return CompatibilityReport(float(traj.times[k]), defect, trace, slack,
                                slack >= -1e-10 * max(1.0, abs(traj.e0)))
 
@@ -419,19 +416,15 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
     else:
         vacuum = float(np.any(traj.m[traj.rho == 0.0] != 0.0))
 
-    defects = traj.defects()
+    defects, traces, slacks = compatibility(traj, R)
     neg_excursion = float(np.max(-defects, initial=0.0))
 
     if R is not None:
         psd_margin = R.min_eigenvalue()
         psd_tol = tolerances.psd_factor * max(R.norm_scale(), 1e-300)
-        traces = R.trace_integrals()
     else:
         psd_margin = 0.0
         psd_tol = tolerances.psd_factor
-        traces = np.zeros(traj.n_samples)
-
-    slacks = defects - defect_constant(traj.grid.d, traj.law) * traces
 
     checks = [
         ("continuity_residual", float(cont), float(tolerances.residual),

@@ -95,18 +95,16 @@ def energy_cellwise(rho: np.ndarray, m: np.ndarray, law: GasLaw) -> np.ndarray:
     return kinetic + law.a / (law.gamma - 1.0) * rho**law.gamma
 
 
-def defect_constant(d: int, law: GasLaw, override: float | None = None) -> float:
-    """Compatibility constant coupling the energy defect to the stress trace.
+def defect_constant(d: int, law: GasLaw) -> float:
+    """Compatibility constant r in r * tr R <= D, coupling the energy
+    defect D to the stress trace.
 
-    Evaluates min{1/2, d*gamma/(gamma-1)}.  For every gamma > 1 and
-    d >= 1 the second branch exceeds 1/2, so the value is constant 1/2;
-    ``override`` substitutes a user-supplied positive constant for
-    experiments with alternative couplings.
+    Evaluates min{1/2, 1/(d*(gamma-1))}, the largest r that holds for
+    every convexity gap: the energy gap of an average is
+    1/2 tr(kinetic gap) + (pressure gap)/(gamma-1), while its stress
+    trace is tr(kinetic gap) + d * (pressure gap), and both gaps are
+    nonnegative.
     """
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d}")
-    if override is not None:
-        if not (override > 0):
-            raise ValueError("override constant must be positive")
-        return float(override)
-    return min(0.5, d * law.gamma / (law.gamma - 1.0))
+    return min(0.5, 1.0 / (d * (law.gamma - 1.0)))

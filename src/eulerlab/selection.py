@@ -9,7 +9,6 @@ piecewise-constant curves, with constant extension beyond the horizon.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -95,18 +94,6 @@ class SelectionReport:
     tie_flagged: bool = False
     variant: str = "full"
     q: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "f1_values": self.f1_values,
-            "survivors": self.survivors,
-            "f2_values": self.f2_values,
-            "selected": self.selected,
-            "tied": self.tied,
-            "tie_flagged": self.tie_flagged,
-            "variant": self.variant,
-            "q": self.q,
-        }, indent=1, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
         lines = ["member,F1,survived,F2,selected"]

@@ -6,7 +6,7 @@ from eulerlab.fields import DataTriple, FluidState, Grid, integrate_energy
 from eulerlab.riemann import RiemannData, sample_cell_averages, solve_riemann
 from eulerlab.solver import SchemeSpec, run
 from eulerlab.stress import ReynoldsField
-from eulerlab.trajectory import Trajectory
+from eulerlab.trajectory import Trajectory, convex_combine
 from eulerlab.dissipative import (CertificateTolerances, TestFunction, certify,
                                   check_compatibility, continuity_residual,
                                   default_dictionary, energy_defect,
@@ -300,15 +300,22 @@ def test_compatibility_arithmetic():
         assert rep.passed is want_pass
 
 
-def test_compatibility_respects_override():
-    g = grid_1d(16)
-    s = FluidState.constant(g, 1.0, 0.0)
-    e = integrate_energy(s, LAW2)
-    traj = Trajectory(g, LAW2, [0.0, 1.0], [s] * 2, np.full(2, e + 1.0))
-    tensor = np.full((2, 16, 1, 1), 1.5)
-    R = ReynoldsField(g, [0.0, 1.0], tensor)
-    assert not check_compatibility(traj, R, t=0.0).passed
-    assert check_compatibility(traj, R, t=0.0, r_override=0.25).passed
+def test_compatibility_constant_follows_dimension_and_gamma():
+    # gamma = 3 in 2D: the pressure gap 0.75 of two states at rest gives
+    # defect 0.75/(gamma-1) and trace d*0.75, so only r = 1/(d(gamma-1))
+    # = 1/4 keeps the exact combination compatible (r = 1/2 reads -0.375)
+    law = GasLaw(a=1.0, gamma=3.0)
+    g = Grid(counts=(2, 2), lower=(0.0, 0.0), upper=(1.0, 1.0))
+
+    def at_rest(rho):
+        s = FluidState.constant(g, rho, 0.0)
+        return Trajectory(g, law, [0.0], [s], [integrate_energy(s, law)])
+
+    comb, gap = convex_combine(at_rest(0.5), at_rest(1.5), 0.5)
+    rep = check_compatibility(comb, gap, t=0.0)
+    assert rep.defect == pytest.approx(0.375)
+    assert rep.trace_integral == pytest.approx(1.5)
+    assert rep.passed
 
 
 # -- certification ------------------------------------------------------------

@@ -115,13 +115,16 @@ def test_defect_constant_printed_formula():
     assert defect_constant(1, GasLaw(a=1.0, gamma=1.4)) == 0.5
 
 
+def test_defect_constant_from_dimension_and_gamma():
+    assert defect_constant(2, GasLaw(a=1.0, gamma=3.0)) == 0.25
+    assert defect_constant(1, GasLaw(a=1.0, gamma=4.0)) == 1.0 / 3.0
+    assert defect_constant(2, GasLaw(a=1.0, gamma=2.0)) == 0.5
+
+
 def test_defect_constant_override_and_errors():
     law = GasLaw(a=1.0, gamma=2.0)
-    assert defect_constant(1, law, override=0.25) == 0.25
     with pytest.raises(ValueError):
         defect_constant(3, law)
-    with pytest.raises(ValueError):
-        defect_constant(1, law, override=-1.0)
 
 
 def _vacuum_fields(counts):

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eulerlab.dissipative import check_compatibility, estimate_reynolds
 from eulerlab.eos import GasLaw
 from eulerlab.fields import DataTriple, FluidState, Grid, integrate_energies, integrate_energy
-from eulerlab.selection import CandidateSet, check_shift_identity, laplace_gap
+from eulerlab.selection import F1, F2, CandidateSet, check_shift_identity, laplace_gap
 from eulerlab.solver import SchemeSpec, run
 from eulerlab.trajectory import (Trajectory, compare_admissible, compare_local,
                                  concatenate, convex_combine, defect_reset,
@@ -572,10 +572,10 @@ def stacked_fields(draw, g, n):
     return np.where(vac, 0.0, rho), np.where(vac[..., None], 0.0 * m, m)
 
 
-def _curve_above(g, fields, slack):
+def _curve_above(g, fields, slack, law):
     """Non-increasing energy curve: running maximum of the later mean
     energies plus a non-increasing slack."""
-    mean = integrate_energies(g, *fields, LAW2)
+    mean = integrate_energies(g, *fields, law)
     return np.maximum.accumulate(mean[::-1])[::-1] + np.sort(slack)[::-1]
 
 
@@ -590,12 +590,12 @@ slacks = st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=6, max_size=6)
 
 
 @st.composite
-def trajectories(draw, g=None, n=None):
+def trajectories(draw, g=None, n=None, law=LAW2):
     g = g or draw(grids())
     n = n or draw(st.integers(1, 5))
     fields = draw(stacked_fields(g, n))
-    energy = _curve_above(g, fields, draw(slacks)[:n])
-    return Trajectory(g, LAW2, 0.25 * np.arange(n), fields, energy,
+    energy = _curve_above(g, fields, draw(slacks)[:n], law)
+    return Trajectory(g, law, 0.25 * np.arange(n), fields, energy,
                       e0=energy[0] + draw(st.sampled_from([0.0, 0.5])))
 
 
@@ -616,11 +616,12 @@ def continuations(draw, u, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), lam=st.floats(0.0, 1.0))
-def test_convex_combine_gap_psd_with_nonnegative_slack(data, lam):
+@given(data=st.data(), lam=st.floats(0.0, 1.0), gamma=st.floats(1.1, 6.0))
+def test_convex_combine_gap_psd_with_nonnegative_slack(data, lam, gamma):
     g = data.draw(grids())
     n = data.draw(st.integers(1, 5))
-    u, v = data.draw(trajectories(g, n)), data.draw(trajectories(g, n))
+    law = GasLaw(a=1.0, gamma=gamma)
+    u, v = data.draw(trajectories(g, n, law)), data.draw(trajectories(g, n, law))
     comb, gap = convex_combine(u, v, lam)
     assert gap.min_eigenvalue() >= -1e-12 * max(gap.norm_scale(), 1.0)
     for t in comb.times:
@@ -648,3 +649,35 @@ def test_shift_identity_on_generated_trajectories(data):
     T = float(traj.times[data.draw(st.integers(0, traj.n_samples - 1))])
     for functional in ("F1", "F2-full"):
         assert check_shift_identity(traj, T, functional) <= 1e-12 * max(1.0, traj.e0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_improve_on_positive_defect_is_less_with_smaller_f1(data):
+    u = data.draw(trajectories())
+    positive = np.flatnonzero(u.defects() > 1e-3 * max(1.0, u.e0))
+    assume(positive.size > 0)
+    k = int(data.draw(st.sampled_from(positive)))
+    # reset continuation: u's fields at T scaled down so that its mean
+    # energy starts at u's and then stays at or below u's energy tail
+    mean_k = u.mean_energies[k]
+    scale = np.minimum(1.0, u.energy[k:] / mean_k) if mean_k > 0 else np.ones(u.n_samples - k)
+    scale = scale.reshape((-1,) + (1,) * u.grid.d)
+    fields = (scale * u.rho[k], scale[..., None] * u.m[k])
+    mean = integrate_energies(u.grid, *fields, LAW2)
+    cont = Trajectory(u.grid, LAW2, 0.25 * np.arange(len(scale)), fields, mean, e0=mean_k)
+    competitor, order = improve(u, float(u.times[k]), cont)
+    assert order.relation == "less"
+    assert F1(competitor) < F1(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), lam=st.floats(0.05, 0.95))
+def test_f2_full_strictly_convex_on_generated_fields(data, lam):
+    g = data.draw(grids())
+    n = data.draw(st.integers(1, 5))
+    u, v = data.draw(trajectories(g, n)), data.draw(trajectories(g, n))
+    assume(max(np.max(np.abs(u.rho - v.rho)), np.max(np.abs(u.m - v.m))) > 0.1)
+    mid, _ = convex_combine(u, v, lam)
+    chord = lam * F2(u) + (1.0 - lam) * F2(v)
+    assert F2(mid) < chord * (1.0 - 1e-12)
