@@ -23,7 +23,7 @@ for flux in ("llf", "hll"):
         rho0 = np.where(x < 0, 1.0, 0.25)
         state = FluidState(g, rho0, np.zeros((n, 1)))
         triple = DataTriple(state, integrate_energy(state, law))
-        traj = run(triple, SchemeSpec(flux=flux), law, t_end=T, sample_dt=T)
+        [traj] = run(triple, [SchemeSpec(flux=flux)], law, t_end=T, sample_dt=T)
         rho_ex, _ = sol.sample_array(x / T)
         err = float(np.sum(np.abs(traj.states[-1].rho - rho_ex)) * g.spacing[0])
         rate = "" if prev is None else f"  ratio {prev / err:.2f}"

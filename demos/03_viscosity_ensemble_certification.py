@@ -21,8 +21,7 @@ state = FluidState(g, rho0, np.zeros((n, 1)))
 triple = DataTriple(state, integrate_energy(state, law))
 
 nus = (0.8, 0.3, 0.05)
-members = [run(triple, SchemeSpec(flux="llf", nu=nu), law, 0.5, 0.05)
-           for nu in nus]
+members = run(triple, [SchemeSpec(flux="llf", nu=nu) for nu in nus], law, 0.5, 0.05)
 R, avg = estimate_reynolds(members)
 
 print(f"ensemble of {len(nus)} members, nu in {nus}")

@@ -29,8 +29,8 @@ nus = (0.8, 0.4, 0.1)
 
 
 def ensemble_average(tr, horizon):
-    members = [run(tr, SchemeSpec(nu=nu), law, horizon, dt, energy_mode="budget")
-               for nu in nus]
+    members = run(tr, [SchemeSpec(nu=nu) for nu in nus], law, horizon, dt,
+                  energy_mode="budget")
     return estimate_reynolds(members)[1]
 
 
@@ -65,8 +65,8 @@ print(f"max defect after resets: {result.defects().max():.4f} <= delta")
 # one explicit improvement step: reset the worst defect of the base
 k = int(np.argmax(base.defects()[:-1]))
 T = float(base.times[k])
-cont = run(DataTriple(base.states[k], float(base.mean_energies[k])),
-           SchemeSpec(nu=0.1), law, t_end - T, dt)
+[cont] = run(DataTriple(base.states[k], float(base.mean_energies[k])),
+             [SchemeSpec(nu=0.1)], law, t_end - T, dt)
 competitor, order = improve(base, T, cont)
 end = "inf" if not np.isfinite(order.delta) else f"{order.T + order.delta:.2f}"
 print(f"improve at t = {T:.2f}: relation '{order.relation}', "

@@ -23,15 +23,12 @@ state = FluidState(g, rho0, np.zeros((n, 1)))
 e0 = integrate_energy(state, law)
 triple = DataTriple(state, e0)
 
-candidates = []
-labels = []
-for nu in (0.6, 0.2, 0.05):
-    candidates.append(run(triple, SchemeSpec(nu=nu), law, 0.6, 0.05))
-    labels.append(f"nu={nu} (dissipating)")
-for nu in (0.6, 0.2):
-    candidates.append(run(triple, SchemeSpec(nu=nu), law, 0.6, 0.05,
-                          energy_mode="budget"))
-    labels.append(f"nu={nu} (lazy energy)")
+dissipating, lazy = (0.6, 0.2, 0.05), (0.6, 0.2)
+candidates = (run(triple, [SchemeSpec(nu=nu) for nu in dissipating], law, 0.6, 0.05)
+              + run(triple, [SchemeSpec(nu=nu) for nu in lazy], law, 0.6, 0.05,
+                    energy_mode="budget"))
+labels = ([f"nu={nu} (dissipating)" for nu in dissipating]
+          + [f"nu={nu} (lazy energy)" for nu in lazy])
 
 cands = CandidateSet(candidates)
 report = select(cands)

@@ -223,8 +223,11 @@ def _build_law(cfg: dict) -> GasLaw:
 
 def _build_scheme(cfg: dict) -> SchemeSpec:
     s = cfg.get("scheme", {})
-    return SchemeSpec(flux=s.get("flux", "llf"), nu=s.get("nu", 0.0),
-                      cfl=s.get("cfl", 0.9))
+    try:
+        return SchemeSpec(flux=s.get("flux", "llf"), nu=s.get("nu", 0.0),
+                          cfl=s.get("cfl", 0.9))
+    except ValueError as e:
+        raise ConfigError(f"invalid scheme: {e}")
 
 
 def _build_initial(cfg: dict, grid: Grid, law: GasLaw) -> DataTriple:
@@ -276,13 +279,16 @@ def _ensemble(cfg: dict, triple: DataTriple, law: GasLaw, t_end: float, mode: st
     """Run every viscosity of ``nu_list`` from ``triple`` to ``t_end``;
     returns the members, their Reynolds stress and their average."""
     scheme = _build_scheme(cfg)
-    members = []
+    specs = []
     for i, nu in enumerate(cfg["nu_list"]):
         try:
-            members.append(run(triple, replace(scheme, nu=float(nu)), law,
-                               t_end, cfg["sample_dt"], energy_mode=mode))
-        except Exception as e:
+            specs.append(replace(scheme, nu=float(nu)))
+        except ValueError as e:
             raise ConfigError(f"ensemble member {i} (nu={nu}) failed: {e}")
+    try:
+        members = run(triple, specs, law, t_end, cfg["sample_dt"], energy_mode=mode)
+    except Exception as e:  # a member's failure reads "member i (nu=...) failed: ..."
+        raise ConfigError(f"ensemble {e}")
     R, avg = estimate_reynolds(members)
     return members, R, avg
 
@@ -299,8 +305,11 @@ def cmd_run(cfg: dict, out: str) -> int:
     grid = Grid.from_dict(cfg["grid"])
     law = _build_law(cfg)
     triple = _build_initial(cfg, grid, law)
-    traj = run(triple, _build_scheme(cfg), law, cfg["t_end"], cfg["sample_dt"],
-               energy_mode=cfg.get("energy_mode", "envelope"))
+    try:
+        [traj] = run(triple, [_build_scheme(cfg)], law, cfg["t_end"], cfg["sample_dt"],
+                     energy_mode=cfg.get("energy_mode", "envelope"))
+    except Exception as e:  # a march failure reads "member 0 (nu=...) failed: ..."
+        raise ConfigError(f"run {e}")
     save_bundle(traj, out)
     return 0
 

@@ -6,18 +6,31 @@ nu * dx * Laplacian of the conserved variables enters through the
 diffusive interface flux -nu * (U_R - U_L).  Varying nu produces the
 vanishing-viscosity families the ensemble diagnostics consume.
 
-Velocity, sound speed and the per-axis maximal wave speeds are computed
-once per state (``_waves``) and kept on it until ``step`` has used them:
-``run``'s ``stable_dt``, ``step``'s re-check of the CFL bound and the
-flux pass all read the same arrays, and ``step`` drops them before it
-returns, so no sampled state holds them.  Each axis sweep ghost-extends
-(rho, m, u, c) and evaluates pressure and physical flux once per cell
-of the extension; the left and right states of every interface are
-views into it.  ``step`` rejects a dt above the bound and a NaN dt.
+``run`` marches a whole family in one call.  The live members' fields
+are stacked along a leading member axis, ``rho`` (K, *counts) and ``m``
+(K, *counts, d), and each iteration is one ``stable_dt`` and one
+``step`` call on that stack.  The members share the flux; each keeps
+its own viscosity, CFL number, clock, dt and sample index, and a member
+that has taken its last sample is dropped from the stack.  A stack
+holds at most ``max(1, _STACK_CELLS // cells)`` members; further
+members march in later stacks.  ``step`` and ``stable_dt`` on a plain
+``FluidState`` are the one-member case of the same kernel, with the
+same results and messages.
 
-Negative densities and non-finite values abort with the offending cell
-named; there is no positivity limiter, since a silent fix would corrupt
-every defect measurement downstream.
+Velocity, sound speed and the per-axis maximal wave speeds are computed
+once per state or stack (``_waves``) and kept on it until ``step`` has
+used them: ``run``'s ``stable_dt``, ``step``'s re-check of the CFL
+bound and the flux pass all read the same arrays, and ``step`` drops
+them before it returns, so no sampled state holds them.  Each axis
+sweep ghost-extends (rho, m, u, c) and evaluates pressure and physical
+flux once per cell of the extension; the left and right states of every
+interface are views into it.
+
+``step`` rejects a dt above the bound and a NaN dt; ``run`` rejects a
+stable dt below its clock tolerance.  Negative densities and non-finite
+values abort with the offending cell named, and on a stack with the
+member and its viscosity; there is no positivity limiter, since a silent
+fix would corrupt every defect measurement downstream.
 """
 
 from __future__ import annotations
@@ -35,6 +48,12 @@ __all__ = ["SchemeSpec", "CFLViolation", "stable_dt", "step", "run"]
 
 FLUX_KINDS = ("llf", "hll")
 ENERGY_MODES = ("envelope", "budget")
+# cells of one stack: ``run`` marches max(1, _STACK_CELLS // cells) members
+# at a time.  A stack saves per-call overhead, which dominates on small
+# grids; beyond about 3000 cells a stacked 1D or 2D step costs more per
+# member than separate ones (measured: 3 x 1024 and 2 x 1536 cells won,
+# 2 x 2048, 3 x 1536 and 2 x 48 x 48 lost)
+_STACK_CELLS = 3072
 
 
 class CFLViolation(ValueError):
@@ -52,117 +71,259 @@ class SchemeSpec:
     def __post_init__(self):
         if self.flux not in FLUX_KINDS:
             raise ValueError(f"flux must be one of {FLUX_KINDS}, got {self.flux!r}")
-        if not (self.nu >= 0):
-            raise ValueError("viscosity coefficient nu must be nonnegative")
+        if not (self.nu >= 0 and math.isfinite(self.nu)):
+            raise ValueError(f"viscosity coefficient nu must be finite and nonnegative, "
+                             f"got {self.nu}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("CFL number must lie in (0, 1]")
 
 
-def _waves(state: FluidState, law: GasLaw):
-    """Velocity ``u``, sound speed ``c`` and the per-axis maximal wave speeds
-    ``max|u_k| + c`` of ``state``, computed once per state and law."""
+class _Members:
+    """The live members of ``run``'s march: ``rho`` (K, *counts) and ``m``
+    (K, *counts, d) on one grid, and ``ids``, each row's position in
+    ``run``'s list of schemes.  Holds ``_waves``' memo like a state."""
+
+    __slots__ = ("grid", "rho", "m", "ids", "_memo")
+
+    def __init__(self, grid, rho, m, ids):
+        self.grid, self.rho, self.m, self.ids, self._memo = grid, rho, m, ids, None
+
+
+def _stacked(state, spec):
+    """``rho`` and ``m`` with a leading member axis, and one scheme per row:
+    a ``FluidState`` is a stack of one."""
+    if isinstance(state, FluidState):
+        return state.rho[None], state.m[None], (spec,)
+    return state.rho, state.m, spec
+
+
+def _member(state, specs, j: int) -> str:
+    """Message prefix naming row ``j`` of a stack; empty for a single state."""
+    if isinstance(state, FluidState):
+        return ""
+    return f"member {state.ids[j]} (nu={specs[j].nu}) failed: "
+
+
+def _waves(state, law: GasLaw):
+    """Velocity ``u``, sound speed ``c`` (member axis first) and, per cell
+    axis k, the list of each member's maximal wave speed ``max|u_k| + c``,
+    computed once per state or stack and law."""
     memo = state._memo
     if memo is None or memo[0] is not law:
-        u = np.divide(state.m, state.rho[..., None], out=np.zeros_like(state.m),
-                      where=(state.rho > 0)[..., None])
-        c = sound_speed(state.rho, law)
-        speeds = tuple(float((np.abs(u[..., k]) + c).max()) for k in range(state.grid.d))
+        rho, m, _ = _stacked(state, None)
+        u = np.divide(m, rho[..., None], out=np.zeros_like(m), where=(rho > 0)[..., None])
+        c = sound_speed(rho, law)
+        cells = tuple(range(1, rho.ndim))
+        speeds = [(np.abs(u[..., k]) + c).max(axis=cells).tolist()
+                  for k in range(state.grid.d)]
         memo = state._memo = (law, u, c, speeds)
     return memo[1:]
 
 
-def stable_dt(state: FluidState, spec: SchemeSpec, law: GasLaw) -> float:
-    """CFL-stable time step, viscosity included in the speed budget."""
-    rate = 0.0
-    for s_k, h in zip(_waves(state, law)[2], state.grid.spacing):
-        rate += (s_k + 2.0 * spec.nu) / h
-    if rate == 0.0:
-        return math.inf
-    return spec.cfl / rate
+def stable_dt(state, spec, law: GasLaw):
+    """CFL-stable time step, viscosity included in the speed budget.
+
+    A float for a ``FluidState`` and its ``SchemeSpec``; for ``run``'s
+    stack and one spec per member, an array of one dt per member.
+    """
+    _, _, specs = _stacked(state, spec)
+    speeds = _waves(state, law)[2]
+    dt = []
+    for j, s in enumerate(specs):
+        rate = 0.0
+        for s_k, h in zip(speeds, state.grid.spacing):
+            rate += (s_k[j] + 2.0 * s.nu) / h
+        dt.append(math.inf if rate == 0.0 else s.cfl / rate)
+    return dt[0] if isinstance(state, FluidState) else np.array(dt)
 
 
-def _extend(state: FluidState, u, c, axis: int, boundary: str):
-    """Ghost-extend rho, m, the normal velocity and the sound speed by one
-    cell per side along ``axis``: indices -1 and n wrap round (periodic) or
-    clip to the edge cell, the mirror cell of a reflective wall, whose
-    normal momentum and velocity are negated."""
-    index = np.arange(-1, state.rho.shape[axis] + 1)
+def _extend(rho, m, u, c, axis: int, boundary: str):
+    """Ghost-extend rho, m, the normal velocity and the sound speed (member
+    axis first) by one cell per side along cell ``axis``: indices -1 and n
+    wrap round (periodic) or clip to the edge cell, the mirror cell of a
+    reflective wall, whose normal momentum and velocity are negated."""
+    index = np.arange(-1, rho.shape[axis + 1] + 1)
     mode = "wrap" if boundary == "periodic" else "clip"
-    rho, m, un, c = (a.take(index, axis, mode=mode)
-                     for a in (state.rho, state.m, u[..., axis], c))
+    rho, m, un, c = (a.take(index, axis + 1, mode=mode) for a in (rho, m, u[..., axis], c))
     if boundary == "reflective":
-        wall = (slice(None),) * axis + ([0, -1],)
+        # the two ghost cells, 0 and n + 1, as one strided view
+        wall = (slice(None),) * (axis + 1) + (slice(None, None, len(index) - 1),)
         m[wall + (..., axis)] *= -1.0
-        # a vacuum ghost keeps velocity +0.0, not the -0.0 of a negation
+        # a vacuum ghost keeps velocity +0.0, not the -0.0 of a negation.
+        # Not in place (out=g): NumPy 2.4 then writes wrong elements of
+        # this strided view when the member axis has length 1
         g = un[wall]
         un[wall] = np.negative(g, out=np.zeros_like(g), where=rho[wall] > 0)
     return rho, m, un, c
 
 
-def _interface_flux(rho, m, un, c, left, right, law, spec, axis):
-    """Numerical flux between the ``left`` and ``right`` views of ghost-extended
-    (rho, m, un, c); the physical flux is evaluated once per cell."""
+def _interface_flux(rho, m, un, c, law, flux, nu, axis):
+    """Numerical flux between cells j and j + 1 of ghost-extended (rho, m,
+    un, c), whose first axis is the swept one; the physical flux is
+    evaluated once per cell.  ``nu`` is the viscosity at each interface.
+
+    The arithmetic is written in place to keep temporaries few; each line
+    keeps the order of operations of the formula in its comment."""
     f_rho = m[..., axis]
     f_m = m * un[..., None]
     f_m[..., axis] += pressure(rho, law)
-    rl, rr, ml, mr = rho[left], rho[right], m[left], m[right]
-    fl_rho, fr_rho, fl_m, fr_m = f_rho[left], f_rho[right], f_m[left], f_m[right]
-    if spec.flux == "llf":
-        a = np.abs(un) + c
-        s = np.maximum(a[left], a[right])
-        f_rho = 0.5 * (fl_rho + fr_rho) - 0.5 * s * (rr - rl)
-        f_m = 0.5 * (fl_m + fr_m) - 0.5 * s[..., None] * (mr - ml)
-    else:  # hll
+    fl_rho, fr_rho, fl_m, fr_m = f_rho[:-1], f_rho[1:], f_m[:-1], f_m[1:]
+    d_rho = rho[1:] - rho[:-1]
+    d_m = m[1:] - m[:-1]
+    if flux == "llf":
+        # 0.5 (F_L + F_R) - 0.5 s (U_R - U_L)
+        a = np.abs(un)
+        a += c
+        s = np.maximum(a[:-1], a[1:])
+        s *= 0.5
+        f_rho = fl_rho + fr_rho
+        f_rho *= 0.5
+        f_rho -= s * d_rho
+        f_m = fl_m + fr_m
+        f_m *= 0.5
+        f_m -= s[..., None] * d_m
+    else:  # hll: (s_R F_L - s_L F_R + s_L s_R (U_R - U_L)) / (s_R - s_L)
         lo, hi = un - c, un + c
-        sl = np.minimum(np.minimum(lo[left], lo[right]), 0.0)
-        sr = np.maximum(np.maximum(hi[left], hi[right]), 0.0)
+        sl = np.minimum(lo[:-1], lo[1:])
+        np.minimum(sl, 0.0, out=sl)
+        sr = np.maximum(hi[:-1], hi[1:])
+        np.maximum(sr, 0.0, out=sr)
         den = sr - sl
         den = np.where(den > 0, den, 1.0)
-        f_rho = (sr * fl_rho - sl * fr_rho + sl * sr * (rr - rl)) / den
-        f_m = ((sr[..., None] * fl_m - sl[..., None] * fr_m
-                + (sl * sr)[..., None] * (mr - ml)) / den[..., None])
-    if spec.nu > 0:
-        f_rho = f_rho - spec.nu * (rr - rl)
-        f_m = f_m - spec.nu * (mr - ml)
+        ss = sl * sr
+        f_rho = sr * fl_rho
+        f_rho -= sl * fr_rho
+        f_rho += ss * d_rho
+        f_rho /= den
+        f_m = sr[..., None] * fl_m
+        f_m -= sl[..., None] * fr_m
+        f_m += ss[..., None] * d_m
+        f_m /= den[..., None]
+    viscous = nu > 0
+    if viscous.any():
+        d_rho *= nu
+        d_m *= nu[..., None]
+        if viscous.all():
+            f_rho -= d_rho
+            f_m -= d_m
+        else:  # skipped where nu = 0: f - 0.0 * x turns a -0.0 flux into +0.0
+            np.subtract(f_rho, d_rho, out=f_rho, where=viscous)
+            np.subtract(f_m, d_m, out=f_m, where=viscous[..., None])
     return f_rho, f_m
 
 
-def step(state: FluidState, spec: SchemeSpec, law: GasLaw, dt: float) -> FluidState:
-    """One conservative update by dt; dt must satisfy the CFL bound."""
+def _difference(f, shape):
+    """``f[j] - f[j - 1]`` at each cell j of a merged ghost-extended array,
+    from its fluxes ``f`` between cells j and j + 1, reshaped to the
+    extended ``shape``; the values at the ghost cells are not set."""
+    d = np.empty((len(f) + 1,) + f.shape[1:])
+    np.subtract(f[1:], f[:-1], out=d[1:-1])
+    return d.reshape(shape)
+
+
+def step(state, spec, law: GasLaw, dt):
+    """One conservative update by dt; dt must satisfy the CFL bound.
+
+    ``state`` is a ``FluidState`` with one ``SchemeSpec`` and a float dt,
+    or ``run``'s stack of members with one spec and one dt per member;
+    the specs of a stack share the flux.
+    """
     dt_max = stable_dt(state, spec, law)
     u, c, _ = _waves(state, law)
     state._memo = None
-    if not (dt <= dt_max * (1.0 + 1e-12)):  # also rejects a NaN dt or bound
-        raise CFLViolation(f"dt={dt} exceeds the stable bound {dt_max}")
+    rho, m, specs = _stacked(state, spec)
+    dt = np.asarray(dt, dtype=float).reshape(-1)
+    ok = dt <= np.multiply(dt_max, 1.0 + 1e-12)  # also rejects a NaN dt or bound
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise CFLViolation(f"{_member(state, specs, j)}dt={dt[j]} exceeds the stable "
+                           f"bound {np.reshape(dt_max, -1)[j]}")
     grid = state.grid
-    rho_new = state.rho.copy()
-    m_new = state.m.copy()
-    for axis in range(grid.d):
-        rho_ext, m_ext, un, c_ext = _extend(state, u, c, axis, grid.boundary[axis])
-        left = (slice(None),) * axis + (slice(None, -1),)
-        right = (slice(None),) * axis + (slice(1, None),)
-        f_rho, f_m = _interface_flux(rho_ext, m_ext, un, c_ext, left, right, law, spec, axis)
-        h = grid.spacing[axis]
-        rho_new -= dt / h * (f_rho[right] - f_rho[left])
-        m_new -= dt / h * (f_m[right] - f_m[left])
+    nu = np.array([s.nu for s in specs])
+    member = (len(specs),) + (1,) * grid.d  # shape of a per-member factor
+    rho_new = rho.copy()
+    m_new = m.copy()
+    for axis, (h, boundary) in enumerate(zip(grid.spacing, grid.boundary)):
+        ext = _extend(rho, m, u, c, axis, boundary)
+        # merge the member axis and the cell axes up to the swept one, so
+        # that every array op runs on contiguous memory; the fluxes between
+        # two merged rows are computed and never used
+        rho_x, m_x, un_x, c_x = (a.reshape((-1,) + a.shape[axis + 2:]) for a in ext)
+        nu_x = nu  # one member: broadcasts as it is
+        if len(nu) > 1:  # one value per interface of the merged axis
+            nu_x = np.repeat(nu, len(rho_x) // len(nu))[:-1].reshape(
+                (-1,) + (1,) * (grid.d - 1 - axis))
+        f_rho, f_m = _interface_flux(rho_x, m_x, un_x, c_x, law, specs[0].flux, nu_x, axis)
+        rate = (dt / h).reshape(member)
+        cells = (slice(None),) * (axis + 1) + (slice(1, -1),)
+        d_rho = _difference(f_rho, ext[0].shape)[cells]
+        d_rho *= rate
+        rho_new -= d_rho
+        d_m = _difference(f_m, ext[1].shape)[cells]
+        d_m *= rate[..., None]
+        m_new -= d_m
     if not (np.isfinite(rho_new).all() and np.isfinite(m_new).all()):
         bad = ~(np.isfinite(rho_new) & np.isfinite(m_new).all(axis=-1))
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-        raise ValueError(f"non-finite state produced at cell {idx}")
+        j, *idx = (int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+        raise ValueError(f"{_member(state, specs, j)}non-finite state produced at cell "
+                         f"{tuple(idx)}")
     if (rho_new < 0).any():
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(rho_new)), rho_new.shape))
-        raise ValueError(f"negative density {rho_new[idx]:.3e} produced at cell {idx}")
+        j, *idx = (int(i) for i in np.unravel_index(int(np.argmin(rho_new)), rho_new.shape))
+        raise ValueError(f"{_member(state, specs, j)}negative density "
+                         f"{rho_new[(j, *idx)]:.3e} produced at cell {tuple(idx)}")
     if not rho_new.all():
         m_new[rho_new == 0.0] = 0.0
-    return FluidState(grid, rho_new, m_new, check=False)
+    if isinstance(state, FluidState):
+        return FluidState(grid, rho_new[0], m_new[0], check=False)
+    return _Members(grid, rho_new, m_new, state.ids)
 
 
-def run(triple: DataTriple, spec: SchemeSpec, law: GasLaw,
-        t_end: float, sample_dt: float, energy_mode: str = "envelope") -> Trajectory:
-    """March to t_end with adaptive CFL steps, sampling every sample_dt.
+def _march(live: _Members, specs, law: GasLaw, times, tol: float):
+    """Step the stack ``live`` until each of its members has taken its last
+    sample; returns their samples, rho (K, n + 1, *counts) and m."""
+    n = len(times) - 1
+    live_specs = [specs[i] for i in live.ids]
+    # not np.empty: lower peak RSS, measured
+    rho = np.zeros((len(live_specs), n + 1) + live.grid.counts)
+    m = np.zeros(rho.shape + (live.grid.d,))
+    rho[:, 0], m[:, 0] = live.rho, live.m
+    row = np.arange(len(live_specs))
+    t = np.zeros(len(live_specs))
+    k = np.ones(len(live_specs), dtype=int)  # each member's next sample
+    while live_specs:
+        dt = stable_dt(live, live_specs, law)
+        tiny = dt < tol
+        if tiny.any():
+            j = int(np.argmax(tiny))
+            raise ValueError(f"{_member(live, live_specs, j)}stable dt {dt[j]} is below "
+                             f"the clock tolerance {tol}")
+        target = times[k]
+        dt = np.minimum(dt, target - t)
+        live = step(live, live_specs, law, dt)
+        t += dt
+        hit = t >= target - tol
+        if hit.any():
+            r, kh = row[hit], k[hit]
+            rho[r, kh], m[r, kh] = live.rho[hit], live.m[hit]
+            t[hit] = target[hit]
+            k[hit] += 1
+            keep = k <= n
+            if not keep.all():
+                live = _Members(live.grid, live.rho[keep], live.m[keep], live.ids[keep])
+                live_specs = [specs[i] for i in live.ids]
+                row, t, k = row[keep], t[keep], k[keep]
+    return rho, m
 
-    The trajectory's total-energy curve is derived from the discrete
-    mean energy of the samples:
+
+def run(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_dt: float,
+        energy_mode: str = "envelope") -> list:
+    """March ``triple`` to t_end under each scheme of ``specs`` (they share
+    the flux), sampling every sample_dt; one ``Trajectory`` per scheme.
+
+    The members advance in stacks, each with its own adaptive CFL
+    steps; a member's stable dt below the clock tolerance 1e-14 * t_end
+    is an error.  Each trajectory's total-energy curve is derived from
+    the discrete mean energy of its samples:
 
     * "envelope": running minimum of the mean energy, which irons out
       round-off-scale wiggles and is non-increasing by construction;
@@ -177,6 +338,11 @@ def run(triple: DataTriple, spec: SchemeSpec, law: GasLaw,
     n = int(round(t_end / sample_dt))
     if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * t_end:
         raise ValueError("sample_dt must divide t_end")
+    specs = tuple(specs)
+    if not specs:
+        raise ValueError("need at least one scheme")
+    if len({s.flux for s in specs}) > 1:
+        raise ValueError("the schemes of one run must share the flux")
     report = validate_initial_data(triple, law)
     if not report.accepted:
         raise ValueError("initial data rejected: " + "; ".join(report.messages))
@@ -184,20 +350,17 @@ def run(triple: DataTriple, spec: SchemeSpec, law: GasLaw,
     times = sample_dt * np.arange(n + 1)
     state = triple.state0
     grid = state.grid
-    rho = np.zeros((n + 1,) + grid.counts)  # not np.empty: lower peak RSS, measured
-    m = np.zeros(rho.shape + (grid.d,))
-    t = 0.0
-    for k, target in enumerate(times):
-        while t < target - 1e-14 * t_end:
-            dt = min(stable_dt(state, spec, law), target - t)
-            state = step(state, spec, law, dt)
-            t += dt
-        t = target
-        rho[k], m[k] = state.rho, state.m
-
-    mean = integrate_energies(grid, rho, m, law)
-    if energy_mode == "envelope":
-        energy = np.minimum.accumulate(mean)
-    else:
-        energy = np.full(n + 1, mean[0])
-    return Trajectory(grid, law, times, (rho, m), energy, e0=triple.E0)
+    group = max(1, _STACK_CELLS // math.prod(grid.counts))
+    trajectories = []
+    for first in range(0, len(specs), group):
+        ids = np.arange(first, min(first + group, len(specs)))
+        live = _Members(grid, np.repeat(state.rho[None], len(ids), axis=0),
+                        np.repeat(state.m[None], len(ids), axis=0), ids)
+        for rho, m in zip(*_march(live, specs, law, times, 1e-14 * t_end)):
+            mean = integrate_energies(grid, rho, m, law)
+            if energy_mode == "envelope":
+                energy = np.minimum.accumulate(mean)
+            else:
+                energy = np.full(n + 1, mean[0])
+            trajectories.append(Trajectory(grid, law, times, (rho, m), energy, e0=triple.E0))
+    return trajectories

@@ -63,8 +63,8 @@ def test_criterion_01_compatibility_smooth_acoustic():
         u = 2.0 * (c - math.sqrt(2.0))
         s = FluidState(g, rho, (rho * u)[:, None])
         E0 = integrate_energy(s, LAW2)
-        traj = run(DataTriple(s, E0), SchemeSpec(flux="llf"), LAW2,
-                   t_end=0.5, sample_dt=0.05, energy_mode="budget")
+        [traj] = run(DataTriple(s, E0), [SchemeSpec(flux="llf")], LAW2,
+                     t_end=0.5, sample_dt=0.05, energy_mode="budget")
         defects[n] = float(np.max(traj.defects()))
         e0_fine = E0
     order1 = math.log2(defects[64] / defects[128])
@@ -233,14 +233,14 @@ def _solver_defect_cases():
         rho = np.where(x < 0, 1.5, rho_r)
         st = FluidState(g, rho, np.zeros((64, 1)))
         triple = DataTriple(st, integrate_energy(st, LAW2))
-        members = [run(triple, SchemeSpec(nu=nu), LAW2, 0.8, 0.1, energy_mode="budget")
-                   for nu in nus]
+        members = run(triple, [SchemeSpec(nu=nu) for nu in nus], LAW2, 0.8, 0.1,
+                      energy_mode="budget")
         _, base = estimate_reynolds(members)
         k = int(np.argmax(base.defects()[:-1]))
         T = float(base.times[k])
         mean_t = float(base.mean_energies[k])
-        cont = run(DataTriple(base.states[k], mean_t), SchemeSpec(nu=nus[-1]),
-                   LAW2, 0.8 - T, 0.1)
+        [cont] = run(DataTriple(base.states[k], mean_t), [SchemeSpec(nu=nus[-1])],
+                     LAW2, 0.8 - T, 0.1)
         cases.append((base, T, cont))
     return cases
 

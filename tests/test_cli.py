@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -462,3 +464,98 @@ def test_select_rerun_byte_identical(tmp_path):
     assert main(["select", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["select", "--config", cfg, "--out", str(out2)]) == 0
     assert read_tree(out1) == read_tree(out2)
+
+
+# -- viscosities the march cannot take -------------------------------------------
+
+def test_run_non_finite_nu_is_config_error(tmp_path, capsys):
+    doc = run_config(tmp_path, scheme={"flux": "llf", "nu": math.inf})
+    cfg = write_config(tmp_path, "c.json", doc)  # json writes the token Infinity
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "nu must be finite and nonnegative" in capsys.readouterr().err
+
+
+def test_run_failing_march_is_config_error(tmp_path, capsys):
+    doc = run_config(tmp_path, scheme={"flux": "llf", "nu": 1e300})
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "run member 0 (nu=1e+300) failed: stable dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nu, message", [
+    (math.inf, "ensemble member 1 (nu=inf) failed: viscosity coefficient nu must be finite"),
+    (1e300, "ensemble member 1 (nu=1e+300) failed: stable dt"),
+])
+def test_ensemble_unmarchable_nu_is_config_error(tmp_path, capsys, nu, message):
+    doc = run_config(tmp_path, extra={"kind": "ensemble", "nu_list": [0.2, nu]})
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+# -- one stacked march per ensemble ---------------------------------------------
+
+def test_ensemble_is_one_stacked_run(tmp_path, monkeypatch):
+    # the layout the benchmark's tracer reads: one run per ensemble, and per
+    # iteration one stable_dt from run plus one from inside step
+    import eulerlab.cli as cli_mod
+    import eulerlab.solver as solver_mod
+    calls = {"run": 0, "stable_dt": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "step":
+                assert hasattr(args[0], "grid")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli_mod, "run", counted("run", cli_mod.run))
+    for name in ("stable_dt", "step"):
+        monkeypatch.setattr(solver_mod, name, counted(name, getattr(solver_mod, name)))
+    doc = run_config(tmp_path, extra={"kind": "ensemble", "nu_list": [0.4, 0.2, 0.1]})
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls["run"] == 1
+    assert calls["step"] > 0
+    assert calls["stable_dt"] == 2 * calls["step"]
+
+
+def _tree_digest(root):
+    h = hashlib.sha256()
+    for dirpath, dirs, files in sorted(os.walk(root)):
+        dirs.sort()
+        for f in sorted(files):
+            p = os.path.join(dirpath, f)
+            h.update(os.path.relpath(p, root).encode() + b"\0")
+            with open(p, "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
+# sha256 of every output file (path and bytes) of a 64-cell HLL Riemann
+# datum with nu_list [0.4, 0.2, 0.1]; recorded when each viscosity was
+# marched by its own run call (dt1-demo resets five times)
+TREE_DIGESTS = {
+    "ensemble": "8f734d5c6876e14c5301310fa8bf705070b91d922ab6ca10432c93746b81fcab",
+    "dt1-demo": "121893c2a8b6647301f851cf845862bdc09782834d64659a468891a8fb708dfb",
+    "dt2-demo": "b379bcad5b1efc3c0f5e65417135ebb4fa03ff299060d5e370da2c9a5b12d485",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TREE_DIGESTS))
+def test_ensemble_output_trees_pinned(tmp_path, kind):
+    doc = {"kind": kind,
+           "grid": {"counts": [64], "lower": [-1.0], "upper": [1.0],
+                    "boundary": ["reflective"]},
+           "law": {"a": 1.0, "gamma": 2.0}, "scheme": {"flux": "hll", "cfl": 0.9},
+           "t_end": 0.5, "sample_dt": 0.05,
+           "initial": {"preset": "riemann", "rho_l": 1.0, "u_l": 0.0,
+                       "rho_r": 0.25, "u_r": 0.0},
+           "nu_list": [0.4, 0.2, 0.1]}
+    if kind == "dt1-demo":
+        doc["delta_rel"] = 0.005
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    main([kind, "--config", cfg, "--out", str(out)])
+    assert _tree_digest(out) == TREE_DIGESTS[kind]

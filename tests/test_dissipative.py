@@ -356,7 +356,7 @@ def test_certify_ensemble_average_with_stress():
     rho = np.where(x < 0, 1.0, 0.25)
     st = FluidState(g, rho, np.zeros((64, 1)))
     triple = DataTriple(st, integrate_energy(st, LAW2))
-    members = [run(triple, SchemeSpec(nu=nu), LAW2, 0.4, 0.05) for nu in (0.4, 0.2, 0.1)]
+    members = run(triple, [SchemeSpec(nu=nu) for nu in (0.4, 0.2, 0.1)], LAW2, 0.4, 0.05)
     R, avg = estimate_reynolds(members)
     cert = certify(avg, R)
     assert cert.passed, [c for c in cert.checks if not c[3]]
@@ -370,8 +370,7 @@ def test_momentum_residual_improves_with_stress():
     rho = np.where(x < 0, 1.0, 0.25)
     st = FluidState(g, rho, np.zeros((128, 1)))
     triple = DataTriple(st, integrate_energy(st, LAW2))
-    members = [run(triple, SchemeSpec(nu=nu), LAW2, 0.6, 0.6 / 16)
-               for nu in (3.0, 0.02)]
+    members = run(triple, [SchemeSpec(nu=nu) for nu in (3.0, 0.02)], LAW2, 0.6, 0.6 / 16)
     R, avg = estimate_reynolds(members)
     vectors = [p for p in default_dictionary(g, 0.6) if p.direction is not None]
     with_R = max(abs(momentum_residual(avg, p, R)) for p in vectors)
@@ -421,8 +420,8 @@ def test_initial_window_small_defect():
     rho = np.where(x < 0, 1.0, 0.4)
     st = FluidState(g, rho, np.zeros((48, 1)))
     triple = DataTriple(st, integrate_energy(st, LAW2))
-    members = [run(triple, SchemeSpec(nu=nu), LAW2, 0.4, 0.05, energy_mode="budget")
-               for nu in (0.5, 0.05)]
+    members = run(triple, [SchemeSpec(nu=nu) for nu in (0.5, 0.05)], LAW2, 0.4, 0.05,
+                  energy_mode="budget")
     from eulerlab.trajectory import stopping_time
     _, avg = estimate_reynolds(members)
     assert avg.defects()[0] <= 1e-12

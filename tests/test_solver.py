@@ -181,7 +181,7 @@ def test_run_constant_state():
     g = periodic_grid(16)
     s = FluidState.constant(g, 1.0, 0.0)
     triple = DataTriple(s, integrate_energy(s, LAW2))
-    traj = run(triple, SchemeSpec(), LAW2, t_end=1.0, sample_dt=0.25)
+    [traj] = run(triple, [SchemeSpec()], LAW2, t_end=1.0, sample_dt=0.25)
     assert traj.n_samples == 5
     assert np.allclose(traj.energy, traj.energy[0])
     for st in traj.states:
@@ -193,14 +193,14 @@ def test_run_requires_divisible_sample_dt():
     s = FluidState.constant(g, 1.0, 0.0)
     triple = DataTriple(s, integrate_energy(s, LAW2))
     with pytest.raises(ValueError, match="divide"):
-        run(triple, SchemeSpec(), LAW2, t_end=1.0, sample_dt=0.3)
+        run(triple, [SchemeSpec()], LAW2, t_end=1.0, sample_dt=0.3)
 
 
 def test_run_budget_mode_constant_energy_curve():
     g = Grid(counts=(64,), lower=(-1.0,), upper=(1.0,), boundary=("reflective",))
     s = riemann_state(g, 1.0, 0.0, 0.25, 0.0)
     triple = DataTriple(s, integrate_energy(s, LAW2))
-    traj = run(triple, SchemeSpec(nu=0.2), LAW2, 0.4, 0.1, energy_mode="budget")
+    [traj] = run(triple, [SchemeSpec(nu=0.2)], LAW2, 0.4, 0.1, energy_mode="budget")
     assert np.allclose(traj.energy, traj.energy[0])
     assert traj.defects()[-1] > 0  # the scheme dissipated energy
 
@@ -213,7 +213,7 @@ def test_run_l1_convergence_to_exact_riemann():
         g = Grid(counts=(n,), lower=(-1.0,), upper=(1.0,), boundary=("reflective",))
         state = riemann_state(g, 1.0, 0.0, 0.25, 0.0)
         triple = DataTriple(state, integrate_energy(state, LAW2))
-        traj = run(triple, SchemeSpec(flux="llf"), LAW2, 0.2, 0.2)
+        [traj] = run(triple, [SchemeSpec(flux="llf")], LAW2, 0.2, 0.2)
         x = g.centers(0)
         rho_ex, _ = sol.sample_array(x / 0.2)
         errs.append(np.sum(np.abs(traj.states[-1].rho - rho_ex)) * g.spacing[0])
@@ -233,7 +233,7 @@ def test_smooth_acoustic_energy_decay_refines():
         u = 2.0 * (c - math.sqrt(2.0))
         s = FluidState(g, rho, (rho * u)[:, None])
         e0 = integrate_energy(s, LAW2)
-        traj = run(DataTriple(s, e0), SchemeSpec(flux="llf"), LAW2, 0.5, 0.25)
+        [traj] = run(DataTriple(s, e0), [SchemeSpec(flux="llf")], LAW2, 0.5, 0.25)
         losses.append(e0 - traj.mean_energies[-1])
     assert losses[0] > losses[1] > 0
     assert losses[1] <= 0.75 * losses[0]
@@ -400,5 +400,6 @@ def test_cached_speeds_are_not_reused_for_another_law():
 def test_run_leaves_no_cached_primitives():
     g = Grid(counts=(32,), lower=(-1.0,), upper=(1.0,), boundary=("reflective",))
     s = riemann_state(g, 1.0, 0.0, 0.25, 0.0)
-    traj = run(DataTriple(s, integrate_energy(s, LAW2)), SchemeSpec(nu=0.1), LAW2, 0.2, 0.05)
+    [traj] = run(DataTriple(s, integrate_energy(s, LAW2)), [SchemeSpec(nu=0.1)], LAW2,
+                 0.2, 0.05)
     assert all(st._memo is None for st in traj.states)

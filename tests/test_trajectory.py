@@ -465,14 +465,14 @@ def test_improve_on_solver_reset_continuation():
     rho = np.where(x < 0, 1.5, 0.3)
     st = FluidState(g, rho, np.zeros((48, 1)))
     triple = DataTriple(st, integrate_energy(st, LAW2))
-    members = [run(triple, SchemeSpec(nu=nu), LAW2, 0.6, 0.1, energy_mode="budget")
-               for nu in (1.0, 0.1)]
+    members = run(triple, [SchemeSpec(nu=nu) for nu in (1.0, 0.1)], LAW2, 0.6, 0.1,
+                  energy_mode="budget")
     _, base = estimate_reynolds(members)
     k = int(np.argmax(base.defects()[:-1]))
     T = float(base.times[k])
     mean_t = float(base.mean_energies[k])
-    cont = run(DataTriple(base.states[k], mean_t), SchemeSpec(nu=0.1), LAW2,
-               0.6 - T, 0.1)
+    [cont] = run(DataTriple(base.states[k], mean_t), [SchemeSpec(nu=0.1)], LAW2,
+                 0.6 - T, 0.1)
     competitor, order = improve(base, T, cont)
     assert order.relation == "less"
     assert order.T == pytest.approx(T)
