@@ -1,6 +1,6 @@
 """Numerical laboratory for dissipative solutions of the barotropic Euler system."""
 
-from .eos import GasLaw, defect_constant, energy, pressure, pressure_potential, sound_speed
+from .eos import GasLaw, defect_constant, energy_cellwise, pressure, sound_speed
 from .fields import (DataTriple, FluidState, Grid, integrate_energy,
                      validate_initial_data)
 from .riemann import RiemannData, solve_riemann
@@ -11,9 +11,8 @@ from .trajectory import (OrderResult, Trajectory, compare_admissible, compare_lo
                          load_bundle, min_energy_merge, save_bundle, shift,
                          stopping_time, weighted_norm)
 from .dissipative import (CertificateTolerances, DissipativeCertificate, TestFunction,
-                          certify, check_compatibility, compatibility, continuity_residual,
-                          default_dictionary, energy_defect, estimate_reynolds,
-                          momentum_residual)
+                          certify, compatibility, continuity_residual, default_dictionary,
+                          estimate_reynolds, momentum_residual)
 from .selection import (CandidateSet, F1, F2, MinimizerVerdict, SelectionReport,
                         check_concatenation_inequality, check_order_coherence,
                         check_shift_identity, default_lambda_grid,

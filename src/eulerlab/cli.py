@@ -230,43 +230,54 @@ def _build_scheme(cfg: dict) -> SchemeSpec:
         raise ConfigError(f"invalid scheme: {e}")
 
 
+def _build_grid(cfg: dict) -> Grid:
+    try:
+        return Grid.from_dict(cfg["grid"])
+    except ValueError as e:
+        raise ConfigError(f"invalid grid: {e}")
+
+
 def _build_initial(cfg: dict, grid: Grid, law: GasLaw) -> DataTriple:
     spec = cfg["initial"]
+    try:
+        state = _initial_state(spec, grid, law)
+        e0 = spec.get("E0")
+        return DataTriple(state, integrate_energy(state, law) if e0 is None else float(e0))
+    except KeyError as e:
+        raise ConfigError(f"initial data: preset {spec.get('preset')!r} needs the key {e}")
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"invalid initial data: {e}")
+
+
+def _initial_state(spec: dict, grid: Grid, law: GasLaw) -> FluidState:
     if "file" in spec:
-        state = load_state_csv(grid, spec["file"])
-    else:
-        preset = spec.get("preset")
-        if preset is None:
-            raise ConfigError("initial data needs a 'preset' or a 'file'")
-        x = grid.meshgrid()[0]
-        if preset == "constant":
-            state = FluidState.constant(grid, spec["rho"], spec.get("u", 0.0))
-        elif preset == "riemann":
-            iface = spec.get("interface", 0.5 * (grid.lower[0] + grid.upper[0]))
-            rho = np.where(x < iface, spec["rho_l"], spec["rho_r"])
-            u = np.where(x < iface, spec["u_l"], spec["u_r"])
-            m = np.zeros(grid.counts + (grid.d,))
-            m[..., 0] = rho * u
-            state = FluidState(grid, rho, m)
-        elif preset == "acoustic":
-            # right-moving simple wave: the left Riemann invariant is constant
-            rho0 = spec["rho0"]
-            amp = spec.get("amplitude", 0.01)
-            modes = spec.get("modes", 1)
-            length = grid.upper[0] - grid.lower[0]
-            rho = rho0 * (1.0 + amp * np.sin(2.0 * math.pi * modes
-                                             * (x - grid.lower[0]) / length))
-            c0 = float(sound_speed(rho0, law))
-            u = 2.0 * (sound_speed(rho, law) - c0) / (law.gamma - 1.0)
-            m = np.zeros(grid.counts + (grid.d,))
-            m[..., 0] = rho * u
-            state = FluidState(grid, rho, m)
-        else:  # pragma: no cover - schema forbids
-            raise ConfigError(f"unknown preset {preset!r}")
-    e0 = spec.get("E0")
-    if e0 is None:
-        e0 = integrate_energy(state, law)
-    return DataTriple(state, float(e0))
+        return load_state_csv(grid, spec["file"])
+    preset = spec.get("preset")
+    if preset is None:
+        raise ConfigError("initial data needs a 'preset' or a 'file'")
+    x = grid.meshgrid()[0]
+    if preset == "constant":
+        u = spec.get("u", 0.0)
+        if np.size(u) not in (1, grid.d):
+            raise ConfigError(f"initial data: u has {np.size(u)} components on a "
+                              f"{grid.d}D grid")
+        return FluidState.constant(grid, spec["rho"], u)
+    if preset == "riemann":
+        iface = spec.get("interface", 0.5 * (grid.lower[0] + grid.upper[0]))
+        rho = np.where(x < iface, spec["rho_l"], spec["rho_r"])
+        u = np.where(x < iface, spec["u_l"], spec["u_r"])
+    else:  # acoustic: right-moving simple wave, the left Riemann invariant is constant
+        rho0 = spec["rho0"]
+        amp = spec.get("amplitude", 0.01)
+        modes = spec.get("modes", 1)
+        length = grid.upper[0] - grid.lower[0]
+        rho = rho0 * (1.0 + amp * np.sin(2.0 * math.pi * modes
+                                         * (x - grid.lower[0]) / length))
+        c0 = float(sound_speed(rho0, law))
+        u = 2.0 * (sound_speed(rho, law) - c0) / (law.gamma - 1.0)
+    m = np.zeros(grid.counts + (grid.d,))
+    m[..., 0] = rho * u
+    return FluidState(grid, rho, m)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -295,14 +306,14 @@ def _ensemble(cfg: dict, triple: DataTriple, law: GasLaw, t_end: float, mode: st
 
 def _run_ensemble(cfg: dict, mode: str):
     law = _build_law(cfg)
-    triple = _build_initial(cfg, Grid.from_dict(cfg["grid"]), law)
+    triple = _build_initial(cfg, _build_grid(cfg), law)
     return _ensemble(cfg, triple, law, cfg["t_end"], mode) + (triple, law)
 
 
 # -- subcommands -------------------------------------------------------
 
 def cmd_run(cfg: dict, out: str) -> int:
-    grid = Grid.from_dict(cfg["grid"])
+    grid = _build_grid(cfg)
     law = _build_law(cfg)
     triple = _build_initial(cfg, grid, law)
     try:
@@ -369,8 +380,11 @@ def cmd_select(cfg: dict, out: str) -> int:
     except ValueError as e:
         raise ConfigError(f"inconsistent candidate set: {e}")
     sel = cfg.get("selection", {})
-    report = select(cands, variant=sel.get("variant", "full"),
-                    q=sel.get("q"), tie_tol=sel.get("tie_tol"))
+    try:
+        report = select(cands, variant=sel.get("variant", "full"),
+                        q=sel.get("q"), tie_tol=sel.get("tie_tol"))
+    except ValueError as e:
+        raise ConfigError(f"invalid selection: {e}")
     verdict = is_absolute_minimizer(cands.members[report.selected], cands)
     os.makedirs(out, exist_ok=True)
     doc = asdict(report)
@@ -387,8 +401,10 @@ def cmd_select(cfg: dict, out: str) -> int:
 
 def cmd_riemann(cfg: dict, out: str) -> int:
     law = _build_law(cfg)
-    data = RiemannData(cfg["rho_l"], cfg["u_l"], cfg["rho_r"], cfg["u_r"], law)
-    sol = solve_riemann(data)
+    try:
+        sol = solve_riemann(RiemannData(cfg["rho_l"], cfg["u_l"], cfg["rho_r"], cfg["u_r"], law))
+    except ValueError as e:
+        raise ConfigError(f"invalid Riemann datum: {e}")
     t = cfg["time"]
     xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["samples"])
     rho, u = sol.sample_array(xs / t)

@@ -29,10 +29,7 @@ __all__ = [
     "continuity_residual",
     "momentum_residual",
     "estimate_reynolds",
-    "energy_defect",
     "compatibility",
-    "check_compatibility",
-    "CompatibilityReport",
     "CertificateTolerances",
     "DissipativeCertificate",
     "certify",
@@ -303,26 +300,6 @@ def estimate_reynolds(ensemble: list) -> tuple:
     return ReynoldsField(base.grid, base.times.copy(), tensor), avg
 
 
-def energy_defect(traj: Trajectory, t: float) -> float:
-    """Energy defect E(t+) - mean energy at a sample time, clamped at 0.
-
-    A NaN defect stays NaN.  Negative excursions beyond the tolerance
-    indicate a broken energy bookkeeping; certify() reports them as
-    failures.
-    """
-    k = traj.index_of(t)
-    return float(np.maximum(0.0, traj.defects()[k]))
-
-
-@dataclass
-class CompatibilityReport:
-    t: float
-    defect: float
-    trace_integral: float
-    slack: float
-    passed: bool
-
-
 def compatibility(traj: Trajectory, R: ReynoldsField | None) -> tuple:
     """Per-sample ``(defects, traces, slacks)`` of the compatibility
     inequality r * tr R <= D, with slack D - r * tr R; the traces are 0
@@ -330,15 +307,6 @@ def compatibility(traj: Trajectory, R: ReynoldsField | None) -> tuple:
     defects = traj.defects()
     traces = R.trace_integrals() if R is not None else np.zeros(traj.n_samples)
     return defects, traces, defects - defect_constant(traj.grid.d, traj.law) * traces
-
-
-def check_compatibility(traj: Trajectory, R: ReynoldsField | None,
-                        t: float = 0.0) -> CompatibilityReport:
-    """The row of :func:`compatibility` at one sample time."""
-    k = traj.index_of(t)
-    defect, trace, slack = (float(a[k]) for a in compatibility(traj, R))
-    return CompatibilityReport(float(traj.times[k]), defect, trace, slack,
-                               slack >= -1e-10 * max(1.0, abs(traj.e0)))
 
 
 # -- certification ----------------------------------------------------

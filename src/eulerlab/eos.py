@@ -14,7 +14,6 @@ unambiguously through every consumer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,7 @@ import numpy as np
 __all__ = [
     "GasLaw",
     "pressure",
-    "pressure_potential",
     "sound_speed",
-    "energy",
     "energy_cellwise",
     "defect_constant",
 ]
@@ -55,37 +52,18 @@ def pressure(rho, law: GasLaw):
     return law.a * np.asarray(rho, dtype=float) ** law.gamma
 
 
-def pressure_potential(rho, law: GasLaw):
-    """Pressure potential P(rho) = a/(gamma-1) * rho**gamma."""
-    _check_density(rho)
-    return law.a / (law.gamma - 1.0) * np.asarray(rho, dtype=float) ** law.gamma
-
-
 def sound_speed(rho, law: GasLaw):
     """Speed of sound c(rho) = sqrt(p'(rho)) = sqrt(a*gamma*rho**(gamma-1))."""
     _check_density(rho)
     return np.sqrt(law.a * law.gamma * np.asarray(rho, dtype=float) ** (law.gamma - 1.0))
 
 
-def energy(rho: float, m, law: GasLaw) -> float:
-    """Extended energy of a single state.
-
-    Returns |m|^2/(2 rho) + P(rho) for rho > 0, exactly 0 for the true
-    vacuum (rho = 0, m = 0), and +inf for vacuum carrying momentum.
-    """
-    if rho < 0:
-        raise ValueError("density must be nonnegative")
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    m2 = float(np.dot(m, m))
-    if rho == 0.0:
-        return 0.0 if m2 == 0.0 else math.inf
-    return 0.5 * m2 / rho + float(pressure_potential(rho, law))
-
-
 def energy_cellwise(rho: np.ndarray, m: np.ndarray, law: GasLaw) -> np.ndarray:
-    """Vectorized extended energy; ``m`` has a trailing component axis.
+    """Extended energy |m|^2/(2 rho) + P(rho) of scalars or arrays; ``m``
+    has a trailing component axis.
 
-    Vacuum cells with nonzero momentum map to +inf.
+    The true vacuum (rho = 0, m = 0) maps to 0, vacuum with nonzero
+    momentum to +inf.
     """
     _check_density(rho)
     rho = np.asarray(rho, dtype=float)

@@ -119,12 +119,10 @@ class FluidState:
 
     ``rho`` has shape ``grid.counts``; ``m`` has one extra trailing axis of
     length d.  States are immutable after construction: rho >= 0
-    everywhere, every entry finite, and m = 0 wherever rho = 0.  The
-    private ``_memo`` slot holds the solver's primitives of the state
-    (see ``solver._waves``); it changes no field.
+    everywhere, every entry finite, and m = 0 wherever rho = 0.
     """
 
-    __slots__ = ("grid", "rho", "m", "_memo")
+    __slots__ = ("grid", "rho", "m")
 
     def __init__(self, grid: Grid, rho, m, check: bool = True):
         rho = np.array(rho, dtype=float).reshape(grid.counts)
@@ -143,13 +141,12 @@ class FluidState:
         self.grid = grid
         self.rho = rho
         self.m = m
-        self._memo = None
 
     @classmethod
     def _view(cls, grid: Grid, rho: np.ndarray, m: np.ndarray) -> "FluidState":
         """A state over the given read-only arrays, without copy or check."""
         state = object.__new__(cls)
-        state.grid, state.rho, state.m, state._memo = grid, rho, m, None
+        state.grid, state.rho, state.m = grid, rho, m
         return state
 
     @staticmethod

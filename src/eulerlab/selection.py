@@ -160,8 +160,7 @@ class MinimizerVerdict:
                          # candidate transform stays below, or None
 
 
-def is_absolute_minimizer(candidate: Trajectory, candidates: CandidateSet,
-                          lambda_grid: np.ndarray | None = None) -> MinimizerVerdict:
+def is_absolute_minimizer(candidate: Trajectory, candidates: CandidateSet) -> MinimizerVerdict:
     """Grid check of eventual transform domination over every competitor.
 
     For each competitor the reported rate is the smallest grid point
@@ -170,11 +169,7 @@ def is_absolute_minimizer(candidate: Trajectory, candidates: CandidateSet,
     verdict holds iff such a rate exists for all competitors.  The rates
     are grid-relative lower brackets, not continuum thresholds.
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid[0] > 1.0 or lambda_grid[-1] < 100.0:
-        raise ValueError("lambda grid must span at least [1, 100]")
+    lambda_grid = default_lambda_grid()
     tol = 1e-12 * max(1.0, abs(candidate.e0))
     if not any(tr is candidate for tr in candidates):
         raise ValueError("candidate must be a member of the set")

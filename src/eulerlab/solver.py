@@ -17,14 +17,13 @@ members march in later stacks.  ``step`` and ``stable_dt`` on a plain
 ``FluidState`` are the one-member case of the same kernel, with the
 same results and messages.
 
-Velocity, sound speed and the per-axis maximal wave speeds are computed
-once per state or stack (``_waves``) and kept on it until ``step`` has
-used them: ``run``'s ``stable_dt``, ``step``'s re-check of the CFL
-bound and the flux pass all read the same arrays, and ``step`` drops
-them before it returns, so no sampled state holds them.  Each axis
-sweep ghost-extends (rho, m, u, c) and evaluates pressure and physical
-flux once per cell of the extension; the left and right states of every
-interface are views into it.
+A stack owns its primitives: ``_Members`` computes velocity, sound speed
+and the per-axis maximal wave speeds once, when it is built (``step``
+builds the next one), and ``stable_dt``, ``step``'s re-check of the CFL
+bound and the flux pass all read them.  Each axis sweep ghost-extends
+(rho, m, u, c) and evaluates pressure and physical flux once per cell
+of the extension; the left and right states of every interface are
+views into it.
 
 ``step`` rejects a dt above the bound and a NaN dt; ``run`` rejects a
 stable dt below its clock tolerance.  Negative densities and non-finite
@@ -80,44 +79,36 @@ class SchemeSpec:
 
 class _Members:
     """The live members of ``run``'s march: ``rho`` (K, *counts) and ``m``
-    (K, *counts, d) on one grid, and ``ids``, each row's position in
-    ``run``'s list of schemes.  Holds ``_waves``' memo like a state."""
+    (K, *counts, d) on one grid, ``ids``, each row's position in ``run``'s
+    list of schemes (None for a lone state), and the primitives under
+    ``law``: velocity ``u``, sound speed ``c`` and, per cell axis k, the
+    list of each member's maximal wave speed ``max|u_k| + c``.  ``stable_dt``
+    and ``step`` on a stack must be given the law it was built under."""
 
-    __slots__ = ("grid", "rho", "m", "ids", "_memo")
+    __slots__ = ("grid", "rho", "m", "ids", "u", "c", "speeds")
 
-    def __init__(self, grid, rho, m, ids):
-        self.grid, self.rho, self.m, self.ids, self._memo = grid, rho, m, ids, None
-
-
-def _stacked(state, spec):
-    """``rho`` and ``m`` with a leading member axis, and one scheme per row:
-    a ``FluidState`` is a stack of one."""
-    if isinstance(state, FluidState):
-        return state.rho[None], state.m[None], (spec,)
-    return state.rho, state.m, spec
-
-
-def _member(state, specs, j: int) -> str:
-    """Message prefix naming row ``j`` of a stack; empty for a single state."""
-    if isinstance(state, FluidState):
-        return ""
-    return f"member {state.ids[j]} (nu={specs[j].nu}) failed: "
-
-
-def _waves(state, law: GasLaw):
-    """Velocity ``u``, sound speed ``c`` (member axis first) and, per cell
-    axis k, the list of each member's maximal wave speed ``max|u_k| + c``,
-    computed once per state or stack and law."""
-    memo = state._memo
-    if memo is None or memo[0] is not law:
-        rho, m, _ = _stacked(state, None)
-        u = np.divide(m, rho[..., None], out=np.zeros_like(m), where=(rho > 0)[..., None])
-        c = sound_speed(rho, law)
+    def __init__(self, grid, rho, m, ids, law: GasLaw):
+        self.grid, self.rho, self.m, self.ids = grid, rho, m, ids
+        self.u = np.divide(m, rho[..., None], out=np.zeros_like(m), where=(rho > 0)[..., None])
+        self.c = sound_speed(rho, law)
         cells = tuple(range(1, rho.ndim))
-        speeds = [(np.abs(u[..., k]) + c).max(axis=cells).tolist()
-                  for k in range(state.grid.d)]
-        memo = state._memo = (law, u, c, speeds)
-    return memo[1:]
+        self.speeds = [(np.abs(self.u[..., k]) + self.c).max(axis=cells).tolist()
+                       for k in range(grid.d)]
+
+
+def _members(state, spec, law: GasLaw):
+    """``state`` as a stack and one scheme per row: a ``FluidState`` is
+    wrapped as a stack of one under ``law``."""
+    if isinstance(state, FluidState):
+        return _Members(state.grid, state.rho[None], state.m[None], None, law), (spec,)
+    return state, spec
+
+
+def _member(stack: _Members, specs, j: int) -> str:
+    """Message prefix naming row ``j`` of a stack; empty for a lone state."""
+    if stack.ids is None:
+        return ""
+    return f"member {stack.ids[j]} (nu={specs[j].nu}) failed: "
 
 
 def stable_dt(state, spec, law: GasLaw):
@@ -126,15 +117,14 @@ def stable_dt(state, spec, law: GasLaw):
     A float for a ``FluidState`` and its ``SchemeSpec``; for ``run``'s
     stack and one spec per member, an array of one dt per member.
     """
-    _, _, specs = _stacked(state, spec)
-    speeds = _waves(state, law)[2]
+    stack, specs = _members(state, spec, law)
     dt = []
     for j, s in enumerate(specs):
         rate = 0.0
-        for s_k, h in zip(speeds, state.grid.spacing):
+        for s_k, h in zip(stack.speeds, stack.grid.spacing):
             rate += (s_k[j] + 2.0 * s.nu) / h
         dt.append(math.inf if rate == 0.0 else s.cfl / rate)
-    return dt[0] if isinstance(state, FluidState) else np.array(dt)
+    return dt[0] if stack.ids is None else np.array(dt)
 
 
 def _extend(rho, m, u, c, axis: int, boundary: str):
@@ -228,23 +218,22 @@ def step(state, spec, law: GasLaw, dt):
     or ``run``'s stack of members with one spec and one dt per member;
     the specs of a stack share the flux.
     """
-    dt_max = stable_dt(state, spec, law)
-    u, c, _ = _waves(state, law)
-    state._memo = None
-    rho, m, specs = _stacked(state, spec)
+    stack, specs = _members(state, spec, law)
+    dt_max = stable_dt(stack, specs, law)
+    rho, m = stack.rho, stack.m
     dt = np.asarray(dt, dtype=float).reshape(-1)
     ok = dt <= np.multiply(dt_max, 1.0 + 1e-12)  # also rejects a NaN dt or bound
     if not ok.all():
         j = int(np.argmin(ok))
-        raise CFLViolation(f"{_member(state, specs, j)}dt={dt[j]} exceeds the stable "
+        raise CFLViolation(f"{_member(stack, specs, j)}dt={dt[j]} exceeds the stable "
                            f"bound {np.reshape(dt_max, -1)[j]}")
-    grid = state.grid
+    grid = stack.grid
     nu = np.array([s.nu for s in specs])
     member = (len(specs),) + (1,) * grid.d  # shape of a per-member factor
     rho_new = rho.copy()
     m_new = m.copy()
     for axis, (h, boundary) in enumerate(zip(grid.spacing, grid.boundary)):
-        ext = _extend(rho, m, u, c, axis, boundary)
+        ext = _extend(rho, m, stack.u, stack.c, axis, boundary)
         # merge the member axis and the cell axes up to the swept one, so
         # that every array op runs on contiguous memory; the fluxes between
         # two merged rows are computed and never used
@@ -265,17 +254,17 @@ def step(state, spec, law: GasLaw, dt):
     if not (np.isfinite(rho_new).all() and np.isfinite(m_new).all()):
         bad = ~(np.isfinite(rho_new) & np.isfinite(m_new).all(axis=-1))
         j, *idx = (int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-        raise ValueError(f"{_member(state, specs, j)}non-finite state produced at cell "
+        raise ValueError(f"{_member(stack, specs, j)}non-finite state produced at cell "
                          f"{tuple(idx)}")
     if (rho_new < 0).any():
         j, *idx = (int(i) for i in np.unravel_index(int(np.argmin(rho_new)), rho_new.shape))
-        raise ValueError(f"{_member(state, specs, j)}negative density "
+        raise ValueError(f"{_member(stack, specs, j)}negative density "
                          f"{rho_new[(j, *idx)]:.3e} produced at cell {tuple(idx)}")
     if not rho_new.all():
         m_new[rho_new == 0.0] = 0.0
-    if isinstance(state, FluidState):
+    if stack.ids is None:
         return FluidState(grid, rho_new[0], m_new[0], check=False)
-    return _Members(grid, rho_new, m_new, state.ids)
+    return _Members(grid, rho_new, m_new, stack.ids, law)
 
 
 def _march(live: _Members, specs, law: GasLaw, times, tol: float):
@@ -309,7 +298,7 @@ def _march(live: _Members, specs, law: GasLaw, times, tol: float):
             k[hit] += 1
             keep = k <= n
             if not keep.all():
-                live = _Members(live.grid, live.rho[keep], live.m[keep], live.ids[keep])
+                live = _Members(live.grid, live.rho[keep], live.m[keep], live.ids[keep], law)
                 live_specs = [specs[i] for i in live.ids]
                 row, t, k = row[keep], t[keep], k[keep]
     return rho, m
@@ -355,7 +344,7 @@ def run(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_dt: float,
     for first in range(0, len(specs), group):
         ids = np.arange(first, min(first + group, len(specs)))
         live = _Members(grid, np.repeat(state.rho[None], len(ids), axis=0),
-                        np.repeat(state.m[None], len(ids), axis=0), ids)
+                        np.repeat(state.m[None], len(ids), axis=0), ids, law)
         for rho, m in zip(*_march(live, specs, law, times, 1e-14 * t_end)):
             mean = integrate_energies(grid, rho, m, law)
             if energy_mode == "envelope":

@@ -50,36 +50,26 @@ class ReynoldsField:
 
     __slots__ = ("grid", "times", "tensor")
 
-    def __init__(self, grid: Grid, times, tensor, check: bool = True):
+    def __init__(self, grid: Grid, times, tensor):
         times = np.asarray(times, dtype=float)
         tensor = np.asarray(tensor, dtype=float)
         d = grid.d
         expected = (len(times),) + grid.counts + (d, d)
         if tensor.shape != expected:
             raise ValueError(f"tensor shape {tensor.shape} does not match {expected}")
-        if check:
-            asym = np.max(np.abs(tensor - np.swapaxes(tensor, -1, -2)))
-            if asym > 1e-12 * max(1.0, float(np.max(np.abs(tensor)))):
-                raise ValueError("stress matrices must be symmetric")
+        asym = np.max(np.abs(tensor - np.swapaxes(tensor, -1, -2)))
+        if asym > 1e-12 * max(1.0, float(np.max(np.abs(tensor)))):
+            raise ValueError("stress matrices must be symmetric")
         self.grid = grid
         self.times = times
         self.tensor = tensor
-
-    @staticmethod
-    def zeros(grid: Grid, times) -> "ReynoldsField":
-        times = np.asarray(times, dtype=float)
-        d = grid.d
-        return ReynoldsField(grid, times, np.zeros((len(times),) + grid.counts + (d, d)))
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
 
-    def trace_integral(self, k: int) -> float:
-        """Integral of the trace measure over the domain at sample k."""
-        return float(self.trace_integrals()[k])
-
     def trace_integrals(self) -> np.ndarray:
+        """Integral of the trace measure over the domain at each sample."""
         tr = np.trace(self.tensor, axis1=-2, axis2=-1)
         return np.sum(tr, axis=tuple(range(1, tr.ndim))) * self.grid.cell_volume
 
@@ -101,10 +91,12 @@ class ReynoldsField:
                  upper=np.array(self.grid.upper))
 
     @staticmethod
-    def load_npz(path, grid: Grid | None = None) -> "ReynoldsField":
-        data = np.load(path)
-        if grid is None:
-            grid = Grid(counts=tuple(int(n) for n in data["counts"]),
-                        lower=tuple(float(x) for x in data["lower"]),
-                        upper=tuple(float(x) for x in data["upper"]))
-        return ReynoldsField(grid, data["times"], data["tensor"])
+    def load_npz(path, grid: Grid) -> "ReynoldsField":
+        """Read a field written by :meth:`save_npz` onto ``grid``, which must
+        have the stored cell counts and bounds."""
+        with np.load(path) as data:
+            stored = tuple(tuple(data[k].tolist()) for k in ("counts", "lower", "upper"))
+            if stored != (grid.counts, grid.lower, grid.upper):
+                raise ValueError(f"the field is stored on counts {stored[0]}, lower "
+                                 f"{stored[1]}, upper {stored[2]}, not on {grid}")
+            return ReynoldsField(grid, data["times"], data["tensor"])

@@ -66,7 +66,7 @@ class Trajectory:
     __slots__ = ("grid", "law", "times", "rho", "m", "energy", "e0", "mean_energies")
 
     def __init__(self, grid: Grid, law: GasLaw, times, states, energy,
-                 e0: float | None = None, check: bool = True, rtol: float = 1e-9):
+                 e0: float | None = None, check: bool = True):
         if not (isinstance(states, tuple) and isinstance(states[0], np.ndarray)):
             states = list(states)
             states = [s.rho for s in states], [s.m for s in states]
@@ -89,9 +89,9 @@ class Trajectory:
         self.mean_energies = integrate_energies(grid, rho, m, law)
         self.mean_energies.setflags(write=False)
         if check:
-            self._validate(rtol)
+            self._validate()
 
-    def _validate(self, rtol: float) -> None:
+    def _validate(self) -> None:
         t, E = self.times, self.energy
         if t.ndim != 1 or len(t) < 1 or len(t) != len(self.rho) or len(t) != len(E):
             raise ValueError("times, states and energy must have equal positive length")
@@ -103,7 +103,7 @@ class Trajectory:
             raise ValueError("sample times must be strictly increasing")
         if not np.all(np.isfinite(E)) or not math.isfinite(self.e0):
             raise ValueError("energy curve must be finite")
-        tol = rtol * max(1.0, abs(self.e0))
+        tol = 1e-9 * max(1.0, abs(self.e0))
         if E[0] > self.e0 + tol:
             raise ValueError(f"energy curve jumps up at t=0: E(0+)={E[0]} > E(0)={self.e0}")
         if len(E) > 1 and np.any(np.diff(E) > tol):
@@ -186,10 +186,6 @@ class OrderResult:
     relation: str
     T: float | None = None
     delta: float | None = None
-
-    def mirrored(self) -> "OrderResult":
-        flip = {"less": "greater", "greater": "less"}
-        return OrderResult(flip.get(self.relation, self.relation), self.T, self.delta)
 
 
 # -- weighted norms ---------------------------------------------------

@@ -88,7 +88,7 @@ def _riemann_sampled(n, t_end=0.4):
         rho, m = sample_cell_averages(sol, x, h, float(t))
         states.append(FluidState(g, rho, m[:, None]))
     energy = np.full(len(times), integrate_energy(states[0], LAW2))
-    return Trajectory(g, LAW2, times, states, energy, rtol=4 * h)
+    return Trajectory(g, LAW2, times, states, energy)
 
 
 def test_criterion_02_weak_form_residual_first_order():

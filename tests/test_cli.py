@@ -117,7 +117,7 @@ def test_ensemble_identical_nus_zero_reynolds(tmp_path):
     cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "ens"
     assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
-    R = ReynoldsField.load_npz(out / "reynolds.npz")
+    R = ReynoldsField.load_npz(out / "reynolds.npz", load_bundle(out / "average").grid)
     assert R.norm_scale() <= 1e-14
     assert (out / "member_00").is_dir() and (out / "member_01").is_dir()
     assert (out / "average" / "meta.json").is_file()
@@ -128,7 +128,7 @@ def test_ensemble_single_member_zero_reynolds(tmp_path):
     cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "ens"
     assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
-    R = ReynoldsField.load_npz(out / "reynolds.npz")
+    R = ReynoldsField.load_npz(out / "reynolds.npz", load_bundle(out / "average").grid)
     assert R.norm_scale() <= 1e-14
 
 
@@ -269,6 +269,25 @@ def test_diagnose_rejects_mismatched_reynolds_field(tmp_path, capsys, sample_dt,
     assert "malformed Reynolds field" in err and "sample times" in err
     assert not (tmp_path / "o").exists()
 
+
+
+def test_diagnose_rejects_reynolds_field_of_another_domain(tmp_path, capsys):
+    # same cell count and sample times, but the stress lives on [0, 5]
+    doc = run_config(tmp_path, extra={"kind": "ensemble", "nu_list": [0.2, 0.1]},
+                     grid={"counts": [32], "lower": [0.0], "upper": [5.0],
+                           "boundary": ["reflective"]})
+    ens = tmp_path / "ens"
+    assert main(["ensemble", "--config", write_config(tmp_path, "e.json", doc),
+                 "--out", str(ens)]) == 0
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", write_config(tmp_path, "r.json", run_config(tmp_path)),
+                 "--out", str(bundle)]) == 0
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle),
+                                             "reynolds": str(ens / "reynolds.npz")})
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed Reynolds field" in err and "upper (5.0,)" in err
+    assert not (tmp_path / "o").exists()
 
 # -- select --------------------------------------------------------------------
 
@@ -492,6 +511,41 @@ def test_ensemble_unmarchable_nu_is_config_error(tmp_path, capsys, nu, message):
     assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
 
+
+
+# -- configs the schema accepts but the program cannot build ---------------------
+
+def _riemann_doc(**overrides):
+    doc = {"kind": "riemann", "law": {"a": 1.0, "gamma": 2.0},
+           "rho_l": 1.0, "u_l": 0.0, "rho_r": 0.25, "u_r": 0.0,
+           "time": 0.2, "x_min": -1.0, "x_max": 1.0, "samples": 101}
+    doc.update(overrides)
+    return doc
+
+
+UNBUILDABLE_CONFIGS = {
+    "riemann-vacuum": lambda tmp: _riemann_doc(u_l=-10.0, u_r=10.0),
+    "missing-initial-file": lambda tmp: run_config(
+        tmp, initial={"file": str(tmp / "missing.csv")}),
+    "riemann-preset-without-rho_r": lambda tmp: run_config(
+        tmp, initial={"preset": "riemann", "rho_l": 1.0, "u_l": 0.0, "u_r": 0.0}),
+    "grid-bounds-of-another-dimension": lambda tmp: run_config(
+        tmp, grid={"counts": [32], "lower": [-1.0, 0.0], "upper": [1.0]}),
+    "constant-u-of-another-dimension": lambda tmp: run_config(
+        tmp, initial={"preset": "constant", "rho": 1.0, "u": [1.0, 2.0, 3.0]}),
+    "select-q-above-q_max": lambda tmp: {"kind": "select", "selection": {"q": 5},
+                                         "candidates": str(_write_candidates(tmp))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE_CONFIGS))
+def test_unbuildable_config_is_config_error(tmp_path, capsys, case):
+    doc = UNBUILDABLE_CONFIGS[case](tmp_path)
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main([doc["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 # -- one stacked march per ensemble ---------------------------------------------
 

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eulerlab.eos import (GasLaw, defect_constant, energy, energy_cellwise,
-                          pressure, pressure_potential)
+from eulerlab.eos import GasLaw, defect_constant, energy_cellwise, pressure
 from eulerlab.stress import kinetic_tensor
 
 # power-law values frozen from 50-digit arithmetic
@@ -39,13 +38,18 @@ def test_pressure_rejects_negative_density():
     with pytest.raises(ValueError):
         pressure(-0.1, GasLaw())
     with pytest.raises(ValueError):
-        pressure_potential(np.array([1.0, -2.0]), GasLaw())
+        energy_cellwise(np.array([1.0, -2.0]), np.zeros((2, 1)), GasLaw())
+
+
+def _potential(rho, law):
+    """Pressure potential P(rho): the extended energy at zero momentum."""
+    return energy_cellwise(rho, [0.0], law)
 
 
 def test_pressure_potential_values():
-    assert pressure_potential(1.0, GasLaw(a=1.0, gamma=2.0)) == 1.0
-    assert pressure_potential(0.0, GasLaw()) == 0.0
-    assert pressure_potential(2.0, GasLaw(a=1.0, gamma=1.4)) == pytest.approx(
+    assert _potential(1.0, GasLaw(a=1.0, gamma=2.0)) == 1.0
+    assert _potential(0.0, GasLaw()) == 0.0
+    assert _potential(2.0, GasLaw(a=1.0, gamma=1.4)) == pytest.approx(
         POW_2_14_OVER_04, rel=1e-14)
 
 
@@ -54,42 +58,44 @@ def test_potential_derivative_identity():
     law = GasLaw(a=1.3, gamma=1.6)
     for rho in (0.5, 1.0, 2.7, 10.0):
         h = 1e-6 * rho
-        dP = (pressure_potential(rho + h, law) - pressure_potential(rho - h, law)) / (2 * h)
-        lhs = dP * rho - pressure_potential(rho, law)
+        dP = (_potential(rho + h, law) - _potential(rho - h, law)) / (2 * h)
+        lhs = dP * rho - _potential(rho, law)
         assert lhs == pytest.approx(float(pressure(rho, law)), rel=1e-6)
 
 
 def test_energy_values():
     law = GasLaw(a=1.0, gamma=2.0)
-    assert energy(1.0, [0.0], law) == 1.0
-    assert energy(0.0, [0.0], law) == 0.0
-    assert energy(0.0, [1.0, 0.0], law) == math.inf
-    assert energy(2.0, [2.0], GasLaw(a=1.0, gamma=1.4)) == pytest.approx(
+    assert energy_cellwise(1.0, [0.0], law) == 1.0
+    assert energy_cellwise(0.0, [0.0], law) == 0.0
+    assert energy_cellwise(0.0, [1.0, 0.0], law) == math.inf
+    assert energy_cellwise(2.0, [2.0], GasLaw(a=1.0, gamma=1.4)) == pytest.approx(
         1.0 + POW_2_14_OVER_04, rel=1e-14)
+    assert energy_cellwise(3.0, [-4.0, 0.5], law) == pytest.approx(16.25 / 6.0 + 9.0, rel=1e-15)
     with pytest.raises(ValueError):
-        energy(-1.0, [0.0], law)
+        energy_cellwise(-1.0, [0.0], law)
 
 
 def test_energy_cellwise_matches_scalar():
+    # every cell of an array call equals the call on that cell's scalars
     law = GasLaw(a=2.0, gamma=1.4)
     rho = np.array([0.0, 0.0, 1.5, 3.0])
     m = np.array([[0.0], [2.0], [1.0], [-4.0]])
     e = energy_cellwise(rho, m, law)
     assert e[0] == 0.0
     assert e[1] == math.inf
-    assert e[2] == pytest.approx(energy(1.5, [1.0], law))
-    assert e[3] == pytest.approx(energy(3.0, [-4.0], law))
+    for k in range(len(rho)):
+        assert e[k] == energy_cellwise(rho[k], m[k], law)
 
 
 def test_energy_convexity_randomized():
     rng = np.random.default_rng(12345)
     law = GasLaw(a=1.0, gamma=1.4)
-    for _ in range(500):
+    for d in (1, 2) * 250:
         r1, r2 = rng.uniform(0.05, 4.0, size=2)
-        m1, m2 = rng.uniform(-3.0, 3.0, size=2)
+        m1, m2 = rng.uniform(-3.0, 3.0, size=(2, d))
         lam = rng.uniform(0.0, 1.0)
-        e_mid = energy(lam * r1 + (1 - lam) * r2, [lam * m1 + (1 - lam) * m2], law)
-        e_sum = lam * energy(r1, [m1], law) + (1 - lam) * energy(r2, [m2], law)
+        e_mid = energy_cellwise(lam * r1 + (1 - lam) * r2, lam * m1 + (1 - lam) * m2, law)
+        e_sum = lam * energy_cellwise(r1, m1, law) + (1 - lam) * energy_cellwise(r2, m2, law)
         assert e_mid <= e_sum + 1e-12 * max(1.0, abs(e_sum))
 
 
@@ -97,14 +103,14 @@ def test_energy_strict_convexity_randomized():
     rng = np.random.default_rng(54321)
     law = GasLaw(a=1.0, gamma=2.0)
     found = 0
-    for _ in range(500):
+    for d in (1, 2) * 250:
         r1, r2 = rng.uniform(0.1, 3.0, size=2)
-        m1, m2 = rng.uniform(-2.0, 2.0, size=2)
-        if math.hypot(r1 - r2, m1 - m2) < 1e-3:
+        m1, m2 = rng.uniform(-2.0, 2.0, size=(2, d))
+        if math.hypot(r1 - r2, *(m1 - m2)) < 1e-3:
             continue
         found += 1
-        e_mid = energy(0.5 * (r1 + r2), [0.5 * (m1 + m2)], law)
-        e_avg = 0.5 * energy(r1, [m1], law) + 0.5 * energy(r2, [m2], law)
+        e_mid = energy_cellwise(0.5 * (r1 + r2), 0.5 * (m1 + m2), law)
+        e_avg = 0.5 * energy_cellwise(r1, m1, law) + 0.5 * energy_cellwise(r2, m2, law)
         assert e_avg - e_mid >= 1e-10
     assert found > 400
 

@@ -169,7 +169,8 @@ def test_run_rejects_mixed_fluxes_and_no_scheme():
 def _stack(*states):
     """run's stack of the given states, member i in row i."""
     return solver_mod._Members(states[0].grid, np.stack([s.rho for s in states]),
-                               np.stack([s.m for s in states]), np.arange(len(states)))
+                               np.stack([s.m for s in states]), np.arange(len(states)),
+                               LAWS[2.0])
 
 
 def test_non_finite_nu_rejected():
