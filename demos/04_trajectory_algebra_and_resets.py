@@ -14,8 +14,8 @@ import numpy as np
 
 from eulerlab import (DataTriple, FluidState, GasLaw, Grid, SchemeSpec,
                       compare_local, concatenate, convex_combine,
-                      estimate_reynolds, improve, integrate_energy, run,
-                      shift, stopping_time)
+                      estimate_reynolds, improve, integrate_energy, reset_defects,
+                      run, shift)
 
 law = GasLaw(a=1.0, gamma=2.0)
 n = 96
@@ -25,11 +25,11 @@ rho0 = np.where(x < 0, 2.0, 0.2)
 state = FluidState(g, rho0, np.zeros((n, 1)))
 triple = DataTriple(state, integrate_energy(state, law))
 t_end, dt = 1.5, 0.05
-nus = (0.8, 0.4, 0.1)
+specs = [SchemeSpec(nu=nu) for nu in (0.8, 0.4, 0.1)]
 
 
 def ensemble_average(tr, horizon):
-    members = run(tr, [SchemeSpec(nu=nu) for nu in nus], law, horizon, dt,
+    members = run(tr, specs, law, horizon, dt,
                   energy_mode="budget")
     return estimate_reynolds(members)[1]
 
@@ -45,19 +45,10 @@ half, stress = convex_combine(base, base, 0.5)
 assert stress.norm_scale() <= 1e-12
 print("self-concatenation and self-combination behave as identities")
 
-# stopping-time / reset loop
+# stopping-time / reset loop: each continuation is marched only up to the
+# next time its averaged defect exceeds delta
 delta = 0.05 * base.e0
-result = base
-resets = []
-while True:
-    T_stop = stopping_time(result, delta)
-    if not np.isfinite(T_stop):
-        break
-    k = result.index_of(T_stop)
-    cont_triple = DataTriple(result.states[k], float(result.mean_energies[k]))
-    cont = ensemble_average(cont_triple, t_end - T_stop)
-    result = concatenate(result, cont, T_stop)
-    resets.append(T_stop)
+result, resets = reset_defects(triple, specs, law, t_end, dt, delta)
 print(f"delta = {delta:.4f}: {len(resets)} resets at t = "
       f"{[round(t, 2) for t in resets]}")
 print(f"max defect after resets: {result.defects().max():.4f} <= delta")

@@ -12,7 +12,7 @@ from .trajectory import (OrderResult, Trajectory, compare_admissible, compare_lo
                          stopping_time, weighted_norm)
 from .dissipative import (CertificateTolerances, DissipativeCertificate, TestFunction,
                           certify, compatibility, continuity_residual, default_dictionary,
-                          estimate_reynolds, momentum_residual)
+                          estimate_reynolds, momentum_residual, reset_defects)
 from .selection import (CandidateSet, F1, F2, MinimizerVerdict, SelectionReport,
                         check_concatenation_inequality, check_order_coherence,
                         check_shift_identity, default_lambda_grid,

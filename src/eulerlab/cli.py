@@ -29,10 +29,9 @@ from .fields import (DataTriple, FluidState, Grid, integrate_energy, load_state_
 from .riemann import RiemannData, solve_riemann
 from .solver import SchemeSpec, run
 from .stress import ReynoldsField
-from .trajectory import (Trajectory, concatenate, improve, load_bundle, require_shared,
-                         save_bundle, stopping_time)
+from .trajectory import improve, load_bundle, require_shared, save_bundle
 from .dissipative import (CertificateTolerances, certificate_to_json, certify,
-                          compatibility, estimate_reynolds, save_defect_csv)
+                          compatibility, estimate_reynolds, reset_defects, save_defect_csv)
 from .selection import (CandidateSet, check_order_coherence,
                         is_absolute_minimizer, select)
 from .svgplot import write_line_svg
@@ -286,9 +285,8 @@ def _write_json(path: str, doc: dict) -> None:
         f.write("\n")
 
 
-def _ensemble(cfg: dict, triple: DataTriple, law: GasLaw, t_end: float, mode: str):
-    """Run every viscosity of ``nu_list`` from ``triple`` to ``t_end``;
-    returns the members, their Reynolds stress and their average."""
+def _specs(cfg: dict) -> list:
+    """One scheme per viscosity of ``nu_list``."""
     scheme = _build_scheme(cfg)
     specs = []
     for i, nu in enumerate(cfg["nu_list"]):
@@ -296,6 +294,13 @@ def _ensemble(cfg: dict, triple: DataTriple, law: GasLaw, t_end: float, mode: st
             specs.append(replace(scheme, nu=float(nu)))
         except ValueError as e:
             raise ConfigError(f"ensemble member {i} (nu={nu}) failed: {e}")
+    return specs
+
+
+def _ensemble(cfg: dict, triple: DataTriple, law: GasLaw, t_end: float, mode: str):
+    """Run every viscosity of ``nu_list`` from ``triple`` to ``t_end``;
+    returns the members, their Reynolds stress and their average."""
+    specs = _specs(cfg)
     try:
         members = run(triple, specs, law, t_end, cfg["sample_dt"], energy_mode=mode)
     except Exception as e:  # a member's failure reads "member i (nu=...) failed: ..."
@@ -351,7 +356,10 @@ def cmd_diagnose(cfg: dict, out: str) -> int:
             raise ConfigError(f"malformed Reynolds field {cfg['reynolds']}: {e}")
     tol = CertificateTolerances.for_trajectory(
         traj, residual_factor=cfg.get("residual_factor", 10.0))
-    cert = certify(traj, R, tolerances=tol)
+    try:
+        cert = certify(traj, R, tolerances=tol)
+    except ValueError as e:  # certify records failures; it raises on data it cannot test
+        raise ConfigError(f"cannot certify bundle {bundle}: {e}")
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "certificate.json"), "w") as f:
         f.write(certificate_to_json(cert))
@@ -417,32 +425,18 @@ def cmd_riemann(cfg: dict, out: str) -> int:
 
 def cmd_dt1(cfg: dict, out: str) -> int:
     """Stopping-time/reset loop keeping the energy defect below delta."""
-    _, _, result, triple, law = _run_ensemble(cfg, "budget")
-    e0 = triple.E0
+    law = _build_law(cfg)
+    triple = _build_initial(cfg, _build_grid(cfg), law)
+    specs = _specs(cfg)
     if "delta" in cfg:
         delta = cfg["delta"]
     else:
-        delta = cfg.get("delta_rel", 0.05) * max(e0, 1e-300)
-    t_end = cfg["t_end"]
-    sample_dt = cfg["sample_dt"]
-    resets = []
-    guard = result.n_samples + 2
-    while guard > 0:
-        guard -= 1
-        T = stopping_time(result, delta)
-        if math.isinf(T):
-            break
-        k = result.index_of(T)
-        state = result.states[k]
-        mean_t = float(result.mean_energies[k])
-        horizon = t_end - T
-        if horizon <= 0.5 * sample_dt:
-            cont = Trajectory(result.grid, law, [0.0], [state],
-                              [mean_t], e0=mean_t)
-        else:
-            _, _, cont = _ensemble(cfg, DataTriple(state, mean_t), law, horizon, "budget")
-        result = concatenate(result, cont, T)
-        resets.append(float(T))
+        delta = cfg.get("delta_rel", 0.05) * max(triple.E0, 1e-300)
+    try:
+        result, resets = reset_defects(triple, specs, law, cfg["t_end"], cfg["sample_dt"],
+                                       delta)
+    except Exception as e:  # a member's failure reads "member i (nu=...) failed: ..."
+        raise ConfigError(f"ensemble {e}")
     max_defect = float(np.max(result.defects()))
     passed = max_defect <= delta * (1.0 + 1e-9)
     os.makedirs(out, exist_ok=True)

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eos import defect_constant, pressure
-from .fields import Grid, write_csv
+from .eos import GasLaw, defect_constant, pressure
+from .fields import DataTriple, Grid, integrate_energies, write_csv
+from .solver import March
 from .stress import ReynoldsField, convexity_gap, kinetic_tensor
-from .trajectory import Trajectory, require_shared
+from .trajectory import Trajectory, concatenate, require_shared, stopping_time
 
 __all__ = [
     "TestFunction",
@@ -29,6 +30,7 @@ __all__ = [
     "continuity_residual",
     "momentum_residual",
     "estimate_reynolds",
+    "reset_defects",
     "compatibility",
     "CertificateTolerances",
     "DissipativeCertificate",
@@ -148,8 +150,15 @@ def default_dictionary(grid: Grid, t_end: float) -> tuple:
     Three dyadic scales; at scale j the space bump half-width is a
     2^-j fraction of the interior, with {2, 4, 6} shifted centers and
     two shifted time bumps each (2*(2+4+6) = 24).  Vector members reuse
-    the bumps with the direction cycling through the axes.
+    the bumps with the direction cycling through the axes.  The bumps need
+    a positive horizon and an interior cell on every axis.
     """
+    if t_end <= 0:
+        raise ValueError(f"the test functions need a positive time horizon, got t_end={t_end} "
+                         f"(a single sample)")
+    if min(grid.counts) < 3:
+        raise ValueError(f"the test functions need at least 3 cells on every axis, got "
+                         f"counts {grid.counts}")
     d = grid.d
     t_lo, t_hi = 0.02 * t_end, 0.98 * t_end
     x_lo = [grid.lower[k] + grid.spacing[k] for k in range(d)]
@@ -263,6 +272,18 @@ def momentum_residual(traj: Trajectory, phi: TestFunction,
 
 # -- ensembles and the energy defect ----------------------------------
 
+def _mean(values, count: int):
+    """Equal-weight average of ``count`` members' values: a Python sum from
+    +0, so a generator keeps one member's temporaries alive at a time."""
+    return sum(values) / count
+
+
+def _sample_average(rhos: list, ms: list, k: int) -> tuple:
+    """``(rhobar, mbar)`` of sample k of the members' samples ``rhos``, ``ms``."""
+    K = len(rhos)
+    return _mean((rho[k] for rho in rhos), K), _mean((m[k] for m in ms), K)
+
+
 def estimate_reynolds(ensemble: list) -> tuple:
     """Reynolds stress of an equal-weight ensemble of trajectories.
 
@@ -285,19 +306,78 @@ def estimate_reynolds(ensemble: list) -> tuple:
     for tr in ensemble[1:]:
         require_shared(base, tr)
     K = len(ensemble)
-    rho_bar = np.zeros(base.rho.shape)  # not np.empty: see solver.run
+    rhos, ms = [tr.rho for tr in ensemble], [tr.m for tr in ensemble]
+    rho_bar = np.zeros(base.rho.shape)  # not np.empty: see solver.March
     m_bar = np.zeros(base.m.shape)
     tensor = np.zeros(base.m.shape + (base.grid.d,))
     for k in range(base.n_samples):
-        rho_bar[k] = sum(tr.rho[k] for tr in ensemble) / K
-        m_bar[k] = sum(tr.m[k] for tr in ensemble) / K
-        kin = sum(kinetic_tensor(tr.rho[k], tr.m[k]) for tr in ensemble) / K
-        pbar = sum(pressure(tr.rho[k], law) for tr in ensemble) / K
+        rho_bar[k], m_bar[k] = _sample_average(rhos, ms, k)
+        kin = _mean((kinetic_tensor(tr.rho[k], tr.m[k]) for tr in ensemble), K)
+        pbar = _mean((pressure(tr.rho[k], law) for tr in ensemble), K)
         tensor[k] = convexity_gap(kin, pbar, rho_bar[k], m_bar[k], law)
-    energy = sum(tr.energy for tr in ensemble) / K
-    e0 = sum(tr.e0 for tr in ensemble) / K
+    energy = _mean((tr.energy for tr in ensemble), K)
+    e0 = _mean((tr.e0 for tr in ensemble), K)
     avg = Trajectory(base.grid, law, base.times, (rho_bar, m_bar), energy, e0=e0)
     return ReynoldsField(base.grid, base.times.copy(), tensor), avg
+
+
+def _sample_defect(march: March, j: int) -> float:
+    """Energy defect at sample j of the average of a march's members, as
+    ``estimate_reynolds``'s averaged trajectory has it."""
+    rho_bar, m_bar = _sample_average(march.rho, march.m, j)
+    energies = march.energies(j)
+    return (_mean(energies, len(energies))
+            - integrate_energies(march.grid, rho_bar[None], m_bar[None], march.law)[0])
+
+
+def reset_defects(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_dt: float,
+                  delta: float) -> tuple:
+    """Stopping-time/reset loop keeping the energy defect at most delta.
+
+    The average of the "budget" ensemble marched from ``triple`` under
+    ``specs`` accumulates the scheme's dissipation as its defect.  At the
+    first sample time T whose defect exceeds delta, the energy is reset
+    to the mean energy and a new ensemble continues from the average's
+    state there; the pieces are joined by ``concatenate``.  Returns the
+    joined trajectory and the reset times.
+
+    A window is marched only up to the first sample whose averaged
+    defect, formed with ``estimate_reynolds``'s arithmetic, exceeds
+    delta: the defect at a sample depends on no later one.  Its members
+    are truncated there and averaged by ``estimate_reynolds``;
+    ``stopping_time`` judges T.  The loop makes at most n + 3 resets
+    (n = t_end / sample_dt); the window of the last one is marched to
+    t_end whatever its defect.
+    """
+    def window(start: DataTriple, horizon: float, last: bool) -> Trajectory:
+        march = March(start, specs, law, horizon, sample_dt, "budget")
+        for j in march:
+            if not last and _sample_defect(march, j) > delta:
+                break
+        return estimate_reynolds(march.members(j))[1]
+
+    result = window(triple, t_end, False)
+    resets = []
+    guard = round(t_end / sample_dt) + 3
+    while guard > 0:
+        guard -= 1
+        T = stopping_time(result, delta)
+        if math.isinf(T):
+            break
+        k = result.index_of(T)
+        state = result.states[k]
+        mean_t = float(result.mean_energies[k])
+        horizon = t_end - T
+        if horizon <= 0.5 * sample_dt:
+            cont = Trajectory(result.grid, law, [0.0], [state], [mean_t], e0=mean_t)
+        else:
+            cont = window(DataTriple(state, mean_t), horizon, guard == 0)
+        result = concatenate(result, cont, T)
+        resets.append(float(T))
+    if result.t_end < t_end - 0.5 * sample_dt:
+        raise RuntimeError(f"the reset loop stopped at t={result.t_end} short of "
+                           f"t_end={t_end}")
+    return result, resets
 
 
 def compatibility(traj: Trajectory, R: ReynoldsField | None) -> tuple:

@@ -6,14 +6,18 @@ nu * dx * Laplacian of the conserved variables enters through the
 diffusive interface flux -nu * (U_R - U_L).  Varying nu produces the
 vanishing-viscosity families the ensemble diagnostics consume.
 
-``run`` marches a whole family in one call.  The live members' fields
-are stacked along a leading member axis, ``rho`` (K, *counts) and ``m``
-(K, *counts, d), and each iteration is one ``stable_dt`` and one
-``step`` call on that stack.  The members share the flux; each keeps
-its own viscosity, CFL number, clock, dt and sample index, and a member
-that has taken its last sample is dropped from the stack.  A stack
-holds at most ``max(1, _STACK_CELLS // cells)`` members; further
-members march in later stacks.  ``step`` and ``stable_dt`` on a plain
+A ``March`` marches a whole family one sample at a time, and ``run``
+drains one.  The live members' fields are stacked along a leading
+member axis, ``rho`` (K, *counts) and ``m`` (K, *counts, d), and each
+iteration is one ``stable_dt`` and one ``step`` call on that stack.  The
+members share the flux; each keeps its own viscosity, CFL number, clock,
+dt and sample index, and a member that has taken its last sample is
+dropped from the stack.  A stack holds at most
+``max(1, _STACK_CELLS // cells)`` members; further members march in
+further stacks.  Each stack's march is a generator that yields once
+all its members have taken the next sample, and the stacks advance in
+turn, so a consumer that has what it needs at sample j stops there and
+no stack marches past it.  ``step`` and ``stable_dt`` on a plain
 ``FluidState`` are the one-member case of the same kernel, with the
 same results and messages.
 
@@ -43,7 +47,7 @@ from .eos import GasLaw, pressure, sound_speed
 from .fields import DataTriple, FluidState, integrate_energies, validate_initial_data
 from .trajectory import Trajectory
 
-__all__ = ["SchemeSpec", "CFLViolation", "stable_dt", "step", "run"]
+__all__ = ["SchemeSpec", "CFLViolation", "stable_dt", "step", "March", "run"]
 
 FLUX_KINDS = ("llf", "hll")
 ENERGY_MODES = ("envelope", "budget")
@@ -267,18 +271,17 @@ def step(state, spec, law: GasLaw, dt):
     return _Members(grid, rho_new, m_new, stack.ids, law)
 
 
-def _march(live: _Members, specs, law: GasLaw, times, tol: float):
+def _march(live: _Members, specs, law: GasLaw, times, tol: float, rho, m):
     """Step the stack ``live`` until each of its members has taken its last
-    sample; returns their samples, rho (K, n + 1, *counts) and m."""
+    sample, storing sample k of stack row i in ``rho[i, k]`` and ``m[i, k]``.
+    A generator: it yields j once every member has taken sample j, for
+    j = 1, ..., n."""
     n = len(times) - 1
     live_specs = [specs[i] for i in live.ids]
-    # not np.empty: lower peak RSS, measured
-    rho = np.zeros((len(live_specs), n + 1) + live.grid.counts)
-    m = np.zeros(rho.shape + (live.grid.d,))
-    rho[:, 0], m[:, 0] = live.rho, live.m
     row = np.arange(len(live_specs))
     t = np.zeros(len(live_specs))
     k = np.ones(len(live_specs), dtype=int)  # each member's next sample
+    taken = 0  # samples every member has taken
     while live_specs:
         dt = stable_dt(live, live_specs, law)
         tiny = dt < tol
@@ -301,7 +304,88 @@ def _march(live: _Members, specs, law: GasLaw, times, tol: float):
                 live = _Members(live.grid, live.rho[keep], live.m[keep], live.ids[keep], law)
                 live_specs = [specs[i] for i in live.ids]
                 row, t, k = row[keep], t[keep], k[keep]
-    return rho, m
+            # a member takes at most one sample per step, so this is taken + 1
+            # when the slowest member takes its sample
+            if (int(k.min()) - 1 if len(k) else n) > taken:
+                taken += 1
+                yield taken
+
+
+class March:
+    """``run`` one sample at a time: the members of ``specs`` (they share the
+    flux) march ``triple`` toward t_end, sampled every sample_dt.
+
+    Iterating a march (once) yields j = 0, 1, ..., n once every member has
+    taken sample j, sample 0 being the initial state.  The members advance
+    in stacks of at most ``max(1, _STACK_CELLS // cells)``, and for each j
+    the stacks advance in turn, each until its members have taken sample j;
+    a consumer that stops at sample j leaves every later sample unmarched.
+    ``members(j)`` are the members' trajectories on samples 0..j, and
+    ``rho``, ``m`` each member's sample arrays, filled up to the last j
+    yielded.  The arguments and their errors are those of :func:`run`.
+    """
+
+    def __init__(self, triple: DataTriple, specs, law: GasLaw, t_end: float,
+                 sample_dt: float, energy_mode: str = "envelope"):
+        if energy_mode not in ENERGY_MODES:
+            raise ValueError(f"energy_mode must be one of {ENERGY_MODES}")
+        if not (t_end > 0 and sample_dt > 0):
+            raise ValueError("t_end and sample_dt must be positive")
+        n = int(round(t_end / sample_dt))
+        if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * t_end:
+            raise ValueError("sample_dt must divide t_end")
+        specs = tuple(specs)
+        if not specs:
+            raise ValueError("need at least one scheme")
+        if len({s.flux for s in specs}) > 1:
+            raise ValueError("the schemes of one run must share the flux")
+        report = validate_initial_data(triple, law)
+        if not report.accepted:
+            raise ValueError("initial data rejected: " + "; ".join(report.messages))
+
+        state = triple.state0
+        self.grid, self.law, self.energy_mode, self.e0 = state.grid, law, energy_mode, triple.E0
+        self.times = sample_dt * np.arange(n + 1)
+        group = max(1, _STACK_CELLS // math.prod(self.grid.counts))
+        self.rho, self.m = [], []  # each member's samples
+        self._stacks = []
+        for first in range(0, len(specs), group):
+            ids = np.arange(first, min(first + group, len(specs)))
+            live = _Members(self.grid, np.repeat(state.rho[None], len(ids), axis=0),
+                            np.repeat(state.m[None], len(ids), axis=0), ids, law)
+            # not np.empty: lower peak RSS, measured
+            rho = np.zeros((len(ids), n + 1) + self.grid.counts)
+            m = np.zeros(rho.shape + (self.grid.d,))
+            rho[:, 0], m[:, 0] = live.rho, live.m
+            self.rho.extend(rho)
+            self.m.extend(m)
+            self._stacks.append(_march(live, specs, law, self.times, 1e-14 * t_end, rho, m))
+
+    def __iter__(self):
+        yield 0
+        for j in range(1, len(self.times)):
+            for stack in self._stacks:
+                next(stack)
+            yield j
+
+    def _energy(self, rho, m):
+        """A member's total-energy curve on its samples rho, m (see :func:`run`)."""
+        mean = integrate_energies(self.grid, rho, m, self.law)
+        if self.energy_mode == "envelope":
+            return np.minimum.accumulate(mean)
+        return np.full(len(mean), mean[0])
+
+    def energies(self, j: int) -> list:
+        """Each member's total energy E(t_j+), as ``members(j)`` has it."""
+        return [self._energy(rho[:j + 1], m[:j + 1])[j] for rho, m in zip(self.rho, self.m)]
+
+    def members(self, j: int | None = None) -> list:
+        """One ``Trajectory`` per scheme on the samples 0..j (all by
+        default), with the total-energy curve of :func:`run`."""
+        j = len(self.times) - 1 if j is None else j
+        return [Trajectory(self.grid, self.law, self.times[:j + 1], (rho[:j + 1], m[:j + 1]),
+                           self._energy(rho[:j + 1], m[:j + 1]), e0=self.e0)
+                for rho, m in zip(self.rho, self.m)]
 
 
 def run(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_dt: float,
@@ -319,37 +403,10 @@ def run(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_dt: float,
     * "budget": the per-step dissipation is tracked and added back, so
       the curve is the constant initial mean energy (the discrete
       analogue of an energy-conserving total for smooth flow).
-    """
-    if energy_mode not in ENERGY_MODES:
-        raise ValueError(f"energy_mode must be one of {ENERGY_MODES}")
-    if not (t_end > 0 and sample_dt > 0):
-        raise ValueError("t_end and sample_dt must be positive")
-    n = int(round(t_end / sample_dt))
-    if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * t_end:
-        raise ValueError("sample_dt must divide t_end")
-    specs = tuple(specs)
-    if not specs:
-        raise ValueError("need at least one scheme")
-    if len({s.flux for s in specs}) > 1:
-        raise ValueError("the schemes of one run must share the flux")
-    report = validate_initial_data(triple, law)
-    if not report.accepted:
-        raise ValueError("initial data rejected: " + "; ".join(report.messages))
 
-    times = sample_dt * np.arange(n + 1)
-    state = triple.state0
-    grid = state.grid
-    group = max(1, _STACK_CELLS // math.prod(grid.counts))
-    trajectories = []
-    for first in range(0, len(specs), group):
-        ids = np.arange(first, min(first + group, len(specs)))
-        live = _Members(grid, np.repeat(state.rho[None], len(ids), axis=0),
-                        np.repeat(state.m[None], len(ids), axis=0), ids, law)
-        for rho, m in zip(*_march(live, specs, law, times, 1e-14 * t_end)):
-            mean = integrate_energies(grid, rho, m, law)
-            if energy_mode == "envelope":
-                energy = np.minimum.accumulate(mean)
-            else:
-                energy = np.full(n + 1, mean[0])
-            trajectories.append(Trajectory(grid, law, times, (rho, m), energy, e0=triple.E0))
-    return trajectories
+    This drains a :class:`March`.
+    """
+    march = March(triple, specs, law, t_end, sample_dt, energy_mode)
+    for _ in march:
+        pass
+    return march.members()

@@ -471,7 +471,7 @@ def load_bundle(dirpath: str, check: bool = True) -> Trajectory:
     if len(raw) != len(times):
         raise ValueError("energy.csv rows do not match the sample times")
     energy = raw[:, 1]
-    rho = np.zeros((len(times),) + grid.counts)  # not np.empty: see solver.run
+    rho = np.zeros((len(times),) + grid.counts)  # not np.empty: see solver.March
     m = np.zeros(rho.shape + (grid.d,))
     for k in range(len(times)):
         state = load_state_csv(grid, os.path.join(dirpath, f"state_{k:06d}.csv"), check=check)

@@ -289,6 +289,37 @@ def test_diagnose_rejects_reynolds_field_of_another_domain(tmp_path, capsys):
     assert "malformed Reynolds field" in err and "upper (5.0,)" in err
     assert not (tmp_path / "o").exists()
 
+
+def _two_cell_bundle(tmp_path):
+    doc = run_config(tmp_path)
+    doc["grid"]["counts"] = [2]
+    cfg = write_config(tmp_path, "r.json", doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "bundle")]) == 0
+    return tmp_path / "bundle"
+
+
+def _one_sample_bundle(tmp_path):
+    g = Grid(counts=(16,), lower=(-1.0,), upper=(1.0,))
+    s = FluidState.constant(g, 1.0, 0.0)
+    e = integrate_energy(s, LAW2)
+    save_bundle(Trajectory(g, LAW2, [0.0], [s], [e]), tmp_path / "bundle")
+    return tmp_path / "bundle"
+
+
+@pytest.mark.parametrize("bundle, reason", [
+    (_two_cell_bundle, "need at least 3 cells on every axis, got counts (2,)"),
+    (_one_sample_bundle, "need a positive time horizon, got t_end=0.0 (a single sample)"),
+])
+def test_diagnose_untestable_bundle_is_config_error(tmp_path, capsys, bundle, reason):
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose",
+                                             "bundle": str(bundle(tmp_path))})
+    capsys.readouterr()
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot certify bundle ") and reason in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
 # -- select --------------------------------------------------------------------
 
 def _write_candidates(tmp_path):
@@ -587,6 +618,20 @@ def _tree_digest(root):
     return h.hexdigest()
 
 
+def _pinned_doc(kind, counts=64, t_end=0.5, sample_dt=0.05):
+    doc = {"kind": kind,
+           "grid": {"counts": [counts], "lower": [-1.0], "upper": [1.0],
+                    "boundary": ["reflective"]},
+           "law": {"a": 1.0, "gamma": 2.0}, "scheme": {"flux": "hll", "cfl": 0.9},
+           "t_end": t_end, "sample_dt": sample_dt,
+           "initial": {"preset": "riemann", "rho_l": 1.0, "u_l": 0.0,
+                       "rho_r": 0.25, "u_r": 0.0},
+           "nu_list": [0.4, 0.2, 0.1]}
+    if kind == "dt1-demo":
+        doc["delta_rel"] = 0.005
+    return doc
+
+
 # sha256 of every output file (path and bytes) of a 64-cell HLL Riemann
 # datum with nu_list [0.4, 0.2, 0.1]; recorded when each viscosity was
 # marched by its own run call (dt1-demo resets five times)
@@ -599,17 +644,62 @@ TREE_DIGESTS = {
 
 @pytest.mark.parametrize("kind", sorted(TREE_DIGESTS))
 def test_ensemble_output_trees_pinned(tmp_path, kind):
-    doc = {"kind": kind,
-           "grid": {"counts": [64], "lower": [-1.0], "upper": [1.0],
-                    "boundary": ["reflective"]},
-           "law": {"a": 1.0, "gamma": 2.0}, "scheme": {"flux": "hll", "cfl": 0.9},
-           "t_end": 0.5, "sample_dt": 0.05,
-           "initial": {"preset": "riemann", "rho_l": 1.0, "u_l": 0.0,
-                       "rho_r": 0.25, "u_r": 0.0},
-           "nu_list": [0.4, 0.2, 0.1]}
-    if kind == "dt1-demo":
-        doc["delta_rel"] = 0.005
-    cfg = write_config(tmp_path, "c.json", doc)
+    cfg = write_config(tmp_path, "c.json", _pinned_doc(kind))
     out = tmp_path / "o"
     main([kind, "--config", cfg, "--out", str(out)])
     assert _tree_digest(out) == TREE_DIGESTS[kind]
+
+
+# the dt1-demo output tree of a 2048-cell datum, whose three members march
+# in three stacks of one (2048 > _STACK_CELLS / 2); it resets three times,
+# the last time at t_end.  Recorded when every window was marched to t_end
+DT1_THREE_STACKS_DIGEST = "fe922d6bffb7d0bafd7f6c7aa95e2f4d4d8f33c5235002d84f975ff2ec343f04"
+
+
+def test_dt1_three_stacks_output_tree_pinned(tmp_path):
+    import eulerlab.solver as solver_mod
+    assert solver_mod._STACK_CELLS // 2048 == 1
+    doc = _pinned_doc("dt1-demo", counts=2048, t_end=0.05, sample_dt=0.01)
+    doc["delta_rel"] = 0.0005
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert main(["dt1-demo", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["resets"] == [0.01, 0.03, 0.05]
+    assert _tree_digest(out) == DT1_THREE_STACKS_DIGEST
+
+
+def _fail_first_window_at(monkeypatch, sample):
+    """Make the first window's march fail as it reaches ``sample``, as a step
+    guard fails: naming the member and its viscosity."""
+    import eulerlab.solver as solver_mod
+    inner, marches = solver_mod._march, []
+
+    def failing_march(live, specs, *args):
+        marches.append(live)
+        for j in inner(live, specs, *args):
+            if len(marches) == 1 and j == sample:
+                raise ValueError(f"member 1 (nu={specs[1].nu}) failed: injected at sample {j}")
+            yield j
+
+    monkeypatch.setattr(solver_mod, "_march", failing_march)
+
+
+def test_dt1_member_failure_in_a_kept_window_is_config_error(tmp_path, capsys, monkeypatch):
+    # the pinned datum's first reset is at t = 0.05, sample 1 of the first
+    # window, so sample 1 is kept
+    cfg = write_config(tmp_path, "c.json", _pinned_doc("dt1-demo"))
+    _fail_first_window_at(monkeypatch, 1)
+    assert main(["dt1-demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: ensemble member 1 (nu=0.2) failed: injected at sample 1\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_dt1_member_failure_in_a_discarded_tail_is_never_reached(tmp_path, monkeypatch):
+    # sample 2 of the first window lies past its reset, so the window stops
+    # before it and the output is the pinned tree
+    cfg = write_config(tmp_path, "c.json", _pinned_doc("dt1-demo"))
+    _fail_first_window_at(monkeypatch, 2)
+    out = tmp_path / "o"
+    assert main(["dt1-demo", "--config", cfg, "--out", str(out)]) == 0
+    assert _tree_digest(out) == TREE_DIGESTS["dt1-demo"]

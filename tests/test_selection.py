@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eulerlab.eos import GasLaw
-from eulerlab.fields import FluidState, Grid, integrate_energy
+from eulerlab.fields import FluidState, Grid, integrate_energies, integrate_energy
 from eulerlab.trajectory import (Trajectory, compare_admissible, compare_local,
                                  convex_combine, shift, weighted_norm)
 from eulerlab.selection import (CandidateSet, F1, F2, check_concatenation_inequality,
@@ -461,3 +461,79 @@ def test_f1_affine_under_generated_convex_combinations(pair, lam):
     u, v = pair
     w, _ = convex_combine(u, v, lam)
     assert F1(w) == pytest.approx(lam * F1(u) + (1.0 - lam) * F1(v), rel=1e-12, abs=1e-12)
+
+
+# -- the semigroup property of the selection -----------------------------------
+
+@st.composite
+def split_candidates(draw):
+    """Two to four candidates on one grid and time line that agree exactly in
+    fields up to a sample time T = t_k and in energy before it, and part
+    after.  A candidate may repeat another's later fields or energy slack,
+    so exact F1 and F2 ties occur.  Each curve is a shared floor (the
+    running maximum of every candidate's later mean energies) plus its own
+    non-increasing slack; returns the candidates and T."""
+    n, cells = draw(st.integers(3, 6)), draw(st.integers(2, 4))
+    k = draw(st.integers(1, n - 2))
+    g = unit_grid(cells)
+
+    def fields(count):
+        return (draw(hnp.arrays(float, (count, cells), elements=st.floats(0.25, 2.0))),
+                draw(hnp.arrays(float, (count, cells, 1), elements=st.floats(-1.0, 1.0))))
+
+    def slack(count):
+        values = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=count,
+                               max_size=count))
+        return np.sort(values)[::-1]
+
+    head = fields(k + 1)
+    tails, slacks = [], []
+    for i in range(draw(st.integers(2, 4))):
+        repeat = i > 0 and draw(st.booleans())
+        tails.append(tails[draw(st.integers(0, i - 1))] if repeat else fields(n - k - 1))
+        slacks.append(slacks[draw(st.integers(0, i - 1))] if i and draw(st.booleans())
+                      else slack(n - k))
+    rho = [np.concatenate([head[0], t[0]]) for t in tails]
+    m = [np.concatenate([head[1], t[1]]) for t in tails]
+    means = np.array([integrate_energies(g, r, mk, LAW2) for r, mk in zip(rho, m)])
+    floor = np.maximum.accumulate(means.max(axis=0)[::-1])[::-1]
+    # the shared head lies above every candidate's energy at t_k
+    head_energy = floor[:k] + max(sl[0] for sl in slacks) + slack(k)
+    times = 0.25 * np.arange(n)
+    members = [Trajectory(g, LAW2, times, (r, mk),
+                          np.concatenate([head_energy, floor[k:] + sl]), e0=head_energy[0])
+               for r, mk, sl in zip(rho, m, slacks)]
+    return members, float(times[k])
+
+
+def _separated(values):
+    """Every two values are equal or further apart than 1000 times select's
+    default tie tolerance."""
+    values = [v for v in values if v is not None]
+    tol = 1e-6 * max(abs(min(values)), 1e-30)
+    return all(a == b or abs(a - b) > tol for a in values for b in values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=split_candidates(), variant=st.sampled_from(["full", "momentum-only"]))
+def test_selection_commutes_with_shift(case, variant):
+    # candidates that agree up to T differ only in their shifted tails, and
+    # shifting scales every F1 and F2 gap by e^T
+    members, T = case
+    reports = [select(CandidateSet(c), variant=variant)
+               for c in (members, [shift(u, T) for u in members])]
+    assume(all(_separated(r.f1_values) and _separated(r.f2_values) for r in reports))
+    assert reports[0].survivors == reports[1].survivors
+    assert reports[0].selected == reports[1].selected
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=split_candidates())
+def test_order_coherence_on_generated_less_pairs(case):
+    members, _ = case
+    for u in members:
+        for v in members:
+            order = compare_local(u, v)
+            if order.relation == "less":
+                _, violations = check_order_coherence(u, v, order)
+                assert violations == []
