@@ -246,10 +246,12 @@ def check_order_coherence(less: Trajectory, greater: Trajectory,
     (T, T+delta), computes the rate threshold 2*max(E0)/gap (gap = time
     integral of the energy difference over the window) above which the
     transform difference must be negative, and returns the threshold
-    together with any violating rates of the default grid.
+    together with any violating rates of the default grid.  The transform
+    starts at T: compare_local found the samples before it equal.
     """
     if order.relation != "less" or order.T is None:
         raise ValueError("coherence check needs a 'less' result with a witness window")
+    require_shared(less, greater)
     k = less.index_of(order.T)
     t_hi = order.T + order.delta if math.isfinite(order.delta) else math.inf
     gap = 0.0
@@ -265,9 +267,7 @@ def check_order_coherence(less: Trajectory, greater: Trajectory,
     if gap <= 0:
         raise ValueError("witness window carries no positive energy gap")
     threshold = 2.0 * max(less.e0, greater.e0) / gap
-    violations = []
-    for lam in default_lambda_grid():
-        if lam >= threshold:
-            if laplace_gap(less, greater, lam) >= 0:
-                violations.append(float(lam))
+    diff = less.energy[k:] - greater.energy[k:]
+    violations = [float(lam) for lam in default_lambda_grid()
+                  if lam >= threshold and np.dot(exp_weights(times, lam)[k:], diff) >= 0]
     return threshold, violations

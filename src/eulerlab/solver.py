@@ -7,9 +7,11 @@ diffusive interface flux -nu * (U_R - U_L).  Varying nu produces the
 vanishing-viscosity families the ensemble diagnostics consume.
 
 A ``March`` marches a whole family one sample at a time, and ``run``
-drains one.  The live members' fields are stacked along a leading
-member axis, ``rho`` (K, *counts) and ``m`` (K, *counts, d), and each
-iteration is one ``stable_dt`` and one ``step`` call on that stack.  The
+drains one.  The live members' conserved variables form one array ``U``
+(1 + d, K, *counts), component first: ``U[0]`` is the density and
+``U[1:]`` the momentum of each member, so one code path serves both.
+Each iteration is one ``stable_dt`` and one ``step`` call on that stack,
+and the samples are split into density and momentum buffers.  The
 members share the flux; each keeps its own viscosity, CFL number, clock,
 dt and sample index, and a member that has taken its last sample is
 dropped from the stack.  A stack holds at most
@@ -24,10 +26,10 @@ same results and messages.
 A stack owns its primitives: ``_Members`` computes velocity, sound speed
 and the per-axis maximal wave speeds once, when it is built (``step``
 builds the next one), and ``stable_dt``, ``step``'s re-check of the CFL
-bound and the flux pass all read them.  Each axis sweep ghost-extends
-(rho, m, u, c) and evaluates pressure and physical flux once per cell
-of the extension; the left and right states of every interface are
-views into it.
+bound and the flux pass all read them.  Each axis sweep packs (U, u, c)
+into one array, ghost-extended by slice copies, and evaluates pressure
+and physical flux once per cell of it; the left and right states of
+every interface are views into it.
 
 ``step`` rejects a dt above the bound and a NaN dt; ``run`` rejects a
 stable dt below its clock tolerance.  Negative densities and non-finite
@@ -82,29 +84,35 @@ class SchemeSpec:
 
 
 class _Members:
-    """The live members of ``run``'s march: ``rho`` (K, *counts) and ``m``
-    (K, *counts, d) on one grid, ``ids``, each row's position in ``run``'s
-    list of schemes (None for a lone state), and the primitives under
-    ``law``: velocity ``u``, sound speed ``c`` and, per cell axis k, the
-    list of each member's maximal wave speed ``max|u_k| + c``.  ``stable_dt``
-    and ``step`` on a stack must be given the law it was built under."""
+    """The live members of ``run``'s march on one grid: their conserved
+    variables ``U`` (1 + d, K, *counts), component first (``U[0]`` the
+    densities, ``U[1:]`` the momentum components), ``ids``, each row's
+    position in ``run``'s list of schemes (None for a lone state), and the
+    primitives under ``law``: velocity ``u`` (d, K, *counts), sound speed
+    ``c`` (K, *counts) and, per cell axis k, the list of each member's
+    maximal wave speed ``max|u_k| + c``.  ``stable_dt`` and ``step`` on a
+    stack must be given the law it was built under."""
 
-    __slots__ = ("grid", "rho", "m", "ids", "u", "c", "speeds")
+    __slots__ = ("grid", "U", "ids", "u", "c", "speeds")
 
-    def __init__(self, grid, rho, m, ids, law: GasLaw):
-        self.grid, self.rho, self.m, self.ids = grid, rho, m, ids
-        self.u = np.divide(m, rho[..., None], out=np.zeros_like(m), where=(rho > 0)[..., None])
-        self.c = sound_speed(rho, law)
-        cells = tuple(range(1, rho.ndim))
-        self.speeds = [(np.abs(self.u[..., k]) + self.c).max(axis=cells).tolist()
-                       for k in range(grid.d)]
+    def __init__(self, grid, U, ids, law: GasLaw):
+        self.grid, self.U, self.ids = grid, U, ids
+        self.u = np.divide(U[1:], U[0], out=np.zeros(U[1:].shape), where=U[0] > 0)
+        self.c = sound_speed(U[0], law)
+        cells = tuple(range(1, self.c.ndim))
+        self.speeds = [(np.abs(u_k) + self.c).max(axis=cells).tolist() for u_k in self.u]
+
+
+def _pack(rho, m):
+    """``U`` of densities ``rho`` (K, *counts) and momenta ``m`` (K, *counts, d)."""
+    return np.concatenate((rho[None], np.moveaxis(m, -1, 0)))
 
 
 def _members(state, spec, law: GasLaw):
     """``state`` as a stack and one scheme per row: a ``FluidState`` is
     wrapped as a stack of one under ``law``."""
     if isinstance(state, FluidState):
-        return _Members(state.grid, state.rho[None], state.m[None], None, law), (spec,)
+        return _Members(state.grid, _pack(state.rho[None], state.m[None]), None, law), (spec,)
     return state, spec
 
 
@@ -131,51 +139,55 @@ def stable_dt(state, spec, law: GasLaw):
     return dt[0] if stack.ids is None else np.array(dt)
 
 
-def _extend(rho, m, u, c, axis: int, boundary: str):
-    """Ghost-extend rho, m, the normal velocity and the sound speed (member
-    axis first) by one cell per side along cell ``axis``: indices -1 and n
-    wrap round (periodic) or clip to the edge cell, the mirror cell of a
-    reflective wall, whose normal momentum and velocity are negated."""
-    index = np.arange(-1, rho.shape[axis + 1] + 1)
-    mode = "wrap" if boundary == "periodic" else "clip"
-    rho, m, un, c = (a.take(index, axis + 1, mode=mode) for a in (rho, m, u[..., axis], c))
+def _extend(stack: _Members, axis: int, boundary: str):
+    """The stack's U, normal velocity and sound speed as one array of 3 + d
+    components, ghost-extended by one cell per side along cell ``axis`` by
+    slice copies: the ghost cells copy the cells across the wrap (periodic)
+    or the edge cells, the mirror cells of a reflective wall, whose normal
+    momentum and velocity are negated."""
+    U, n = stack.U, stack.U.shape[axis + 2]
+    ext = np.empty((len(U) + 2,) + U.shape[1:axis + 2] + (n + 2,) + U.shape[axis + 3:])
+    lead = (slice(None),) * (axis + 1)  # member axis and earlier cell axes
+    inner = lead + (slice(1, -1),)
+    ext[(slice(None, -2),) + inner] = U
+    ext[(-2,) + inner] = stack.u[axis]
+    ext[(-1,) + inner] = stack.c
+    # the two ghost cells, 0 and n + 1, as one strided view
+    wall = lead + (slice(None, None, n + 1),)
+    ext[(slice(None),) + wall] = ext[(slice(None),) + lead + (
+        slice(n, 0, 1 - n) if boundary == "periodic" else slice(1, n + 1, n - 1),)]
     if boundary == "reflective":
-        # the two ghost cells, 0 and n + 1, as one strided view
-        wall = (slice(None),) * (axis + 1) + (slice(None, None, len(index) - 1),)
-        m[wall + (..., axis)] *= -1.0
+        ext[(1 + axis,) + wall] *= -1.0
         # a vacuum ghost keeps velocity +0.0, not the -0.0 of a negation.
         # Not in place (out=g): NumPy 2.4 then writes wrong elements of
         # this strided view when the member axis has length 1
-        g = un[wall]
-        un[wall] = np.negative(g, out=np.zeros_like(g), where=rho[wall] > 0)
-    return rho, m, un, c
+        g = ext[(-2,) + wall]
+        ext[(-2,) + wall] = np.negative(g, out=np.zeros_like(g), where=ext[(0,) + wall] > 0)
+    return ext
 
 
-def _interface_flux(rho, m, un, c, law, flux, nu, axis):
-    """Numerical flux between cells j and j + 1 of ghost-extended (rho, m,
-    un, c), whose first axis is the swept one; the physical flux is
-    evaluated once per cell.  ``nu`` is the viscosity at each interface.
+def _interface_flux(ext, law, flux, nu, axis):
+    """Numerical flux between cells j and j + 1 of ``_extend``'s packed
+    (U, un, c), whose second axis is the swept one; the physical flux
+    is evaluated once per cell.  ``nu`` is the viscosity at each interface.
 
     The arithmetic is written in place to keep temporaries few; each line
     keeps the order of operations of the formula in its comment."""
-    f_rho = m[..., axis]
-    f_m = m * un[..., None]
-    f_m[..., axis] += pressure(rho, law)
-    fl_rho, fr_rho, fl_m, fr_m = f_rho[:-1], f_rho[1:], f_m[:-1], f_m[1:]
-    d_rho = rho[1:] - rho[:-1]
-    d_m = m[1:] - m[:-1]
+    U, un, c = ext[:-2], ext[-2], ext[-1]
+    f = U * un
+    f[0] = U[1 + axis]
+    f[1 + axis] += pressure(U[0], law)
+    fl, fr = f[:, :-1], f[:, 1:]
+    dU = U[:, 1:] - U[:, :-1]
     if flux == "llf":
         # 0.5 (F_L + F_R) - 0.5 s (U_R - U_L)
         a = np.abs(un)
         a += c
         s = np.maximum(a[:-1], a[1:])
         s *= 0.5
-        f_rho = fl_rho + fr_rho
-        f_rho *= 0.5
-        f_rho -= s * d_rho
-        f_m = fl_m + fr_m
-        f_m *= 0.5
-        f_m -= s[..., None] * d_m
+        f = fl + fr
+        f *= 0.5
+        f -= s * dU
     else:  # hll: (s_R F_L - s_L F_R + s_L s_R (U_R - U_L)) / (s_R - s_L)
         lo, hi = un - c, un + c
         sl = np.minimum(lo[:-1], lo[1:])
@@ -184,35 +196,18 @@ def _interface_flux(rho, m, un, c, law, flux, nu, axis):
         np.maximum(sr, 0.0, out=sr)
         den = sr - sl
         den = np.where(den > 0, den, 1.0)
-        ss = sl * sr
-        f_rho = sr * fl_rho
-        f_rho -= sl * fr_rho
-        f_rho += ss * d_rho
-        f_rho /= den
-        f_m = sr[..., None] * fl_m
-        f_m -= sl[..., None] * fr_m
-        f_m += ss[..., None] * d_m
-        f_m /= den[..., None]
+        f = sr * fl
+        f -= sl * fr
+        f += (sl * sr) * dU
+        f /= den
     viscous = nu > 0
     if viscous.any():
-        d_rho *= nu
-        d_m *= nu[..., None]
+        dU *= nu
         if viscous.all():
-            f_rho -= d_rho
-            f_m -= d_m
+            f -= dU
         else:  # skipped where nu = 0: f - 0.0 * x turns a -0.0 flux into +0.0
-            np.subtract(f_rho, d_rho, out=f_rho, where=viscous)
-            np.subtract(f_m, d_m, out=f_m, where=viscous[..., None])
-    return f_rho, f_m
-
-
-def _difference(f, shape):
-    """``f[j] - f[j - 1]`` at each cell j of a merged ghost-extended array,
-    from its fluxes ``f`` between cells j and j + 1, reshaped to the
-    extended ``shape``; the values at the ghost cells are not set."""
-    d = np.empty((len(f) + 1,) + f.shape[1:])
-    np.subtract(f[1:], f[:-1], out=d[1:-1])
-    return d.reshape(shape)
+            np.subtract(f, dU, out=f, where=viscous)
+    return f
 
 
 def step(state, spec, law: GasLaw, dt):
@@ -224,7 +219,6 @@ def step(state, spec, law: GasLaw, dt):
     """
     stack, specs = _members(state, spec, law)
     dt_max = stable_dt(stack, specs, law)
-    rho, m = stack.rho, stack.m
     dt = np.asarray(dt, dtype=float).reshape(-1)
     ok = dt <= np.multiply(dt_max, 1.0 + 1e-12)  # also rejects a NaN dt or bound
     if not ok.all():
@@ -234,41 +228,38 @@ def step(state, spec, law: GasLaw, dt):
     grid = stack.grid
     nu = np.array([s.nu for s in specs])
     member = (len(specs),) + (1,) * grid.d  # shape of a per-member factor
-    rho_new = rho.copy()
-    m_new = m.copy()
+    U_new = stack.U.copy()
     for axis, (h, boundary) in enumerate(zip(grid.spacing, grid.boundary)):
-        ext = _extend(rho, m, stack.u, stack.c, axis, boundary)
+        ext = _extend(stack, axis, boundary)
         # merge the member axis and the cell axes up to the swept one, so
         # that every array op runs on contiguous memory; the fluxes between
         # two merged rows are computed and never used
-        rho_x, m_x, un_x, c_x = (a.reshape((-1,) + a.shape[axis + 2:]) for a in ext)
+        ext_x = ext.reshape((len(ext), -1) + ext.shape[axis + 3:])
         nu_x = nu  # one member: broadcasts as it is
         if len(nu) > 1:  # one value per interface of the merged axis
-            nu_x = np.repeat(nu, len(rho_x) // len(nu))[:-1].reshape(
+            nu_x = np.repeat(nu, ext_x.shape[1] // len(nu))[:-1].reshape(
                 (-1,) + (1,) * (grid.d - 1 - axis))
-        f_rho, f_m = _interface_flux(rho_x, m_x, un_x, c_x, law, specs[0].flux, nu_x, axis)
-        rate = (dt / h).reshape(member)
-        cells = (slice(None),) * (axis + 1) + (slice(1, -1),)
-        d_rho = _difference(f_rho, ext[0].shape)[cells]
-        d_rho *= rate
-        rho_new -= d_rho
-        d_m = _difference(f_m, ext[1].shape)[cells]
-        d_m *= rate[..., None]
-        m_new -= d_m
-    if not (np.isfinite(rho_new).all() and np.isfinite(m_new).all()):
-        bad = ~(np.isfinite(rho_new) & np.isfinite(m_new).all(axis=-1))
+        f = _interface_flux(ext_x, law, specs[0].flux, nu_x, axis)
+        d_U = np.empty(ext_x[:-2].shape)  # f[:, j] - f[:, j - 1] at each cell j
+        np.subtract(f[:, 1:], f[:, :-1], out=d_U[:, 1:-1])
+        d_U = d_U.reshape(ext[:-2].shape)[(slice(None),) * (axis + 2) + (slice(1, -1),)]
+        d_U *= (dt / h).reshape(member)
+        U_new -= d_U
+    if not np.isfinite(U_new).all():
+        bad = ~np.isfinite(U_new).all(axis=0)
         j, *idx = (int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
         raise ValueError(f"{_member(stack, specs, j)}non-finite state produced at cell "
                          f"{tuple(idx)}")
+    rho_new = U_new[0]
     if (rho_new < 0).any():
         j, *idx = (int(i) for i in np.unravel_index(int(np.argmin(rho_new)), rho_new.shape))
         raise ValueError(f"{_member(stack, specs, j)}negative density "
                          f"{rho_new[(j, *idx)]:.3e} produced at cell {tuple(idx)}")
     if not rho_new.all():
-        m_new[rho_new == 0.0] = 0.0
+        U_new[1:, rho_new == 0.0] = 0.0
     if stack.ids is None:
-        return FluidState(grid, rho_new[0], m_new[0], check=False)
-    return _Members(grid, rho_new, m_new, stack.ids, law)
+        return FluidState(grid, rho_new[0], np.moveaxis(U_new[1:, 0], 0, -1), check=False)
+    return _Members(grid, U_new, stack.ids, law)
 
 
 def _march(live: _Members, specs, law: GasLaw, times, tol: float, rho, m):
@@ -296,12 +287,13 @@ def _march(live: _Members, specs, law: GasLaw, times, tol: float, rho, m):
         hit = t >= target - tol
         if hit.any():
             r, kh = row[hit], k[hit]
-            rho[r, kh], m[r, kh] = live.rho[hit], live.m[hit]
+            rho[r, kh] = live.U[0, hit]
+            m[r, kh] = np.moveaxis(live.U[1:, hit], 0, -1)
             t[hit] = target[hit]
             k[hit] += 1
             keep = k <= n
             if not keep.all():
-                live = _Members(live.grid, live.rho[keep], live.m[keep], live.ids[keep], law)
+                live = _Members(live.grid, live.U[:, keep], live.ids[keep], law)
                 live_specs = [specs[i] for i in live.ids]
                 row, t, k = row[keep], t[keep], k[keep]
             # a member takes at most one sample per step, so this is taken + 1
@@ -348,18 +340,19 @@ class March:
         self.times = sample_dt * np.arange(n + 1)
         group = max(1, _STACK_CELLS // math.prod(self.grid.counts))
         self.rho, self.m = [], []  # each member's samples
+        self._energies_at = []  # each sample's energies, as energies() has them
         self._stacks = []
         for first in range(0, len(specs), group):
             ids = np.arange(first, min(first + group, len(specs)))
-            live = _Members(self.grid, np.repeat(state.rho[None], len(ids), axis=0),
-                            np.repeat(state.m[None], len(ids), axis=0), ids, law)
+            U = np.repeat(_pack(state.rho[None], state.m[None]), len(ids), axis=1)
             # not np.empty: lower peak RSS, measured
             rho = np.zeros((len(ids), n + 1) + self.grid.counts)
             m = np.zeros(rho.shape + (self.grid.d,))
-            rho[:, 0], m[:, 0] = live.rho, live.m
+            rho[:, 0], m[:, 0] = state.rho, state.m
             self.rho.extend(rho)
             self.m.extend(m)
-            self._stacks.append(_march(live, specs, law, self.times, 1e-14 * t_end, rho, m))
+            self._stacks.append(_march(_Members(self.grid, U, ids, law), specs, law,
+                                       self.times, 1e-14 * t_end, rho, m))
 
     def __iter__(self):
         yield 0
@@ -376,8 +369,15 @@ class March:
         return np.full(len(mean), mean[0])
 
     def energies(self, j: int) -> list:
-        """Each member's total energy E(t_j+), as ``members(j)`` has it."""
-        return [self._energy(rho[:j + 1], m[:j + 1])[j] for rho, m in zip(self.rho, self.m)]
+        """Each member's total energy E(t_j+), as ``members(j)`` has it: the
+        mean energy of sample 0 ("budget") or the running minimum of the
+        mean energies ("envelope"), each sample's computed once and kept."""
+        j = 0 if self.energy_mode == "budget" else j
+        for k in range(len(self._energies_at), j + 1):
+            mean = np.array([integrate_energies(self.grid, rho[k:k + 1], m[k:k + 1],
+                                                self.law)[0] for rho, m in zip(self.rho, self.m)])
+            self._energies_at.append(np.minimum(self._energies_at[-1], mean) if k else mean)
+        return list(self._energies_at[j])
 
     def members(self, j: int | None = None) -> list:
         """One ``Trajectory`` per scheme on the samples 0..j (all by

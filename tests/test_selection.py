@@ -379,6 +379,22 @@ def test_order_coherence_on_local_less():
     assert any(lam >= threshold for lam in grid)  # the check was not vacuous
 
 
+def test_order_coherence_ignores_the_prefix_before_T():
+    # compare_local calls prefixes within 1e-9 x scale equal; a 1e-10 lead
+    # before T must not outweigh the e^(-lambda T)-weighted gap after it
+    g = unit_grid()
+    s = FluidState.constant(g, 0.5)
+    times = np.linspace(0.0, 2.0, 9)
+    lo_vals = np.where(times < 1.0, 3.0 + 1e-10, 1.5)
+    lo = Trajectory(g, LAW2, times, [s] * 9, lo_vals)
+    hi = Trajectory(g, LAW2, times, [s] * 9, np.full(9, 3.0))
+    order = compare_local(lo, hi)
+    assert (order.relation, order.T) == ("less", 1.0)
+    threshold, violations = check_order_coherence(lo, hi, order)
+    assert violations == []
+    assert sum(lam >= threshold for lam in default_lambda_grid()) >= 10
+
+
 def test_order_coherence_randomized_corpus():
     rng = np.random.default_rng(10)
     checked = 0

@@ -24,6 +24,25 @@ def _pin_state(case):
         g = Grid(counts=(17,), lower=(0.0,), upper=(1.0,), boundary=("periodic",))
         rng = np.random.default_rng(17)
         return FluidState(g, rng.uniform(0.5, 1.5, 17), rng.uniform(-0.4, 0.4, (17, 1)))
+    if case == "2d-two-stacks":
+        # more cells than one stack holds, so each member is its own stack;
+        # vacuum on the first row and on one column
+        g = Grid(counts=(64, 56), lower=(0.0, 0.0), upper=(1.0, 1.0),
+                 boundary=("reflective", "periodic"))
+        rng = np.random.default_rng(56)
+        rho = rng.uniform(0.5, 1.5, g.counts)
+        m = rng.uniform(-0.4, 0.4, g.counts + (2,))
+        rho[0] = 0.0
+        rho[:, 20] = 0.0
+        m[rho == 0.0] = 0.0
+        return FluidState(g, rho, m)
+    if case.startswith("2d-mixed"):
+        # one boundary kind per axis: a reflective wall negates one momentum
+        # component only
+        s = _vacuum_wall_state((9, 7))
+        boundary = tuple(case.split("-")[2:])
+        return FluidState(Grid(counts=(9, 7), lower=(0.0, 0.0), upper=(1.0, 1.0),
+                               boundary=boundary), s.rho, s.m)
     return _vacuum_wall_state((16,) if case == "1d-vacuum" else (12, 10))
 
 
@@ -39,8 +58,16 @@ def _digest(members):
 # sha256 of every member's times, fields, energy curve, mean energies and
 # e0 for an ensemble marched to t = 0.2 (samples every 0.05), recorded
 # with one ``run`` call per viscosity before ``run`` stacked its members;
-# gamma 2 runs in "envelope" mode, gamma 1.4 in "budget" mode
+# gamma 2 runs in "envelope" mode, gamma 1.4 in "budget" mode.  The
+# "2d-mixed-*" and "2d-two-stacks" entries were recorded with the stacked
+# ``run`` before the solver packed density and momentum into one array
 RUN_DIGESTS = {
+    ("hll", "2d-mixed-reflective-periodic", (0.15, 0.0, 0.3), 2.0): "ffda192f2bb6b97f261f303889bf35f6c52d5acd25c8ba00e291a6f5a2ce2316",
+    ("llf", "2d-mixed-reflective-periodic", (0.15, 0.0, 0.3), 2.0): "2af1d10cca251cdd20b620240c82c931f0a12204deb94369083a4f5a2abf0c0e",
+    ("hll", "2d-mixed-periodic-reflective", (0.15, 0.0, 0.3), 2.0): "76080a08cebe0b3ab05313f0d58e0d1b7883864712675cac0999bbbef916ec3a",
+    ("llf", "2d-mixed-periodic-reflective", (0.15, 0.0, 0.3), 2.0): "5601fce742905e01373b54e591bc0776b6695bf60d7740af615d1901589e41a5",
+    ("llf", "2d-two-stacks", (0.2, 0.05), 2.0): "b63f58d599c5f24277c27c7d74d08ad1e6e3e6748443b26733f6e8f7773e53c4",
+    ("hll", "2d-two-stacks", (0.2, 0.05), 2.0): "ddd39552aefea26620ce51677fdbf49cb9eeb05da7ceb8bd7d0e65d5688d0dfa",
     ("hll", "1d-periodic", (0.4, 0.2, 0.1), 2.0): "48e0e80362346163adfdb66ec9c0c82202fd9995f78158bf9dec7ac103c39eac",
     ("hll", "1d-periodic", (0.4, 0.2, 0.1), 1.4): "27dd03cdc9f572ba5d89f89c01d30ea2517eca182962ec9a0ddd111afb964b22",
     ("hll", "1d-periodic", (0.15, 0.0), 2.0): "e09083e0a2fa52e2dcac8e56c5d74a787c4c437a61eb4e8302bae1d6515ec7c2",
@@ -96,12 +123,13 @@ def test_run_ensemble_bits_pinned(flux, case, nus, gamma):
 
 @st.composite
 def ensembles(draw):
-    """A state with vacuum cells and -0.0 momenta, a gas law and one to
-    three schemes of one flux with their own nu (0 included) and CFL number."""
+    """A state with vacuum cells and -0.0 momenta on a grid with its own
+    boundary kind per axis, a gas law and one to three schemes of one flux
+    with their own nu (0 included) and CFL number."""
     d = draw(st.integers(1, 2))
     counts = tuple(draw(st.integers(2, 8)) for _ in range(d))
-    boundary = draw(st.sampled_from(("periodic", "reflective")))
-    g = Grid(counts=counts, lower=(0.0,) * d, upper=(1.0,) * d, boundary=(boundary,) * d)
+    boundary = tuple(draw(st.sampled_from(("periodic", "reflective"))) for _ in range(d))
+    g = Grid(counts=counts, lower=(0.0,) * d, upper=(1.0,) * d, boundary=boundary)
     rho = draw(hnp.arrays(float, counts, elements=st.floats(0.1, 2.0)))
     rho[draw(hnp.arrays(bool, counts))] = 0.0
     m = draw(hnp.arrays(float, counts + (d,), elements=st.floats(-1.0, 1.0)))
@@ -155,6 +183,13 @@ def test_finished_members_leave_the_stack(monkeypatch):
     assert sizes == [2] * alone[1] + [1] * (alone[0] - alone[1])
 
 
+def test_two_stack_case_has_two_stacks():
+    s = _pin_state("2d-two-stacks")
+    march = solver_mod.March(DataTriple(s, integrate_energy(s, LAWS[2.0])),
+                             [SchemeSpec(nu=0.2), SchemeSpec(nu=0.05)], LAWS[2.0], 0.2, 0.05)
+    assert len(march._stacks) == 2
+
+
 def test_run_rejects_mixed_fluxes_and_no_scheme():
     s = _pin_state("1d-periodic")
     triple = DataTriple(s, integrate_energy(s, LAWS[2.0]))
@@ -168,9 +203,8 @@ def test_run_rejects_mixed_fluxes_and_no_scheme():
 
 def _stack(*states):
     """run's stack of the given states, member i in row i."""
-    return solver_mod._Members(states[0].grid, np.stack([s.rho for s in states]),
-                               np.stack([s.m for s in states]), np.arange(len(states)),
-                               LAWS[2.0])
+    U = solver_mod._pack(np.stack([s.rho for s in states]), np.stack([s.m for s in states]))
+    return solver_mod._Members(states[0].grid, U, np.arange(len(states)), LAWS[2.0])
 
 
 def test_non_finite_nu_rejected():
