@@ -340,7 +340,6 @@ class March:
         self.times = sample_dt * np.arange(n + 1)
         group = max(1, _STACK_CELLS // math.prod(self.grid.counts))
         self.rho, self.m = [], []  # each member's samples
-        self._energies_at = []  # each sample's energies, as energies() has them
         self._stacks = []
         for first in range(0, len(specs), group):
             ids = np.arange(first, min(first + group, len(specs)))
@@ -367,17 +366,6 @@ class March:
         if self.energy_mode == "envelope":
             return np.minimum.accumulate(mean)
         return np.full(len(mean), mean[0])
-
-    def energies(self, j: int) -> list:
-        """Each member's total energy E(t_j+), as ``members(j)`` has it: the
-        mean energy of sample 0 ("budget") or the running minimum of the
-        mean energies ("envelope"), each sample's computed once and kept."""
-        j = 0 if self.energy_mode == "budget" else j
-        for k in range(len(self._energies_at), j + 1):
-            mean = np.array([integrate_energies(self.grid, rho[k:k + 1], m[k:k + 1],
-                                                self.law)[0] for rho, m in zip(self.rho, self.m)])
-            self._energies_at.append(np.minimum(self._energies_at[-1], mean) if k else mean)
-        return list(self._energies_at[j])
 
     def members(self, j: int | None = None) -> list:
         """One ``Trajectory`` per scheme on the samples 0..j (all by

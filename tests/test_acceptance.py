@@ -97,13 +97,9 @@ def test_criterion_02_weak_form_residual_first_order():
     worst = {}
     for n in (128, 256, 512):
         traj = _riemann_sampled(n)
-        r = 0.0
-        for phi in dictionary:
-            if phi.direction is None:
-                r = max(r, abs(continuity_residual(traj, phi)))
-            else:
-                r = max(r, abs(momentum_residual(traj, phi, None)))
-        worst[n] = r
+        cont = continuity_residual(traj, [p for p in dictionary if p.direction is None])
+        mom = momentum_residual(traj, [p for p in dictionary if p.direction is not None], None)
+        worst[n] = max(np.max(np.abs(cont)), np.max(np.abs(mom)))
     ratio1 = worst[128] / worst[256]
     ratio2 = worst[256] / worst[512]
     assert 1.5 <= ratio1 <= 2.5, worst

@@ -703,3 +703,46 @@ def test_dt1_member_failure_in_a_discarded_tail_is_never_reached(tmp_path, monke
     out = tmp_path / "o"
     assert main(["dt1-demo", "--config", cfg, "--out", str(out)]) == 0
     assert _tree_digest(out) == TREE_DIGESTS["dt1-demo"]
+
+
+def _diagnose_doc(tmp_path, dim):
+    """An ensemble config: the 64-cell HLL datum of ``_pinned_doc`` (1D), or
+    a 16 x 12 reflective LLF datum read from a state file whose momentum
+    points along both axes (2D)."""
+    if dim == "1d":
+        return _pinned_doc("ensemble")
+    from eulerlab.fields import save_state_csv
+    g = Grid(counts=(16, 12), lower=(0.0, 0.0), upper=(1.0, 1.0),
+             boundary=("reflective", "reflective"))
+    x, y = g.meshgrid()
+    rho = 1.0 + 0.5 * np.exp(-20.0 * ((x - 0.4) ** 2 + (y - 0.6) ** 2))
+    m = np.stack([rho * 0.3 * np.sin(math.pi * y), rho * -0.2 * np.cos(math.pi * x)], axis=-1)
+    save_state_csv(FluidState(g, rho, m), tmp_path / "init.csv")
+    return {"kind": "ensemble",
+            "grid": {"counts": [16, 12], "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+                     "boundary": ["reflective", "reflective"]},
+            "law": {"a": 1.0, "gamma": 1.4}, "scheme": {"flux": "llf", "cfl": 0.9},
+            "t_end": 0.5, "sample_dt": 0.05, "initial": {"file": str(tmp_path / "init.csv")},
+            "nu_list": [0.4, 0.2, 0.1]}
+
+
+# sha256 of diagnose's output tree (certificate.json and certificate.csv)
+# on a solver-made ensemble average with its reynolds.npz; recorded when
+# each test function had its own weak-form residual call
+DIAGNOSE_DIGESTS = {
+    "1d": "3af0fc241739cfa26c2e012360f433d111e955002bd36e8aacb7de0d0789234f",
+    "2d": "fbf5325d5729fcac799763ceada7ef15e63a535c4c00516d60c376a044036d89",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(DIAGNOSE_DIGESTS))
+def test_diagnose_output_trees_pinned(tmp_path, dim):
+    ens = tmp_path / "ens"
+    cfg = write_config(tmp_path, "e.json", _diagnose_doc(tmp_path, dim))
+    assert main(["ensemble", "--config", cfg, "--out", str(ens)]) == 0
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(ens / "average"),
+                                             "reynolds": str(ens / "reynolds.npz")})
+    out = tmp_path / "o"
+    assert main(["diagnose", "--config", diag, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["certificate.csv", "certificate.json"]
+    assert _tree_digest(out) == DIAGNOSE_DIGESTS[dim]

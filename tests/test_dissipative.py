@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import eulerlab.dissipative as dissipative_mod
 from eulerlab.eos import GasLaw
 from eulerlab.fields import DataTriple, FluidState, Grid, integrate_energy
 from eulerlab.riemann import RiemannData, sample_cell_averages, solve_riemann
@@ -69,7 +73,7 @@ def test_support_outside_horizon_errors():
     traj = constant_traj(g, 1.0, 0.0, np.linspace(0, 0.5, 6))
     phi = TestFunction(0.5, 0.2, (0.0,), (0.3,))
     with pytest.raises(ValueError, match="horizon"):
-        continuity_residual(traj, phi)
+        continuity_residual(traj, [phi])
 
 
 def test_scalar_vector_mismatch_errors():
@@ -78,9 +82,9 @@ def test_scalar_vector_mismatch_errors():
     scalar = TestFunction(0.5, 0.2, (0.0,), (0.3,))
     vector = TestFunction(0.5, 0.2, (0.0,), (0.3,), direction=0)
     with pytest.raises(ValueError):
-        continuity_residual(traj, vector)
+        continuity_residual(traj, [vector])
     with pytest.raises(ValueError):
-        momentum_residual(traj, scalar, None)
+        momentum_residual(traj, [scalar], None)
 
 
 def test_cell_integrals_telescope():
@@ -98,12 +102,10 @@ def test_cell_integrals_telescope():
 def test_constant_state_residuals_vanish():
     g = grid_1d(32)
     traj = constant_traj(g, 1.3, 0.4, np.linspace(0, 1, 11))
-    worst_c = worst_m = 0.0
-    for phi in default_dictionary(g, 1.0):
-        if phi.direction is None:
-            worst_c = max(worst_c, abs(continuity_residual(traj, phi)))
-        else:
-            worst_m = max(worst_m, abs(momentum_residual(traj, phi, None)))
+    D = default_dictionary(g, 1.0)
+    worst_c = np.max(np.abs(continuity_residual(traj, [p for p in D if p.direction is None])))
+    worst_m = np.max(np.abs(momentum_residual(traj, [p for p in D if p.direction is not None],
+                                              None)))
     assert worst_c <= 1e-12
     assert worst_m <= 1e-12
 
@@ -112,7 +114,7 @@ def test_steady_rest_state_momentum_residual():
     g = grid_1d(32)
     traj = constant_traj(g, 1.0, 0.0, np.linspace(0, 1, 11))
     phi = TestFunction(0.5, 0.3, (0.0,), (0.5,), direction=0)
-    assert abs(momentum_residual(traj, phi, None)) <= 1e-13
+    assert abs(momentum_residual(traj, [phi], None)[0]) <= 1e-13
 
 
 def test_manufactured_linear_solution_refines():
@@ -131,8 +133,8 @@ def test_manufactured_linear_solution_refines():
                           np.full(nt, e0), check=False)
 
     phi = TestFunction(0.5, 0.35, (0.5,), (0.35,))
-    coarse = abs(continuity_residual(build(16, 9), phi))
-    fine = abs(continuity_residual(build(32, 17), phi))
+    coarse = abs(continuity_residual(build(16, 9), [phi])[0])
+    fine = abs(continuity_residual(build(32, 17), [phi])[0])
     assert coarse < 2e-4
     assert fine < 0.45 * coarse  # at least first-order decay of quadrature error
 
@@ -142,13 +144,9 @@ def test_exact_riemann_residual_first_order():
     res = []
     for n in (64, 128):
         traj = riemann_sampled_traj(n)
-        worst = 0.0
-        for phi in D:
-            if phi.direction is None:
-                worst = max(worst, abs(continuity_residual(traj, phi)))
-            else:
-                worst = max(worst, abs(momentum_residual(traj, phi, None)))
-        res.append(worst)
+        cont = continuity_residual(traj, [p for p in D if p.direction is None])
+        mom = momentum_residual(traj, [p for p in D if p.direction is not None], None)
+        res.append(max(np.max(np.abs(cont)), np.max(np.abs(mom))))
     assert res[1] < res[0]
 
 
@@ -159,7 +157,83 @@ def test_momentum_residual_grid_mismatch_errors():
     R = ReynoldsField(other, traj.times, np.zeros((len(traj.times), 24, 1, 1)))
     phi = TestFunction(0.5, 0.2, (0.0,), (0.3,), direction=0)
     with pytest.raises(ValueError, match="match"):
-        momentum_residual(traj, phi, R)
+        momentum_residual(traj, [phi], R)
+
+
+@st.composite
+def vacuum_trajectories(draw):
+    """A trajectory on 3 to 8 cells per axis (1D or 2D) with vacuum cells,
+    whose momentum is +0.0 or -0.0, and a Reynolds field on its samples."""
+    counts = draw(st.sampled_from([(3,), (5,), (8,), (3, 3), (4, 3), (3, 5)]))
+    d, n = len(counts), draw(st.integers(2, 6))
+    g = Grid(counts=counts, lower=(0.0,) * d, upper=(1.0,) * d)
+    fields = []
+    for _ in range(2):
+        rho = draw(hnp.arrays(float, (n,) + counts, elements=st.floats(0.25, 2.0)))
+        m = draw(hnp.arrays(float, (n,) + counts + (d,), elements=st.floats(-1.0, 1.0)))
+        vac = draw(hnp.arrays(bool, (n,) + counts))
+        fields.append((np.where(vac, 0.0, rho), np.where(vac[..., None], 0.0 * m, m)))
+    times = np.cumsum([0.0] + draw(st.lists(st.sampled_from([0.1, 0.25, 0.5]),
+                                            min_size=n - 1, max_size=n - 1)))
+    u, v = (Trajectory(g, LAW2, times, f, np.full(n, 1e3), check=False) for f in fields)
+    return u, estimate_reynolds([u, v])[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), with_R=st.booleans())
+def test_batched_residuals_equal_single_calls_bit_for_bit(data, with_R):
+    # one pass over the samples pairs each with every function; each entry
+    # must be the bits of the call on that function alone
+    traj, R = data.draw(vacuum_trajectories())
+    R = R if with_R else None
+    D = default_dictionary(traj.grid, traj.t_end)
+    for residual, kind in ((continuity_residual, [p for p in D if p.direction is None]),
+                           (lambda t, phis: momentum_residual(t, phis, R),
+                            [p for p in D if p.direction is not None])):
+        order = data.draw(st.permutations(kind))
+        phis = order[:data.draw(st.integers(0, len(order)))]
+        batched = residual(traj, phis)
+        assert batched.shape == (len(phis),)
+        for value, phi in zip(batched, phis):
+            assert value.tobytes() == residual(traj, [phi])[0].tobytes()
+
+
+@pytest.mark.parametrize("with_R", [False, True])
+def test_certify_reads_each_sample_once(monkeypatch, with_R):
+    # certify makes one residual call per balance (and one more momentum
+    # call without the stress for its note), and a momentum call computes
+    # each sample's kinetic tensor and pressure once
+    g = Grid(counts=(8, 6), lower=(0.0, 0.0), upper=(1.0, 1.0),
+             boundary=("reflective", "reflective"))
+    x, y = g.meshgrid()
+    st0 = FluidState(g, 1.0 + 0.5 * np.exp(-20.0 * ((x - 0.4) ** 2 + (y - 0.6) ** 2)),
+                     np.stack([0.3 * np.sin(np.pi * y), -0.2 * np.cos(np.pi * x)], axis=-1))
+    members = run(DataTriple(st0, integrate_energy(st0, LAW2)),
+                  [SchemeSpec(nu=nu) for nu in (0.4, 0.1)], LAW2, 0.5, 0.05)
+    R, avg = estimate_reynolds(members)
+    assert avg.n_samples == 11
+    calls = {"continuity_residual": 0, "momentum_residual": 0, "kinetic_tensor": 0,
+             "pressure": 0}
+    per_momentum_call = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            before = calls["kinetic_tensor"], calls["pressure"]
+            out = fn(*args, **kwargs)
+            if name == "momentum_residual":
+                per_momentum_call.append((calls["kinetic_tensor"] - before[0],
+                                          calls["pressure"] - before[1]))
+            return out
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dissipative_mod, name, counted(name, getattr(dissipative_mod, name)))
+    certify(avg, R if with_R else None)
+    assert calls["continuity_residual"] == 1
+    assert calls["momentum_residual"] == (2 if with_R else 1)
+    for kin, p in per_momentum_call:
+        assert 0 < kin <= avg.n_samples and 0 < p <= avg.n_samples
 
 
 # -- ensemble averaging -----------------------------------------------------
@@ -370,8 +444,8 @@ def test_momentum_residual_improves_with_stress():
     members = run(triple, [SchemeSpec(nu=nu) for nu in (3.0, 0.02)], LAW2, 0.6, 0.6 / 16)
     R, avg = estimate_reynolds(members)
     vectors = [p for p in default_dictionary(g, 0.6) if p.direction is not None]
-    with_R = max(abs(momentum_residual(avg, p, R)) for p in vectors)
-    without = max(abs(momentum_residual(avg, p, None)) for p in vectors)
+    with_R = np.max(np.abs(momentum_residual(avg, vectors, R)))
+    without = np.max(np.abs(momentum_residual(avg, vectors, None)))
     assert with_R < without
     cert = certify(avg, R)
     assert any("without the stress" in note for note in cert.notes)

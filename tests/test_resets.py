@@ -126,27 +126,3 @@ def test_an_unsettled_loop_marches_its_last_window_to_t_end(monkeypatch):
     assert resets == [0.0] * 13
     assert result.t_end == pytest.approx(t_end)
     assert np.max(result.defects()) > delta
-
-
-@pytest.mark.parametrize("mode", ("envelope", "budget"))
-def test_energies_integrate_each_sample_once(monkeypatch, mode):
-    # E(t_j+) is kept per member and brought up to date as samples arrive:
-    # each yielded j integrates one sample per member ("envelope"), and
-    # "budget" needs sample 0 alone; the values are those of members()
-    triple, specs, t_end, sample_dt, _ = _case("one-stack")
-    rows, inner = [], solver_mod.integrate_energies
-
-    def counting(grid, rho, m, law):
-        rows.append(len(rho))
-        return inner(grid, rho, m, law)
-
-    monkeypatch.setattr(solver_mod, "integrate_energies", counting)
-    march = solver_mod.March(triple, specs, LAW, t_end, sample_dt, mode)
-    kept = []
-    for j in march:
-        rows.clear()
-        kept.append(march.energies(j))
-        assert rows == ([1] * len(specs) if mode == "envelope" or j == 0 else [])
-    members = march.members()
-    assert len(kept) == members[0].n_samples
-    assert kept == [[tr.energy[j] for tr in members] for j in range(len(kept))]
