@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import jsonschema
@@ -196,13 +197,20 @@ SCHEMAS = {
 }
 
 
+def _parse_constant(token: str) -> float:
+    # Infinity stays legal: the program's own checks name what cannot be infinite
+    if token == "NaN":
+        raise ValueError("NaN is not a number")
+    return float(token)
+
+
 def load_config(path: str, kind: str) -> dict:
     try:
         with open(path) as f:
-            cfg = json.load(f)
+            cfg = json.load(f, parse_constant=_parse_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or the token NaN
         raise ConfigError(f"config {path} is not valid JSON: {e}")
     validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
@@ -217,23 +225,36 @@ def load_config(path: str, kind: str) -> dict:
 
 
 def _build_law(cfg: dict) -> GasLaw:
-    return GasLaw(a=cfg["law"]["a"], gamma=cfg["law"]["gamma"])
-
-
-def _build_scheme(cfg: dict) -> SchemeSpec:
-    s = cfg.get("scheme", {})
     try:
-        return SchemeSpec(flux=s.get("flux", "llf"), nu=s.get("nu", 0.0),
-                          cfl=s.get("cfl", 0.9))
+        return GasLaw(a=cfg["law"]["a"], gamma=cfg["law"]["gamma"])
     except ValueError as e:
-        raise ConfigError(f"invalid scheme: {e}")
+        raise ConfigError(f"invalid law: {e}")
 
 
-def _build_grid(cfg: dict) -> Grid:
+def _setup(cfg: dict):
+    """The law, the initial triple and the schemes of a march config: one
+    scheme per viscosity of ``nu_list``, or the ``scheme`` alone."""
     try:
-        return Grid.from_dict(cfg["grid"])
+        grid = Grid.from_dict(cfg["grid"])
     except ValueError as e:
         raise ConfigError(f"invalid grid: {e}")
+    law = _build_law(cfg)
+    triple = _build_initial(cfg, grid, law)
+    s = cfg.get("scheme", {})
+    try:
+        scheme = SchemeSpec(flux=s.get("flux", "llf"), nu=s.get("nu", 0.0),
+                            cfl=s.get("cfl", 0.9))
+    except ValueError as e:
+        raise ConfigError(f"invalid scheme: {e}")
+    if "nu_list" not in cfg:
+        return law, triple, [scheme]
+    specs = []
+    for i, nu in enumerate(cfg["nu_list"]):
+        try:
+            specs.append(replace(scheme, nu=float(nu)))
+        except ValueError as e:
+            raise ConfigError(f"ensemble member {i} (nu={nu}) failed: {e}")
+    return law, triple, specs
 
 
 def _build_initial(cfg: dict, grid: Grid, law: GasLaw) -> DataTriple:
@@ -285,53 +306,39 @@ def _write_json(path: str, doc: dict) -> None:
         f.write("\n")
 
 
-def _specs(cfg: dict) -> list:
-    """One scheme per viscosity of ``nu_list``."""
-    scheme = _build_scheme(cfg)
-    specs = []
-    for i, nu in enumerate(cfg["nu_list"]):
-        try:
-            specs.append(replace(scheme, nu=float(nu)))
-        except ValueError as e:
-            raise ConfigError(f"ensemble member {i} (nu={nu}) failed: {e}")
-    return specs
-
-
-def _ensemble(cfg: dict, triple: DataTriple, law: GasLaw, t_end: float, mode: str):
-    """Run every viscosity of ``nu_list`` from ``triple`` to ``t_end``;
-    returns the members, their Reynolds stress and their average."""
-    specs = _specs(cfg)
+@contextmanager
+def _marching(label: str):
+    """Turn a march failure, which reads "member i (nu=...) failed: ...",
+    into a config error under ``label``."""
     try:
+        yield
+    except Exception as e:
+        raise ConfigError(f"{label} {e}")
+
+
+def _ensemble(cfg: dict, law: GasLaw, triple: DataTriple, specs: list, t_end: float,
+              mode: str):
+    """March every scheme from ``triple`` to ``t_end``; returns the members,
+    their Reynolds stress and their average."""
+    with _marching("ensemble"):
         members = run(triple, specs, law, t_end, cfg["sample_dt"], energy_mode=mode)
-    except Exception as e:  # a member's failure reads "member i (nu=...) failed: ..."
-        raise ConfigError(f"ensemble {e}")
-    R, avg = estimate_reynolds(members)
-    return members, R, avg
-
-
-def _run_ensemble(cfg: dict, mode: str):
-    law = _build_law(cfg)
-    triple = _build_initial(cfg, _build_grid(cfg), law)
-    return _ensemble(cfg, triple, law, cfg["t_end"], mode) + (triple, law)
+    return (members, *estimate_reynolds(members))
 
 
 # -- subcommands -------------------------------------------------------
 
 def cmd_run(cfg: dict, out: str) -> int:
-    grid = _build_grid(cfg)
-    law = _build_law(cfg)
-    triple = _build_initial(cfg, grid, law)
-    try:
-        [traj] = run(triple, [_build_scheme(cfg)], law, cfg["t_end"], cfg["sample_dt"],
+    law, triple, specs = _setup(cfg)
+    with _marching("run"):
+        [traj] = run(triple, specs, law, cfg["t_end"], cfg["sample_dt"],
                      energy_mode=cfg.get("energy_mode", "envelope"))
-    except Exception as e:  # a march failure reads "member 0 (nu=...) failed: ..."
-        raise ConfigError(f"run {e}")
     save_bundle(traj, out)
     return 0
 
 
 def cmd_ensemble(cfg: dict, out: str) -> int:
-    members, R, avg, _, _ = _run_ensemble(cfg, cfg.get("energy_mode", "envelope"))
+    members, R, avg = _ensemble(cfg, *_setup(cfg), cfg["t_end"],
+                                cfg.get("energy_mode", "envelope"))
     os.makedirs(out, exist_ok=True)
     for i, tr in enumerate(members):
         save_bundle(tr, os.path.join(out, f"member_{i:02d}"))
@@ -408,6 +415,9 @@ def cmd_select(cfg: dict, out: str) -> int:
 
 
 def cmd_riemann(cfg: dict, out: str) -> int:
+    for key in ("time", "x_min", "x_max"):
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     law = _build_law(cfg)
     try:
         sol = solve_riemann(RiemannData(cfg["rho_l"], cfg["u_l"], cfg["rho_r"], cfg["u_r"], law))
@@ -425,18 +435,14 @@ def cmd_riemann(cfg: dict, out: str) -> int:
 
 def cmd_dt1(cfg: dict, out: str) -> int:
     """Stopping-time/reset loop keeping the energy defect below delta."""
-    law = _build_law(cfg)
-    triple = _build_initial(cfg, _build_grid(cfg), law)
-    specs = _specs(cfg)
+    law, triple, specs = _setup(cfg)
     if "delta" in cfg:
         delta = cfg["delta"]
     else:
         delta = cfg.get("delta_rel", 0.05) * max(triple.E0, 1e-300)
-    try:
+    with _marching("ensemble"):
         result, resets = reset_defects(triple, specs, law, cfg["t_end"], cfg["sample_dt"],
                                        delta)
-    except Exception as e:  # a member's failure reads "member i (nu=...) failed: ..."
-        raise ConfigError(f"ensemble {e}")
     max_defect = float(np.max(result.defects()))
     passed = max_defect <= delta * (1.0 + 1e-9)
     os.makedirs(out, exist_ok=True)
@@ -454,7 +460,8 @@ def cmd_dt1(cfg: dict, out: str) -> int:
 
 def cmd_dt2(cfg: dict, out: str) -> int:
     """Defect-reset competitor strictly below the base trajectory."""
-    _, _, base, _, law = _run_ensemble(cfg, "budget")
+    law, triple, specs = _setup(cfg)
+    base = _ensemble(cfg, law, triple, specs, cfg["t_end"], "budget")[2]
     defects = base.defects()
     k = int(np.argmax(defects[:-1])) if base.n_samples > 1 else 0
     T = float(base.times[k])
@@ -463,8 +470,8 @@ def cmd_dt2(cfg: dict, out: str) -> int:
     if eps <= 1e-6 * scale:
         raise ConfigError("base trajectory has no defect to improve; "
                           "increase the horizon or sharpen the datum")
-    _, _, cont = _ensemble(cfg, DataTriple(base.states[k], float(base.mean_energies[k])),
-                           law, cfg["t_end"] - T, "envelope")
+    cont = _ensemble(cfg, law, DataTriple(base.states[k], float(base.mean_energies[k])),
+                     specs, cfg["t_end"] - T, "envelope")[2]
     competitor, order = improve(base, T, cont)
     threshold, violations = check_order_coherence(competitor, base, order) \
         if order.relation == "less" else (None, None)
@@ -495,7 +502,18 @@ def cmd_dt2(cfg: dict, out: str) -> int:
     return 0 if passed else 1
 
 
+# kind: (x columns, the first one present is used; y columns; optional y
+# columns; title; y label; the expected columns, for the error message)
+_PLOTS = {
+    "energy": (("t",), ("E",), (), "total energy", "E", "t,E"),
+    "defect": (("t",), ("defect",), ("traceR", "slack"), "energy defect", "value",
+               "t,defect[,traceR,slack]"),
+    "profile": (("x", "i"), ("rho",), ("u", "mx"), "profile", "value", "x,rho or i,rho"),
+}
+
+
 def cmd_plot(csv_path: str, kind: str, out: str) -> int:
+    xcols, ycols, optional, title, ylabel, expected = _PLOTS[kind]
     try:
         names, table = read_csv(csv_path)
     except OSError:
@@ -504,42 +522,18 @@ def cmd_plot(csv_path: str, kind: str, out: str) -> int:
         raise ConfigError(f"{csv_path} is not a numeric table under a header row: {e}")
     if table.size == 0:
         raise ConfigError(f"{csv_path} has no data rows")
+    xcol = next((c for c in xcols if c in names), None)
+    if xcol is None or not set(ycols) <= set(names):
+        raise ConfigError(f"{kind} plot expects columns {expected}; got {names}")
     data = dict(zip(names, table.T))
+    labels = [*ycols, *(c for c in optional if c in names)]
+    for c in (xcol, *labels):
+        bad = np.flatnonzero(~np.isfinite(data[c]))
+        if bad.size:
+            raise ConfigError(f"{csv_path}: data row {bad[0] + 1}, column {c} is not finite")
     os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"{kind}.svg")
-    if kind == "energy":
-        if not {"t", "E"} <= set(names):
-            raise ConfigError(f"energy plot expects columns t,E; got {names}")
-        write_line_svg(path, data["t"], [data["E"]], ["E"],
-                       title="total energy", xlabel="t", ylabel="E")
-    elif kind == "defect":
-        if "t" not in names or "defect" not in names:
-            raise ConfigError(f"defect plot expects columns t,defect[,traceR,slack]; got {names}")
-        series = [data["defect"]]
-        labels = ["defect"]
-        if "traceR" in names:
-            series.append(data["traceR"])
-            labels.append("traceR")
-        if "slack" in names:
-            series.append(data["slack"])
-            labels.append("slack")
-        write_line_svg(path, data["t"], series, labels,
-                       title="energy defect", xlabel="t", ylabel="value")
-    elif kind == "profile":
-        if "rho" not in names or not ({"x"} <= set(names) or {"i"} <= set(names)):
-            raise ConfigError(f"profile plot expects columns x,rho or i,rho; got {names}")
-        xs = data["x"] if "x" in names else data["i"]
-        series = [data["rho"]]
-        labels = ["rho"]
-        for extra in ("u", "mx"):
-            if extra in names:
-                series.append(data[extra])
-                labels.append(extra)
-        write_line_svg(path, xs, series, labels,
-                       title="profile", xlabel="x" if "x" in names else "i",
-                       ylabel="value")
-    else:  # pragma: no cover - argparse forbids
-        raise ConfigError(f"unknown plot kind {kind!r}")
+    write_line_svg(os.path.join(out, f"{kind}.svg"), data[xcol], [data[c] for c in labels],
+                   labels, title=title, xlabel=xcol, ylabel=ylabel)
     return 0
 
 
@@ -569,7 +563,7 @@ def main(argv=None) -> int:
                        help="accepted and ignored: every subcommand is deterministic")
     p = sub.add_parser("plot")
     p.add_argument("--csv", required=True, help="input CSV file")
-    p.add_argument("--kind", required=True, choices=["energy", "defect", "profile"])
+    p.add_argument("--kind", required=True, choices=list(_PLOTS))
     p.add_argument("--out", required=True, help="output directory for the SVG")
     args = parser.parse_args(argv)
 
@@ -580,8 +574,6 @@ def main(argv=None) -> int:
         out = args.out or cfg.get("out")
         if out is None:
             raise ConfigError("an output directory is required (--out or config 'out')")
-        if args.seed is not None:
-            cfg["seed"] = args.seed
         return _DISPATCH[args.command](cfg, out)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

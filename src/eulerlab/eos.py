@@ -14,6 +14,7 @@ unambiguously through every consumer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,11 @@ class GasLaw:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if not (self.a > 0):
-            raise ValueError(f"pressure coefficient a must be positive, got {self.a}")
-        if not (self.gamma > 1):
-            raise ValueError(f"adiabatic exponent gamma must exceed 1, got {self.gamma}")
+        if not (0 < self.a < math.inf):
+            raise ValueError(f"pressure coefficient a must be positive and finite, got {self.a}")
+        if not (1 < self.gamma < math.inf):
+            raise ValueError(f"adiabatic exponent gamma must exceed 1 and be finite, "
+                             f"got {self.gamma}")
 
 
 def _check_density(rho) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 from .eos import GasLaw, pressure
 from .fields import Grid
 
-__all__ = ["ReynoldsField", "kinetic_tensor", "convexity_gap", "symmetric_min_eigenvalues"]
+__all__ = ["ReynoldsField", "kinetic_tensor", "convexity_gap"]
 
 
 def kinetic_tensor(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -33,16 +33,14 @@ def convexity_gap(kin_mean: np.ndarray, p_mean: np.ndarray, rho: np.ndarray,
 
 
 def symmetric_min_eigenvalues(tensor: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric matrix in a (..., d, d) array."""
-    d = tensor.shape[-1]
-    if d == 1:
+    """Smallest eigenvalue of each symmetric matrix in a (..., d, d) array,
+    d = 1 or 2 (``Grid`` allows no other)."""
+    if tensor.shape[-1] == 1:
         return tensor[..., 0, 0]
-    if d == 2:
-        half_tr = 0.5 * (tensor[..., 0, 0] + tensor[..., 1, 1])
-        half_dif = 0.5 * (tensor[..., 0, 0] - tensor[..., 1, 1])
-        rad = np.sqrt(half_dif**2 + tensor[..., 0, 1] ** 2)
-        return half_tr - rad
-    return np.linalg.eigvalsh(tensor)[..., 0]
+    half_tr = 0.5 * (tensor[..., 0, 0] + tensor[..., 1, 1])
+    half_dif = 0.5 * (tensor[..., 0, 0] - tensor[..., 1, 1])
+    rad = np.sqrt(half_dif**2 + tensor[..., 0, 1] ** 2)
+    return half_tr - rad
 
 
 class ReynoldsField:

@@ -138,7 +138,7 @@ class Trajectory:
     def index_of(self, t: float) -> int:
         """Index of the sample time t; raises if t is not a sample time."""
         k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > _TIME_RTOL * max(1.0, self.t_end):
+        if not abs(self.times[k] - t) <= _TIME_RTOL * max(1.0, self.t_end):  # NaN fails
             raise ValueError(f"{t} is not a sample time of this trajectory")
         return k
 

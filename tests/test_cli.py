@@ -578,6 +578,47 @@ def test_unbuildable_config_is_config_error(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
+# -- non-finite values are rejected where they enter ------------------------------
+
+@pytest.mark.parametrize("kind", ["run", "riemann"])
+def test_config_nan_token_is_config_error(tmp_path, capsys, kind):
+    doc = run_config(tmp_path) if kind == "run" else _riemann_doc()
+    doc["law"]["a"] = math.nan
+    cfg = write_config(tmp_path, "c.json", doc)  # json writes the token NaN
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: config {cfg} is not valid JSON: NaN is not a number\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["a", "gamma"])
+def test_infinite_law_is_config_error(tmp_path, capsys, key):
+    doc = _riemann_doc()
+    doc["law"][key] = math.inf
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid law: ") and "finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [("time", math.inf), ("x_min", -math.inf),
+                                        ("x_max", math.inf)])
+def test_riemann_infinite_coordinate_is_config_error(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, "c.json", _riemann_doc(**{key: value}))
+    assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_plot_rejects_non_finite_value(tmp_path, capsys, value):
+    csv = tmp_path / "energy.csv"
+    csv.write_text(f"t,E\n0.0,{value}\n0.1,1.0\n")
+    assert main(["plot", "--csv", str(csv), "--kind", "energy",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {csv}: data row 1, column E is not finite\n"
+    assert not (tmp_path / "o").exists()
+
 # -- one stacked march per ensemble ---------------------------------------------
 
 def test_ensemble_is_one_stacked_run(tmp_path, monkeypatch):
@@ -746,3 +787,70 @@ def test_diagnose_output_trees_pinned(tmp_path, dim):
     assert main(["diagnose", "--config", diag, "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == ["certificate.csv", "certificate.json"]
     assert _tree_digest(out) == DIAGNOSE_DIGESTS[dim]
+
+
+# -- the other subcommands' outputs and the config schemas, pinned ------------
+
+def _pinned_tree(tmp_path, kind):
+    """Run ``kind`` on a fixed config and return its output directory: the
+    64-cell datum of ``_pinned_doc`` for run (at nu = 0.1) and ensemble,
+    select over that ensemble's directory, riemann on ``_riemann_doc``."""
+    if kind == "select":
+        doc = {"kind": "select", "candidates": str(_pinned_tree(tmp_path, "ensemble"))}
+    elif kind == "riemann":
+        doc = _riemann_doc()
+    else:
+        doc = _pinned_doc(kind)
+        if kind == "run":
+            del doc["nu_list"]
+            doc["scheme"]["nu"] = 0.1
+    out = tmp_path / kind
+    assert main([kind, "--config", write_config(tmp_path, f"{kind}.json", doc),
+                 "--out", str(out)]) == 0
+    return out
+
+
+# sha256 of the output trees of _pinned_tree, recorded with the cli built
+# around _specs and _run_ensemble
+MORE_TREE_DIGESTS = {
+    "run": "b27335b43e54a3866556a54f94fd28e276625388d5d2555a32967b41e2c0d5eb",
+    "riemann": "234a69b1fee2fd27da725de58690c1d9155871bca01c6cddb1da7021b0eba369",
+    "select": "2e25e9d764f14625021bbce301d932d1fba5d9a0cff5a8aaf1e57b9a43091ca7",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MORE_TREE_DIGESTS))
+def test_output_trees_pinned(tmp_path, kind):
+    assert _tree_digest(_pinned_tree(tmp_path, kind)) == MORE_TREE_DIGESTS[kind]
+
+
+# sha256 of the SVG of each plot kind, drawn from a file of a pinned tree
+PLOT_DIGESTS = {
+    ("defect", "ensemble", "defect.csv"):
+        "6bf61cf351c8cde998a8246f502924759b04557627ca7f83d99c2b64ede2cec5",
+    ("energy", "run", "energy.csv"):
+        "9b665d967e91e354657504f8a7b1595aa110bb1f19e18183ca726458ca6aab37",
+    ("profile", "riemann", "profile.csv"):
+        "8e6e044ed56856b8aecb2fc909ba4cf5209e7923b181a7252e8d4bf66202cc08",
+    ("profile", "run", "state_000010.csv"):
+        "1a057d1671420cfe099957875828a8e7b77476cc4eee3ae0eb502b8a9fae501d",
+}
+
+
+@pytest.mark.parametrize("kind, tree, name", sorted(PLOT_DIGESTS))
+def test_plot_svgs_pinned(tmp_path, kind, tree, name):
+    csv = _pinned_tree(tmp_path, tree) / name
+    out = tmp_path / "plot"
+    assert main(["plot", "--csv", str(csv), "--kind", kind, "--out", str(out)]) == 0
+    svg = (out / f"{kind}.svg").read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == PLOT_DIGESTS[(kind, tree, name)]
+
+
+# sha256 of the config schemas, a pinned interface
+SCHEMAS_DIGEST = "59ee9be7f2d46c4099c4cce9727ab5eb1eacdd1e55c98037ea064374697e32f1"
+
+
+def test_config_schemas_pinned():
+    from eulerlab.cli import SCHEMAS
+    text = json.dumps(SCHEMAS, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == SCHEMAS_DIGEST

@@ -19,6 +19,9 @@ def test_law_validation():
         GasLaw(a=-1.0, gamma=2.0)
     with pytest.raises(ValueError):
         GasLaw(a=1.0, gamma=1.0)
+    for a, gamma in ((np.inf, 2.0), (1.0, np.inf), (np.nan, 2.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            GasLaw(a=a, gamma=gamma)
 
 
 def test_pressure_values():

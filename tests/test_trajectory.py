@@ -169,6 +169,14 @@ def test_shift_requires_sample_time():
         shift(traj, 0.3)
 
 
+def test_nan_is_not_a_sample_time():
+    traj = constant_traj([0.0, 0.5, 1.0])
+    for call in (traj.index_of, lambda t: shift(traj, t),
+                 lambda t: concatenate(traj, traj, t)):
+        with pytest.raises(ValueError, match="not a sample time"):
+            call(math.nan)
+
+
 def test_shift_semigroup():
     rng = np.random.default_rng(4)
     traj = random_step_traj(rng, n_times=9, t_end=2.0)
