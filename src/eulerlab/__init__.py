@@ -10,9 +10,9 @@ from .trajectory import (OrderResult, Trajectory, compare_admissible, compare_lo
                          concatenate, convex_combine, defect_reset, improve,
                          load_bundle, min_energy_merge, save_bundle, shift,
                          stopping_time, weighted_norm)
-from .dissipative import (CertificateTolerances, DissipativeCertificate, TestFunction,
-                          certify, compatibility, continuity_residual, default_dictionary,
-                          estimate_reynolds, momentum_residual, reset_defects)
+from .dissipative import (DissipativeCertificate, TestFunction, certify, compatibility,
+                          continuity_residual, default_dictionary, estimate_reynolds,
+                          momentum_residual, reset_defects)
 from .selection import (CandidateSet, F1, F2, MinimizerVerdict, SelectionReport,
                         check_concatenation_inequality, check_order_coherence,
                         check_shift_identity, default_lambda_grid,

@@ -26,13 +26,13 @@ import numpy as np
 
 from .eos import GasLaw, sound_speed
 from .fields import (DataTriple, FluidState, Grid, integrate_energy, load_state_csv,
-                     read_csv, write_csv)
+                     read_csv, write_csv, write_json)
 from .riemann import RiemannData, solve_riemann
 from .solver import SchemeSpec, run
 from .stress import ReynoldsField
 from .trajectory import improve, load_bundle, require_shared, save_bundle
-from .dissipative import (CertificateTolerances, certificate_to_json, certify,
-                          compatibility, estimate_reynolds, reset_defects, save_defect_csv)
+from .dissipative import (certificate_to_json, certify, compatibility, estimate_reynolds,
+                          reset_defects, save_defect_csv)
 from .selection import (CandidateSet, check_order_coherence,
                         is_absolute_minimizer, select)
 from .svgplot import write_line_svg
@@ -240,10 +240,8 @@ def _setup(cfg: dict):
         raise ConfigError(f"invalid grid: {e}")
     law = _build_law(cfg)
     triple = _build_initial(cfg, grid, law)
-    s = cfg.get("scheme", {})
     try:
-        scheme = SchemeSpec(flux=s.get("flux", "llf"), nu=s.get("nu", 0.0),
-                            cfl=s.get("cfl", 0.9))
+        scheme = SchemeSpec(**cfg.get("scheme", {}))
     except ValueError as e:
         raise ConfigError(f"invalid scheme: {e}")
     if "nu_list" not in cfg:
@@ -298,12 +296,6 @@ def _initial_state(spec: dict, grid: Grid, law: GasLaw) -> FluidState:
     m = np.zeros(grid.counts + (grid.d,))
     m[..., 0] = rho * u
     return FluidState(grid, rho, m)
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
 
 
 @contextmanager
@@ -361,10 +353,8 @@ def cmd_diagnose(cfg: dict, out: str) -> int:
             require_shared(traj, R)
         except Exception as e:
             raise ConfigError(f"malformed Reynolds field {cfg['reynolds']}: {e}")
-    tol = CertificateTolerances.for_trajectory(
-        traj, residual_factor=cfg.get("residual_factor", 10.0))
     try:
-        cert = certify(traj, R, tolerances=tol)
+        cert = certify(traj, R, **{k: v for k, v in cfg.items() if k == "residual_factor"})
     except ValueError as e:  # certify records failures; it raises on data it cannot test
         raise ConfigError(f"cannot certify bundle {bundle}: {e}")
     os.makedirs(out, exist_ok=True)
@@ -394,10 +384,8 @@ def cmd_select(cfg: dict, out: str) -> int:
         cands = CandidateSet(members)
     except ValueError as e:
         raise ConfigError(f"inconsistent candidate set: {e}")
-    sel = cfg.get("selection", {})
     try:
-        report = select(cands, variant=sel.get("variant", "full"),
-                        q=sel.get("q"), tie_tol=sel.get("tie_tol"))
+        report = select(cands, **cfg.get("selection", {}))
     except ValueError as e:
         raise ConfigError(f"invalid selection: {e}")
     verdict = is_absolute_minimizer(cands.members[report.selected], cands)
@@ -408,7 +396,7 @@ def cmd_select(cfg: dict, out: str) -> int:
         "verdict": verdict.is_minimizer,
         "lambda_lower": verdict.lambda_lower,
     }
-    _write_json(os.path.join(out, "selection.json"), doc)
+    write_json(os.path.join(out, "selection.json"), doc)
     with open(os.path.join(out, "selection.csv"), "w") as f:
         f.write(report.to_csv())
     return 0
@@ -428,8 +416,7 @@ def cmd_riemann(cfg: dict, out: str) -> int:
     rho, u = sol.sample_array(xs / t)
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "profile.csv"), ("x", "rho", "u"), (xs, rho, u))
-    _write_json(os.path.join(out, "star.json"),
-                {"rho_star": sol.rho_star, "u_star": sol.u_star})
+    write_json(os.path.join(out, "star.json"), {"rho_star": sol.rho_star, "u_star": sol.u_star})
     return 0
 
 
@@ -440,6 +427,8 @@ def cmd_dt1(cfg: dict, out: str) -> int:
         delta = cfg["delta"]
     else:
         delta = cfg.get("delta_rel", 0.05) * max(triple.E0, 1e-300)
+    if not math.isfinite(delta):
+        raise ConfigError(f"delta must be finite, got {delta}")
     with _marching("ensemble"):
         result, resets = reset_defects(triple, specs, law, cfg["t_end"], cfg["sample_dt"],
                                        delta)
@@ -449,7 +438,7 @@ def cmd_dt1(cfg: dict, out: str) -> int:
     save_bundle(result, os.path.join(out, "trajectory"))
     write_csv(os.path.join(out, "defect.csv"), ("t", "defect"),
               (result.times, result.defects()))
-    _write_json(os.path.join(out, "report.json"), {
+    write_json(os.path.join(out, "report.json"), {
         "delta": delta,
         "max_defect": max_defect,
         "resets": resets,
@@ -488,7 +477,7 @@ def cmd_dt2(cfg: dict, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     save_bundle(base, os.path.join(out, "base"))
     save_bundle(competitor, os.path.join(out, "competitor"))
-    _write_json(os.path.join(out, "report.json"), {
+    write_json(os.path.join(out, "report.json"), {
         "T": T,
         "epsilon": eps,
         "relation": order.relation,

@@ -33,7 +33,6 @@ __all__ = [
     "estimate_reynolds",
     "reset_defects",
     "compatibility",
-    "CertificateTolerances",
     "DissipativeCertificate",
     "certify",
     "certificate_to_json",
@@ -402,28 +401,6 @@ def compatibility(traj: Trajectory, R: ReynoldsField | None) -> tuple:
 # -- certification ----------------------------------------------------
 
 @dataclass
-class CertificateTolerances:
-    residual: float = 1e-10
-    energy_monotone: float = 1e-10
-    defect_negative: float = 1e-10
-    psd_factor: float = 1e-10
-    slack: float = 1e-10
-
-    @staticmethod
-    def for_trajectory(traj: Trajectory, residual_factor: float = 10.0) -> "CertificateTolerances":
-        """Default tolerances scaled to the grid spacing and energy size."""
-        scale = max(1.0, abs(traj.e0))
-        dx = min(traj.grid.spacing)
-        return CertificateTolerances(
-            residual=residual_factor * dx * scale,
-            energy_monotone=1e-10 * scale,
-            defect_negative=1e-10 * scale,
-            psd_factor=1e-10,
-            slack=1e-10 * scale,
-        )
-
-
-@dataclass
 class DissipativeCertificate:
     checks: list            # (name, value, tolerance, passed) tuples
     times: np.ndarray
@@ -441,7 +418,7 @@ class DissipativeCertificate:
 
 
 def certify(traj: Trajectory, R: ReynoldsField | None = None,
-            tolerances: CertificateTolerances | None = None) -> DissipativeCertificate:
+            residual_factor: float = 10.0) -> DissipativeCertificate:
     """Aggregate verification of all dissipative-solution conditions.
 
     Runs the default dictionary through the weak-form residuals, one pass
@@ -449,9 +426,16 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
     checks energy monotonicity, vacuum consistency, positive
     semi-definiteness of the stress and the defect-trace compatibility
     at every sample time.  Failures are recorded, never raised.
+
+    With scale = max(1, |e0|), the residuals are held to residual_factor *
+    min(grid spacing) * scale, the monotonicity, defect and slack checks to
+    1e-10 * scale, and the stress's least eigenvalue to -1e-10 * its norm scale.
     """
-    if tolerances is None:
-        tolerances = CertificateTolerances.for_trajectory(traj)
+    if not (0.0 < residual_factor < math.inf):
+        raise ValueError(f"residual_factor must be finite and positive, got {residual_factor}")
+    scale = max(1.0, abs(traj.e0))
+    residual_tol = residual_factor * min(traj.grid.spacing) * scale
+    round_off = 1e-10 * scale
     dictionary = default_dictionary(traj.grid, traj.t_end)
     notes = []
     # every reduction below is a NumPy max/min, so a NaN input turns the
@@ -479,25 +463,23 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
 
     if R is not None:
         psd_margin = R.min_eigenvalue()
-        psd_tol = tolerances.psd_factor * max(R.norm_scale(), 1e-300)
+        psd_tol = 1e-10 * max(R.norm_scale(), 1e-300)
     else:
         psd_margin = 0.0
-        psd_tol = tolerances.psd_factor
+        psd_tol = 1e-10
 
     checks = [
-        ("continuity_residual", float(cont), float(tolerances.residual),
-         bool(cont <= tolerances.residual)),
-        ("momentum_residual", float(mom), float(tolerances.residual),
-         bool(mom <= tolerances.residual)),
-        ("energy_monotone", float(mono_violation), float(tolerances.energy_monotone),
-         bool(mono_violation <= tolerances.energy_monotone)),
+        ("continuity_residual", float(cont), float(residual_tol), bool(cont <= residual_tol)),
+        ("momentum_residual", float(mom), float(residual_tol), bool(mom <= residual_tol)),
+        ("energy_monotone", float(mono_violation), float(round_off),
+         bool(mono_violation <= round_off)),
         ("vacuum_consistency", vacuum, 0.0, vacuum == 0.0),
         ("stress_psd_margin", float(psd_margin), float(psd_tol),
          bool(psd_margin >= -psd_tol)),
-        ("defect_nonnegative", float(neg_excursion), float(tolerances.defect_negative),
-         bool(neg_excursion <= tolerances.defect_negative)),
-        ("compatibility_slack", float(np.min(slacks)), float(tolerances.slack),
-         bool(np.min(slacks) >= -tolerances.slack)),
+        ("defect_nonnegative", float(neg_excursion), float(round_off),
+         bool(neg_excursion <= round_off)),
+        ("compatibility_slack", float(np.min(slacks)), float(round_off),
+         bool(np.min(slacks) >= -round_off)),
     ]
     if R is not None and mom_raw > 0:
         notes.append(f"momentum residual without the stress term: {mom_raw:.6e}")

@@ -8,9 +8,10 @@ sum of cell-center values times the cell volume.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +21,11 @@ __all__ = [
     "Grid",
     "FluidState",
     "DataTriple",
-    "ValidationReport",
     "integrate_energy",
     "integrate_energies",
     "validate_initial_data",
     "write_csv",
+    "write_json",
     "read_csv",
     "save_state_csv",
     "load_state_csv",
@@ -65,6 +66,9 @@ class Grid:
             raise ValueError("grid dimension must be 1 or 2")
         if not (len(lower) == len(upper) == len(boundary) == len(counts)):
             raise ValueError("counts, bounds and boundary kinds must share the dimension")
+        for key, bounds in (("lower", lower), ("upper", upper)):
+            if not all(map(math.isfinite, bounds)):
+                raise ValueError(f"{key} must be finite, got {list(bounds)}")
         if any(n < 2 for n in counts):
             raise ValueError("need at least 2 cells per axis")
         if any(u <= lo for lo, u in zip(lower, upper)):
@@ -195,32 +199,20 @@ class DataTriple:
             raise ValueError("total energy E0 must be finite and nonnegative")
 
 
-@dataclass
-class ValidationReport:
-    accepted: bool
-    mean_energy: float
-    slack: float
-    messages: list = field(default_factory=list)
-
-
-def validate_initial_data(triple: DataTriple, law: GasLaw) -> ValidationReport:
-    """Check membership of (state0, E0) in the admissible data class.
-
-    Accepts iff the mean energy does not exceed E0 + 1e-12 * max(1, E0)
-    (and is finite).  Vacuum consistency is already enforced by
-    FluidState; an infinite mean energy can therefore only come from a
-    state built with checks disabled, and is rejected with a dedicated
-    diagnostic.
+def validate_initial_data(triple: DataTriple, law: GasLaw) -> None:
+    """Check membership of (state0, E0) in the admissible data class:
+    raises ``ValueError("initial data rejected: ...")`` when the mean
+    energy is infinite or exceeds E0 + 1e-12 * max(1, E0).  FluidState
+    enforces vacuum consistency, so an infinite mean energy comes only
+    from a state built with checks disabled; it has its own message.
     """
     mean = integrate_energy(triple.state0, law)
     if math.isinf(mean):
-        return ValidationReport(False, mean, -math.inf,
-                                ["vacuum cell carries momentum: mean energy is infinite"])
-    slack = triple.E0 - mean
-    if slack < -1e-12 * max(1.0, triple.E0):
-        return ValidationReport(False, mean, slack,
-                                [f"mean energy {mean} exceeds E0 {triple.E0} beyond tolerance"])
-    return ValidationReport(True, mean, slack)
+        raise ValueError("initial data rejected: vacuum cell carries momentum: "
+                         "mean energy is infinite")
+    if triple.E0 - mean < -1e-12 * max(1.0, triple.E0):
+        raise ValueError(f"initial data rejected: mean energy {mean} exceeds E0 {triple.E0} "
+                         f"beyond tolerance")
 
 
 # -- CSV codec --------------------------------------------------------
@@ -248,6 +240,13 @@ def write_csv(path, names, columns) -> None:
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
             f.write("".join(map(row.__mod__, zip(*block))))
+
+
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def read_csv(path, names=None) -> tuple:

@@ -42,6 +42,9 @@ class RiemannData:
     law: GasLaw
 
     def __post_init__(self):
+        for key in ("rho_l", "u_l", "rho_r", "u_r"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not (self.rho_l > 0 and self.rho_r > 0):
             raise ValueError("the exact solver requires positive densities on both sides")
 

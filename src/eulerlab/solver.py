@@ -323,6 +323,9 @@ class March:
             raise ValueError(f"energy_mode must be one of {ENERGY_MODES}")
         if not (t_end > 0 and sample_dt > 0):
             raise ValueError("t_end and sample_dt must be positive")
+        for key, value in (("t_end", t_end), ("sample_dt", sample_dt)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         n = int(round(t_end / sample_dt))
         if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * t_end:
             raise ValueError("sample_dt must divide t_end")
@@ -331,9 +334,7 @@ class March:
             raise ValueError("need at least one scheme")
         if len({s.flux for s in specs}) > 1:
             raise ValueError("the schemes of one run must share the flux")
-        report = validate_initial_data(triple, law)
-        if not report.accepted:
-            raise ValueError("initial data rejected: " + "; ".join(report.messages))
+        validate_initial_data(triple, law)
 
         state = triple.state0
         self.grid, self.law, self.energy_mode, self.e0 = state.grid, law, energy_mode, triple.E0

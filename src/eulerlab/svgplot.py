@@ -24,12 +24,10 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
     return [lo + span * i / (n - 1) for i in range(n)]
 
 
-def write_line_svg(path, xs, series, labels=None, title="", xlabel="", ylabel=""):
-    """Write a line plot of one or more y-series over shared x values."""
+def write_line_svg(path, xs, series, labels, title, xlabel, ylabel):
+    """Write a line plot of one or more labelled y-series over shared x values."""
     xs = [float(x) for x in xs]
     series = [[float(y) for y in ys] for ys in series]
-    if labels is None:
-        labels = [f"series{i}" for i in range(len(series))]
     x_lo, x_hi = min(xs), max(xs)
     ally = [y for ys in series for y in ys]
     y_lo, y_hi = min(ally), max(ally)
@@ -75,16 +73,13 @@ def write_line_svg(path, xs, series, labels=None, title="", xlabel="", ylabel=""
         out.append(f'<text x="{_W - _MR - 5}" y="{_MT + 15 + 14 * i}" font-size="11" '
                    f'text-anchor="end" fill="{color}" '
                    f'font-family="sans-serif">{labels[i]}</text>')
-    if title:
-        out.append(f'<text x="{_W // 2}" y="18" font-size="13" text-anchor="middle" '
-                   f'font-family="sans-serif">{title}</text>')
-    if xlabel:
-        out.append(f'<text x="{_ML + pw // 2}" y="{_H - 12}" font-size="12" '
-                   f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>')
-    if ylabel:
-        out.append(f'<text x="16" y="{_MT + ph // 2}" font-size="12" '
-                   f'text-anchor="middle" font-family="sans-serif" '
-                   f'transform="rotate(-90 16 {_MT + ph // 2})">{ylabel}</text>')
+    out.append(f'<text x="{_W // 2}" y="18" font-size="13" text-anchor="middle" '
+               f'font-family="sans-serif">{title}</text>')
+    out.append(f'<text x="{_ML + pw // 2}" y="{_H - 12}" font-size="12" '
+               f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>')
+    out.append(f'<text x="16" y="{_MT + ph // 2}" font-size="12" '
+               f'text-anchor="middle" font-family="sans-serif" '
+               f'transform="rotate(-90 16 {_MT + ph // 2})">{ylabel}</text>')
     out.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(out) + "\n")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .eos import GasLaw, pressure
 from .fields import (FluidState, Grid, integrate_energies, load_state_csv, read_csv,
-                     rel_l1_distance, save_state_csv, write_csv)
+                     rel_l1_distance, save_state_csv, write_csv, write_json)
 from .stress import ReynoldsField, convexity_gap, kinetic_tensor
 
 __all__ = [
@@ -447,9 +447,7 @@ def save_bundle(traj: Trajectory, dirpath: str) -> None:
         "times": [float(t) for t in traj.times],
         "e0": traj.e0,
     }
-    with open(os.path.join(dirpath, "meta.json"), "w") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(dirpath, "meta.json"), meta)
     for k, s in enumerate(traj.states):
         save_state_csv(s, os.path.join(dirpath, f"state_{k:06d}.csv"))
     write_csv(os.path.join(dirpath, "energy.csv"), _ENERGY_COLUMNS, (traj.times, traj.energy))

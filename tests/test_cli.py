@@ -543,6 +543,16 @@ def test_ensemble_unmarchable_nu_is_config_error(tmp_path, capsys, nu, message):
     assert message in capsys.readouterr().err
 
 
+def test_run_energy_below_mean_energy_is_config_error(tmp_path, capsys):
+    doc = run_config(tmp_path, scheme={"flux": "hll"},
+                     initial={"preset": "riemann", "rho_l": 1.0, "u_l": 0.0,
+                              "rho_r": 0.25, "u_r": 0.0, "E0": 0.01})
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: run initial data rejected: mean energy 1.0625 "
+                                       "exceeds E0 0.01 beyond tolerance\n")
+
+
 
 # -- configs the schema accepts but the program cannot build ---------------------
 
@@ -607,6 +617,54 @@ def test_riemann_infinite_coordinate_is_config_error(tmp_path, capsys, key, valu
     cfg = write_config(tmp_path, "c.json", _riemann_doc(**{key: value}))
     assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["rho_l", "u_l", "rho_r", "u_r"])
+def test_riemann_infinite_state_is_config_error(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, "c.json", _riemann_doc(**{key: math.inf}))
+    assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"error: invalid Riemann datum: {key} must be "
+                                       f"finite, got inf\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, bounds", [("lower", [-math.inf]), ("upper", [math.inf])])
+def test_infinite_grid_bound_is_config_error(tmp_path, capsys, key, bounds):
+    doc = run_config(tmp_path)
+    doc["grid"][key] = bounds
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: invalid grid: {key} must be finite, got {bounds}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["t_end", "sample_dt"])
+def test_infinite_march_time_is_config_error(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, "c.json", run_config(tmp_path, **{key: math.inf}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: run {key} must be finite, got inf\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["delta", "delta_rel"])
+def test_dt1_infinite_delta_is_config_error(tmp_path, capsys, key):
+    doc = run_config(tmp_path, extra={"kind": "dt1-demo", "nu_list": [0.2], key: math.inf})
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["dt1-demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: delta must be finite, got inf\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_diagnose_infinite_residual_factor_is_config_error(tmp_path, capsys):
+    bundle = tmp_path / "b"
+    assert main(["run", "--config", write_config(tmp_path, "r.json", run_config(tmp_path)),
+                 "--out", str(bundle)]) == 0
+    cfg = write_config(tmp_path, "c.json", {"kind": "diagnose", "bundle": str(bundle),
+                                            "residual_factor": math.inf})
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"error: cannot certify bundle {bundle}: residual_factor "
+                                       f"must be finite and positive, got inf\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -787,6 +845,25 @@ def test_diagnose_output_trees_pinned(tmp_path, dim):
     assert main(["diagnose", "--config", diag, "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == ["certificate.csv", "certificate.json"]
     assert _tree_digest(out) == DIAGNOSE_DIGESTS[dim]
+
+
+# sha256 of diagnose's output tree on the 1D ensemble average of
+# _diagnose_doc with residual_factor 0.5, and its exit code; recorded with
+# the tolerances held in a CertificateTolerances object
+DIAGNOSE_RESIDUAL_FACTOR_PIN = (
+    0, "30e85f90b2b6d6452723440a6be675c7790a99d9531cfed97b80fa911df14c0c")
+
+
+def test_diagnose_residual_factor_output_tree_pinned(tmp_path):
+    ens = tmp_path / "ens"
+    cfg = write_config(tmp_path, "e.json", _diagnose_doc(tmp_path, "1d"))
+    assert main(["ensemble", "--config", cfg, "--out", str(ens)]) == 0
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(ens / "average"),
+                                             "reynolds": str(ens / "reynolds.npz"),
+                                             "residual_factor": 0.5})
+    out = tmp_path / "o"
+    code = main(["diagnose", "--config", diag, "--out", str(out)])
+    assert (code, _tree_digest(out)) == DIAGNOSE_RESIDUAL_FACTOR_PIN
 
 
 # -- the other subcommands' outputs and the config schemas, pinned ------------

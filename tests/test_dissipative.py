@@ -11,9 +11,8 @@ from eulerlab.riemann import RiemannData, sample_cell_averages, solve_riemann
 from eulerlab.solver import SchemeSpec, run
 from eulerlab.stress import ReynoldsField
 from eulerlab.trajectory import Trajectory, convex_combine
-from eulerlab.dissipative import (CertificateTolerances, TestFunction, certify,
-                                  compatibility, continuity_residual, default_dictionary,
-                                  estimate_reynolds, momentum_residual)
+from eulerlab.dissipative import (TestFunction, certify, compatibility, continuity_residual,
+                                  default_dictionary, estimate_reynolds, momentum_residual)
 
 LAW2 = GasLaw(a=1.0, gamma=2.0)
 
@@ -391,14 +390,22 @@ def test_compatibility_constant_follows_dimension_and_gamma():
 
 # -- certification ------------------------------------------------------------
 
+def assert_round_off_checks(cert, residual):
+    """A constant state meets the balances to ``residual`` and the energy
+    checks to 1e-12."""
+    assert cert.check("continuity_residual")[1] <= residual
+    assert cert.check("momentum_residual")[1] <= residual
+    assert cert.check("energy_monotone")[1] <= 1e-12
+    assert cert.check("defect_nonnegative")[1] <= 1e-12
+    assert cert.check("compatibility_slack")[1] >= -1e-12
+
+
 def test_certify_constant_state_passes():
     g = grid_1d(32)
     traj = constant_traj(g, 1.0, 0.0, np.linspace(0, 1, 9))
-    cert = certify(traj, tolerances=CertificateTolerances(
-        residual=1e-12, energy_monotone=1e-12, defect_negative=1e-12,
-        psd_factor=1e-10, slack=1e-12))
+    cert = certify(traj)
     assert cert.passed
-    assert cert.check("continuity_residual")[1] <= 1e-12
+    assert_round_off_checks(cert, residual=1e-12)
 
 
 def test_certify_flags_increasing_energy():
@@ -456,11 +463,9 @@ def test_certify_2d_constant_state():
     s = FluidState.constant(g, 1.2, (0.3, -0.1))
     e = integrate_energy(s, LAW2)
     traj = Trajectory(g, LAW2, np.linspace(0, 1, 6), [s] * 6, np.full(6, e))
-    cert = certify(traj, ReynoldsField(g, traj.times, np.zeros((6, 12, 10, 2, 2))),
-                   tolerances=CertificateTolerances(
-                       residual=1e-11, energy_monotone=1e-12,
-                       defect_negative=1e-12, psd_factor=1e-10, slack=1e-12))
+    cert = certify(traj, ReynoldsField(g, traj.times, np.zeros((6, 12, 10, 2, 2))))
     assert cert.passed, [c for c in cert.checks if not c[3]]
+    assert_round_off_checks(cert, residual=1e-11)
 
 
 def test_2d_convex_combination_certifies():
