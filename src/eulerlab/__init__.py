@@ -6,16 +6,14 @@ from .fields import (DataTriple, FluidState, Grid, integrate_energy,
 from .riemann import RiemannData, solve_riemann
 from .solver import SchemeSpec, run, stable_dt, step
 from .stress import ReynoldsField
-from .trajectory import (OrderResult, Trajectory, compare_admissible, compare_local,
-                         concatenate, convex_combine, defect_reset, improve,
-                         load_bundle, min_energy_merge, save_bundle, shift,
-                         stopping_time, weighted_norm)
+from .trajectory import (OrderResult, Trajectory, compare_local, concatenate,
+                         convex_combine, defect_reset, improve, load_bundle,
+                         save_bundle, shift, stopping_time)
 from .dissipative import (DissipativeCertificate, TestFunction, certify, compatibility,
                           continuity_residual, default_dictionary, estimate_reynolds,
                           momentum_residual, reset_defects)
 from .selection import (CandidateSet, F1, F2, MinimizerVerdict, SelectionReport,
-                        check_concatenation_inequality, check_order_coherence,
-                        check_shift_identity, default_lambda_grid,
-                        is_absolute_minimizer, laplace_energy, lerch_equal, select)
+                        check_order_coherence, default_lambda_grid,
+                        is_absolute_minimizer, laplace_energy, select)
 
 __version__ = "0.1.0"

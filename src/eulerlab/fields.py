@@ -202,15 +202,16 @@ class DataTriple:
 def validate_initial_data(triple: DataTriple, law: GasLaw) -> None:
     """Check membership of (state0, E0) in the admissible data class:
     raises ``ValueError("initial data rejected: ...")`` when the mean
-    energy is infinite or exceeds E0 + 1e-12 * max(1, E0).  FluidState
-    enforces vacuum consistency, so an infinite mean energy comes only
-    from a state built with checks disabled; it has its own message.
+    energy is infinite, NaN or above E0 + 1e-12 * max(1, E0).  FluidState
+    enforces vacuum consistency and finite fields, so a non-finite mean
+    energy comes only from a state built with checks disabled; an
+    infinite one has its own message.
     """
     mean = integrate_energy(triple.state0, law)
     if math.isinf(mean):
         raise ValueError("initial data rejected: vacuum cell carries momentum: "
                          "mean energy is infinite")
-    if triple.E0 - mean < -1e-12 * max(1.0, triple.E0):
+    if not (triple.E0 - mean >= -1e-12 * max(1.0, triple.E0)):  # NaN fails
         raise ValueError(f"initial data rejected: mean energy {mean} exceeds E0 {triple.E0} "
                          f"beyond tolerance")
 

@@ -19,6 +19,7 @@ bisection to 1e-12.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -29,6 +30,8 @@ from .eos import GasLaw
 __all__ = ["RiemannData", "RiemannSolution", "solve_riemann"]
 
 _BISECT_TOL = 1e-12
+_BRACKET_GROWTH = 1e12  # the bracket for rho_star reaches this times the larger density
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,19 @@ def solve_riemann(data: RiemannData) -> RiemannSolution:
 
     Raises ValueError for vacuum-forming data, i.e. when the wave curves
     only meet at rho = 0 (both states expand away from each other faster
-    than the gas can fill the gap).
+    than the gas can fill the gap), and for a density the bisection
+    cannot resolve (not above its tolerance) or evaluate (a*rho**(gamma+1)
+    overflowing on the bracket).
     """
     law = data.law
     g = law.gamma
+    for key in ("rho_l", "rho_r"):
+        rho = getattr(data, key)
+        if not rho > _BISECT_TOL:
+            raise ValueError(f"{key} must exceed the bisection tolerance {_BISECT_TOL:g}, "
+                             f"got {rho}")
+        if (g + 1.0) * math.log(_BRACKET_GROWTH * rho) + math.log(max(law.a, 1.0)) >= _LOG_MAX:
+            raise ValueError(f"{key} is too large for the wave curves to stay finite, got {rho}")
     # u along the 1-curve minus u along the 2-curve; decreasing in rho
     diff = lambda rho: (_wave_u(rho, data.rho_l, data.u_l, law, -1.0)
                         - _wave_u(rho, data.rho_r, data.u_r, law, +1.0))
@@ -154,7 +166,7 @@ def solve_riemann(data: RiemannData) -> RiemannSolution:
     hi = max(data.rho_l, data.rho_r)
     while diff(hi) > 0.0:
         hi *= 2.0
-        if hi > 1e12 * max(data.rho_l, data.rho_r):
+        if hi > _BRACKET_GROWTH * max(data.rho_l, data.rho_r):
             raise ValueError("failed to bracket the intermediate density")
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eos import GasLaw
 from .fields import rel_l1_distance
-from .trajectory import (OrderResult, Trajectory, _density_series, _weighted_integral,
-                         concatenate, default_q, exp_weights, require_shared, shift)
+from .trajectory import OrderResult, Trajectory, require_shared
 
 __all__ = [
     "CandidateSet",
     "SelectionReport",
+    "q_max",
     "default_q",
     "F1",
     "F2",
@@ -30,9 +31,6 @@ __all__ = [
     "default_lambda_grid",
     "MinimizerVerdict",
     "is_absolute_minimizer",
-    "lerch_equal",
-    "check_shift_identity",
-    "check_concatenation_inequality",
     "check_order_coherence",
 ]
 
@@ -67,9 +65,47 @@ class CandidateSet:
         return iter(self.members)
 
 
+# -- weighted functionals ----------------------------------------------
+
+def q_max(law: GasLaw) -> float:
+    """Upper admissible exponent 2*gamma/(gamma+1) for F2."""
+    return 2.0 * law.gamma / (law.gamma + 1.0)
+
+
+def default_q(law: GasLaw) -> float:
+    return min(4.0 / 3.0, q_max(law))
+
+
+def exp_weights(times: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    """Integrals of exp(-lam*t) over the sample windows, last one to infinity."""
+    w = np.empty(len(times))
+    et = np.exp(-lam * times)
+    w[:-1] = (et[:-1] - et[1:]) / lam
+    w[-1] = et[-1] / lam
+    return w
+
+
+def _f2_integrand(traj: Trajectory, variant: str, q: float | None) -> np.ndarray:
+    """Per-sample integrand of F2, with the cell-sum quadrature."""
+    if variant not in F2_VARIANTS:
+        raise ValueError(f"variant must be one of {F2_VARIANTS}")
+    if q is None:
+        q = default_q(traj.law)
+    hi = q_max(traj.law)
+    if not (1.0 < q <= hi + 1e-12):
+        raise ValueError(f"exponent q={q} outside the admissible range (1, {hi}]")
+    cells = tuple(range(1, traj.rho.ndim))
+    vol = traj.grid.cell_volume
+    mq = np.sum(np.sqrt(np.sum(traj.m**2, axis=-1)) ** q, axis=cells) * vol
+    if variant == "momentum-only":
+        return mq
+    return np.sum(traj.rho**q, axis=cells) * vol + mq + np.abs(traj.energy) ** q
+
+
 def F1(traj: Trajectory) -> float:
-    """Exponentially weighted time integral of the total energy."""
-    return _weighted_integral(traj, "F1", None)
+    """Exponentially weighted time integral of the total energy: its
+    Laplace transform at rate 1."""
+    return laplace_energy(traj, 1.0)
 
 
 def F2(traj: Trajectory, variant: str = "full", q: float | None = None) -> float:
@@ -79,9 +115,7 @@ def F2(traj: Trajectory, variant: str = "full", q: float | None = None) -> float
     plus |E|^q (the q-th power of the weighted trajectory norm);
     "momentum-only" keeps just the momentum term.
     """
-    if variant not in F2_VARIANTS:
-        raise ValueError(f"variant must be one of {F2_VARIANTS}")
-    return _weighted_integral(traj, "F2-full" if variant == "full" else "F2-momentum", q)
+    return float(np.dot(exp_weights(traj.times), _f2_integrand(traj, variant, q)))
 
 
 @dataclass
@@ -189,53 +223,6 @@ def is_absolute_minimizer(candidate: Trajectory, candidates: CandidateSet) -> Mi
             lowers.append(None)
             ok_all = False
     return MinimizerVerdict(ok_all, lowers)
-
-
-def lerch_equal(u: Trajectory, v: Trajectory) -> bool:
-    """Transform-based equality certificate for two energy curves.
-
-    True iff the transforms agree within 1e-9/lam * max(E0) at every
-    default grid rate; by density of the exponentials, disagreement
-    certifies genuinely different curves.
-    """
-    scale = max(abs(u.e0), abs(v.e0), 1e-30)
-    for lam in default_lambda_grid():
-        gap = abs(laplace_energy(u, lam) - laplace_energy(v, lam))
-        if gap > 1e-9 * scale / lam:
-            return False
-    return True
-
-
-# -- consistency identities -------------------------------------------
-
-def check_shift_identity(traj: Trajectory, T: float, functional: str = "F1",
-                         q: float | None = None) -> float:
-    """Residual of F(shift(u, T)) = e^T (F(u) - int_0^T e^-t f(u(t)) dt).
-
-    Both sides are closed form on the constant-extension semantics, so
-    the residual is a pure quadrature/shift regression check.
-    """
-    k = traj.index_of(T)
-    lhs = _weighted_integral(shift(traj, T), functional, q)
-    g = _density_series(traj, functional, q)
-    w = exp_weights(traj.times)
-    head = float(np.dot(w[:k], g[:k]))
-    full = float(np.dot(w, g))
-    rhs = math.exp(T) * (full - head)
-    return abs(lhs - rhs)
-
-
-def check_concatenation_inequality(u: Trajectory, v: Trajectory, T: float,
-                                   functional: str = "F1",
-                                   q: float | None = None) -> float:
-    """Signed slack F(u) - F(u joined with v at T).
-
-    Nonnegative whenever the continuation does not exceed the shifted
-    tail of u in the functional; zero for self-concatenation.
-    """
-    joined = concatenate(u, v, T)
-    return (_weighted_integral(u, functional, q)
-            - _weighted_integral(joined, functional, q))
 
 
 def check_order_coherence(less: Trajectory, greater: Trajectory,

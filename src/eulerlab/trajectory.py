@@ -36,17 +36,13 @@ __all__ = [
     "Trajectory",
     "OrderResult",
     "require_shared",
-    "weighted_norm",
-    "q_max",
     "shift",
     "concatenate",
     "convex_combine",
-    "compare_admissible",
     "compare_local",
     "stopping_time",
     "defect_reset",
     "improve",
-    "min_energy_merge",
     "save_bundle",
     "load_bundle",
 ]
@@ -188,63 +184,6 @@ class OrderResult:
     delta: float | None = None
 
 
-# -- weighted norms ---------------------------------------------------
-
-def q_max(law: GasLaw) -> float:
-    """Upper admissible exponent 2*gamma/(gamma+1) for the weighted norms."""
-    return 2.0 * law.gamma / (law.gamma + 1.0)
-
-
-def _check_q(q: float, law: GasLaw) -> None:
-    hi = q_max(law)
-    if not (1.0 < q <= hi + 1e-12):
-        raise ValueError(f"exponent q={q} outside the admissible range (1, {hi}]")
-
-
-def exp_weights(times: np.ndarray, lam: float = 1.0) -> np.ndarray:
-    """Integrals of exp(-lam*t) over the sample windows, last one to infinity."""
-    w = np.empty(len(times))
-    et = np.exp(-lam * times)
-    w[:-1] = (et[:-1] - et[1:]) / lam
-    w[-1] = et[-1] / lam
-    return w
-
-
-def default_q(law: GasLaw) -> float:
-    return min(4.0 / 3.0, q_max(law))
-
-
-def _density_series(traj: Trajectory, functional: str, q: float | None) -> np.ndarray:
-    """Per-sample integrand of a weighted functional: the total energy
-    ("F1"), or the q-th powers of the density and momentum norms plus |E|^q
-    ("F2-full"), or the momentum term alone ("F2-momentum"), with the
-    cell-sum quadrature."""
-    if functional == "F1":
-        return traj.energy.astype(float)
-    if functional not in ("F2-full", "F2-momentum"):
-        raise ValueError(f"unknown functional {functional!r}")
-    if q is None:
-        q = default_q(traj.law)
-    _check_q(q, traj.law)
-    cells = tuple(range(1, traj.rho.ndim))
-    vol = traj.grid.cell_volume
-    mq = np.sum(np.sqrt(np.sum(traj.m**2, axis=-1)) ** q, axis=cells) * vol
-    if functional == "F2-momentum":
-        return mq
-    return np.sum(traj.rho**q, axis=cells) * vol + mq + np.abs(traj.energy) ** q
-
-
-def _weighted_integral(traj: Trajectory, functional: str, q: float | None) -> float:
-    """Exponentially weighted time integral of :func:`_density_series`."""
-    return float(np.dot(exp_weights(traj.times), _density_series(traj, functional, q)))
-
-
-def weighted_norm(traj: Trajectory, q: float) -> float:
-    """Exponentially weighted space-time q-norm of (rho, m, E): the q-th
-    root of the "F2-full" integral."""
-    return _weighted_integral(traj, "F2-full", q) ** (1.0 / q)
-
-
 # -- shift and concatenation -----------------------------------------
 
 def shift(traj: Trajectory, T: float) -> Trajectory:
@@ -313,30 +252,6 @@ def convex_combine(u: Trajectory, v: Trajectory, lam: float) -> tuple:
 
 
 # -- order relations --------------------------------------------------
-
-def _full_energy_curves(u: Trajectory, v: Trajectory) -> tuple:
-    require_shared(u, v)
-    eu = np.concatenate([[u.e0], u.energy])
-    ev = np.concatenate([[v.e0], v.energy])
-    return eu, ev
-
-
-def compare_admissible(u: Trajectory, v: Trajectory) -> OrderResult:
-    """Global energy-curve order: less means E_u <= E_v everywhere with a
-    strict gap somewhere; crossing curves are incomparable."""
-    scale = max(1.0, abs(u.e0), abs(v.e0))
-    tol_eq = 1e-9 * scale
-    tol_strict = 1e-6 * scale
-    eu, ev = _full_energy_curves(u, v)
-    diff = eu - ev
-    if np.max(np.abs(diff)) <= tol_eq:
-        return OrderResult("equal")
-    if np.all(diff <= tol_eq) and np.min(diff) < -tol_strict:
-        return OrderResult("less")
-    if np.all(diff >= -tol_eq) and np.max(diff) > tol_strict:
-        return OrderResult("greater")
-    return OrderResult("incomparable")
-
 
 def compare_local(u: Trajectory, v: Trajectory) -> OrderResult:
     """Local (prefix) order: trajectories must agree in fields and energy
@@ -414,27 +329,6 @@ def improve(traj: Trajectory, T: float, continuation: Trajectory) -> tuple:
     return competitor, order
 
 
-def min_energy_merge(u: Trajectory, v: Trajectory, T: float) -> tuple:
-    """Replace both energy curves by their pointwise minimum from T on.
-
-    Requires the fields of u and v to agree (relative L1 within 1e-9)
-    at every sample time >= T.  Both outputs keep their own states and
-    their original energy before T.
-    """
-    require_shared(u, v)
-    k = u.index_of(T)
-    d = rel_l1_distance(u.rho[k:], u.m[k:], v.rho[k:], v.m[k:])
-    if np.any(d > 1e-9):
-        j = int(np.argmax(d > 1e-9))
-        raise ValueError(f"fields differ at t={u.times[k + j]} (relative L1 {d[j]:.3e})")
-    tail = np.minimum(u.energy[k:], v.energy[k:])
-    eu = np.concatenate([u.energy[:k], tail])
-    ev = np.concatenate([v.energy[:k], tail])
-    mu = Trajectory(u.grid, u.law, u.times, (u.rho, u.m), eu, e0=u.e0)
-    mv = Trajectory(v.grid, v.law, v.times, (v.rho, v.m), ev, e0=v.e0)
-    return mu, mv
-
-
 # -- disk bundles -----------------------------------------------------
 
 def save_bundle(traj: Trajectory, dirpath: str) -> None:
@@ -475,4 +369,4 @@ def load_bundle(dirpath: str, check: bool = True) -> Trajectory:
         state = load_state_csv(grid, os.path.join(dirpath, f"state_{k:06d}.csv"), check=check)
         rho[k], m[k] = state.rho, state.m
     return Trajectory(grid, law, times, (rho, m), energy,
-                      e0=float(meta.get("e0", energy[0])), check=check)
+                      e0=float(meta["e0"]), check=check)

@@ -249,6 +249,22 @@ def test_diagnose_nan_sample_time_reports_nan_checks(tmp_path):
     assert values["continuity_residual"] is None and values["momentum_residual"] is None
 
 
+def _drop_e0(bundle):
+    meta = json.loads((bundle / "meta.json").read_text())
+    del meta["e0"]
+    (bundle / "meta.json").write_text(json.dumps(meta))
+
+
+def test_diagnose_bundle_without_e0_is_malformed(tmp_path, capsys):
+    run_cfg = write_config(tmp_path, "r.json", run_config(tmp_path))
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", run_cfg, "--out", str(bundle)]) == 0
+    _drop_e0(bundle)
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle)})
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: malformed bundle {bundle}: 'e0'\n"
+
+
 @pytest.mark.parametrize("sample_dt,t_end", [(0.1, 0.2), (0.1, 0.4)],
                          ids=["count", "times"])
 def test_diagnose_rejects_mismatched_reynolds_field(tmp_path, capsys, sample_dt, t_end):
@@ -370,6 +386,14 @@ def test_select_rejects_inconsistent_members(tmp_path, capsys):
     cfg = write_config(tmp_path, "s.json", {"kind": "select", "candidates": str(root)})
     assert main(["select", "--config", cfg, "--out", str(tmp_path / "sel")]) == 2
     assert "member" in capsys.readouterr().err
+
+
+def test_select_candidate_without_e0_is_inconsistent(tmp_path, capsys):
+    root = _write_candidates(tmp_path)
+    _drop_e0(root / "member_01")
+    cfg = write_config(tmp_path, "s.json", {"kind": "select", "candidates": str(root)})
+    assert main(["select", "--config", cfg, "--out", str(tmp_path / "sel")]) == 2
+    assert capsys.readouterr().err == "error: candidate member_01 is inconsistent: 'e0'\n"
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
@@ -626,6 +650,21 @@ def test_riemann_infinite_state_is_config_error(tmp_path, capsys, key):
     assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (f"error: invalid Riemann datum: {key} must be "
                                        f"finite, got inf\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("rho_l", 1e300, "is too large for the wave curves to stay finite"),  # was OverflowError
+    ("rho_l", 1e-300, "must exceed the bisection tolerance 1e-12"),  # was AssertionError
+    ("rho_r", 5e-324, "must exceed the bisection tolerance 1e-12"),  # was ZeroDivisionError
+])
+def test_riemann_density_out_of_solver_range_is_config_error(tmp_path, capsys, key, value,
+                                                             reason):
+    doc = _riemann_doc(law={"a": 1.0, "gamma": 1.4}, **{key: value})
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"error: invalid Riemann datum: {key} {reason}, "
+                                       f"got {value}\n")
     assert not (tmp_path / "o").exists()
 
 

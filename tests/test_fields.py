@@ -88,6 +88,13 @@ def test_validate_initial_data():
         validate_initial_data(DataTriple(vac_mom, 100.0), LAW2)
 
 
+def test_validate_initial_data_rejects_nan_mean_energy():
+    g = Grid(counts=(4,), lower=(0.0,), upper=(1.0,))
+    s = FluidState(g, [1.0, np.nan, 1.0, 1.0], [[0.0]] * 4, check=False)
+    with pytest.raises(ValueError, match="initial data rejected: mean energy nan"):
+        validate_initial_data(DataTriple(s, 1.0), LAW2)
+
+
 def test_integrate_energy_convexity():
     rng = np.random.default_rng(7)
     g = unit_grid_1d(16)
