@@ -4,7 +4,7 @@ from .eos import GasLaw, defect_constant, energy_cellwise, pressure, sound_speed
 from .fields import (DataTriple, FluidState, Grid, integrate_energy,
                      validate_initial_data)
 from .riemann import RiemannData, solve_riemann
-from .solver import SchemeSpec, run, stable_dt, step
+from .solver import SchemeSpec, run
 from .stress import ReynoldsField
 from .trajectory import (OrderResult, Trajectory, compare_local, concatenate,
                          convex_combine, defect_reset, improve, load_bundle,

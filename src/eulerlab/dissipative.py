@@ -23,7 +23,7 @@ from .eos import GasLaw, defect_constant, pressure
 from .fields import DataTriple, Grid, integrate_energies, integrate_energy, write_csv
 from .solver import March
 from .stress import ReynoldsField, convexity_gap, kinetic_tensor
-from .trajectory import Trajectory, concatenate, require_shared, stopping_time
+from .trajectory import Trajectory, defect_reset, require_shared, stopping_time
 
 __all__ = [
     "TestFunction",
@@ -345,7 +345,7 @@ def reset_defects(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_d
     ``specs`` accumulates the scheme's dissipation as its defect.  At the
     first sample time T whose defect exceeds delta, the energy is reset
     to the mean energy and a new ensemble continues from the average's
-    state there; the pieces are joined by ``concatenate``.  Returns the
+    state there; the pieces are joined by ``defect_reset``.  Returns the
     joined trajectory and the reset times.
 
     A window is marched only up to the first sample whose averaged
@@ -381,7 +381,7 @@ def reset_defects(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_d
             cont = Trajectory(result.grid, law, [0.0], [state], [mean_t], e0=mean_t)
         else:
             cont = window(DataTriple(state, mean_t), horizon, guard == 0)
-        result = concatenate(result, cont, T)
+        result = defect_reset(result, T, cont)
         resets.append(float(T))
     if result.t_end < t_end - 0.5 * sample_dt:
         raise RuntimeError(f"the reset loop stopped at t={result.t_end} short of "
@@ -409,12 +409,6 @@ class DissipativeCertificate:
     slacks: np.ndarray
     passed: bool
     notes: list = field(default_factory=list)
-
-    def check(self, name: str):
-        for c in self.checks:
-            if c[0] == name:
-                return c
-        raise KeyError(name)
 
 
 def certify(traj: Trajectory, R: ReynoldsField | None = None,

@@ -79,11 +79,6 @@ class RiemannSolution:
     rho_star: float
     u_star: float
 
-    def sample(self, xi: float) -> tuple:
-        """Self-similar solution (rho, u) at xi = x/t, as two floats."""
-        rho, u = self.sample_array(np.array([xi], dtype=float))
-        return float(rho[0]), float(u[0])
-
     def sample_array(self, xi) -> tuple:
         """Self-similar solution (rho, u) at xi = x/t, as arrays of xi's shape.
 
@@ -131,7 +126,9 @@ class RiemannSolution:
                 rho[fan] = np.fromiter(map(pow, memoryview(w), repeat(1.0 / (g - 1.0))),
                                        float, count=w.size)
             left = wave
-        assert inner_edges[0] <= inner_edges[1] + 1e-12
+        # the edges come from different wave formulas, so they agree only to
+        # round-off relative to their size (7e-15 at a speed of 3e46 seen)
+        assert inner_edges[0] <= inner_edges[1] + 1e-12 * max(1.0, *map(abs, inner_edges))
         return rho, u
 
 

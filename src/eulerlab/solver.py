@@ -19,23 +19,23 @@ dropped from the stack.  A stack holds at most
 further stacks.  Each stack's march is a generator that yields once
 all its members have taken the next sample, and the stacks advance in
 turn, so a consumer that has what it needs at sample j stops there and
-no stack marches past it.  ``step`` and ``stable_dt`` on a plain
-``FluidState`` are the one-member case of the same kernel, with the
-same results and messages.
+no stack marches past it.
 
-A stack owns its primitives: ``_Members`` computes velocity, sound speed
-and the per-axis maximal wave speeds once, when it is built (``step``
-builds the next one), and ``stable_dt``, ``step``'s re-check of the CFL
-bound and the flux pass all read them.  Each axis sweep packs (U, u, c)
-into one array, ghost-extended by slice copies, and evaluates pressure
-and physical flux once per cell of it; the left and right states of
-every interface are views into it.
+The stack is the one state the kernel steps.  ``_Members`` carries its
+grid, gas law and schemes, so ``stable_dt`` and ``step`` take nothing
+that could disagree with it.  It computes velocity, sound speed and the
+per-axis maximal wave speeds once, when it is built (``step`` builds the
+next one), and ``stable_dt``, ``step``'s re-check of the CFL bound and
+the flux pass all read them.  Each axis sweep packs (U, u, c) into one
+array, ghost-extended by slice copies, and evaluates pressure and
+physical flux once per cell of it; the left and right states of every
+interface are views into it.
 
 ``step`` rejects a dt above the bound and a NaN dt; ``run`` rejects a
 stable dt below its clock tolerance.  Negative densities and non-finite
-values abort with the offending cell named, and on a stack with the
-member and its viscosity; there is no positivity limiter, since a silent
-fix would corrupt every defect measurement downstream.
+values abort with the member, its viscosity and the offending cell
+named; there is no positivity limiter, since a silent fix would corrupt
+every defect measurement downstream.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import GasLaw, pressure, sound_speed
-from .fields import DataTriple, FluidState, integrate_energies, validate_initial_data
+from .fields import DataTriple, integrate_energies, validate_initial_data
 from .trajectory import Trajectory
 
-__all__ = ["SchemeSpec", "CFLViolation", "stable_dt", "step", "March", "run"]
+__all__ = ["SchemeSpec", "CFLViolation", "March", "run"]
 
 FLUX_KINDS = ("llf", "hll")
 ENERGY_MODES = ("envelope", "budget")
@@ -84,19 +84,19 @@ class SchemeSpec:
 
 
 class _Members:
-    """The live members of ``run``'s march on one grid: their conserved
-    variables ``U`` (1 + d, K, *counts), component first (``U[0]`` the
-    densities, ``U[1:]`` the momentum components), ``ids``, each row's
-    position in ``run``'s list of schemes (None for a lone state), and the
-    primitives under ``law``: velocity ``u`` (d, K, *counts), sound speed
-    ``c`` (K, *counts) and, per cell axis k, the list of each member's
-    maximal wave speed ``max|u_k| + c``.  ``stable_dt`` and ``step`` on a
-    stack must be given the law it was built under."""
+    """A stack: members of a run marching on one grid under one gas law.
 
-    __slots__ = ("grid", "U", "ids", "u", "c", "speeds")
+    It holds their conserved variables ``U`` (1 + d, K, *counts), component
+    first (``U[0]`` the densities, ``U[1:]`` the momentum components), the
+    run's schemes ``specs`` (they share the flux), ``ids``, each row's
+    position in ``specs``, and the primitives under ``law``: velocity ``u``
+    (d, K, *counts), sound speed ``c`` (K, *counts) and, per cell axis k,
+    the list of each member's maximal wave speed ``max|u_k| + c``."""
 
-    def __init__(self, grid, U, ids, law: GasLaw):
-        self.grid, self.U, self.ids = grid, U, ids
+    __slots__ = ("grid", "law", "specs", "U", "ids", "u", "c", "speeds")
+
+    def __init__(self, grid, law: GasLaw, specs, U, ids):
+        self.grid, self.law, self.specs, self.U, self.ids = grid, law, specs, U, ids
         self.u = np.divide(U[1:], U[0], out=np.zeros(U[1:].shape), where=U[0] > 0)
         self.c = sound_speed(U[0], law)
         cells = tuple(range(1, self.c.ndim))
@@ -108,35 +108,22 @@ def _pack(rho, m):
     return np.concatenate((rho[None], np.moveaxis(m, -1, 0)))
 
 
-def _members(state, spec, law: GasLaw):
-    """``state`` as a stack and one scheme per row: a ``FluidState`` is
-    wrapped as a stack of one under ``law``."""
-    if isinstance(state, FluidState):
-        return _Members(state.grid, _pack(state.rho[None], state.m[None]), None, law), (spec,)
-    return state, spec
+def _member(stack: _Members, j: int) -> str:
+    """Message prefix naming row ``j`` of a stack."""
+    return f"member {stack.ids[j]} (nu={stack.specs[stack.ids[j]].nu}) failed: "
 
 
-def _member(stack: _Members, specs, j: int) -> str:
-    """Message prefix naming row ``j`` of a stack; empty for a lone state."""
-    if stack.ids is None:
-        return ""
-    return f"member {stack.ids[j]} (nu={specs[j].nu}) failed: "
-
-
-def stable_dt(state, spec, law: GasLaw):
-    """CFL-stable time step, viscosity included in the speed budget.
-
-    A float for a ``FluidState`` and its ``SchemeSpec``; for ``run``'s
-    stack and one spec per member, an array of one dt per member.
-    """
-    stack, specs = _members(state, spec, law)
+def stable_dt(stack: _Members) -> np.ndarray:
+    """CFL-stable time step of each member of ``stack``, viscosity included
+    in the speed budget."""
     dt = []
-    for j, s in enumerate(specs):
+    for j, i in enumerate(stack.ids):
+        s = stack.specs[i]
         rate = 0.0
         for s_k, h in zip(stack.speeds, stack.grid.spacing):
             rate += (s_k[j] + 2.0 * s.nu) / h
         dt.append(math.inf if rate == 0.0 else s.cfl / rate)
-    return dt[0] if stack.ids is None else np.array(dt)
+    return np.array(dt)
 
 
 def _extend(stack: _Members, axis: int, boundary: str):
@@ -210,24 +197,19 @@ def _interface_flux(ext, law, flux, nu, axis):
     return f
 
 
-def step(state, spec, law: GasLaw, dt):
-    """One conservative update by dt; dt must satisfy the CFL bound.
-
-    ``state`` is a ``FluidState`` with one ``SchemeSpec`` and a float dt,
-    or ``run``'s stack of members with one spec and one dt per member;
-    the specs of a stack share the flux.
-    """
-    stack, specs = _members(state, spec, law)
-    dt_max = stable_dt(stack, specs, law)
+def step(stack: _Members, dt) -> _Members:
+    """The stack after one conservative update of each member by its dt,
+    which must satisfy the member's CFL bound."""
+    dt_max = stable_dt(stack)
     dt = np.asarray(dt, dtype=float).reshape(-1)
-    ok = dt <= np.multiply(dt_max, 1.0 + 1e-12)  # also rejects a NaN dt or bound
+    ok = dt <= dt_max * (1.0 + 1e-12)  # also rejects a NaN dt or bound
     if not ok.all():
         j = int(np.argmin(ok))
-        raise CFLViolation(f"{_member(stack, specs, j)}dt={dt[j]} exceeds the stable "
-                           f"bound {np.reshape(dt_max, -1)[j]}")
+        raise CFLViolation(f"{_member(stack, j)}dt={dt[j]} exceeds the stable "
+                           f"bound {dt_max[j]}")
     grid = stack.grid
-    nu = np.array([s.nu for s in specs])
-    member = (len(specs),) + (1,) * grid.d  # shape of a per-member factor
+    nu = np.array([stack.specs[i].nu for i in stack.ids])
+    member = (len(nu),) + (1,) * grid.d  # shape of a per-member factor
     U_new = stack.U.copy()
     for axis, (h, boundary) in enumerate(zip(grid.spacing, grid.boundary)):
         ext = _extend(stack, axis, boundary)
@@ -239,7 +221,7 @@ def step(state, spec, law: GasLaw, dt):
         if len(nu) > 1:  # one value per interface of the merged axis
             nu_x = np.repeat(nu, ext_x.shape[1] // len(nu))[:-1].reshape(
                 (-1,) + (1,) * (grid.d - 1 - axis))
-        f = _interface_flux(ext_x, law, specs[0].flux, nu_x, axis)
+        f = _interface_flux(ext_x, stack.law, stack.specs[0].flux, nu_x, axis)
         d_U = np.empty(ext_x[:-2].shape)  # f[:, j] - f[:, j - 1] at each cell j
         np.subtract(f[:, 1:], f[:, :-1], out=d_U[:, 1:-1])
         d_U = d_U.reshape(ext[:-2].shape)[(slice(None),) * (axis + 2) + (slice(1, -1),)]
@@ -248,41 +230,38 @@ def step(state, spec, law: GasLaw, dt):
     if not np.isfinite(U_new).all():
         bad = ~np.isfinite(U_new).all(axis=0)
         j, *idx = (int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-        raise ValueError(f"{_member(stack, specs, j)}non-finite state produced at cell "
+        raise ValueError(f"{_member(stack, j)}non-finite state produced at cell "
                          f"{tuple(idx)}")
     rho_new = U_new[0]
     if (rho_new < 0).any():
         j, *idx = (int(i) for i in np.unravel_index(int(np.argmin(rho_new)), rho_new.shape))
-        raise ValueError(f"{_member(stack, specs, j)}negative density "
+        raise ValueError(f"{_member(stack, j)}negative density "
                          f"{rho_new[(j, *idx)]:.3e} produced at cell {tuple(idx)}")
     if not rho_new.all():
         U_new[1:, rho_new == 0.0] = 0.0
-    if stack.ids is None:
-        return FluidState(grid, rho_new[0], np.moveaxis(U_new[1:, 0], 0, -1), check=False)
-    return _Members(grid, U_new, stack.ids, law)
+    return _Members(grid, stack.law, stack.specs, U_new, stack.ids)
 
 
-def _march(live: _Members, specs, law: GasLaw, times, tol: float, rho, m):
+def _march(live: _Members, times, tol: float, rho, m):
     """Step the stack ``live`` until each of its members has taken its last
     sample, storing sample k of stack row i in ``rho[i, k]`` and ``m[i, k]``.
     A generator: it yields j once every member has taken sample j, for
     j = 1, ..., n."""
     n = len(times) - 1
-    live_specs = [specs[i] for i in live.ids]
-    row = np.arange(len(live_specs))
-    t = np.zeros(len(live_specs))
-    k = np.ones(len(live_specs), dtype=int)  # each member's next sample
+    row = np.arange(len(live.ids))
+    t = np.zeros(len(row))
+    k = np.ones(len(row), dtype=int)  # each member's next sample
     taken = 0  # samples every member has taken
-    while live_specs:
-        dt = stable_dt(live, live_specs, law)
+    while len(row):
+        dt = stable_dt(live)
         tiny = dt < tol
         if tiny.any():
             j = int(np.argmax(tiny))
-            raise ValueError(f"{_member(live, live_specs, j)}stable dt {dt[j]} is below "
+            raise ValueError(f"{_member(live, j)}stable dt {dt[j]} is below "
                              f"the clock tolerance {tol}")
         target = times[k]
         dt = np.minimum(dt, target - t)
-        live = step(live, live_specs, law, dt)
+        live = step(live, dt)
         t += dt
         hit = t >= target - tol
         if hit.any():
@@ -293,8 +272,8 @@ def _march(live: _Members, specs, law: GasLaw, times, tol: float, rho, m):
             k[hit] += 1
             keep = k <= n
             if not keep.all():
-                live = _Members(live.grid, live.U[:, keep], live.ids[keep], law)
-                live_specs = [specs[i] for i in live.ids]
+                live = _Members(live.grid, live.law, live.specs, live.U[:, keep],
+                                live.ids[keep])
                 row, t, k = row[keep], t[keep], k[keep]
             # a member takes at most one sample per step, so this is taken + 1
             # when the slowest member takes its sample
@@ -351,8 +330,8 @@ class March:
             rho[:, 0], m[:, 0] = state.rho, state.m
             self.rho.extend(rho)
             self.m.extend(m)
-            self._stacks.append(_march(_Members(self.grid, U, ids, law), specs, law,
-                                       self.times, 1e-14 * t_end, rho, m))
+            self._stacks.append(_march(_Members(self.grid, law, specs, U, ids), self.times,
+                                       1e-14 * t_end, rho, m))
 
     def __iter__(self):
         yield 0

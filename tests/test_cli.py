@@ -668,6 +668,18 @@ def test_riemann_density_out_of_solver_range_is_config_error(tmp_path, capsys, k
     assert not (tmp_path / "o").exists()
 
 
+def test_riemann_round_off_wave_edges_profile(tmp_path):
+    # density ratio 1e39: both inner wave edges are about 3.297e46 and the
+    # 1-wave's lies 7.4e-15 relative above the 2-wave's (was AssertionError)
+    doc = _riemann_doc(law={"a": 0.0440, "gamma": 3.8255}, rho_l=2.03e33, u_l=-0.00299,
+                       rho_r=1.49e-6, u_r=1.112)
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    prof = np.genfromtxt(tmp_path / "o" / "profile.csv", delimiter=",", names=True)
+    assert np.isfinite(prof["u"]).all()
+    assert np.isfinite(prof["rho"]).all() and (prof["rho"] > 0).all()
+
+
 @pytest.mark.parametrize("key, bounds", [("lower", [-math.inf]), ("upper", [math.inf])])
 def test_infinite_grid_bound_is_config_error(tmp_path, capsys, key, bounds):
     doc = run_config(tmp_path)
@@ -812,11 +824,12 @@ def _fail_first_window_at(monkeypatch, sample):
     import eulerlab.solver as solver_mod
     inner, marches = solver_mod._march, []
 
-    def failing_march(live, specs, *args):
+    def failing_march(live, *args):
         marches.append(live)
-        for j in inner(live, specs, *args):
+        for j in inner(live, *args):
             if len(marches) == 1 and j == sample:
-                raise ValueError(f"member 1 (nu={specs[1].nu}) failed: injected at sample {j}")
+                raise ValueError(f"member 1 (nu={live.specs[1].nu}) failed: injected at "
+                                 f"sample {j}")
             yield j
 
     monkeypatch.setattr(solver_mod, "_march", failing_march)

@@ -1,9 +1,10 @@
-"""Every name a module exports is its own and has a caller in the program.
+"""Every name a module exports is its own and has a caller in the program,
+and so has every public method of a public class.
 
 A caller is a ``Name`` or ``Attribute`` node anywhere in ``src/``,
-``demos/`` or ``perfbench/``.  Imports hold aliases and ``__all__``
-holds strings, so neither counts; a name used only by tests belongs in
-``tests/``.
+``demos/`` or ``perfbench/``; a method's caller is an ``Attribute``.
+Imports hold aliases and ``__all__`` holds strings, so neither counts; a
+name used only by tests belongs in ``tests/``.
 """
 
 import ast
@@ -39,19 +40,28 @@ def _defined(tree):
     return names
 
 
+def _public_methods(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def _referenced():
-    names = set()
+    """The names and, separately, the attributes the program refers to."""
+    names, attributes = set(), set()
     for top in ("src", "demos", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(_tree(path)):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return names
+                    attributes.add(node.attr)
+    return names | attributes, attributes
 
 
-REFERENCED = _referenced()
+REFERENCED, ATTRIBUTES = _referenced()
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -64,3 +74,9 @@ def test_exports_are_defined_in_their_module(module):
 def test_exports_have_a_caller_outside_tests(module):
     tree = _tree(PACKAGE / f"{module}.py")
     assert [n for n in _exports(tree) if n not in REFERENCED] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_methods_have_a_caller_outside_tests(module):
+    tree = _tree(PACKAGE / f"{module}.py")
+    assert [q for q, name in _public_methods(tree) if name not in ATTRIBUTES] == []

@@ -1,8 +1,9 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulerlab.eos import GasLaw, pressure, sound_speed
@@ -19,6 +20,12 @@ RAREF_TAIL = -0.3229923466244429
 SHOCK_SPEED = 1.3302051016196047
 
 
+def _sample(sol, xi):
+    """The self-similar solution (rho, u) at the one point xi, as two floats."""
+    rho, u = sol.sample_array(np.array([xi], dtype=float))
+    return float(rho[0]), float(u[0])
+
+
 def test_data_validation():
     with pytest.raises(ValueError):
         RiemannData(0.0, 0.0, 1.0, 0.0, LAW2)
@@ -30,14 +37,14 @@ def test_equal_states_constant_solution():
     data = RiemannData(0.8, 0.3, 0.8, 0.3, LAW2)
     sol = solve_riemann(data)
     for xi in (-5.0, -0.1, 0.0, 0.4, 3.0):
-        rho, u = sol.sample(xi)
+        rho, u = _sample(sol, xi)
         assert rho == pytest.approx(0.8, rel=1e-11)
         assert u == pytest.approx(0.3, rel=1e-11, abs=1e-11)
 
 
 def test_symmetric_collision_zero_velocity_at_center():
     data = RiemannData(1.0, 0.5, 1.0, -0.5, LAW2)
-    rho, u = solve_riemann(data).sample(0.0)
+    rho, u = _sample(solve_riemann(data), 0.0)
     assert u == pytest.approx(0.0, abs=1e-10)
     assert rho > 1.0  # compression
 
@@ -51,19 +58,19 @@ def test_star_state_oracle():
 def test_wave_structure_sampling():
     sol = solve_riemann(RiemannData(1.0, 0.0, 0.25, 0.0, LAW2))
     # far fields
-    assert sol.sample(-10.0) == pytest.approx((1.0, 0.0))
-    assert sol.sample(10.0) == pytest.approx((0.25, 0.0))
+    assert _sample(sol, -10.0) == pytest.approx((1.0, 0.0))
+    assert _sample(sol, 10.0) == pytest.approx((0.25, 0.0))
     # star region between rarefaction tail and shock
-    rho, u = sol.sample(0.5 * (RAREF_TAIL + SHOCK_SPEED))
+    rho, u = _sample(sol, 0.5 * (RAREF_TAIL + SHOCK_SPEED))
     assert rho == pytest.approx(STAR_RHO, abs=1e-10)
     assert u == pytest.approx(STAR_U, abs=1e-10)
     # inside the fan the characteristic relation xi = u - c holds
     xi = 0.5 * (RAREF_HEAD + RAREF_TAIL)
-    rho, u = sol.sample(xi)
+    rho, u = _sample(sol, xi)
     assert u - float(sound_speed(rho, LAW2)) == pytest.approx(xi, abs=1e-10)
     # just across the shock
-    assert sol.sample(SHOCK_SPEED - 1e-6)[0] == pytest.approx(STAR_RHO, abs=1e-8)
-    assert sol.sample(SHOCK_SPEED + 1e-6)[0] == pytest.approx(0.25, abs=1e-8)
+    assert _sample(sol, SHOCK_SPEED - 1e-6)[0] == pytest.approx(STAR_RHO, abs=1e-8)
+    assert _sample(sol, SHOCK_SPEED + 1e-6)[0] == pytest.approx(0.25, abs=1e-8)
 
 
 def test_rankine_hugoniot_on_shock():
@@ -100,7 +107,7 @@ def test_sample_array_matches_scalar():
     xi = np.linspace(-2.0, 2.0, 41)
     rho, u = sol.sample_array(xi)
     for k in (0, 7, 20, 33, 40):
-        r, v = sol.sample(float(xi[k]))
+        r, v = _sample(sol, float(xi[k]))
         assert rho[k] == r and u[k] == v
 
 
@@ -201,8 +208,8 @@ def test_rankine_hugoniot_at_every_shock(sol):
         assert flux(rs, us) == pytest.approx(flux(r0, u0), abs=1e-8 * scale)
         # the sampled profile jumps from the star state to the outer state at s
         eps = 1e-7 * (1.0 + abs(s))
-        assert sol.sample(s - sign * eps) == pytest.approx((rs, us), rel=1e-9, abs=1e-9)
-        assert sol.sample(s + sign * eps) == (r0, u0)
+        assert _sample(sol, s - sign * eps) == pytest.approx((rs, us), rel=1e-9, abs=1e-9)
+        assert _sample(sol, s + sign * eps) == (r0, u0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -231,4 +238,28 @@ def test_fan_characteristics_and_continuity(sol):
 def test_sample_equals_sample_array(sol, xi):
     rho, u = sol.sample_array(np.array(xi))
     for k, x in enumerate(xi):
-        assert sol.sample(x) == (rho[k], u[k])
+        assert _sample(sol, x) == (rho[k], u[k])
+
+
+# the range of densities and velocities a random sweep of the CLI's
+# ``riemann`` configs covered when it found the wave-edge assertion failing
+_SWEEP_DENSITIES = st.floats(math.log10(1.3e-12), 36.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-3.0, 3.0).map(lambda e: 10.0**e), gamma=st.floats(1.01, 5.0),
+       rho_l=_SWEEP_DENSITIES, rho_r=_SWEEP_DENSITIES,
+       u_l=st.floats(-1e5, 1e5), u_r=st.floats(-1e5, 1e5),
+       scale=st.floats(-3.0, 47.0).map(lambda e: 10.0**e))
+# a failing datum of that sweep: about one datum in a thousand drawn here
+# fails like it, too few for the search alone to find it every time
+@example(a=0.0440, gamma=3.8255, rho_l=2.03e33, u_l=-0.00299, rho_r=1.49e-6, u_r=1.112,
+         scale=1.0)
+def test_extreme_data_raise_only_value_error(a, gamma, rho_l, u_l, rho_r, u_r, scale):
+    data = RiemannData(rho_l, u_l, rho_r, u_r, GasLaw(a=a, gamma=gamma))
+    try:
+        sol = solve_riemann(data)
+    except ValueError:
+        return
+    sol.sample_array(np.append(np.linspace(-scale, scale, 21), sol.u_star))
+

@@ -27,6 +27,25 @@ def riemann_state(grid, rho_l, u_l, rho_r, u_r, interface=0.0):
     return FluidState(grid, rho, (rho * u)[:, None])
 
 
+def _stack(specs, *states, law=LAW2):
+    """The solver's stack of ``states`` under ``law``, member i in row i
+    with scheme ``specs[i]``."""
+    U = solver_mod._pack(np.stack([s.rho for s in states]), np.stack([s.m for s in states]))
+    return solver_mod._Members(states[0].grid, law, tuple(specs), U, np.arange(len(states)))
+
+
+def _state(stack, j=0):
+    """Member ``j`` of ``stack`` as a ``FluidState``."""
+    return FluidState(stack.grid, stack.U[0, j], np.moveaxis(stack.U[1:, j], 0, -1), check=False)
+
+
+def _lone_step(s, spec, law=LAW2, dt=None):
+    """``s`` after one step as a stack of one, by its stable dt unless
+    ``dt`` is given."""
+    stack = _stack([spec], s, law=law)
+    return _state(step(stack, stable_dt(stack) if dt is None else dt))
+
+
 def test_scheme_spec_validation():
     with pytest.raises(ValueError):
         SchemeSpec(flux="roe")
@@ -43,17 +62,16 @@ def test_constant_state_preserved(flux):
     g = periodic_grid(16)
     s = FluidState.constant(g, 1.4, 0.2)
     spec = SchemeSpec(flux=flux, nu=0.3)
-    out = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+    out = _lone_step(s, spec)
     assert np.allclose(out.rho, s.rho, rtol=0, atol=1e-14)
     assert np.allclose(out.m, s.m, rtol=0, atol=1e-14)
 
 
 def test_cfl_violation_raises():
     g = periodic_grid(16)
-    s = FluidState.constant(g, 1.0, 0.5)
-    spec = SchemeSpec()
+    s = _stack([SchemeSpec()], FluidState.constant(g, 1.0, 0.5))
     with pytest.raises(CFLViolation):
-        step(s, spec, LAW2, 10.0 * stable_dt(s, spec, LAW2))
+        step(s, 10.0 * stable_dt(s))
 
 
 @pytest.mark.parametrize("flux", ["llf", "hll"])
@@ -66,7 +84,7 @@ def test_periodic_conservation(flux):
     spec = SchemeSpec(flux=flux, nu=0.2)
     mass0, mom0 = s.rho.sum(), s.m.sum()
     for _ in range(20):
-        s = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+        s = _lone_step(s, spec)
     assert abs(s.rho.sum() - mass0) <= 1e-12 * abs(mass0)
     assert abs(s.m.sum() - mom0) <= 1e-12 * max(abs(mom0), 1.0)
 
@@ -77,7 +95,7 @@ def test_reflective_conserves_mass_not_momentum():
     spec = SchemeSpec()
     mass0, mom0 = s.rho.sum(), s.m.sum()
     for _ in range(60):
-        s = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+        s = _lone_step(s, spec)
     assert abs(s.rho.sum() - mass0) <= 1e-12 * abs(mass0)
     assert abs(s.m.sum() - mom0) > 1e-6  # walls exert pressure
 
@@ -91,7 +109,7 @@ def test_conservation_2d_periodic():
     mass0 = s.rho.sum()
     mom0 = s.m.sum(axis=(0, 1))
     for _ in range(10):
-        s = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+        s = _lone_step(s, spec)
     assert abs(s.rho.sum() - mass0) <= 1e-12 * abs(mass0)
     assert np.all(np.abs(s.m.sum(axis=(0, 1)) - mom0) <= 1e-12)
 
@@ -105,7 +123,7 @@ def test_llf_energy_nonincreasing_per_step():
     spec = SchemeSpec(flux="llf", nu=0.1)
     e = integrate_energy(s, LAW2)
     for _ in range(40):
-        s = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+        s = _lone_step(s, spec)
         e_new = integrate_energy(s, LAW2)
         assert e_new <= e + 1e-10 * e
         e = e_new
@@ -120,13 +138,13 @@ def test_negative_density_error_names_cell(monkeypatch):
     s = FluidState(g, rho, np.zeros((8, 1)))
     monkeypatch.setattr(solver_mod, "stable_dt", lambda *a, **k: math.inf)
     with pytest.raises(ValueError, match=r"negative density .* cell \(4"):
-        step(s, SchemeSpec(flux="llf"), LAW2, 0.2)
+        _lone_step(s, SchemeSpec(flux="llf"), dt=0.2)
 
 
 def test_nan_dt_raises_cfl_violation():
     s = FluidState.constant(periodic_grid(16), 1.0, 0.5)
     with pytest.raises(CFLViolation):
-        step(s, SchemeSpec(), LAW2, math.nan)
+        _lone_step(s, SchemeSpec(), dt=math.nan)
 
 
 def test_nan_stable_bound_raises_cfl_violation():
@@ -135,7 +153,7 @@ def test_nan_stable_bound_raises_cfl_violation():
     rho[3] = math.nan
     s = FluidState(periodic_grid(16), rho, np.zeros((16, 1)), check=False)
     with pytest.raises(CFLViolation):
-        step(s, SchemeSpec(), LAW2, 1e-3)
+        _lone_step(s, SchemeSpec(), dt=1e-3)
 
 
 def test_non_finite_update_names_cell():
@@ -147,7 +165,7 @@ def test_non_finite_update_names_cell():
     spec = SchemeSpec()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"non-finite state .* cell \(4,\)"):
-            step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+            _lone_step(s, spec)
 
 
 def test_shock_speed_matches_jump_conditions():
@@ -160,14 +178,14 @@ def test_shock_speed_matches_jump_conditions():
     s_exact = (rho_l * u_l - rho_r * u_r) / (rho_l - rho_r)
 
     g = periodic_grid(400, -1.0, 3.0)
-    state = riemann_state(g, rho_l, u_l, rho_r, u_r)
-    spec = SchemeSpec(flux="llf")
+    stack = _stack([SchemeSpec(flux="llf")], riemann_state(g, rho_l, u_l, rho_r, u_r))
     t = 0.0
     t_end = 0.5
     while t < t_end:
-        dt = min(stable_dt(state, spec, LAW2), t_end - t)
-        state = step(state, spec, LAW2, dt)
+        dt = min(stable_dt(stack)[0], t_end - t)
+        stack = step(stack, dt)
         t += dt
+    state = _state(stack)
     x = g.centers(0)
     mid = 0.5 * (rho_l + rho_r)
     # scan away from the periodic wraparound waves at the domain edges
@@ -267,7 +285,7 @@ def test_step_bits_pinned(flux, boundary, counts):
     s = _pinned_state(boundary, counts)
     spec = SchemeSpec(flux=flux, nu=0.15)
     for _ in range(5):
-        s = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+        s = _lone_step(s, spec)
     digest = hashlib.sha256(s.rho.tobytes() + s.m.tobytes()).hexdigest()
     assert digest == PINNED_DIGESTS[(flux, boundary, counts)]
 
@@ -318,7 +336,7 @@ def test_step_bits_pinned_vacuum_walls(flux, nu, counts):
     spec = SchemeSpec(flux=flux, nu=nu)
     h = hashlib.sha256()
     for _ in range(5):
-        s = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+        s = _lone_step(s, spec)
         h.update(s.rho.tobytes() + s.m.tobytes())
     assert h.hexdigest() == VACUUM_WALL_DIGESTS[(flux, nu, counts)]
 
@@ -340,7 +358,7 @@ def fluid_states(draw, boundary):
 def test_step_conserves_mass_and_periodic_momentum(data, flux, boundary, nu):
     s = data.draw(fluid_states(boundary))
     spec = SchemeSpec(flux=flux, nu=nu)
-    out = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+    out = _lone_step(s, spec)
     assert abs(out.rho.sum() - s.rho.sum()) <= 1e-12 * s.rho.sum()
     if boundary == "periodic":
         cells = tuple(range(s.grid.d))
@@ -356,7 +374,7 @@ def test_reflective_rest_state_is_steady(counts, rho0, flux, nu):
     g = Grid(counts=counts, lower=(0.0,) * d, upper=(1.0,) * d, boundary=("reflective",) * d)
     s = FluidState.constant(g, rho0, 0.0)
     spec = SchemeSpec(flux=flux, nu=nu)
-    out = step(s, spec, LAW2, stable_dt(s, spec, LAW2))
+    out = _lone_step(s, spec)
     assert np.array_equal(out.rho, s.rho)
     assert np.array_equal(out.m, s.m)
 
@@ -367,30 +385,31 @@ def test_reflective_rest_state_is_steady(counts, rho0, flux, nu):
 def test_stable_dt_same_on_fresh_and_cached_state(counts):
     spec = SchemeSpec(nu=0.15)
     s = _pinned_state("reflective", counts)
-    first = stable_dt(s, spec, LAW2)
-    assert stable_dt(s, spec, LAW2) == first
-    assert stable_dt(FluidState(s.grid, s.rho, s.m), spec, LAW2) == first
+    stack = _stack([spec], s)
+    first = stable_dt(stack)
+    assert stable_dt(stack) == first
+    assert stable_dt(_stack([spec], FluidState(s.grid, s.rho, s.m))) == first
 
 
 def test_step_guards_hold_after_cached_stable_dt():
     spec = SchemeSpec()
-    s = _pinned_state("reflective", (16,))
+    s = _stack([spec], _pinned_state("reflective", (16,)))
     with pytest.raises(CFLViolation):
-        step(s, spec, LAW2, 1.01 * stable_dt(s, spec, LAW2))
-    stable_dt(s, spec, LAW2)
+        step(s, 1.01 * stable_dt(s))
+    stable_dt(s)
     with pytest.raises(CFLViolation):
-        step(s, spec, LAW2, math.nan)
+        step(s, math.nan)
 
 
 def test_cached_speeds_are_not_reused_for_another_law():
     spec = SchemeSpec(nu=0.15)
     law3 = GasLaw(a=1.0, gamma=3.0)
     s = _pinned_state("reflective", (12, 10))
-    dt2 = stable_dt(s, spec, LAW2)
-    dt3 = stable_dt(s, spec, law3)
+    dt2 = stable_dt(_stack([spec], s))
+    dt3 = stable_dt(_stack([spec], s, law=law3))
     assert dt3 != dt2
-    assert dt3 == stable_dt(_pinned_state("reflective", (12, 10)), spec, law3)
-    stable_dt(s, spec, LAW2)
-    out = step(s, spec, law3, dt3)
-    fresh = step(_pinned_state("reflective", (12, 10)), spec, law3, dt3)
+    assert dt3 == stable_dt(_stack([spec], _pinned_state("reflective", (12, 10)), law=law3))
+    stable_dt(_stack([spec], s))
+    out = _lone_step(s, spec, law3, dt3)
+    fresh = _lone_step(_pinned_state("reflective", (12, 10)), spec, law3, dt3)
     assert out.rho.tobytes() + out.m.tobytes() == fresh.rho.tobytes() + fresh.m.tobytes()

@@ -14,7 +14,7 @@ import eulerlab.solver as solver_mod
 from eulerlab.eos import GasLaw
 from eulerlab.fields import DataTriple, FluidState, Grid, integrate_energy
 from eulerlab.solver import FLUX_KINDS, CFLViolation, SchemeSpec, run, stable_dt, step
-from test_solver import _vacuum_wall_state
+from test_solver import _stack, _vacuum_wall_state
 
 LAWS = {2.0: GasLaw(a=1.0, gamma=2.0), 1.4: GasLaw(a=1.0, gamma=1.4)}
 
@@ -164,9 +164,9 @@ def test_finished_members_leave_the_stack(monkeypatch):
     sizes = []
     inner = solver_mod.step
 
-    def counting_step(state, spec, law, dt):
-        sizes.append(len(spec))
-        return inner(state, spec, law, dt)
+    def counting_step(stack, dt):
+        sizes.append(len(stack.ids))
+        return inner(stack, dt)
 
     s = _pin_state("1d-vacuum")
     triple = DataTriple(s, integrate_energy(s, LAWS[2.0]))
@@ -201,12 +201,6 @@ def test_run_rejects_mixed_fluxes_and_no_scheme():
 
 # -- guards name the member and the cell ---------------------------------------
 
-def _stack(*states):
-    """run's stack of the given states, member i in row i."""
-    U = solver_mod._pack(np.stack([s.rho for s in states]), np.stack([s.m for s in states]))
-    return solver_mod._Members(states[0].grid, U, np.arange(len(states)), LAWS[2.0])
-
-
 def test_non_finite_nu_rejected():
     for nu in (math.inf, math.nan):
         with pytest.raises(ValueError, match="nu must be finite and nonnegative"):
@@ -225,12 +219,12 @@ def test_tiny_stable_dt_names_member():
 def test_stacked_cfl_violation_and_nan_dt_name_member():
     s = _pin_state("1d-periodic")
     specs = [SchemeSpec(nu=0.1), SchemeSpec(nu=0.3)]
-    stack = _stack(s, s)
-    dt = stable_dt(stack, specs, LAWS[2.0])
+    stack = _stack(specs, s, s)
+    dt = stable_dt(stack)
     with pytest.raises(CFLViolation, match=r"member 1 \(nu=0\.3\) failed: dt=.* exceeds"):
-        step(stack, specs, LAWS[2.0], dt * np.array([1.0, 1.01]))
+        step(stack, dt * np.array([1.0, 1.01]))
     with pytest.raises(CFLViolation, match=r"member 0 \(nu=0\.1\) failed: dt=nan exceeds"):
-        step(stack, specs, LAWS[2.0], np.array([math.nan, dt[1]]))
+        step(stack, np.array([math.nan, dt[1]]))
 
 
 def test_stacked_non_finite_update_names_member_and_cell():
@@ -239,12 +233,12 @@ def test_stacked_non_finite_update_names_member_and_cell():
     rho[5] = 1e200
     good, bad = FluidState.constant(g, 1.0, 0.1), FluidState(g, rho, np.zeros((8, 1)))
     specs = [SchemeSpec(), SchemeSpec(nu=0.2)]
-    stack = _stack(good, bad)
+    stack = _stack(specs, good, bad)
     with np.errstate(over="ignore", invalid="ignore"):
-        dt = stable_dt(stack, specs, LAWS[2.0])
+        dt = stable_dt(stack)
         with pytest.raises(ValueError, match=r"member 1 \(nu=0\.2\) failed: non-finite "
                                              r"state .* cell \(4,\)"):
-            step(stack, specs, LAWS[2.0], dt)
+            step(stack, dt)
 
 
 def test_stacked_negative_density_names_member_and_cell(monkeypatch):
@@ -256,4 +250,4 @@ def test_stacked_negative_density_names_member_and_cell(monkeypatch):
     monkeypatch.setattr(solver_mod, "stable_dt", lambda *a, **k: math.inf)
     with pytest.raises(ValueError, match=r"member 1 \(nu=0\.0\) failed: negative density "
                                          r".* cell \(4,\)"):
-        step(_stack(good, bad), [SchemeSpec(), SchemeSpec()], LAWS[2.0], np.array([1e-3, 0.2]))
+        step(_stack([SchemeSpec(), SchemeSpec()], good, bad), np.array([1e-3, 0.2]))
