@@ -13,7 +13,6 @@ the polynomial time bump exactly by fixed-order Gauss quadrature.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ __all__ = [
     "compatibility",
     "DissipativeCertificate",
     "certify",
-    "certificate_to_json",
+    "certificate_doc",
     "save_defect_csv",
 ]
 
@@ -138,8 +137,6 @@ class TestFunction:
 def _place_centers(lo: float, hi: float, halfwidth: float, n: int) -> list:
     if 2.0 * halfwidth > hi - lo:
         raise ValueError("bump does not fit inside the interval")
-    if n == 1:
-        return [0.5 * (lo + hi)]
     a, b = lo + halfwidth, hi - halfwidth
     return [a + i * (b - a) / (n - 1) for i in range(n)]
 
@@ -403,14 +400,11 @@ def compatibility(traj: Trajectory, R: ReynoldsField | None) -> tuple:
 @dataclass
 class DissipativeCertificate:
     checks: list            # (name, value, tolerance, passed) tuples
-    times: np.ndarray
-    defects: np.ndarray
-    traces: np.ndarray
-    slacks: np.ndarray
     passed: bool
     notes: list = field(default_factory=list)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite input fails its checks
 def certify(traj: Trajectory, R: ReynoldsField | None = None,
             residual_factor: float = 10.0) -> DissipativeCertificate:
     """Aggregate verification of all dissipative-solution conditions.
@@ -424,6 +418,7 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
     With scale = max(1, |e0|), the residuals are held to residual_factor *
     min(grid spacing) * scale, the monotonicity, defect and slack checks to
     1e-10 * scale, and the stress's least eigenvalue to -1e-10 * its norm scale.
+    A check whose value or tolerance is not finite fails.
     """
     if not (0.0 < residual_factor < math.inf):
         raise ValueError(f"residual_factor must be finite and positive, got {residual_factor}")
@@ -444,7 +439,7 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
 
     # energy monotonicity, including the initial jump
     diffs = np.diff(traj.energy, prepend=traj.e0)
-    mono_violation = float(np.max(diffs, initial=0.0))
+    mono_violation = np.max(diffs, initial=0.0)
 
     # 1 when a vacuum cell carries momentum, NaN when a field is not finite
     if not (np.isfinite(traj.rho).all() and np.isfinite(traj.m).all()):
@@ -452,8 +447,8 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
     else:
         vacuum = float(np.any(traj.m[traj.rho == 0.0] != 0.0))
 
-    defects, traces, slacks = compatibility(traj, R)
-    neg_excursion = float(np.max(-defects, initial=0.0))
+    defects, _, slacks = compatibility(traj, R)
+    neg_excursion = np.max(-defects, initial=0.0)
 
     if R is not None:
         psd_margin = R.min_eigenvalue()
@@ -462,43 +457,40 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
         psd_margin = 0.0
         psd_tol = 1e-10
 
-    checks = [
-        ("continuity_residual", float(cont), float(residual_tol), bool(cont <= residual_tol)),
-        ("momentum_residual", float(mom), float(residual_tol), bool(mom <= residual_tol)),
-        ("energy_monotone", float(mono_violation), float(round_off),
-         bool(mono_violation <= round_off)),
-        ("vacuum_consistency", vacuum, 0.0, vacuum == 0.0),
-        ("stress_psd_margin", float(psd_margin), float(psd_tol),
-         bool(psd_margin >= -psd_tol)),
-        ("defect_nonnegative", float(neg_excursion), float(round_off),
-         bool(neg_excursion <= round_off)),
-        ("compatibility_slack", float(np.min(slacks)), float(round_off),
-         bool(np.min(slacks) >= -round_off)),
+    # (name, value, tolerance, lower): the value must be at most the
+    # tolerance, or for a lower bound at least its negative
+    rows = [
+        ("continuity_residual", cont, residual_tol, False),
+        ("momentum_residual", mom, residual_tol, False),
+        ("energy_monotone", mono_violation, round_off, False),
+        ("vacuum_consistency", vacuum, 0.0, False),
+        ("stress_psd_margin", psd_margin, psd_tol, True),
+        ("defect_nonnegative", neg_excursion, round_off, False),
+        ("compatibility_slack", np.min(slacks), round_off, True),
     ]
+    # a non-finite value or tolerance fails, so an infinite scale cannot pass
+    checks = [(name, float(v), float(tol), math.isfinite(v) and math.isfinite(tol)
+               and bool(v >= -tol if lower else v <= tol))
+              for name, v, tol, lower in rows]
     if R is not None and mom_raw > 0:
         notes.append(f"momentum residual without the stress term: {mom_raw:.6e}")
-    passed = all(c[3] for c in checks)
-    return DissipativeCertificate(checks, traj.times.copy(), defects, traces,
-                                  slacks, passed, notes)
+    return DissipativeCertificate(checks, all(c[3] for c in checks), notes)
 
 
-def _json_number(x: float):
-    return x if math.isfinite(x) else None
+def certificate_doc(cert: DissipativeCertificate) -> dict:
+    """The certificate as a strict-JSON document: a non-finite check value
+    or tolerance is written as null."""
+    def number(x):
+        return x if math.isfinite(x) else None
 
-
-def certificate_to_json(cert: DissipativeCertificate) -> str:
-    """Strict JSON: a non-finite check value or tolerance is written as null."""
-    doc = {
+    return {
         "passed": cert.passed,
-        "checks": [
-            {"name": n, "value": _json_number(v), "tolerance": _json_number(tol), "passed": ok}
-            for n, v, tol, ok in cert.checks
-        ],
+        "checks": [{"name": n, "value": number(v), "tolerance": number(tol), "passed": ok}
+                   for n, v, tol, ok in cert.checks],
         "notes": cert.notes,
     }
-    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
-def save_defect_csv(path, times, defects, traces, slacks) -> None:
-    """Write the per-sample ``t,defect,traceR,slack`` table."""
-    write_csv(path, ("t", "defect", "traceR", "slack"), (times, defects, traces, slacks))
+def save_defect_csv(path, traj: Trajectory, R: ReynoldsField | None) -> None:
+    """Write the per-sample ``t,defect,traceR,slack`` table of ``compatibility``."""
+    write_csv(path, ("t", "defect", "traceR", "slack"), (traj.times, *compatibility(traj, R)))

@@ -58,9 +58,6 @@ class CandidateSet:
             if abs(tr.e0 - base.e0) > 1e-12 * scale:
                 raise ValueError(f"member {i} starts from a different total energy")
 
-    def __len__(self):
-        return len(self.members)
-
     def __iter__(self):
         return iter(self.members)
 

@@ -62,10 +62,6 @@ class ReynoldsField:
         self.times = times
         self.tensor = tensor
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.times)
-
     def trace_integrals(self) -> np.ndarray:
         """Integral of the trace measure over the domain at each sample."""
         tr = np.trace(self.tensor, axis1=-2, axis2=-1)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from eulerlab.cli import main
-from eulerlab.eos import GasLaw
-from eulerlab.fields import FluidState, Grid, integrate_energy
+from eulerlab.eos import GasLaw, sound_speed
+from eulerlab.fields import FluidState, Grid, integrate_energy, read_csv
 from eulerlab.stress import ReynoldsField
 from eulerlab.trajectory import Trajectory, load_bundle, save_bundle
 
@@ -265,6 +265,47 @@ def test_diagnose_bundle_without_e0_is_malformed(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: malformed bundle {bundle}: 'e0'\n"
 
 
+def _diagnose_edited_bundle(tmp_path, edit):
+    """Exit code and certificate checks of ``diagnose`` on a ``run`` bundle
+    after ``edit(bundle)``."""
+    run_cfg = write_config(tmp_path, "r.json", run_config(tmp_path))
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", run_cfg, "--out", str(bundle)]) == 0
+    edit(bundle)
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle)})
+    code = main(["diagnose", "--config", diag, "--out", str(tmp_path / "o")])
+    doc = json.loads((tmp_path / "o" / "certificate.json").read_text(),
+                     parse_constant=_reject_constant)
+    return code, {c["name"]: c for c in doc["checks"]}
+
+
+def test_diagnose_infinite_e0_fails(tmp_path):
+    # an infinite e0 makes every scaled tolerance infinite; such a check fails
+    def infinite_e0(bundle):
+        meta = json.loads((bundle / "meta.json").read_text())
+        meta["e0"] = math.inf
+        (bundle / "meta.json").write_text(json.dumps(meta))  # json writes Infinity
+
+    code, checks = _diagnose_edited_bundle(tmp_path, infinite_e0)
+    assert code == 1
+    assert {n for n, c in checks.items() if c["passed"]} == {"vacuum_consistency",
+                                                             "stress_psd_margin"}
+    assert all(c["tolerance"] is None for n, c in checks.items()
+               if n not in ("vacuum_consistency", "stress_psd_margin"))
+
+
+def test_diagnose_infinite_energy_fails_compatibility_slack(tmp_path):
+    def infinite_energy(bundle):
+        lines = (bundle / "energy.csv").read_text().splitlines()
+        lines[1:] = [line.split(",")[0] + ",inf" for line in lines[1:]]
+        (bundle / "energy.csv").write_text("\n".join(lines) + "\n")
+
+    code, checks = _diagnose_edited_bundle(tmp_path, infinite_energy)
+    assert code == 1
+    assert checks["compatibility_slack"]["value"] is None
+    assert not checks["compatibility_slack"]["passed"]
+
+
 @pytest.mark.parametrize("sample_dt,t_end", [(0.1, 0.2), (0.1, 0.4)],
                          ids=["count", "times"])
 def test_diagnose_rejects_mismatched_reynolds_field(tmp_path, capsys, sample_dt, t_end):
@@ -452,6 +493,31 @@ def test_run_with_initial_file(tmp_path):
     assert np.allclose(traj.states[0].rho, rho)
 
 
+@pytest.mark.parametrize("grid, initial", [
+    ({"counts": [64], "lower": [0.0], "upper": [1.0], "boundary": ["periodic"]},
+     {"preset": "acoustic", "rho0": 0.8, "amplitude": 0.05, "modes": 2}),
+    ({"counts": [8, 4], "lower": [0.0, 0.0], "upper": [1.0, 0.5]},
+     {"preset": "acoustic", "rho0": 0.8}),
+], ids=["1d", "2d"])
+def test_run_acoustic_preset_simple_wave(tmp_path, grid, initial):
+    # a right-moving simple wave: the left Riemann invariant u - 2c/(gamma-1)
+    # is constant in the initial state
+    cfg = write_config(tmp_path, "c.json", run_config(tmp_path, grid=grid, initial=initial))
+    out = tmp_path / "bundle"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    names, table = read_csv(out / "state_000000.csv")
+    cols = dict(zip(names, table.T))
+    rho = cols["rho"]
+    invariant = cols["mx"] / rho - 2.0 * sound_speed(rho, LAW2) / (LAW2.gamma - 1.0)
+    assert np.ptp(invariant) <= 1e-12
+    assert np.mean(rho) == pytest.approx(0.8, abs=1e-12)
+    if "my" in cols:
+        assert not cols["my"].any()
+    traj = load_bundle(out)
+    mass = traj.rho.sum(axis=tuple(range(1, traj.rho.ndim)))
+    assert mass[-1] == pytest.approx(mass[0], rel=1e-13)
+
+
 # -- riemann -----------------------------------------------------------------
 
 def test_riemann_profile(tmp_path):
@@ -613,6 +679,22 @@ def test_unbuildable_config_is_config_error(tmp_path, capsys, case):
     assert not (tmp_path / "o").exists()
 
 # -- non-finite values are rejected where they enter ------------------------------
+
+@pytest.mark.parametrize("initial, law, reason", [
+    ({"preset": "constant", "rho": 1e300}, {"a": 1.0, "gamma": 2.0},
+     "total energy E0 must be finite and nonnegative"),
+    ({"preset": "riemann", "rho_l": 1e300, "u_l": 1.0, "rho_r": 1.0, "u_r": 0.0},
+     {"a": 1.0, "gamma": 1.4}, "total energy E0 must be finite and nonnegative"),
+    ({"preset": "acoustic", "rho0": 1.0}, {"a": 0.25, "gamma": 1e300},
+     "fields must be finite"),
+], ids=["constant-energy", "riemann-momentum", "acoustic-sound-speed"])
+def test_overflowing_initial_data_is_config_error(tmp_path, capsys, initial, law, reason):
+    # the overflow itself warns nothing: its non-finite result is rejected by name
+    cfg = write_config(tmp_path, "c.json", run_config(tmp_path, initial=initial, law=law))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: invalid initial data: {reason}\n"
+    assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("kind", ["run", "riemann"])
 def test_config_nan_token_is_config_error(tmp_path, capsys, kind):

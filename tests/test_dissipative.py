@@ -205,6 +205,44 @@ def test_batched_residuals_equal_single_calls_bit_for_bit(data, with_R):
             assert value.tobytes() == residual(traj, [phi])[0].tobytes()
 
 
+@pytest.mark.parametrize("bad", [-np.inf, np.inf])
+def test_certify_infinite_stress_cell_fails_psd_margin(bad):
+    # the cell's norm makes the PSD tolerance infinite; that check must fail
+    g = grid_1d(16)
+    traj = constant_traj(g, 1.0, 0.0, np.linspace(0, 1, 5))
+    tensor = np.zeros((5, 16, 1, 1))
+    tensor[2, 7, 0, 0] = bad
+    with np.errstate(invalid="ignore"):  # the symmetry check forms inf - inf
+        R = ReynoldsField(g, traj.times, tensor)
+    cert = certify(traj, R)
+    assert not _check(cert, "stress_psd_margin")[3]
+    assert not cert.passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), where=st.sampled_from(["e0", "energy", "R"]),
+       bad=st.sampled_from([np.inf, -np.inf, np.nan]))
+def test_certify_non_finite_check_never_passes(data, where, bad):
+    traj, R = data.draw(vacuum_trajectories())
+    if where == "R":
+        d, cells = traj.grid.d, int(np.prod(traj.grid.counts))
+        tensor = R.tensor.copy()  # a diagonal entry keeps the matrix symmetric
+        k, i, j = (data.draw(st.integers(0, n - 1)) for n in (len(tensor), cells, d))
+        tensor.reshape(len(tensor), cells, d, d)[k, i, j, j] = bad
+        with np.errstate(invalid="ignore"):  # the symmetry check forms inf - inf
+            R = ReynoldsField(traj.grid, traj.times, tensor)
+    else:
+        energy, e0 = traj.energy.copy(), bad
+        if where == "energy":
+            energy[data.draw(st.integers(0, len(energy) - 1))], e0 = bad, traj.e0
+        traj = Trajectory(traj.grid, LAW2, traj.times, (traj.rho, traj.m), energy, e0=e0,
+                          check=False)
+    cert = certify(traj, R)
+    non_finite = [c for c in cert.checks if not (np.isfinite(c[1]) and np.isfinite(c[2]))]
+    assert non_finite and not any(c[3] for c in non_finite)
+    assert not cert.passed
+
+
 @pytest.mark.parametrize("with_R", [False, True])
 def test_certify_reads_each_sample_once(monkeypatch, with_R):
     # certify makes one residual call per balance (and one more momentum
