@@ -197,6 +197,16 @@ SCHEMAS = {
 }
 
 
+@contextmanager
+def _config_errors(prefix: str, errors=ValueError):
+    """Turn an error of type ``errors`` raised inside the block into a config
+    error that reads ``prefix`` followed by the error's message."""
+    try:
+        yield
+    except errors as e:
+        raise ConfigError(f"{prefix}{e}")
+
+
 def _parse_constant(token: str) -> float:
     # Infinity stays legal: the program's own checks name what cannot be infinite
     if token == "NaN":
@@ -205,13 +215,11 @@ def _parse_constant(token: str) -> float:
 
 
 def load_config(path: str, kind: str) -> dict:
-    try:
-        with open(path) as f:
+    try:  # json raises a JSONDecodeError, or the ValueError of the token NaN
+        with open(path) as f, _config_errors(f"config {path} is not valid JSON: "):
             cfg = json.load(f, parse_constant=_parse_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except ValueError as e:  # a JSONDecodeError, or the token NaN
-        raise ConfigError(f"config {path} is not valid JSON: {e}")
     validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
@@ -225,33 +233,25 @@ def load_config(path: str, kind: str) -> dict:
 
 
 def _build_law(cfg: dict) -> GasLaw:
-    try:
+    with _config_errors("invalid law: "):
         return GasLaw(a=cfg["law"]["a"], gamma=cfg["law"]["gamma"])
-    except ValueError as e:
-        raise ConfigError(f"invalid law: {e}")
 
 
 def _setup(cfg: dict):
     """The law, the initial triple and the schemes of a march config: one
     scheme per viscosity of ``nu_list``, or the ``scheme`` alone."""
-    try:
+    with _config_errors("invalid grid: "):
         grid = Grid.from_dict(cfg["grid"])
-    except ValueError as e:
-        raise ConfigError(f"invalid grid: {e}")
     law = _build_law(cfg)
     triple = _build_initial(cfg, grid, law)
-    try:
+    with _config_errors("invalid scheme: "):
         scheme = SchemeSpec(**cfg.get("scheme", {}))
-    except ValueError as e:
-        raise ConfigError(f"invalid scheme: {e}")
     if "nu_list" not in cfg:
         return law, triple, [scheme]
     specs = []
     for i, nu in enumerate(cfg["nu_list"]):
-        try:
+        with _config_errors(f"ensemble member {i} (nu={nu}) failed: "):
             specs.append(replace(scheme, nu=float(nu)))
-        except ValueError as e:
-            raise ConfigError(f"ensemble member {i} (nu={nu}) failed: {e}")
     return law, triple, specs
 
 
@@ -259,14 +259,12 @@ def _setup(cfg: dict):
 @np.errstate(over="ignore", invalid="ignore")
 def _build_initial(cfg: dict, grid: Grid, law: GasLaw) -> DataTriple:
     spec = cfg["initial"]
-    try:
+    with (_config_errors(f"initial data: preset {spec.get('preset')!r} needs the key ",
+                         KeyError),
+          _config_errors("invalid initial data: ", (OSError, ValueError))):
         state = _initial_state(spec, grid, law)
         e0 = spec.get("E0")
         return DataTriple(state, integrate_energy(state, law) if e0 is None else float(e0))
-    except KeyError as e:
-        raise ConfigError(f"initial data: preset {spec.get('preset')!r} needs the key {e}")
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"invalid initial data: {e}")
 
 
 def _initial_state(spec: dict, grid: Grid, law: GasLaw) -> FluidState:
@@ -300,21 +298,11 @@ def _initial_state(spec: dict, grid: Grid, law: GasLaw) -> FluidState:
     return FluidState(grid, rho, m)
 
 
-@contextmanager
-def _marching(label: str):
-    """Turn a march failure, which reads "member i (nu=...) failed: ...",
-    into a config error under ``label``."""
-    try:
-        yield
-    except Exception as e:
-        raise ConfigError(f"{label} {e}")
-
-
 def _ensemble(cfg: dict, law: GasLaw, triple: DataTriple, specs: list, t_end: float,
               mode: str):
     """March every scheme from ``triple`` to ``t_end``; returns the members,
     their Reynolds stress and their average."""
-    with _marching("ensemble"):
+    with _config_errors("ensemble ", Exception):
         members = run(triple, specs, law, t_end, cfg["sample_dt"], energy_mode=mode)
     return (members, *estimate_reynolds(members))
 
@@ -323,7 +311,7 @@ def _ensemble(cfg: dict, law: GasLaw, triple: DataTriple, specs: list, t_end: fl
 
 def cmd_run(cfg: dict, out: str) -> int:
     law, triple, specs = _setup(cfg)
-    with _marching("run"):
+    with _config_errors("run ", Exception):
         [traj] = run(triple, specs, law, cfg["t_end"], cfg["sample_dt"],
                      energy_mode=cfg.get("energy_mode", "envelope"))
     save_bundle(traj, out)
@@ -344,21 +332,16 @@ def cmd_ensemble(cfg: dict, out: str) -> int:
 
 def cmd_diagnose(cfg: dict, out: str) -> int:
     bundle = cfg["bundle"]
-    try:
+    with _config_errors(f"malformed bundle {bundle}: ", Exception):
         traj = load_bundle(bundle, check=False)
-    except Exception as e:
-        raise ConfigError(f"malformed bundle {bundle}: {e}")
     R = None
     if "reynolds" in cfg:
-        try:
+        with _config_errors(f"malformed Reynolds field {cfg['reynolds']}: ", Exception):
             R = ReynoldsField.load_npz(cfg["reynolds"], grid=traj.grid)
             require_shared(traj, R)
-        except Exception as e:
-            raise ConfigError(f"malformed Reynolds field {cfg['reynolds']}: {e}")
-    try:
+    # certify records failures; it raises on data it cannot test
+    with _config_errors(f"cannot certify bundle {bundle}: "):
         cert = certify(traj, R, **{k: v for k, v in cfg.items() if k == "residual_factor"})
-    except ValueError as e:  # certify records failures; it raises on data it cannot test
-        raise ConfigError(f"cannot certify bundle {bundle}: {e}")
     os.makedirs(out, exist_ok=True)
     write_json(os.path.join(out, "certificate.json"), certificate_doc(cert))
     save_defect_csv(os.path.join(out, "certificate.csv"), traj, R)
@@ -376,18 +359,12 @@ def cmd_select(cfg: dict, out: str) -> int:
         raise ConfigError(f"no trajectory bundles under {root}")
     members = []
     for d in subdirs:
-        try:
+        with _config_errors(f"candidate {d} is inconsistent: ", Exception):
             members.append(load_bundle(os.path.join(root, d)))
-        except Exception as e:
-            raise ConfigError(f"candidate {d} is inconsistent: {e}")
-    try:
+    with _config_errors("inconsistent candidate set: "):
         cands = CandidateSet(members)
-    except ValueError as e:
-        raise ConfigError(f"inconsistent candidate set: {e}")
-    try:
+    with _config_errors("invalid selection: "):
         report = select(cands, **cfg.get("selection", {}))
-    except ValueError as e:
-        raise ConfigError(f"invalid selection: {e}")
     verdict = is_absolute_minimizer(cands.members[report.selected], cands)
     os.makedirs(out, exist_ok=True)
     doc = asdict(report)
@@ -407,13 +384,12 @@ def cmd_riemann(cfg: dict, out: str) -> int:
         if not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     law = _build_law(cfg)
-    try:
+    with _config_errors("invalid Riemann datum: "):
         sol = solve_riemann(RiemannData(cfg["rho_l"], cfg["u_l"], cfg["rho_r"], cfg["u_r"], law))
-    except ValueError as e:
-        raise ConfigError(f"invalid Riemann datum: {e}")
-    t = cfg["time"]
     xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["samples"])
-    rho, u = sol.sample_array(xs / t)
+    with np.errstate(over="ignore"):  # x / t beyond the float range is the far field
+        xi = xs / cfg["time"]
+    rho, u = sol.sample_array(xi)
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "profile.csv"), ("x", "rho", "u"), (xs, rho, u))
     write_json(os.path.join(out, "star.json"), {"rho_star": sol.rho_star, "u_star": sol.u_star})
@@ -429,7 +405,7 @@ def cmd_dt1(cfg: dict, out: str) -> int:
         delta = cfg.get("delta_rel", 0.05) * max(triple.E0, 1e-300)
     if not math.isfinite(delta):
         raise ConfigError(f"delta must be finite, got {delta}")
-    with _marching("ensemble"):
+    with _config_errors("ensemble ", Exception):
         result, resets = reset_defects(triple, specs, law, cfg["t_end"], cfg["sample_dt"],
                                        delta)
     max_defect = float(np.max(result.defects()))
@@ -504,11 +480,10 @@ _PLOTS = {
 def cmd_plot(csv_path: str, kind: str, out: str) -> int:
     xcols, ycols, optional, title, ylabel, expected = _PLOTS[kind]
     try:
-        names, table = read_csv(csv_path)
+        with _config_errors(f"{csv_path} is not a numeric table under a header row: "):
+            names, table = read_csv(csv_path)
     except OSError:
         raise ConfigError(f"CSV file not found: {csv_path}")
-    except ValueError as e:
-        raise ConfigError(f"{csv_path} is not a numeric table under a header row: {e}")
     if table.size == 0:
         raise ConfigError(f"{csv_path} has no data rows")
     xcol = next((c for c in xcols if c in names), None)

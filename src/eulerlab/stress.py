@@ -55,8 +55,12 @@ class ReynoldsField:
         expected = (len(times),) + grid.counts + (d, d)
         if tensor.shape != expected:
             raise ValueError(f"tensor shape {tensor.shape} does not match {expected}")
-        asym = np.max(np.abs(tensor - np.swapaxes(tensor, -1, -2)))
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(tensor)))):
+        # each off-diagonal pair must agree up to round-off on the scale of the
+        # finite entries; a NaN agrees with nothing, an infinity only with itself
+        i, j = np.triu_indices(d, 1)
+        scale = np.max(np.abs(tensor), where=np.isfinite(tensor), initial=1.0)
+        if not np.isclose(tensor[..., i, j], tensor[..., j, i], rtol=0.0,
+                          atol=1e-12 * scale).all():
             raise ValueError("stress matrices must be symmetric")
         self.grid = grid
         self.times = times

@@ -11,30 +11,37 @@ __all__ = ["write_line_svg"]
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_NTICKS = 5
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list:
-    if hi <= lo:
-        hi = lo + 1.0
+def _ticks(lo: float, hi: float) -> list:
     span = hi - lo
-    return [lo + span * i / (n - 1) for i in range(n)]
+    return [lo + span * i / (_NTICKS - 1) for i in range(_NTICKS)]
+
+
+def _nonzero(lo: float, hi: float, below: float, above: float) -> tuple:
+    """``(lo, hi)``, widened to ``(lo - below, hi + above)`` when it is a single
+    point.  Beyond 2**53 those steps round away, and the point then widens by
+    a relative 1e-15 toward zero, which cannot overflow."""
+    if hi == lo:
+        lo, hi = lo - below, hi + above
+    if hi == lo:
+        edge = lo * (1.0 - 1e-15)
+        lo, hi = min(lo, edge), max(lo, edge)
+    return lo, hi
 
 
 def write_line_svg(path, xs, series, labels, title, xlabel, ylabel):
     """Write a line plot of one or more labelled y-series over shared x values."""
     xs = [float(x) for x in xs]
     series = [[float(y) for y in ys] for ys in series]
-    x_lo, x_hi = min(xs), max(xs)
+    x_lo, x_hi = _nonzero(min(xs), max(xs), 0.0, 1.0)
     ally = [y for ys in series for y in ys]
-    y_lo, y_hi = min(ally), max(ally)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    y_lo, y_hi = _nonzero(min(ally), max(ally), 0.5, 0.5)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     pw = _W - _ML - _MR

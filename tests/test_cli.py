@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +349,25 @@ def test_diagnose_rejects_reynolds_field_of_another_domain(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_diagnose_rejects_reynolds_field_with_nan_off_diagonal(tmp_path, capsys):
+    doc = run_config(tmp_path, extra={"kind": "ensemble", "nu_list": [0.2, 0.1]},
+                     grid={"counts": [6, 5], "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                     initial={"preset": "constant", "rho": 1.0, "u": [0.3, -0.2]})
+    ens = tmp_path / "ens"
+    assert main(["ensemble", "--config", write_config(tmp_path, "e.json", doc),
+                 "--out", str(ens)]) == 0
+    with np.load(ens / "reynolds.npz") as data:
+        stored = dict(data)
+    stored["tensor"][2, 3, 1, 0, 1] = np.nan  # its partner [..., 1, 0] holds 0
+    np.savez(ens / "reynolds.npz", **stored)
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(ens / "average"),
+                                             "reynolds": str(ens / "reynolds.npz")})
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"error: malformed Reynolds field {ens / 'reynolds.npz'}: "
+                                       "stress matrices must be symmetric\n")
+    assert not (tmp_path / "o").exists()
+
+
 def _two_cell_bundle(tmp_path):
     doc = run_config(tmp_path)
     doc["grid"]["counts"] = [2]
@@ -392,6 +413,16 @@ def _write_candidates(tmp_path):
     return root
 
 
+def _candidates_of_another_datum(tmp_path):
+    """``_write_candidates`` plus a member_02 that starts from other fields."""
+    root = _write_candidates(tmp_path)
+    g = Grid(counts=(8,), lower=(0.0,), upper=(1.0,))
+    s = FluidState.constant(g, 2.0, 0.0)
+    e = integrate_energy(s, LAW2)
+    save_bundle(Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [e, e, e]), root / "member_02")
+    return root
+
+
 def test_select_two_ordered_members(tmp_path):
     root = _write_candidates(tmp_path)
     cfg = write_config(tmp_path, "s.json", {"kind": "select", "candidates": str(root)})
@@ -418,12 +449,7 @@ def test_select_singleton(tmp_path):
 
 
 def test_select_rejects_inconsistent_members(tmp_path, capsys):
-    root = _write_candidates(tmp_path)
-    g = Grid(counts=(8,), lower=(0.0,), upper=(1.0,))
-    s = FluidState.constant(g, 2.0, 0.0)  # different initial fields
-    e = integrate_energy(s, LAW2)
-    odd = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [e, e, e])
-    save_bundle(odd, root / "member_02")
+    root = _candidates_of_another_datum(tmp_path)
     cfg = write_config(tmp_path, "s.json", {"kind": "select", "candidates": str(root)})
     assert main(["select", "--config", cfg, "--out", str(tmp_path / "sel")]) == 2
     assert "member" in capsys.readouterr().err
@@ -678,6 +704,140 @@ def test_unbuildable_config_is_config_error(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
+# -- one error line per config-error site -----------------------------------------
+
+def _argv(tmp, kind, doc):
+    return [kind, "--config", write_config(tmp, "c.json", doc), "--out", str(tmp / "o")]
+
+
+def _diagnose_argv(tmp, **keys):
+    return _argv(tmp, "diagnose", {"kind": "diagnose", **keys})
+
+
+def _run_bundle(tmp):
+    assert main(_argv(tmp, "run", run_config(tmp))[:-1] + [str(tmp / "bundle")]) == 0
+    return tmp / "bundle"
+
+
+def _select_argv(tmp, root, **keys):
+    return _argv(tmp, "select", {"kind": "select", "candidates": str(root), **keys})
+
+
+def _candidates_without_e0(tmp):
+    root = _write_candidates(tmp)
+    _drop_e0(root / "member_01")
+    return root
+
+
+def _csv(tmp, text):
+    (tmp / "t.csv").write_text(text)
+    return tmp / "t.csv"
+
+
+def _plot_argv(tmp, csv):
+    return ["plot", "--csv", str(csv), "--kind", "energy", "--out", str(tmp / "o")]
+
+
+_DT_BELOW_CLOCK = "stable dt 2.8125e-302 is below the clock tolerance 2e-15"
+
+# case: tmp -> (argv, the message after "error: "); every site that turns an error
+# into exit 2, one case each
+ERROR_LINES = {
+    "config-not-found": lambda tmp: (
+        ["run", "--config", str(tmp / "none.json"), "--out", str(tmp / "o")],
+        f"config file not found: {tmp / 'none.json'}"),
+    "config-not-json": lambda tmp: (
+        ["run", "--config", str(_csv(tmp, "{not json")), "--out", str(tmp / "o")],
+        f"config {tmp / 't.csv'} is not valid JSON: Expecting property name enclosed in "
+        "double quotes: line 1 column 2 (char 1)"),
+    "kind-mismatch": lambda tmp: (
+        _argv(tmp, "run", run_config(tmp, kind="ensemble")),
+        "config kind 'ensemble' does not match the subcommand 'run'"),
+    "no-output-directory": lambda tmp: (
+        _argv(tmp, "run", run_config(tmp))[:3],
+        "an output directory is required (--out or config 'out')"),
+    "law": lambda tmp: (
+        _argv(tmp, "run", run_config(tmp, law={"a": math.inf, "gamma": 2.0})),
+        "invalid law: pressure coefficient a must be positive and finite, got inf"),
+    "grid": lambda tmp: (
+        _argv(tmp, "run", run_config(tmp, grid={"counts": [32], "lower": [-1.0, 0.0],
+                                                 "upper": [1.0]})),
+        "invalid grid: counts, bounds and boundary kinds must share the dimension"),
+    "scheme": lambda tmp: (
+        _argv(tmp, "run", run_config(tmp, scheme={"nu": math.inf})),
+        "invalid scheme: viscosity coefficient nu must be finite and nonnegative, got inf"),
+    "nu_list-member": lambda tmp: (
+        _argv(tmp, "ensemble", run_config(tmp, kind="ensemble", nu_list=[0.2, math.inf])),
+        "ensemble member 1 (nu=inf) failed: viscosity coefficient nu must be finite and "
+        "nonnegative, got inf"),
+    "initial-preset-key": lambda tmp: (
+        _argv(tmp, "run", run_config(tmp, initial={"preset": "riemann", "rho_l": 1.0,
+                                                    "u_l": 0.0, "u_r": 0.0})),
+        "initial data: preset 'riemann' needs the key 'rho_r'"),
+    "initial-file": lambda tmp: (
+        _argv(tmp, "run", run_config(tmp, initial={"file": str(tmp / "missing.csv")})),
+        f"invalid initial data: [Errno 2] No such file or directory: "
+        f"'{tmp / 'missing.csv'}'"),
+    "initial-energy": lambda tmp: (
+        _argv(tmp, "run", run_config(tmp, initial={"preset": "constant", "rho": 1e300})),
+        "invalid initial data: total energy E0 must be finite and nonnegative"),
+    "run-march": lambda tmp: (
+        _argv(tmp, "run", run_config(tmp, scheme={"nu": 1e300})),
+        "run member 0 (nu=1e+300) failed: " + _DT_BELOW_CLOCK),
+    "ensemble-march": lambda tmp: (
+        _argv(tmp, "ensemble", run_config(tmp, kind="ensemble", nu_list=[0.2, 1e300])),
+        "ensemble member 1 (nu=1e+300) failed: " + _DT_BELOW_CLOCK),
+    "dt1-march": lambda tmp: (
+        _argv(tmp, "dt1-demo", run_config(tmp, kind="dt1-demo", nu_list=[0.2, 1e300])),
+        "ensemble member 1 (nu=1e+300) failed: " + _DT_BELOW_CLOCK),
+    "diagnose-bundle": lambda tmp: (
+        _diagnose_argv(tmp, bundle=str(tmp / "none")),
+        f"malformed bundle {tmp / 'none'}: [Errno 2] No such file or directory: "
+        f"'{tmp / 'none' / 'meta.json'}'"),
+    "diagnose-reynolds": lambda tmp: (
+        _diagnose_argv(tmp, bundle=str(_run_bundle(tmp)), reynolds=str(tmp / "none.npz")),
+        f"malformed Reynolds field {tmp / 'none.npz'}: [Errno 2] No such file or "
+        f"directory: '{tmp / 'none.npz'}'"),
+    "diagnose-certify": lambda tmp: (
+        _diagnose_argv(tmp, bundle=str(_two_cell_bundle(tmp))),
+        f"cannot certify bundle {tmp / 'bundle'}: the test functions need at least 3 "
+        "cells on every axis, got counts (2,)"),
+    "select-directory": lambda tmp: (
+        _select_argv(tmp, tmp / "none"), f"candidate directory not found: {tmp / 'none'}"),
+    "select-no-bundles": lambda tmp: (
+        _select_argv(tmp, tmp), f"no trajectory bundles under {tmp}"),
+    "select-candidate": lambda tmp: (
+        _select_argv(tmp, _candidates_without_e0(tmp)),
+        "candidate member_01 is inconsistent: 'e0'"),
+    "select-candidate-set": lambda tmp: (
+        _select_argv(tmp, _candidates_of_another_datum(tmp)),
+        "inconsistent candidate set: member 2 starts from different fields"),
+    "select-selection": lambda tmp: (
+        _select_argv(tmp, _write_candidates(tmp), selection={"q": 5}),
+        "invalid selection: exponent q=5 outside the admissible range "
+        "(1, 1.3333333333333333]"),
+    "riemann-datum": lambda tmp: (
+        _argv(tmp, "riemann", _riemann_doc(u_l=-10.0, u_r=10.0)),
+        "invalid Riemann datum: vacuum region forms: the data admit no positive "
+        "intermediate density"),
+    "plot-csv-not-found": lambda tmp: (
+        _plot_argv(tmp, tmp / "none.csv"), f"CSV file not found: {tmp / 'none.csv'}"),
+    "plot-csv-not-numeric": lambda tmp: (
+        _plot_argv(tmp, _csv(tmp, "t,E\n0,abc\n")),
+        f"{tmp / 't.csv'} is not a numeric table under a header row: could not convert "
+        "string 'abc' to float64 at row 0, column 2."),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_LINES))
+def test_error_line(tmp_path, capsys, case):
+    argv, message = ERROR_LINES[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 # -- non-finite values are rejected where they enter ------------------------------
 
 @pytest.mark.parametrize("initial, law, reason", [
@@ -762,6 +922,19 @@ def test_riemann_round_off_wave_edges_profile(tmp_path):
     assert np.isfinite(prof["rho"]).all() and (prof["rho"] > 0).all()
 
 
+def test_riemann_tiny_time_samples_the_far_field(tmp_path):
+    # x / t overflows to -inf, the far field left of every wave; the overflow
+    # warned, which a warnings-as-errors filter turned into a traceback
+    doc = _riemann_doc(law={"a": 0.25, "gamma": 1.4}, rho_l=0.25, u_l=-1.0, rho_r=0.25,
+                       u_r=-1.0, x_min=-1.0, x_max=-1.0, samples=2, time=5e-324)
+    cfg = write_config(tmp_path, "c.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    prof = np.genfromtxt(tmp_path / "o" / "profile.csv", delimiter=",", names=True)
+    assert prof["rho"].tolist() == [0.25, 0.25] and prof["u"].tolist() == [-1.0, -1.0]
+
+
 @pytest.mark.parametrize("key, bounds", [("lower", [-math.inf]), ("upper", [math.inf])])
 def test_infinite_grid_bound_is_config_error(tmp_path, capsys, key, bounds):
     doc = run_config(tmp_path)
@@ -809,6 +982,17 @@ def test_plot_rejects_non_finite_value(tmp_path, capsys, value):
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {csv}: data row 1, column E is not finite\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["t,E\n1e17,1.0\n", "t,E\n0.0,1e17\n1.0,1e17\n"],
+                         ids=["one-row-at-t-1e17", "constant-E-1e17"])
+def test_plot_point_range_beyond_2_53(tmp_path, text):
+    # a unit widening of a point range rounds away beyond 2**53 (was ZeroDivisionError)
+    csv = tmp_path / "energy.csv"
+    csv.write_text(text)
+    assert main(["plot", "--csv", str(csv), "--kind", "energy",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert not re.search(r"\bnan\b", (tmp_path / "o" / "energy.svg").read_text())
 
 # -- one stacked march per ensemble ---------------------------------------------
 

@@ -9,6 +9,9 @@ density of 1e300 under gamma 1.1 gives a sound speed near 1e15): a march
 of 1e13 steps that never ends, which is not a fault.  For the same
 reason grids have at most 8 cells per axis and the horizon is bounded,
 t_end <= 1 and t_end / sample_dt <= 4.
+
+``plot`` takes a CSV instead of a config: any short table of finite floats
+draws.
 """
 
 import contextlib
@@ -173,3 +176,19 @@ def test_schema_valid_config_never_raises(data, kind):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+_PLOT_COLUMNS = {"energy": ("t", "E"), "defect": ("t", "defect", "traceR", "slack")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(_PLOT_COLUMNS)))
+def test_finite_table_always_plots(data, kind):
+    names = _PLOT_COLUMNS[kind]
+    row = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * len(names))
+    rows = data.draw(st.lists(row, min_size=1, max_size=5), label="rows")
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = os.path.join(tmp, "t.csv")
+        with open(csv, "w") as f:
+            f.write("\n".join([",".join(names), *(",".join(map(repr, r)) for r in rows)]) + "\n")
+        assert main(["plot", "--csv", csv, "--kind", kind, "--out", os.path.join(tmp, "o")]) == 0

@@ -212,8 +212,7 @@ def test_certify_infinite_stress_cell_fails_psd_margin(bad):
     traj = constant_traj(g, 1.0, 0.0, np.linspace(0, 1, 5))
     tensor = np.zeros((5, 16, 1, 1))
     tensor[2, 7, 0, 0] = bad
-    with np.errstate(invalid="ignore"):  # the symmetry check forms inf - inf
-        R = ReynoldsField(g, traj.times, tensor)
+    R = ReynoldsField(g, traj.times, tensor)
     cert = certify(traj, R)
     assert not _check(cert, "stress_psd_margin")[3]
     assert not cert.passed
@@ -229,8 +228,7 @@ def test_certify_non_finite_check_never_passes(data, where, bad):
         tensor = R.tensor.copy()  # a diagonal entry keeps the matrix symmetric
         k, i, j = (data.draw(st.integers(0, n - 1)) for n in (len(tensor), cells, d))
         tensor.reshape(len(tensor), cells, d, d)[k, i, j, j] = bad
-        with np.errstate(invalid="ignore"):  # the symmetry check forms inf - inf
-            R = ReynoldsField(traj.grid, traj.times, tensor)
+        R = ReynoldsField(traj.grid, traj.times, tensor)
     else:
         energy, e0 = traj.energy.copy(), bad
         if where == "energy":
@@ -549,3 +547,35 @@ def test_initial_window_small_defect():
     assert avg.defects()[0] <= 1e-12
     for delta in (1e-4, 1e-3, 1e-2):
         assert stopping_time(avg, delta) >= avg.times[1]
+
+
+# -- argument checks ---------------------------------------------------------------
+
+_BUMP = {"t_center": 0.5, "t_width": 0.25, "centers": (0.0, 0.0), "widths": (0.2, 0.2)}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"t_width": 0.0}, "bump widths must be positive"),
+    ({"widths": (0.2, -0.2)}, "bump widths must be positive"),
+    ({"centers": (0.0,)}, "centers and widths must share the dimension"),
+], ids=["time-width", "space-width", "dimension"])
+def test_test_function_rejects_bad_bump(change, message):
+    with pytest.raises(ValueError, match=message):
+        TestFunction(**{**_BUMP, **change})
+
+
+def test_test_function_support_in_the_boundary_cell_rejected():
+    # on [-1, 1] with h = 0.125 the support (-0.95, -0.55) enters the wall cell
+    phi = TestFunction(0.5, 0.25, (-0.75,), (0.2,))
+    with pytest.raises(ValueError, match="avoid the boundary by one cell"):
+        phi.check_interior(grid_1d(16), 1.0)
+
+
+def test_place_centers_rejects_a_bump_wider_than_the_interval():
+    with pytest.raises(ValueError, match="does not fit inside the interval"):
+        dissipative_mod._place_centers(0.0, 1.0, 0.6, 2)
+
+
+def test_estimate_reynolds_of_no_member_rejected():
+    with pytest.raises(ValueError, match="at least one member"):
+        estimate_reynolds([])

@@ -301,3 +301,10 @@ def test_state_csv_2d_missing_cell_named(tmp_path):
     path.write_text("".join(lines[:5] + lines[6:]))  # drops cell (1, 1)
     with pytest.raises(ValueError, match=r"cell \[1, 1\] is given by 0 rows"):
         load_state_csv(g, path, check=False)
+
+
+def test_read_csv_rejects_rows_wider_than_the_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2,3\n")
+    with pytest.raises(ValueError, match="rows have 3 columns, the header names 2"):
+        read_csv(path)

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from eulerlab.eos import GasLaw
 from eulerlab.fields import FluidState, Grid, integrate_energies, integrate_energy
-from eulerlab.trajectory import Trajectory, compare_local, convex_combine, shift
+from eulerlab.trajectory import OrderResult, Trajectory, compare_local, convex_combine, shift
 from eulerlab.selection import (CandidateSet, F1, F2, check_order_coherence,
                                 default_lambda_grid, is_absolute_minimizer,
                                 laplace_energy, select)
@@ -553,3 +553,38 @@ def test_order_coherence_on_generated_less_pairs(case):
             if order.relation == "less":
                 _, violations = check_order_coherence(u, v, order)
                 assert violations == []
+
+
+# -- argument checks ---------------------------------------------------------------
+
+def test_candidate_set_rejects_no_member():
+    with pytest.raises(ValueError, match="must be non-empty"):
+        CandidateSet([])
+
+
+def test_candidate_set_rejects_another_total_energy():
+    a = curve_traj([0.0, 1.0], [3.0, 3.0], e0=3.0)
+    b = curve_traj([0.0, 1.0], [3.0, 3.0], e0=4.0)
+    with pytest.raises(ValueError, match="member 1 starts from a different total energy"):
+        CandidateSet([a, b])
+
+
+def test_f2_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="variant must be one of"):
+        F2(curve_traj([0.0, 1.0], [3.0, 3.0]), variant="kinetic")
+
+
+def test_absolute_minimizer_needs_a_member():
+    a, outsider = curve_traj([0.0, 1.0], [3.0, 3.0]), curve_traj([0.0, 1.0], [3.0, 3.0])
+    with pytest.raises(ValueError, match="must be a member of the set"):
+        is_absolute_minimizer(outsider, CandidateSet([a]))
+
+
+@pytest.mark.parametrize("order, message", [
+    (OrderResult("equal"), "needs a 'less' result with a witness window"),
+    (OrderResult("less", T=0.0, delta=0.5), "carries no positive energy gap"),
+], ids=["not-less", "no-gap"])
+def test_order_coherence_rejects_order_without_witness_gap(order, message):
+    a = curve_traj([0.0, 0.5, 1.0], [3.0, 3.0, 3.0])
+    with pytest.raises(ValueError, match=message):
+        check_order_coherence(a, a, order)

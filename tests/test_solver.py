@@ -413,3 +413,15 @@ def test_cached_speeds_are_not_reused_for_another_law():
     out = _lone_step(s, spec, law3, dt3)
     fresh = _lone_step(_pinned_state("reflective", (12, 10)), spec, law3, dt3)
     assert out.rho.tobytes() + out.m.tobytes() == fresh.rho.tobytes() + fresh.m.tobytes()
+
+
+@pytest.mark.parametrize("t_end, energy_mode, message", [
+    (0.1, "exact", "energy_mode must be one of"),
+    (0.0, "envelope", "t_end and sample_dt must be positive"),
+    (-0.1, "envelope", "t_end and sample_dt must be positive"),
+], ids=["energy-mode", "zero-t_end", "negative-t_end"])
+def test_run_rejects_bad_march_arguments(t_end, energy_mode, message):
+    s = FluidState.constant(periodic_grid(8), 1.0, 0.0)
+    with pytest.raises(ValueError, match=message):
+        run(DataTriple(s, integrate_energy(s, LAW2)), [SchemeSpec()], LAW2, t_end, 0.05,
+            energy_mode=energy_mode)

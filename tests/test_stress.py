@@ -1,0 +1,63 @@
+"""ReynoldsField accepts only a tensor of its grid's shape whose off-diagonal
+pairs agree; non-finite entries are judged, not skipped."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from eulerlab.dissipative import certify
+from eulerlab.eos import GasLaw
+from eulerlab.fields import FluidState, Grid, integrate_energy
+from eulerlab.stress import ReynoldsField
+from eulerlab.trajectory import Trajectory
+
+LAW = GasLaw(a=1.0, gamma=1.4)
+G2 = Grid(counts=(4, 3), lower=(0.0, 0.0), upper=(1.0, 1.0))
+TIMES = [0.0, 0.5, 1.0]
+
+
+def _tensor(*edits):
+    """A zero stress on ``G2`` with each ``(index, value)`` of ``edits`` set."""
+    tensor = np.zeros((len(TIMES),) + G2.counts + (2, 2))
+    for index, value in edits:
+        tensor[index] = value
+    return tensor
+
+
+def test_shape_of_another_grid_rejected():
+    with pytest.raises(ValueError, match="does not match"):
+        ReynoldsField(G2, TIMES, np.zeros((len(TIMES), 4, 3, 1, 1)))
+
+
+@pytest.mark.parametrize("edits", [
+    [((1, 2, 0, 0, 1), np.nan), ((1, 2, 0, 1, 0), 5.0)],
+    [((1, 2, 0, 0, 1), np.nan), ((1, 2, 0, 1, 0), np.nan)],
+    [((0, 0, 0, 1, 1), np.inf), ((1, 2, 0, 0, 1), 1.0), ((1, 2, 0, 1, 0), -1.0)],
+    [((1, 2, 0, 0, 1), np.inf), ((1, 2, 0, 1, 0), 5.0)],
+], ids=["nan-off-diagonal", "nan-pair", "asymmetric-beside-infinite-diagonal",
+        "infinite-off-diagonal"])
+def test_asymmetric_or_nan_pair_rejected(edits):
+    with pytest.raises(ValueError, match="must be symmetric"):
+        ReynoldsField(G2, TIMES, _tensor(*edits))
+
+
+def test_round_off_asymmetry_accepted():
+    ReynoldsField(G2, TIMES, _tensor(((1, 2, 0, 0, 1), 1.0), ((1, 2, 0, 1, 0), 1.0 + 1e-13)))
+
+
+@pytest.mark.parametrize("edits", [
+    [((1, 2, 0, 0, 0), np.inf)],
+    [((1, 2, 0, 1, 1), -np.inf)],
+    [((1, 2, 0, 0, 1), np.inf), ((1, 2, 0, 1, 0), np.inf)],
+], ids=["+inf-diagonal", "-inf-diagonal", "infinite-pair"])
+def test_infinite_symmetric_entry_accepted_and_fails_psd_margin(edits):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R = ReynoldsField(G2, TIMES, _tensor(*edits))
+    s = FluidState.constant(G2, 1.0, [0.3, -0.2])
+    e = integrate_energy(s, LAW)
+    traj = Trajectory(G2, LAW, TIMES, [s] * len(TIMES), [e] * len(TIMES))
+    cert = certify(traj, R)
+    [psd] = [c for c in cert.checks if c[0] == "stress_psd_margin"]
+    assert not psd[3] and not cert.passed

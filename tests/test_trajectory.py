@@ -686,3 +686,38 @@ def test_f2_full_strictly_convex_on_generated_fields(data, lam):
     mid, _ = convex_combine(u, v, lam)
     chord = lam * F2(u) + (1.0 - lam) * F2(v)
     assert F2(mid) < chord * (1.0 - 1e-12)
+
+
+# -- argument checks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("times, energy, message", [
+    ([0.0, 0.5, 1.0], [1.0, 1.0], "must have equal positive length"),
+    ([0.1, 0.5], [1.0, 1.0], "sample times must start at 0"),
+    ([0.0, 0.5], [1.0, math.nan], "energy curve must be finite"),
+    ([0.0, 0.5], [1.0, math.inf], "energy curve must be finite"),
+], ids=["length", "start", "nan-energy", "inf-energy"])
+def test_trajectory_rejects_bad_samples(times, energy, message):
+    s = FluidState.constant(unit_grid(), 1.0, 0.0)
+    with pytest.raises(ValueError, match=message):
+        Trajectory(s.grid, LAW2, times, [s] * len(times), energy)
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan])
+def test_convex_combine_rejects_lambda_outside_the_unit_interval(lam):
+    u = constant_traj([0.0, 1.0])
+    with pytest.raises(ValueError, match="lambda must lie in"):
+        convex_combine(u, u, lam)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+def test_stopping_time_rejects_non_positive_delta(delta):
+    with pytest.raises(ValueError, match="delta must be positive"):
+        stopping_time(constant_traj([0.0, 1.0]), delta)
+
+
+def test_load_bundle_rejects_short_energy_csv(tmp_path):
+    save_bundle(constant_traj([0.0, 0.5, 1.0]), tmp_path / "b")
+    energy = tmp_path / "b" / "energy.csv"
+    energy.write_text("".join(energy.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(ValueError, match="energy.csv rows do not match the sample times"):
+        load_bundle(tmp_path / "b")
