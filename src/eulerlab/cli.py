@@ -214,12 +214,23 @@ def _parse_constant(token: str) -> float:
     return float(token)
 
 
-def load_config(path: str, kind: str) -> dict:
-    try:  # json raises a JSONDecodeError, or the ValueError of the token NaN
-        with open(path) as f, _config_errors(f"config {path} is not valid JSON: "):
-            cfg = json.load(f, parse_constant=_parse_constant)
+@contextmanager
+def _read_errors(what: str, path: str):
+    """Turn an ``OSError`` of reading the file ``path`` into a config error
+    that names its cause."""
+    try:
+        yield
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e.strerror}")
+
+
+def load_config(path: str, kind: str) -> dict:
+    # json raises a JSONDecodeError, or the ValueError of the token NaN
+    with (_read_errors("config file", path), open(path) as f,
+          _config_errors(f"config {path} is not valid JSON: ")):
+        cfg = json.load(f, parse_constant=_parse_constant)
     validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
@@ -324,6 +335,7 @@ def cmd_ensemble(cfg: dict, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     for i, tr in enumerate(members):
         save_bundle(tr, os.path.join(out, f"member_{i:02d}"))
+    del members, tr  # written: free their fields before the npz write copies the tensor
     save_bundle(avg, os.path.join(out, "average"))
     R.save_npz(os.path.join(out, "reynolds.npz"))
     save_defect_csv(os.path.join(out, "defect.csv"), avg, R)
@@ -383,6 +395,9 @@ def cmd_riemann(cfg: dict, out: str) -> int:
     for key in ("time", "x_min", "x_max"):
         if not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
+    width = cfg["x_max"] - cfg["x_min"]
+    if not math.isfinite(width):
+        raise ConfigError(f"x_max - x_min must be finite, got {width}")
     law = _build_law(cfg)
     with _config_errors("invalid Riemann datum: "):
         sol = solve_riemann(RiemannData(cfg["rho_l"], cfg["u_l"], cfg["rho_r"], cfg["u_r"], law))
@@ -479,11 +494,9 @@ _PLOTS = {
 
 def cmd_plot(csv_path: str, kind: str, out: str) -> int:
     xcols, ycols, optional, title, ylabel, expected = _PLOTS[kind]
-    try:
-        with _config_errors(f"{csv_path} is not a numeric table under a header row: "):
-            names, table = read_csv(csv_path)
-    except OSError:
-        raise ConfigError(f"CSV file not found: {csv_path}")
+    with (_read_errors("CSV file", csv_path),
+          _config_errors(f"{csv_path} is not a numeric table under a header row: ")):
+        names, table = read_csv(csv_path)
     if table.size == 0:
         raise ConfigError(f"{csv_path} has no data rows")
     xcol = next((c for c in xcols if c in names), None)

@@ -175,11 +175,17 @@ def rel_l1_distance(rho1, m1, rho2, m2) -> np.ndarray:
 def integrate_energies(grid: Grid, rho, m, law: GasLaw) -> np.ndarray:
     """Mean energy, the midpoint-rule integral of the energy density, of each
     sample of stacked ``rho`` (n, *counts) and ``m`` (n, *counts, d); +inf
-    exactly where some cell is vacuum with nonzero momentum."""
-    e = energy_cellwise(rho, m, law)
-    cells = tuple(range(1, e.ndim))
-    return np.where(np.isinf(e).any(axis=cells), math.inf,
-                    np.sum(e, axis=cells) * grid.cell_volume)
+    exactly where some cell is vacuum with nonzero momentum.
+
+    The energy density is formed one sample at a time, as in
+    ``estimate_reynolds``: over the whole stack its temporaries would set
+    the peak memory of building a trajectory.
+    """
+    means = np.empty(len(rho))
+    for k, (r, mk) in enumerate(zip(rho, m)):
+        e = energy_cellwise(r, mk, law)
+        means[k] = math.inf if np.isinf(e).any() else np.sum(e) * grid.cell_volume
+    return means
 
 
 def integrate_energy(state: FluidState, law: GasLaw) -> float:

@@ -44,7 +44,12 @@ def symmetric_min_eigenvalues(tensor: np.ndarray) -> np.ndarray:
 
 
 class ReynoldsField:
-    """Per-time, per-cell symmetric stress matrices on a grid."""
+    """Per-time, per-cell symmetric stress matrices on a grid.
+
+    The symmetry check runs one sample at a time, so its temporaries are
+    one sample's size: over the whole tensor they set the peak memory of
+    ``ensemble``.
+    """
 
     __slots__ = ("grid", "times", "tensor")
 
@@ -58,9 +63,10 @@ class ReynoldsField:
         # each off-diagonal pair must agree up to round-off on the scale of the
         # finite entries; a NaN agrees with nothing, an infinity only with itself
         i, j = np.triu_indices(d, 1)
-        scale = np.max(np.abs(tensor), where=np.isfinite(tensor), initial=1.0)
-        if not np.isclose(tensor[..., i, j], tensor[..., j, i], rtol=0.0,
-                          atol=1e-12 * scale).all():
+        scale = max((np.max(np.abs(s), where=np.isfinite(s), initial=1.0) for s in tensor),
+                    default=1.0)
+        if not all(np.isclose(s[..., i, j], s[..., j, i], rtol=0.0, atol=1e-12 * scale).all()
+                   for s in tensor):
             raise ValueError("stress matrices must be symmetric")
         self.grid = grid
         self.times = times

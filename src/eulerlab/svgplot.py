@@ -6,21 +6,35 @@ timestamps, no library version strings, fixed float formatting.
 
 from __future__ import annotations
 
+import math
+import sys
+
 __all__ = ["write_line_svg"]
 
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 _NTICKS = 5
+_MAX = sys.float_info.max
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
+def _span(lo: float, hi: float) -> tuple:
+    """``(s, hi * s - lo * s)``: ``s`` is 1, or 1/8 where ``hi - lo`` times
+    ``_NTICKS - 1`` overflows.  Scaling by 1/8 is exact at that size, and
+    the scaled span stays finite even times ``_NTICKS - 1``.  Every
+    difference from ``lo`` is formed at the same scale."""
+    s = 1.0 if math.isfinite((hi - lo) * (_NTICKS - 1)) else 0.125
+    return s, hi * s - lo * s
+
+
 def _ticks(lo: float, hi: float) -> list:
-    span = hi - lo
-    return [lo + span * i / (_NTICKS - 1) for i in range(_NTICKS)]
+    # the top tick may round past hi, and so past the float range
+    s, span = _span(lo, hi)
+    return [min((lo * s + span * i / (_NTICKS - 1)) / s, _MAX) for i in range(_NTICKS)]
 
 
 def _nonzero(lo: float, hi: float, below: float, above: float) -> tuple:
@@ -42,16 +56,19 @@ def write_line_svg(path, xs, series, labels, title, xlabel, ylabel):
     x_lo, x_hi = _nonzero(min(xs), max(xs), 0.0, 1.0)
     ally = [y for ys in series for y in ys]
     y_lo, y_hi = _nonzero(min(ally), max(ally), 0.5, 0.5)
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    s, span = _span(y_lo, y_hi)
+    pad = 0.05 * span / s
+    y_lo, y_hi = max(y_lo - pad, -_MAX), min(y_hi + pad, _MAX)
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
+    sx, x_span = _span(x_lo, x_hi)
+    sy, y_span = _span(y_lo, y_hi)
 
     def px(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * pw
+        return _ML + (x * sx - x_lo * sx) / x_span * pw
 
     def py(y):
-        return _MT + (y_hi - y) / (y_hi - y_lo) * ph
+        return _MT + (y_hi * sy - y * sy) / y_span * ph
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')

@@ -350,6 +350,8 @@ def save_bundle(traj: Trajectory, dirpath: str) -> None:
 def load_bundle(dirpath: str, check: bool = True) -> Trajectory:
     """Load a trajectory bundle written by :func:`save_bundle`.
 
+    The ``t`` column of energy.csv must equal the sample times of
+    meta.json bit for bit, as :func:`save_bundle` writes it.
     With check=False invariant violations (for instance a hand-edited
     increasing energy curve) are tolerated so diagnostics can report
     them instead of refusing to look.
@@ -362,6 +364,11 @@ def load_bundle(dirpath: str, check: bool = True) -> Trajectory:
     _, raw = read_csv(os.path.join(dirpath, "energy.csv"), _ENERGY_COLUMNS)
     if len(raw) != len(times):
         raise ValueError("energy.csv rows do not match the sample times")
+    differs = raw[:, 0].view(np.int64) != times.view(np.int64)
+    if differs.any():
+        k = int(np.argmax(differs))
+        raise ValueError(f"energy.csv time {raw[k, 0]} in data row {k + 1} is not the "
+                         f"sample time {times[k]} of meta.json")
     energy = raw[:, 1]
     rho = np.zeros((len(times),) + grid.counts)  # not np.empty: see solver.March
     m = np.zeros(rho.shape + (grid.d,))

@@ -236,6 +236,13 @@ def test_diagnose_malformed_bundle(tmp_path, capsys):
     assert "malformed bundle" in capsys.readouterr().err
 
 
+def _set_energy_time(bundle, k, text):
+    """Write ``text`` as the ``t`` entry of data row ``k + 1`` of energy.csv."""
+    lines = (bundle / "energy.csv").read_text().splitlines()
+    lines[k + 1] = text + "," + lines[k + 1].split(",")[1]
+    (bundle / "energy.csv").write_text("\n".join(lines) + "\n")
+
+
 def test_diagnose_nan_sample_time_reports_nan_checks(tmp_path):
     run_cfg = write_config(tmp_path, "r.json", run_config(tmp_path))
     bundle = tmp_path / "bundle"
@@ -243,6 +250,7 @@ def test_diagnose_nan_sample_time_reports_nan_checks(tmp_path):
     meta = json.loads((bundle / "meta.json").read_text())
     meta["times"][2] = float("nan")
     (bundle / "meta.json").write_text(json.dumps(meta))
+    _set_energy_time(bundle, 2, "nan")  # the t column must match meta.json
     diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle)})
     assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "o")]) == 1
     doc = json.loads((tmp_path / "o" / "certificate.json").read_text(),
@@ -255,6 +263,40 @@ def _drop_e0(bundle):
     meta = json.loads((bundle / "meta.json").read_text())
     del meta["e0"]
     (bundle / "meta.json").write_text(json.dumps(meta))
+
+
+# an edit to energy.csv's t column, and how the message prints the edited value
+_TIME_EDITS = {"nan": "nan", "1e300": "1e+300", "-1e300": "-1e+300", "0": "0.0"}
+
+
+@pytest.mark.parametrize("text", sorted(_TIME_EDITS))
+def test_diagnose_rejects_energy_time_off_the_sample_times(tmp_path, capsys, text):
+    bundle = _run_bundle(tmp_path)
+    _set_energy_time(bundle, 1, text)
+    assert main(_diagnose_argv(tmp_path, bundle=str(bundle))) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed bundle {bundle}: energy.csv time {_TIME_EDITS[text]} in data "
+        "row 2 is not the sample time 0.05 of meta.json\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", sorted(_TIME_EDITS))
+def test_select_rejects_energy_time_off_the_sample_times(tmp_path, capsys, text):
+    root = _write_candidates(tmp_path)
+    _set_energy_time(root / "member_01", 1, text)
+    assert main(_select_argv(tmp_path, root)) == 2
+    assert capsys.readouterr().err == (
+        f"error: candidate member_01 is inconsistent: energy.csv time {_TIME_EDITS[text]} "
+        "in data row 2 is not the sample time 0.5 of meta.json\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_energy_time_must_match_bit_for_bit(tmp_path, capsys):
+    bundle = _run_bundle(tmp_path)
+    _set_energy_time(bundle, 0, "-0")
+    assert main(_diagnose_argv(tmp_path, bundle=str(bundle))) == 2
+    assert "energy.csv time -0.0 in data row 1 is not the sample time 0.0" in (
+        capsys.readouterr().err)
 
 
 def test_diagnose_bundle_without_e0_is_malformed(tmp_path, capsys):
@@ -468,6 +510,7 @@ def test_select_rejects_non_finite_sample_time(tmp_path, capsys, bad):
     root = _write_candidates(tmp_path)
     meta_path = root / "member_01" / "meta.json"
     meta_path.write_text(meta_path.read_text().replace("0.5", bad, 1))
+    _set_energy_time(root / "member_01", 1, {"NaN": "nan", "Infinity": "inf"}[bad])
     cfg = write_config(tmp_path, "s.json", {"kind": "select", "candidates": str(root)})
     assert main(["select", "--config", cfg, "--out", str(tmp_path / "sel")]) == 2
     err = capsys.readouterr().err
@@ -746,6 +789,9 @@ ERROR_LINES = {
     "config-not-found": lambda tmp: (
         ["run", "--config", str(tmp / "none.json"), "--out", str(tmp / "o")],
         f"config file not found: {tmp / 'none.json'}"),
+    "config-directory": lambda tmp: (
+        ["run", "--config", str(tmp), "--out", str(tmp / "o")],
+        f"cannot read config file {tmp}: Is a directory"),
     "config-not-json": lambda tmp: (
         ["run", "--config", str(_csv(tmp, "{not json")), "--out", str(tmp / "o")],
         f"config {tmp / 't.csv'} is not valid JSON: Expecting property name enclosed in "
@@ -822,6 +868,11 @@ ERROR_LINES = {
         "intermediate density"),
     "plot-csv-not-found": lambda tmp: (
         _plot_argv(tmp, tmp / "none.csv"), f"CSV file not found: {tmp / 'none.csv'}"),
+    "plot-csv-directory": lambda tmp: (
+        _plot_argv(tmp, tmp), f"cannot read CSV file {tmp}: Is a directory"),
+    "riemann-x-range": lambda tmp: (
+        _argv(tmp, "riemann", _riemann_doc(x_min=-1.7e308, x_max=1.7e308, samples=3)),
+        "x_max - x_min must be finite, got inf"),
     "plot-csv-not-numeric": lambda tmp: (
         _plot_argv(tmp, _csv(tmp, "t,E\n0,abc\n")),
         f"{tmp / 't.csv'} is not a numeric table under a header row: could not convert "
@@ -993,6 +1044,19 @@ def test_plot_point_range_beyond_2_53(tmp_path, text):
     assert main(["plot", "--csv", str(csv), "--kind", "energy",
                  "--out", str(tmp_path / "o")]) == 0
     assert not re.search(r"\bnan\b", (tmp_path / "o" / "energy.svg").read_text())
+
+
+def test_plot_span_beyond_the_float_range(tmp_path):
+    # 1e308 - (-1e308) overflows; the polyline read "70,373.636 nan,46.3636"
+    csv = tmp_path / "energy.csv"
+    csv.write_text("t,E\n-1e308,1\n1e308,2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plot", "--csv", str(csv), "--kind", "energy",
+                     "--out", str(tmp_path / "o")]) == 0
+    svg = (tmp_path / "o" / "energy.svg").read_text()
+    assert 'points="70,373.636 620,46.3636"' in svg
+    assert ">-1e+308</text>" in svg and ">0</text>" in svg and ">1e+308</text>" in svg
 
 # -- one stacked march per ensemble ---------------------------------------------
 

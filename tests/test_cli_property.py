@@ -11,13 +11,16 @@ reason grids have at most 8 cells per axis and the horizon is bounded,
 t_end <= 1 and t_end / sample_dt <= 4.
 
 ``plot`` takes a CSV instead of a config: any short table of finite floats
-draws.
+draws, with finite coordinates and labels, also where a column's range
+exceeds the float range.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
+import sys
 import tempfile
 
 import jsonschema
@@ -179,16 +182,22 @@ def test_schema_valid_config_never_raises(data, kind):
 
 
 _PLOT_COLUMNS = {"energy": ("t", "E"), "defect": ("t", "defect", "traceR", "slack")}
+# values whose differences overflow
+_HUGE = (sys.float_info.max, -sys.float_info.max, 1e308, -1e308)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(sorted(_PLOT_COLUMNS)))
 def test_finite_table_always_plots(data, kind):
     names = _PLOT_COLUMNS[kind]
-    row = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * len(names))
-    rows = data.draw(st.lists(row, min_size=1, max_size=5), label="rows")
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_HUGE)
+    rows = data.draw(st.lists(st.tuples(*[value] * len(names)), min_size=1, max_size=5),
+                     label="rows")
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "t.csv")
         with open(csv, "w") as f:
             f.write("\n".join([",".join(names), *(",".join(map(repr, r)) for r in rows)]) + "\n")
         assert main(["plot", "--csv", csv, "--kind", kind, "--out", os.path.join(tmp, "o")]) == 0
+        with open(os.path.join(tmp, "o", f"{kind}.svg")) as f:
+            svg = f.read()
+    assert not re.search(r"(?<![a-z])(nan|inf)(?![a-z])", svg)

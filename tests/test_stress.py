@@ -35,8 +35,10 @@ def test_shape_of_another_grid_rejected():
     [((1, 2, 0, 0, 1), np.nan), ((1, 2, 0, 1, 0), np.nan)],
     [((0, 0, 0, 1, 1), np.inf), ((1, 2, 0, 0, 1), 1.0), ((1, 2, 0, 1, 0), -1.0)],
     [((1, 2, 0, 0, 1), np.inf), ((1, 2, 0, 1, 0), 5.0)],
+    [((2, 3, 2, 0, 1), np.nan)],
+    [((2, 3, 2, 1, 0), -np.inf)],
 ], ids=["nan-off-diagonal", "nan-pair", "asymmetric-beside-infinite-diagonal",
-        "infinite-off-diagonal"])
+        "infinite-off-diagonal", "nan-in-last-sample", "infinite-in-last-sample"])
 def test_asymmetric_or_nan_pair_rejected(edits):
     with pytest.raises(ValueError, match="must be symmetric"):
         ReynoldsField(G2, TIMES, _tensor(*edits))
@@ -44,6 +46,19 @@ def test_asymmetric_or_nan_pair_rejected(edits):
 
 def test_round_off_asymmetry_accepted():
     ReynoldsField(G2, TIMES, _tensor(((1, 2, 0, 0, 1), 1.0), ((1, 2, 0, 1, 0), 1.0 + 1e-13)))
+
+
+@pytest.mark.parametrize("gap, symmetric", [(0.5e-12, True), (2e-12, False)])
+def test_symmetry_tolerance_is_1e_12_of_the_largest_finite_entry(gap, symmetric):
+    # the scale is the largest finite |entry|: 1e3, on the middle sample
+    scale = 1e3
+    tensor = _tensor(((1, 1, 1, 0, 0), -scale), ((2, 0, 0, 1, 1), np.inf),
+                     ((2, 3, 2, 0, 1), 1.0), ((2, 3, 2, 1, 0), 1.0 + gap * scale))
+    if symmetric:
+        ReynoldsField(G2, TIMES, tensor)
+    else:
+        with pytest.raises(ValueError, match="must be symmetric"):
+            ReynoldsField(G2, TIMES, tensor)
 
 
 @pytest.mark.parametrize("edits", [
