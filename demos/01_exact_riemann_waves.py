@@ -36,7 +36,7 @@ print(f"2-shock speed:     {data.u_r + j / data.rho_r:+.6f}")
 t = 0.2
 x = np.linspace(-1.0, 1.0, 401)
 rho, u = sol.sample_array(x / t)
-write_csv(os.path.join(OUT, "riemann_profile.csv"), ("x", "rho", "u"), (x, rho, u))
+write_csv(os.path.join(OUT, "riemann_profile.csv"), ("x", "rho", "u"), [(x, rho, u)])
 write_line_svg(os.path.join(OUT, "riemann_profile.svg"), x, [rho, u],
                ["rho", "u"], title=f"Riemann profile at t = {t}",
                xlabel="x", ylabel="value")

@@ -278,16 +278,23 @@ def momentum_residual(traj: Trajectory, phis, R: ReynoldsField | None) -> np.nda
 
 # -- ensembles and the energy defect ----------------------------------
 
-def _mean(values, count: int):
-    """Equal-weight average of ``count`` members' values: a Python sum from
-    +0, so a generator keeps one member's temporaries alive at a time."""
-    return sum(values) / count
+def _mean(values, count: int, out=0.0):
+    """Equal-weight average of ``count`` members' values: summed from +0 in
+    member order, as Python's ``sum`` does, then divided by ``count``.  An
+    array ``out`` of zeros takes the sum and the quotient in place, so a
+    generator keeps one member's temporaries alive at a time."""
+    for value in values:
+        out += value
+        del value  # freed before the generator makes the next one
+    out /= count
+    return out
 
 
-def _sample_average(rhos: list, ms: list, k: int) -> tuple:
-    """``(rhobar, mbar)`` of sample k of the members' samples ``rhos``, ``ms``."""
+def _sample_average(rhos: list, ms: list, k: int, rho_bar=0.0, m_bar=0.0) -> tuple:
+    """``(rhobar, mbar)`` of sample k of the members' samples ``rhos``, ``ms``,
+    formed in place of zero arrays ``rho_bar``, ``m_bar`` if given."""
     K = len(rhos)
-    return _mean((rho[k] for rho in rhos), K), _mean((m[k] for m in ms), K)
+    return _mean((rho[k] for rho in rhos), K, rho_bar), _mean((m[k] for m in ms), K, m_bar)
 
 
 def estimate_reynolds(ensemble: list) -> tuple:
@@ -302,8 +309,9 @@ def estimate_reynolds(ensemble: list) -> tuple:
     semi-definite and vanishes iff the members coincide.  Also returns
     the averaged trajectory (rhobar, mbar, averaged energy curve).
     All members must share grid, gas law and sample times.  Averages are
-    Python sums from +0 over the members, one sample at a time, which
-    bounds the temporaries to one sample's kinetic tensors.
+    sums from +0 over the members, one sample at a time, formed in place
+    in the outputs, which bounds the temporaries to about one sample's
+    kinetic tensor.
     """
     if not ensemble:
         raise ValueError("ensemble must contain at least one member")
@@ -317,10 +325,10 @@ def estimate_reynolds(ensemble: list) -> tuple:
     m_bar = np.zeros(base.m.shape)
     tensor = np.zeros(base.m.shape + (base.grid.d,))
     for k in range(base.n_samples):
-        rho_bar[k], m_bar[k] = _sample_average(rhos, ms, k)
-        kin = _mean((kinetic_tensor(tr.rho[k], tr.m[k]) for tr in ensemble), K)
+        _sample_average(rhos, ms, k, rho_bar[k], m_bar[k])
+        kin = _mean((kinetic_tensor(tr.rho[k], tr.m[k]) for tr in ensemble), K, tensor[k])
         pbar = _mean((pressure(tr.rho[k], law) for tr in ensemble), K)
-        tensor[k] = convexity_gap(kin, pbar, rho_bar[k], m_bar[k], law)
+        convexity_gap(kin, pbar, rho_bar[k], m_bar[k], law)
     energy = _mean((tr.energy for tr in ensemble), K)
     e0 = _mean((tr.e0 for tr in ensemble), K)
     avg = Trajectory(base.grid, law, base.times, (rho_bar, m_bar), energy, e0=e0)
@@ -493,4 +501,5 @@ def certificate_doc(cert: DissipativeCertificate) -> dict:
 
 def save_defect_csv(path, traj: Trajectory, R: ReynoldsField | None) -> None:
     """Write the per-sample ``t,defect,traceR,slack`` table of ``compatibility``."""
-    write_csv(path, ("t", "defect", "traceR", "slack"), (traj.times, *compatibility(traj, R)))
+    write_csv(path, ("t", "defect", "traceR", "slack"),
+              [(traj.times, *compatibility(traj, R))])

@@ -233,20 +233,60 @@ _BLOCK_ROWS = 256
 _STATE_COLUMNS = {1: ("i", "rho", "mx"), 2: ("i", "j", "rho", "mx", "my")}
 
 
-def write_csv(path, names, columns) -> None:
-    """Write a header line ``names`` and one row per entry of ``columns``.
+def _constant_blocks(column) -> list:
+    """Per block of ``_BLOCK_ROWS`` rows of ``column``, whether all its rows
+    hold the same bits: compared as unsigned integers, so ``-0.0`` and
+    ``0.0``, or two NaN payloads, never count as one value."""
+    bits = column.view(f"u{column.itemsize}")
+    full = len(bits) - len(bits) % _BLOCK_ROWS
+    blocks = bits[:full].reshape(-1, _BLOCK_ROWS)
+    same = (blocks == blocks[:, :1]).all(axis=1).tolist()
+    if full < len(bits):
+        same.append(bool((bits[full:] == bits[full]).all()))
+    return same
+
+
+def _write_rows(f, columns) -> None:
+    """Write the rows of equal-length ``columns`` to ``f`` in blocks of
+    ``_BLOCK_ROWS``, formatting a column that is constant within a block
+    once."""
+    columns = [np.asarray(c) for c in columns]
+    formats = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
+    constant = [_constant_blocks(c) for c in columns]
+    n = len(columns[0])
+    for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
+        parts, changing = [], []
+        for c, fmt, same in zip(columns, formats, constant):
+            if same[b]:
+                parts.append(fmt % c[start].item())
+            else:
+                parts.append(fmt)
+                changing.append(c[start:start + _BLOCK_ROWS].tolist())
+        row = ",".join(parts) + "\n"
+        if changing:
+            f.write("".join(map(row.__mod__, zip(*changing))))
+        else:
+            f.write(row * min(_BLOCK_ROWS, n - start))
+
+
+def write_csv(path, names, blocks) -> None:
+    """Write a header line ``names`` and the rows of ``blocks``, an iterable
+    of column tuples whose rows follow one another; a caller with whole
+    columns passes ``[columns]``, a streaming one a generator of slices.
 
     Integer columns are written as decimal integers, float columns with
-    ``%.17g``, which reads back to the same double.  Each row is one
-    ``%``-format of a tuple, which is faster than ``str.format``.
+    ``%.17g``, which reads back to the same double.  Rows are formatted
+    in blocks of ``_BLOCK_ROWS``, each row one ``%``-format of a tuple,
+    which is faster than ``str.format``.  A column whose bits do not
+    change within a block is formatted once and spliced into the block's
+    row format, so only the changing columns are formatted per row; a
+    block with no changing column is one row repeated.
     """
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
-            f.write("".join(map(row.__mod__, zip(*block))))
+        for columns in blocks:
+            _write_rows(f, columns)
+            del columns  # a streamed slice is freed before the next is made
 
 
 def write_json(path, doc: dict) -> None:
@@ -285,7 +325,7 @@ def save_state_csv(state: FluidState, path) -> None:
     index = np.indices(g.counts).reshape(g.d, -1)
     m = state.m.reshape(-1, g.d)
     write_csv(path, _STATE_COLUMNS[g.d],
-              [*index, state.rho.ravel(), *(m[:, k] for k in range(g.d))])
+              [(*index, state.rho.ravel(), *(m[:, k] for k in range(g.d)))])
 
 
 def load_state_csv(grid: Grid, path, check: bool = True) -> FluidState:

@@ -18,8 +18,10 @@ __all__ = ["ReynoldsField", "kinetic_tensor", "convexity_gap"]
 def kinetic_tensor(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Cell-wise tensor m (x) m / rho, zero on the vacuum set."""
     outer = m[..., :, None] * m[..., None, :]
-    return np.divide(outer, rho[..., None, None], out=np.zeros_like(outer),
-                     where=(rho > 0)[..., None, None])
+    inside = rho > 0
+    np.divide(outer, rho[..., None, None], out=outer, where=inside[..., None, None])
+    outer[~inside] = 0.0
+    return outer
 
 
 def convexity_gap(kin_mean: np.ndarray, p_mean: np.ndarray, rho: np.ndarray,
@@ -27,9 +29,11 @@ def convexity_gap(kin_mean: np.ndarray, p_mean: np.ndarray, rho: np.ndarray,
     """Flux convexity gap kin_mean - m (x) m / rho + (p_mean - p(rho)) I of a
     family with averaged kinetic tensor, pressure and fields (rho, m): PSD
     for convex averages.  Callers average in their own arithmetic, which
-    fixes the bits (and the sign of zeros)."""
-    eye = np.eye(m.shape[-1])
-    return kin_mean - kinetic_tensor(rho, m) + (p_mean - pressure(rho, law))[..., None, None] * eye
+    fixes the bits (and the sign of zeros).  The gap is formed in place of
+    ``kin_mean``, which is returned."""
+    kin_mean -= kinetic_tensor(rho, m)
+    kin_mean += (p_mean - pressure(rho, law))[..., None, None] * np.eye(m.shape[-1])
+    return kin_mean
 
 
 def symmetric_min_eigenvalues(tensor: np.ndarray) -> np.ndarray:

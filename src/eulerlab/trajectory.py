@@ -344,7 +344,7 @@ def save_bundle(traj: Trajectory, dirpath: str) -> None:
     write_json(os.path.join(dirpath, "meta.json"), meta)
     for k, s in enumerate(traj.states):
         save_state_csv(s, os.path.join(dirpath, f"state_{k:06d}.csv"))
-    write_csv(os.path.join(dirpath, "energy.csv"), _ENERGY_COLUMNS, (traj.times, traj.energy))
+    write_csv(os.path.join(dirpath, "energy.csv"), _ENERGY_COLUMNS, [(traj.times, traj.energy)])
 
 
 def load_bundle(dirpath: str, check: bool = True) -> Trajectory:

@@ -5,15 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from eulerlab import cli
 from eulerlab.cli import main
 from eulerlab.eos import GasLaw
 from eulerlab.fields import (DataTriple, FluidState, Grid, integrate_energy,
                              load_state_csv, read_csv, save_state_csv,
-                             validate_initial_data)
+                             validate_initial_data, write_csv)
 
 LAW2 = GasLaw(a=1.0, gamma=2.0)
 
@@ -175,6 +176,8 @@ STATE_CSV_SHA256 = {
     "2d": "2ebc03dc12b599a20fcd8d70ae7a781432c85d86e4d8dd1b63825a8eb9648783",
 }
 PROFILE_CSV_SHA256 = "eee230009d511ce2ef327284cf05d95fdd798aa905379419aecfd116e33ed044"
+# recorded with the writer that sampled and formatted the profile whole
+STREAMED_PROFILE_CSV_SHA256 = "ad1b28c25902e50cdd8cc4e518e44f9a6d1773027a950055a7b75bbbd549d479"
 
 
 @pytest.mark.parametrize("dim", ["1d", "2d"])
@@ -198,6 +201,92 @@ def test_riemann_profile_csv_bytes_pinned(tmp_path):
     out = tmp_path / "rp"
     assert main(["riemann", "--config", str(cfg), "--out", str(out)]) == 0
     assert sha256_of(out / "profile.csv") == PROFILE_CSV_SHA256
+
+
+def test_streamed_riemann_profile_csv_bytes_pinned(tmp_path):
+    # four slices; the first slice edge falls inside the 1-rarefaction fan,
+    # the second inside the star state
+    samples = 13289
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps({
+        "kind": "riemann", "law": {"a": 1.0, "gamma": 1.4},
+        "rho_l": 1.0, "u_l": 0.0, "rho_r": 0.25, "u_r": 0.0,
+        "time": 1.0, "x_min": -2.0, "x_max": 2.0, "samples": samples,
+    }))
+    out = tmp_path / "rp"
+    assert main(["riemann", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sha256_of(out / "profile.csv") == STREAMED_PROFILE_CSV_SHA256
+    _, data = read_csv(out / "profile.csv", ("x", "rho", "u"))
+    rho, edge = data[:, 1], cli._PROFILE_ROWS
+    assert samples > 3 * edge
+    assert rho[edge - 1] > rho[edge] > rho[edge + 1]  # fan
+    assert rho[2 * edge - 1] == rho[2 * edge] == rho[2 * edge + 1]  # constant state
+
+
+# -- codec property: block caching and streaming keep the bytes -------
+
+def _reference_csv(names, columns) -> str:
+    """The table as one ``%``-format per row, the codec's bytes by definition."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    return ",".join(names) + "\n" + "".join(row % r for r in zip(*(c.tolist() for c in columns)))
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+_FLOAT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.2250738585072009e-308, 1.0, -1.0, *_NAN_PAYLOAD.tolist()]),
+    st.floats(allow_nan=False, allow_subnormal=True))
+# a column is runs of values from a palette of up to three, so a block can
+# hold only signed zeros, or only NaNs of different payloads
+_FLOAT_PALETTES = st.one_of(st.just([0.0, -0.0]), st.just([math.nan, *_NAN_PAYLOAD.tolist()]),
+                            st.lists(_FLOAT_VALUES, min_size=1, max_size=3))
+_INT_PALETTES = st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=3)
+
+
+def _cuts(draw, n) -> list:
+    """Sorted row indices 0, ..., n, with inner cuts at, beside and across
+    the 256-row block edges."""
+    inner = st.one_of(st.sampled_from([1, 255, 256, 257, 511, 512]), st.integers(0, n))
+    return sorted({0, n, *(k for k in draw(st.lists(inner, max_size=4)) if k < n)})
+
+
+@st.composite
+def _csv_tables(draw):
+    n = draw(st.sampled_from([0, 1, 255, 256, 257, 513]))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        is_int = draw(st.booleans())
+        palette = draw(_INT_PALETTES if is_int else _FLOAT_PALETTES)
+        column = np.empty(n, dtype=np.int64 if is_int else float)
+        cuts = _cuts(draw, n)
+        for a, b in zip(cuts, cuts[1:]):
+            column[a:b] = draw(st.sampled_from(palette))
+        columns.append(column)
+    # the streamed slices the rows arrive in
+    return columns, _cuts(draw, n)
+
+
+_SIGNED_ZEROS = np.zeros(513)
+_SIGNED_ZEROS[1::2] = -0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_csv_tables())
+@example(table=([_SIGNED_ZEROS, np.arange(513)], [0, 257, 513]))
+def test_write_csv_matches_the_per_row_format(tmp_path_factory, table):
+    columns, cuts = table
+    names = [f"c{k}" for k in range(len(columns))]
+    # one path for every example: a directory each slows the shrinking
+    path = tmp_path_factory.getbasetemp() / "codec_property.csv"
+    write_csv(path, names, ([c[a:b] for c in columns] for a, b in zip(cuts, cuts[1:])))
+    assert path.read_text() == _reference_csv(names, columns)
+    _, data = read_csv(path, names)
+    assert data.shape == (len(columns[0]), len(columns))
+    for k, c in enumerate(columns):
+        expected = c.astype(float)
+        nan = np.isnan(expected)  # the text "nan" carries no sign or payload
+        assert np.array_equal(np.isnan(data[:, k]), nan)
+        assert data[~nan, k].tobytes() == expected[~nan].tobytes()
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=True)

@@ -1,35 +1,45 @@
 """Peak-memory guards: the ensemble's whole-field work keeps its temporaries
-to about one sample, measured with tracemalloc (NumPy reports its buffers to
-it)."""
+to about one sample, and ``riemann`` its profile to about one slice,
+measured with tracemalloc (NumPy reports its buffers to it)."""
 
 import json
 import tracemalloc
 
 import numpy as np
 
+from eulerlab import cli
 from eulerlab.cli import main
+from eulerlab.dissipative import estimate_reynolds
 from eulerlab.eos import GasLaw
 from eulerlab.fields import Grid, integrate_energies
 from eulerlab.stress import ReynoldsField
+from eulerlab.trajectory import Trajectory
 
 N = 48
 GRID = Grid(counts=(N, N), lower=(0.0, 0.0), upper=(1.0, 1.0))
 TIMES = np.linspace(0.0, 0.5, 11)
 
 
-def _peak(f, *args):
-    """Peak of the traced memory above its level at the call, in bytes."""
+def _traced(f, *args):
+    """Traced memory that ``f(*args)`` keeps and its peak, both in bytes
+    above the level at the call."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        f(*args)
-        return tracemalloc.get_traced_memory()[1] - start
+        result = f(*args)  # bound, so it is still held when measured
+        kept, peak = tracemalloc.get_traced_memory()
+        return kept - start, peak - start
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def _peak(f, *args):
+    """Peak of the traced memory above its level at the call, in bytes."""
+    return _traced(f, *args)[1]
 
 
 def test_reynolds_field_symmetry_check_peaks_at_one_sample():
@@ -69,3 +79,36 @@ def test_ensemble_peaks_at_its_arrays_and_a_sample_margin(tmp_path):
     # temporaries (the symmetry check, the average's energies, the members
     # kept through the npz write) alone took it to 3 samples or more
     assert peak <= len(TIMES) * sample + 2.5 * sample
+
+
+def test_estimate_reynolds_peaks_at_its_outputs_and_two_tensors():
+    # 128 x 128, as in the 2D benchmark: NumPy's fixed 128 KB of broadcast
+    # buffers would be most of a one-sample tensor on a small grid
+    grid = Grid(counts=(128, 128), lower=(0.0, 0.0), upper=(1.0, 1.0))
+    law, times = GasLaw(a=1.0, gamma=1.4), TIMES[:3]
+    rng = np.random.default_rng(2)
+    members = [Trajectory(grid, law, times,
+                          (rng.uniform(0.5, 1.5, (len(times),) + grid.counts),
+                           rng.uniform(-1.0, 1.0, (len(times),) + grid.counts + (2,))),
+                          np.full(len(times), 10.0), e0=10.0)
+               for _ in range(3)]
+    kept, peak = _traced(estimate_reynolds, members)
+    tensor = grid.counts[0] * grid.counts[1] * 4 * 8
+    # about 1.75 tensors above the stress and the average it returns; the
+    # sum-based average held about 4.4
+    assert peak - kept <= 2 * tensor
+
+
+def test_riemann_profile_peaks_at_its_points_and_two_slices(tmp_path):
+    # a fan covers about a fifth of the points, so some slices lie wholly in it
+    samples = 200001
+    cfg = {"kind": "riemann", "law": {"a": 1.0, "gamma": 1.4},
+           "rho_l": 1.0, "u_l": 0.0, "rho_r": 0.25, "u_r": 0.0,
+           "time": 1.0, "x_min": -2.0, "x_max": 2.0, "samples": samples}
+    peak = _peak(cli.cmd_riemann, cfg, str(tmp_path / "o"))
+    assert (tmp_path / "o" / "profile.csv").stat().st_size > 0
+    xs_bytes = samples * 8
+    # a slice makes x / t, rho and u; about 1.8 slices here, 64 when the
+    # profile was sampled and formatted whole
+    one_slice = 3 * cli._PROFILE_ROWS * 8
+    assert peak <= xs_bytes + 2 * one_slice

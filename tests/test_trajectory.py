@@ -404,6 +404,16 @@ def test_stopping_time_cases():
     assert stopping_time(stepped, 2.0) == math.inf
 
 
+def test_stopping_time_needs_a_defect_strictly_above_delta():
+    # a defect equal to delta does not stop; the next float above it does
+    g = unit_grid()
+    s, s2 = FluidState.constant(g, 1.0, 0.0), FluidState.constant(g, 0.9, 0.0)
+    stepped = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s, s2, s2], [1.5, 1.5, 1.5])
+    peak = float(np.max(stepped.defects()))
+    assert stopping_time(stepped, peak) == math.inf
+    assert stopping_time(stepped, math.nextafter(peak, 0.0)) == 0.5
+
+
 def test_defect_reset_zeroes_defect():
     g = unit_grid()
     s = FluidState.constant(g, 1.0, 0.0)
