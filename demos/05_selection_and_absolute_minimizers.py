@@ -24,9 +24,9 @@ e0 = integrate_energy(state, law)
 triple = DataTriple(state, e0)
 
 dissipating, lazy = (0.6, 0.2, 0.05), (0.6, 0.2)
-candidates = (run(triple, [SchemeSpec(nu=nu) for nu in dissipating], law, 0.6, 0.05)
-              + run(triple, [SchemeSpec(nu=nu) for nu in lazy], law, 0.6, 0.05,
-                    energy_mode="budget"))
+candidates = (list(run(triple, [SchemeSpec(nu=nu) for nu in dissipating], law, 0.6, 0.05))
+              + list(run(triple, [SchemeSpec(nu=nu) for nu in lazy], law, 0.6, 0.05,
+                         energy_mode="budget")))
 labels = ([f"nu={nu} (dissipating)" for nu in dissipating]
           + [f"nu={nu} (lazy energy)" for nu in lazy])
 

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -309,13 +310,12 @@ def _initial_state(spec: dict, grid: Grid, law: GasLaw) -> FluidState:
     return FluidState(grid, rho, m)
 
 
-def _ensemble(cfg: dict, law: GasLaw, triple: DataTriple, specs: list, t_end: float,
-              mode: str):
-    """March every scheme from ``triple`` to ``t_end``; returns the members,
-    their Reynolds stress and their average."""
+def _members(cfg: dict, law: GasLaw, triple: DataTriple, specs: list, t_end: float,
+             mode: str):
+    """Every scheme's trajectory marched from ``triple`` to ``t_end``, one
+    stack at a time (see ``run``); an error of the march is a config error."""
     with _config_errors("ensemble ", Exception):
-        members = run(triple, specs, law, t_end, cfg["sample_dt"], energy_mode=mode)
-    return (members, *estimate_reynolds(members))
+        yield from run(triple, specs, law, t_end, cfg["sample_dt"], energy_mode=mode)
 
 
 # -- subcommands -------------------------------------------------------
@@ -330,12 +330,26 @@ def cmd_run(cfg: dict, out: str) -> int:
 
 
 def cmd_ensemble(cfg: dict, out: str) -> int:
-    members, R, avg = _ensemble(cfg, *_setup(cfg), cfg["t_end"],
-                                cfg.get("energy_mode", "envelope"))
-    os.makedirs(out, exist_ok=True)
-    for i, tr in enumerate(members):
-        save_bundle(tr, os.path.join(out, f"member_{i:02d}"))
-    del members, tr  # written: free their fields before the npz write copies the tensor
+    law, triple, specs = _setup(cfg)
+    members = _members(cfg, law, triple, specs, cfg["t_end"],
+                       cfg.get("energy_mode", "envelope"))
+    existed, bundles = os.path.exists(out), []
+
+    def written():
+        """Each member, written to its bundle as the average sums it."""
+        for tr in members:
+            bundles.append(os.path.join(out, f"member_{len(bundles):02d}"))
+            save_bundle(tr, bundles[-1])
+            yield tr
+            del tr  # not held while the next stack marches
+
+    try:
+        R, avg = estimate_reynolds(written())
+    except BaseException:
+        # a failure leaves no member bundle behind
+        for path in bundles if existed else [out]:
+            shutil.rmtree(path, ignore_errors=True)
+        raise
     save_bundle(avg, os.path.join(out, "average"))
     R.save_npz(os.path.join(out, "reynolds.npz"))
     save_defect_csv(os.path.join(out, "defect.csv"), avg, R)
@@ -459,7 +473,7 @@ def cmd_dt1(cfg: dict, out: str) -> int:
 def cmd_dt2(cfg: dict, out: str) -> int:
     """Defect-reset competitor strictly below the base trajectory."""
     law, triple, specs = _setup(cfg)
-    base = _ensemble(cfg, law, triple, specs, cfg["t_end"], "budget")[2]
+    base = estimate_reynolds(_members(cfg, law, triple, specs, cfg["t_end"], "budget"))[1]
     defects = base.defects()
     k = int(np.argmax(defects[:-1])) if base.n_samples > 1 else 0
     T = float(base.times[k])
@@ -468,8 +482,9 @@ def cmd_dt2(cfg: dict, out: str) -> int:
     if eps <= 1e-6 * scale:
         raise ConfigError("base trajectory has no defect to improve; "
                           "increase the horizon or sharpen the datum")
-    cont = _ensemble(cfg, law, DataTriple(base.states[k], float(base.mean_energies[k])),
-                     specs, cfg["t_end"] - T, "envelope")[2]
+    cont = estimate_reynolds(_members(
+        cfg, law, DataTriple(base.states[k], float(base.mean_energies[k])), specs,
+        cfg["t_end"] - T, "envelope"))[1]
     competitor, order = improve(base, T, cont)
     threshold, violations = check_order_coherence(competitor, base, order) \
         if order.relation == "less" else (None, None)

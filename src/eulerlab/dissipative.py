@@ -6,15 +6,22 @@ that forms a sample's fields once for every function whose time window
 holds it.  Cell-averaged fields pair with *exact* per-cell integrals of
 the test function, so identities that rely on the divergence theorem
 (constant states, boundary terms) cancel to round-off instead of
-leaving a quadrature footprint; in time, the per-sample spatial
+leaving a quadrature footprint; functions that share a space bump share
+these integrals within a pass.  In time, the per-sample spatial
 pairings are reconstructed piecewise linearly and integrated against
 the polynomial time bump exactly by fixed-order Gauss quadrature.
+
+``estimate_reynolds`` averages an ensemble given as any iterable of
+members, summing each into its outputs as it comes and holding one
+member at a time, so the members of ``solver.run`` are marched, summed
+and dropped one stack at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -214,14 +221,19 @@ def _weak_residuals(traj: Trajectory, phis, pairing) -> np.ndarray:
     """``_time_integral`` of each test function of the sequence ``phis``,
     where pairing(k) prepares sample k once and pairing(k)(phi, P, G) gives
     its spatial pairings (A, B) with the cell integrals P of phi and G of
-    grad(phi).  check_interior keeps each support inside [0, t_end]."""
+    grad(phi).  Functions that share a space bump (centres and widths)
+    share one (P, G).  check_interior keeps each support inside [0, t_end]."""
+    integrals = {}  # (centers, widths) -> (P, G)
     windows = []  # (phi, k0, k1, P, G) of each function
     for phi in phis:
         phi.check_interior(traj.grid, traj.t_end)
         lo, hi = phi.t_support
         k0 = max(int(np.searchsorted(traj.times, lo + 1e-14, side="right") - 1), 0)
         k1 = min(int(np.searchsorted(traj.times, hi - 1e-14, side="left")), traj.n_samples - 1)
-        windows.append((phi, k0, k1) + phi.cell_integrals(traj.grid))
+        bump = (phi.centers, phi.widths)
+        if bump not in integrals:
+            integrals[bump] = phi.cell_integrals(traj.grid)
+        windows.append((phi, k0, k1) + integrals[bump])
     A, B = np.zeros((2, len(windows), traj.n_samples))
     for k in range(traj.n_samples):
         live = [(j, w) for j, w in enumerate(windows) if w[1] <= k <= w[2]]
@@ -278,26 +290,18 @@ def momentum_residual(traj: Trajectory, phis, R: ReynoldsField | None) -> np.nda
 
 # -- ensembles and the energy defect ----------------------------------
 
-def _mean(values, count: int, out=0.0):
-    """Equal-weight average of ``count`` members' values: summed from +0 in
-    member order, as Python's ``sum`` does, then divided by ``count``.  An
-    array ``out`` of zeros takes the sum and the quotient in place, so a
-    generator keeps one member's temporaries alive at a time."""
+def _mean(values, count: int):
+    """Equal-weight average of ``count`` members' values in the arithmetic of
+    ``estimate_reynolds``: summed from +0 in member order, as Python's
+    ``sum`` does, then divided by ``count``."""
+    total = 0.0
     for value in values:
-        out += value
-        del value  # freed before the generator makes the next one
-    out /= count
-    return out
+        total += value
+    total /= count
+    return total
 
 
-def _sample_average(rhos: list, ms: list, k: int, rho_bar=0.0, m_bar=0.0) -> tuple:
-    """``(rhobar, mbar)`` of sample k of the members' samples ``rhos``, ``ms``,
-    formed in place of zero arrays ``rho_bar``, ``m_bar`` if given."""
-    K = len(rhos)
-    return _mean((rho[k] for rho in rhos), K, rho_bar), _mean((m[k] for m in ms), K, m_bar)
-
-
-def estimate_reynolds(ensemble: list) -> tuple:
+def estimate_reynolds(members) -> tuple:
     """Reynolds stress of an equal-weight ensemble of trajectories.
 
     Per cell and sample time,
@@ -308,37 +312,63 @@ def estimate_reynolds(ensemble: list) -> tuple:
     the convexity gap of the flux under averaging; it is positive
     semi-definite and vanishes iff the members coincide.  Also returns
     the averaged trajectory (rhobar, mbar, averaged energy curve).
-    All members must share grid, gas law and sample times.  Averages are
-    sums from +0 over the members, one sample at a time, formed in place
-    in the outputs, which bounds the temporaries to about one sample's
-    kinetic tensor.
+    ``members`` is any iterable of trajectories, which must share grid,
+    gas law and sample times.  It is consumed one member at a time and no
+    member is kept, so a generator such as :func:`run`'s holds one at a
+    time here.  Each member is summed into the outputs as it comes, from
+    +0 in member order, and the sums are divided by the count at the end;
+    a member's kinetic tensor is formed one sample at a time.  The
+    pressure sums take the stress's (1, 0) entries in 2D, which equal the
+    (0, 1) entries bit for bit until the gap is formed, and a field of
+    their own in 1D, where the stress has no spare entry.
     """
-    if not ensemble:
+    K = 0
+    for tr in members:
+        if K == 0:
+            law, d = tr.law, tr.grid.d
+            shared = SimpleNamespace(grid=tr.grid, law=law, times=tr.times)
+            rho_bar = np.zeros(tr.rho.shape)  # not np.empty: see solver.March
+            m_bar = np.zeros(tr.m.shape)
+            tensor = np.zeros(tr.m.shape + (d,))
+            p_sum = tensor[..., 1, 0] if d == 2 else np.zeros(tr.rho.shape)
+            energy = e0 = 0.0
+        else:
+            require_shared(shared, tr)
+        K += 1
+        rho_bar += tr.rho
+        m_bar += tr.m
+        for k in range(len(tensor)):
+            kin = kinetic_tensor(tr.rho[k], tr.m[k])
+            if d == 2:
+                kin[..., 1, 0] = pressure(tr.rho[k], law)
+            else:
+                p_sum[k] += pressure(tr.rho[k], law)
+            tensor[k] += kin
+            del kin  # freed before the next sample's is made
+        energy += tr.energy
+        e0 += tr.e0
+        del tr  # not held while the next member is made
+    if K == 0:
         raise ValueError("ensemble must contain at least one member")
-    base = ensemble[0]
-    law = base.law
-    for tr in ensemble[1:]:
-        require_shared(base, tr)
-    K = len(ensemble)
-    rhos, ms = [tr.rho for tr in ensemble], [tr.m for tr in ensemble]
-    rho_bar = np.zeros(base.rho.shape)  # not np.empty: see solver.March
-    m_bar = np.zeros(base.m.shape)
-    tensor = np.zeros(base.m.shape + (base.grid.d,))
-    for k in range(base.n_samples):
-        _sample_average(rhos, ms, k, rho_bar[k], m_bar[k])
-        kin = _mean((kinetic_tensor(tr.rho[k], tr.m[k]) for tr in ensemble), K, tensor[k])
-        pbar = _mean((pressure(tr.rho[k], law) for tr in ensemble), K)
-        convexity_gap(kin, pbar, rho_bar[k], m_bar[k], law)
-    energy = _mean((tr.energy for tr in ensemble), K)
-    e0 = _mean((tr.e0 for tr in ensemble), K)
-    avg = Trajectory(base.grid, law, base.times, (rho_bar, m_bar), energy, e0=e0)
-    return ReynoldsField(base.grid, base.times.copy(), tensor), avg
+    for total in (rho_bar, m_bar, tensor, energy):
+        total /= K
+    if d == 1:
+        p_sum /= K
+    for k in range(len(tensor)):
+        pbar = p_sum[k].copy()  # in 2D its entries are overwritten next
+        if d == 2:
+            tensor[k][..., 1, 0] = tensor[k][..., 0, 1]
+        convexity_gap(tensor[k], pbar, rho_bar[k], m_bar[k], law)
+    del pbar
+    avg = Trajectory(shared.grid, law, shared.times, (rho_bar, m_bar), energy, e0=e0 / K)
+    return ReynoldsField(shared.grid, shared.times.copy(), tensor), avg
 
 
 def _sample_defect(march: March, j: int, energy: float) -> float:
     """Energy defect at sample j of the average of a march's members with
     averaged energy ``energy``, in ``estimate_reynolds``'s arithmetic."""
-    rho_bar, m_bar = _sample_average(march.rho, march.m, j)
+    K = len(march.rho)
+    rho_bar, m_bar = _mean((rho[j] for rho in march.rho), K), _mean((m[j] for m in march.m), K)
     return energy - integrate_energies(march.grid, rho_bar[None], m_bar[None], march.law)[0]
 
 

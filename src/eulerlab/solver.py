@@ -6,8 +6,11 @@ nu * dx * Laplacian of the conserved variables enters through the
 diffusive interface flux -nu * (U_R - U_L).  Varying nu produces the
 vanishing-viscosity families the ensemble diagnostics consume.
 
-A ``March`` marches a whole family one sample at a time, and ``run``
-drains one.  The live members' conserved variables form one array ``U``
+A ``March`` marches a whole family one sample at a time, every stack
+in turn; ``run`` marches one stack at a time to the end and yields its
+members, making a stack's sample arrays only when it starts, so a
+consumer that drops each member holds one stack's samples at a time.
+The live members' conserved variables form one array ``U``
 (1 + d, K, *counts), component first: ``U[0]`` is the density and
 ``U[1:]`` the momentum of each member, so one code path serves both.
 Each iteration is one ``stable_dt`` and one ``step`` call on that stack,
@@ -17,9 +20,9 @@ dt and sample index, and a member that has taken its last sample is
 dropped from the stack.  A stack holds at most
 ``max(1, _STACK_CELLS // cells)`` members; further members march in
 further stacks.  Each stack's march is a generator that yields once
-all its members have taken the next sample, and the stacks advance in
-turn, so a consumer that has what it needs at sample j stops there and
-no stack marches past it.
+all its members have taken the next sample; in a ``March`` the stacks
+advance in turn, so a consumer that has what it needs at sample j stops
+there and no stack marches past it.
 
 The stack is the one state the kernel steps.  ``_Members`` carries its
 grid, gas law and schemes, so ``stable_dt`` and ``step`` take nothing
@@ -293,7 +296,8 @@ class March:
     a consumer that stops at sample j leaves every later sample unmarched.
     ``members(j)`` are the members' trajectories on samples 0..j, and
     ``rho``, ``m`` each member's sample arrays, filled up to the last j
-    yielded.  The arguments and their errors are those of :func:`run`.
+    yielded; every stack's arrays are made when the iteration starts.
+    The arguments and their errors are those of :func:`run`.
     """
 
     def __init__(self, triple: DataTriple, specs, law: GasLaw, t_end: float,
@@ -315,30 +319,58 @@ class March:
             raise ValueError("the schemes of one run must share the flux")
         validate_initial_data(triple, law)
 
-        state = triple.state0
-        self.grid, self.law, self.energy_mode, self.e0 = state.grid, law, energy_mode, triple.E0
+        self.grid, self.law, self.energy_mode = triple.state0.grid, law, energy_mode
+        self.e0, self._state0 = triple.E0, triple.state0
         self.times = sample_dt * np.arange(n + 1)
+        self._specs, self._tol = specs, 1e-14 * t_end
         group = max(1, _STACK_CELLS // math.prod(self.grid.counts))
-        self.rho, self.m = [], []  # each member's samples
-        self._stacks = []
-        for first in range(0, len(specs), group):
-            ids = np.arange(first, min(first + group, len(specs)))
-            U = np.repeat(_pack(state.rho[None], state.m[None]), len(ids), axis=1)
-            # not np.empty: lower peak RSS, measured
-            rho = np.zeros((len(ids), n + 1) + self.grid.counts)
-            m = np.zeros(rho.shape + (self.grid.d,))
-            rho[:, 0], m[:, 0] = state.rho, state.m
-            self.rho.extend(rho)
-            self.m.extend(m)
-            self._stacks.append(_march(_Members(self.grid, law, specs, U, ids), self.times,
-                                       1e-14 * t_end, rho, m))
+        # each stack's member ids; its sample arrays are made when it starts
+        self._stacks = [np.arange(first, min(first + group, len(specs)))
+                        for first in range(0, len(specs), group)]
+        self.rho, self.m = [], []  # each started member's samples
+
+    def _start(self, ids):
+        """The sample arrays ``rho``, ``m`` of the stack of members ``ids``,
+        holding the initial state, and the march that fills them."""
+        state, n = self._state0, len(self.times) - 1
+        U = np.repeat(_pack(state.rho[None], state.m[None]), len(ids), axis=1)
+        # not np.empty: lower peak RSS, measured
+        rho = np.zeros((len(ids), n + 1) + self.grid.counts)
+        m = np.zeros(rho.shape + (self.grid.d,))
+        rho[:, 0], m[:, 0] = state.rho, state.m
+        march = _march(_Members(self.grid, self.law, self._specs, U, ids), self.times,
+                       self._tol, rho, m)
+        return rho, m, march
 
     def __iter__(self):
+        marches = []
+        for ids in self._stacks:
+            rho, m, march = self._start(ids)
+            self.rho.extend(rho)
+            self.m.extend(m)
+            marches.append(march)
         yield 0
         for j in range(1, len(self.times)):
-            for stack in self._stacks:
-                next(stack)
+            for march in marches:
+                next(march)
             yield j
+
+    def _stack_members(self, ids) -> list:
+        """The trajectories of the stack of members ``ids``, marched to the end."""
+        rho, m, march = self._start(ids)
+        for _ in march:
+            pass
+        return [self._trajectory(r, mm) for r, mm in zip(rho, m)]
+
+    def _trajectories(self):
+        """Each member's trajectory on all samples, in the order of the
+        schemes, one stack at a time: a stack starts once every member of
+        the one before has been handed out, and no reference to a handed-out
+        member is kept here."""
+        for ids in self._stacks:
+            stack = self._stack_members(ids)
+            while stack:
+                yield stack.pop(0)
 
     def _energy(self, rho, m):
         """A member's total-energy curve on its samples rho, m (see :func:`run`)."""
@@ -347,19 +379,25 @@ class March:
             return np.minimum.accumulate(mean)
         return np.full(len(mean), mean[0])
 
-    def members(self, j: int | None = None) -> list:
-        """One ``Trajectory`` per scheme on the samples 0..j (all by
+    def _trajectory(self, rho, m, j: int | None = None) -> Trajectory:
+        """The trajectory of one member's samples ``rho``, ``m`` on 0..j (all by
         default), with the total-energy curve of :func:`run`."""
         j = len(self.times) - 1 if j is None else j
-        return [Trajectory(self.grid, self.law, self.times[:j + 1], (rho[:j + 1], m[:j + 1]),
-                           self._energy(rho[:j + 1], m[:j + 1]), e0=self.e0)
-                for rho, m in zip(self.rho, self.m)]
+        return Trajectory(self.grid, self.law, self.times[:j + 1], (rho[:j + 1], m[:j + 1]),
+                          self._energy(rho[:j + 1], m[:j + 1]), e0=self.e0)
+
+    def members(self, j: int | None = None) -> list:
+        """One ``Trajectory`` per scheme on the samples 0..j (all by
+        default) of an iterated march, with the total-energy curve of
+        :func:`run`."""
+        return [self._trajectory(rho, m, j) for rho, m in zip(self.rho, self.m)]
 
 
 def run(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_dt: float,
-        energy_mode: str = "envelope") -> list:
+        energy_mode: str = "envelope"):
     """March ``triple`` to t_end under each scheme of ``specs`` (they share
-    the flux), sampling every sample_dt; one ``Trajectory`` per scheme.
+    the flux), sampling every sample_dt; yields one ``Trajectory`` per
+    scheme, in the order of ``specs``.
 
     The members advance in stacks, each with its own adaptive CFL
     steps; a member's stable dt below the clock tolerance 1e-14 * t_end
@@ -372,9 +410,11 @@ def run(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_dt: float,
       the curve is the constant initial mean energy (the discrete
       analogue of an energy-conserving total for smooth flow).
 
-    This drains a :class:`March`.
+    The stacks march one at a time, each once the members of the one
+    before have been yielded, and a stack's sample arrays are made when
+    it starts: a consumer that drops each member before taking the next
+    holds one stack's samples at a time.  Errors in the arguments are
+    raised at the call, errors of the march as the failing member's
+    stack marches.  Callers that need a list take ``list(run(...))``.
     """
-    march = March(triple, specs, law, t_end, sample_dt, energy_mode)
-    for _ in march:
-        pass
-    return march.members()
+    return March(triple, specs, law, t_end, sample_dt, energy_mode)._trajectories()

@@ -16,10 +16,18 @@ __all__ = ["ReynoldsField", "kinetic_tensor", "convexity_gap"]
 
 
 def kinetic_tensor(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Cell-wise tensor m (x) m / rho, zero on the vacuum set."""
-    outer = m[..., :, None] * m[..., None, :]
+    """Cell-wise tensor m (x) m / rho, zero on the vacuum set.  Each entry
+    m_i m_j / rho is formed in place in the output, pair by pair: a
+    broadcast outer product would make a second tensor-sized array, and its
+    broadcast division NumPy's buffers on top."""
+    d = m.shape[-1]
+    outer = np.empty(m.shape + (d,))
     inside = rho > 0
-    np.divide(outer, rho[..., None, None], out=outer, where=inside[..., None, None])
+    for i in range(d):
+        for j in range(d):
+            entry = outer[..., i, j]
+            np.multiply(m[..., i], m[..., j], out=entry)
+            np.divide(entry, rho, out=entry, where=inside)
     outer[~inside] = 0.0
     return outer
 

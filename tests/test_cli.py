@@ -213,6 +213,35 @@ def test_diagnose_nan_field_fails_vacuum_consistency(tmp_path, column):
                       "passed": False}
 
 
+@pytest.mark.parametrize("mx, value", [("0", 0.0), ("-0.0", 0.0), ("5e-324", 1.0),
+                                       ("0.5", 1.0)])
+def test_diagnose_vacuum_consistency_edge(tmp_path, mx, value):
+    # a 32-cell run from a state with one vacuum cell at rest: a signed zero
+    # momentum on that cell in the first sample passes, the least subnormal
+    # fails (0.5 also makes that sample's mean energy infinite)
+    from eulerlab.fields import save_state_csv
+    g = Grid(counts=(32,), lower=(-1.0,), upper=(1.0,), boundary=("reflective",))
+    rho = np.ones(32)
+    rho[16] = 0.0
+    save_state_csv(FluidState(g, rho, np.zeros((32, 1))), tmp_path / "init.csv")
+    run_cfg = write_config(tmp_path, "r.json", run_config(
+        tmp_path, initial={"file": str(tmp_path / "init.csv")}))
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", run_cfg, "--out", str(bundle)]) == 0
+    state = bundle / "state_000000.csv"
+    lines = state.read_text().splitlines()
+    i, rho_16, _ = lines[17].split(",")
+    assert (i, float(rho_16)) == ("16", 0.0)
+    lines[17] = f"{i},{rho_16},{mx}"
+    state.write_text("\n".join(lines) + "\n")
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle)})
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "d")]) == int(value)
+    doc = json.loads((tmp_path / "d" / "certificate.json").read_text())
+    vacuum = next(c for c in doc["checks"] if c["name"] == "vacuum_consistency")
+    assert vacuum == {"name": "vacuum_consistency", "value": value, "tolerance": 0.0,
+                      "passed": not value}
+
+
 def test_diagnose_rejects_wrapped_cell_index(tmp_path, capsys):
     run_cfg = write_config(tmp_path, "r.json", run_config(tmp_path))
     bundle = tmp_path / "bundle"
@@ -1130,10 +1159,65 @@ def test_ensemble_output_trees_pinned(tmp_path, kind):
     assert _tree_digest(out) == TREE_DIGESTS[kind]
 
 
+def _pinned_2d_doc():
+    """A 48 x 48 reflective LLF Riemann datum with nu_list [0.4, 0.2, 0.1]:
+    each member marches in its own stack (2304 > _STACK_CELLS / 2)."""
+    return {"kind": "ensemble",
+            "grid": {"counts": [48, 48], "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+                     "boundary": ["reflective", "reflective"]},
+            "law": {"a": 1.0, "gamma": 1.4}, "scheme": {"flux": "llf", "cfl": 0.9},
+            "t_end": 0.5, "sample_dt": 0.05, "nu_list": [0.4, 0.2, 0.1],
+            "initial": {"preset": "riemann", "rho_l": 1.0, "u_l": 0.1, "rho_r": 0.25,
+                        "u_r": 0.0}}
+
+
+# the ensemble output tree of _pinned_2d_doc; recorded when the members of
+# all stacks were held until the average was formed
+ENSEMBLE_2D_DIGEST = "9973e7a1ac6678564491f193f62b600fc1b648ee9ca22ece514b32a11742e6a2"
+
+
+def test_ensemble_2d_three_stacks_output_tree_pinned(tmp_path):
+    import eulerlab.solver as solver_mod
+    assert solver_mod._STACK_CELLS // (48 * 48) == 1
+    cfg = write_config(tmp_path, "c.json", _pinned_2d_doc())
+    out = tmp_path / "o"
+    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+    assert _tree_digest(out) == ENSEMBLE_2D_DIGEST
+
+
 # the dt1-demo output tree of a 2048-cell datum, whose three members march
 # in three stacks of one (2048 > _STACK_CELLS / 2); it resets three times,
 # the last time at t_end.  Recorded when every window was marched to t_end
 DT1_THREE_STACKS_DIGEST = "fe922d6bffb7d0bafd7f6c7aa95e2f4d4d8f33c5235002d84f975ff2ec343f04"
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_ensemble_2d_failing_second_member_leaves_no_bundle(tmp_path, capsys, monkeypatch,
+                                                            existing):
+    # member 0 marches in its own stack and is written before member 1 fails;
+    # what was written is removed, and an output directory that existed
+    # before keeps only what it held
+    import eulerlab.cli as cli_mod
+    written = []
+    inner = cli_mod.save_bundle
+
+    def recording_save(traj, path):
+        written.append(os.path.basename(path))
+        inner(traj, path)
+
+    monkeypatch.setattr(cli_mod, "save_bundle", recording_save)
+    doc = _pinned_2d_doc()
+    doc["nu_list"] = [0.2, 1e300]
+    out = tmp_path / "o"
+    if existing:
+        out.mkdir()
+        (out / "kept.txt").write_text("kept")
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ensemble member 1 (nu=1e+300) failed: stable dt ")
+    assert written == ["member_00"]
+    assert sorted(os.listdir(out)) == ["kept.txt"] if existing else not out.exists()
 
 
 def test_dt1_three_stacks_output_tree_pinned(tmp_path):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,24 @@ def test_certify_non_finite_check_never_passes(data, where, bad):
     assert not cert.passed
 
 
+def test_certify_computes_one_cell_integral_pair_per_space_bump(monkeypatch):
+    # the 24 functions of a balance have 12 space bumps: 12 pairs per
+    # residual pass, three passes with a stress
+    calls = []
+    inner = TestFunction.cell_integrals
+
+    def counted(phi, grid):
+        calls.append((phi.centers, phi.widths))
+        return inner(phi, grid)
+
+    g = Grid(counts=(8, 6), lower=(0.0, 0.0), upper=(1.0, 1.0))
+    traj = constant_traj(g, 1.0, 0.3, np.linspace(0, 1, 5))
+    R = estimate_reynolds([traj, traj])[0]
+    monkeypatch.setattr(TestFunction, "cell_integrals", counted)
+    certify(traj, R)
+    assert len(calls) == 36 and len(set(calls)) == 12
+
+
 @pytest.mark.parametrize("with_R", [False, True])
 def test_certify_reads_each_sample_once(monkeypatch, with_R):
     # certify makes one residual call per balance (and one more momentum
@@ -295,6 +315,39 @@ def test_single_member_zero_stress():
     R, avg = estimate_reynolds([traj])
     assert R.norm_scale() == 0.0
     assert avg.same_content(traj)
+
+
+def test_estimate_reynolds_sums_a_generator_one_member_at_a_time():
+    # a generator's members give the bits of the same list's, and no earlier
+    # member is alive when the generator makes the next
+    g = Grid(counts=(6, 5), lower=(0.0, 0.0), upper=(1.0, 1.0))
+    times = np.linspace(0.0, 0.4, 5)
+
+    def member(seed):
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.5, 1.5, (5, 6, 5))
+        rho[:, 2, 3] = 0.0
+        m = rng.uniform(-1.0, 1.0, rho.shape + (2,))
+        m[:, 2, 3] = -0.0
+        return Trajectory(g, LAW2, times, (rho, m), np.full(5, 10.0), e0=10.0)
+
+    refs, alive = [], []
+
+    def members():
+        for seed in range(3):
+            alive.append(sum(ref() is not None for ref in refs))
+            tr = member(seed)
+            refs.append(weakref.ref(tr.rho))
+            yield tr
+            del tr
+
+    R, avg = estimate_reynolds(members())
+    R_list, avg_list = estimate_reynolds([member(seed) for seed in range(3)])
+    assert alive == [0, 0, 0]
+    assert R.tensor.tobytes() == R_list.tensor.tobytes()
+    for a in ("rho", "m", "energy", "mean_energies"):
+        assert getattr(avg, a).tobytes() == getattr(avg_list, a).tobytes()
+    assert avg.e0 == avg_list.e0
 
 
 def test_two_member_opposite_momenta():

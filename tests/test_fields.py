@@ -303,12 +303,18 @@ def fluid_states(draw):
     return FluidState(g, rho, m)
 
 
+@pytest.fixture(scope="module")
+def codec_path(tmp_path_factory):
+    """One file that every generated example overwrites: a directory per
+    example made a failing example shrink slowly."""
+    return tmp_path_factory.mktemp("codec") / "state.csv"
+
+
 @settings(max_examples=60, deadline=None)
 @given(state=fluid_states())
-def test_state_csv_roundtrip_bit_identical(tmp_path_factory, state):
-    path = tmp_path_factory.mktemp("codec") / "state.csv"
-    save_state_csv(state, path)
-    loaded = load_state_csv(state.grid, path)
+def test_state_csv_roundtrip_bit_identical(codec_path, state):
+    save_state_csv(state, codec_path)
+    loaded = load_state_csv(state.grid, codec_path)
     assert loaded.rho.tobytes() == state.rho.tobytes()
     assert loaded.m.tobytes() == state.m.tobytes()
 

@@ -1,6 +1,7 @@
 """Peak-memory guards: the ensemble's whole-field work keeps its temporaries
-to about one sample, and ``riemann`` its profile to about one slice,
-measured with tracemalloc (NumPy reports its buffers to it)."""
+to about one sample and holds one member at a time, ``certify`` one cell
+integral pair per space bump, and ``riemann`` its profile to about one
+slice, measured with tracemalloc (NumPy reports its buffers to it)."""
 
 import json
 import tracemalloc
@@ -9,10 +10,10 @@ import numpy as np
 
 from eulerlab import cli
 from eulerlab.cli import main
-from eulerlab.dissipative import estimate_reynolds
+from eulerlab.dissipative import certify, estimate_reynolds
 from eulerlab.eos import GasLaw
 from eulerlab.fields import Grid, integrate_energies
-from eulerlab.stress import ReynoldsField
+from eulerlab.stress import ReynoldsField, kinetic_tensor
 from eulerlab.trajectory import Trajectory
 
 N = 48
@@ -71,14 +72,15 @@ def test_ensemble_peaks_at_its_arrays_and_a_sample_margin(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(doc))
     argv = ["ensemble", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    # one sample of the members' (rho, m), the average's and the stress tensor
-    sample = N * N * (3 * len(nus) + 3 + 4) * 8
+    # one sample of one member's (rho, m), the average's and the stress tensor:
+    # each member marches in its own stack and is summed and written before
+    # the next one starts
+    sample = N * N * (3 + 3 + 4) * 8
     peak = _peak(main, argv)
     assert (tmp_path / "o" / "reynolds.npz").is_file()
-    # about 1.7 samples above the arrays; each of the three whole-field
-    # temporaries (the symmetry check, the average's energies, the members
-    # kept through the npz write) alone took it to 3 samples or more
-    assert peak <= len(TIMES) * sample + 2.5 * sample
+    # about 4.6 samples above the arrays, mostly the step's temporaries;
+    # holding all three members until the average was formed took it to 8.6
+    assert peak <= len(TIMES) * sample + 5.5 * sample
 
 
 def test_estimate_reynolds_peaks_at_its_outputs_and_two_tensors():
@@ -97,6 +99,35 @@ def test_estimate_reynolds_peaks_at_its_outputs_and_two_tensors():
     # about 1.75 tensors above the stress and the average it returns; the
     # sum-based average held about 4.4
     assert peak - kept <= 2 * tensor
+
+
+def test_kinetic_tensor_peaks_at_its_output():
+    # 64 x 64: a broadcast outer product and division took 2.0 tensors
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(0.5, 1.5, (64, 64))
+    rho[3, 5] = 0.0
+    m = rng.uniform(-1.0, 1.0, (64, 64, 2))
+    tensor = 64 * 64 * 4 * 8
+    assert _peak(kinetic_tensor, rho, m) <= 1.25 * tensor
+
+
+def test_certify_peaks_at_one_cell_integral_pair_per_space_bump():
+    # 128 x 128 with 11 samples, as in the 2D benchmark; the default
+    # dictionary's 24 functions per balance have 12 distinct space bumps
+    grid = Grid(counts=(128, 128), lower=(0.0, 0.0), upper=(1.0, 1.0))
+    law = GasLaw(a=1.0, gamma=1.4)
+    rng = np.random.default_rng(4)
+    traj = Trajectory(grid, law, TIMES,
+                      (rng.uniform(0.5, 1.5, (len(TIMES),) + grid.counts),
+                       rng.uniform(-1.0, 1.0, (len(TIMES),) + grid.counts + (2,))),
+                      np.full(len(TIMES), 10.0), e0=10.0)
+    tensor = rng.standard_normal((len(TIMES),) + grid.counts + (2, 2))
+    tensor += np.swapaxes(tensor, -1, -2)
+    R = ReynoldsField(grid, TIMES, tensor)
+    pair = grid.counts[0] * grid.counts[1] * 3 * 8  # P and G of one bump
+    # about 18.4 pairs: 12 shared pairs and a sample's pairing temporaries;
+    # a pair per test function took 27.7
+    assert _peak(certify, traj, R) <= 20 * pair
 
 
 def test_riemann_profile_peaks_at_its_points_and_two_slices(tmp_path):

@@ -3,6 +3,7 @@ one-member run, each member's own clock, and guards that name the member."""
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -149,10 +150,10 @@ def test_stacked_members_equal_one_member_runs(case, mode):
     s, law, specs = case
     triple = DataTriple(s, integrate_energy(s, law))
     try:
-        alone = [run(triple, [spec], law, 0.1, 0.05, mode)[0] for spec in specs]
+        alone = [list(run(triple, [spec], law, 0.1, 0.05, mode))[0] for spec in specs]
     except ValueError:
         with pytest.raises(ValueError):
-            run(triple, specs, law, 0.1, 0.05, mode)
+            list(run(triple, specs, law, 0.1, 0.05, mode))
         return
     stacked = run(triple, specs, law, 0.1, 0.05, mode)
     assert [_digest([tr]) for tr in stacked] == [_digest([tr]) for tr in alone]
@@ -175,10 +176,10 @@ def test_finished_members_leave_the_stack(monkeypatch):
     alone = []
     for spec in specs:
         sizes.clear()
-        run(triple, [spec], LAWS[2.0], 0.2, 0.05)
+        list(run(triple, [spec], LAWS[2.0], 0.2, 0.05))
         alone.append(len(sizes))
     sizes.clear()
-    run(triple, specs, LAWS[2.0], 0.2, 0.05)
+    list(run(triple, specs, LAWS[2.0], 0.2, 0.05))
     assert alone[0] > alone[1]
     assert sizes == [2] * alone[1] + [1] * (alone[0] - alone[1])
 
@@ -188,6 +189,27 @@ def test_two_stack_case_has_two_stacks():
     march = solver_mod.March(DataTriple(s, integrate_energy(s, LAWS[2.0])),
                              [SchemeSpec(nu=0.2), SchemeSpec(nu=0.05)], LAWS[2.0], 0.2, 0.05)
     assert len(march._stacks) == 2
+
+
+def test_run_frees_a_stack_before_the_next_one_starts(monkeypatch):
+    # a consumer that drops each member holds one stack's samples at a
+    # time: when the second stack's march is made, the first stack's sample
+    # array is gone
+    s = _pin_state("2d-two-stacks")
+    stacks, freed = [], []
+    inner = solver_mod._march
+
+    def checking_march(live, times, tol, rho, m):
+        freed.append([ref() is None for ref in stacks])
+        stacks.append(weakref.ref(rho))
+        return inner(live, times, tol, rho, m)
+
+    monkeypatch.setattr(solver_mod, "_march", checking_march)
+    for tr in run(DataTriple(s, integrate_energy(s, LAWS[2.0])),
+                  [SchemeSpec(nu=0.2), SchemeSpec(nu=0.05)], LAWS[2.0], 0.2, 0.05):
+        assert tr.rho.base is stacks[-1]()
+        del tr
+    assert freed == [[], [True]]
 
 
 def test_run_rejects_mixed_fluxes_and_no_scheme():
@@ -213,7 +235,7 @@ def test_tiny_stable_dt_names_member():
     triple = DataTriple(s, integrate_energy(s, LAWS[2.0]))
     with pytest.raises(ValueError, match=r"member 1 \(nu=1e\+300\) failed: stable dt "
                                          r".* below the clock tolerance 2e-15"):
-        run(triple, [SchemeSpec(nu=0.1), SchemeSpec(nu=1e300)], LAWS[2.0], 0.2, 0.05)
+        list(run(triple, [SchemeSpec(nu=0.1), SchemeSpec(nu=1e300)], LAWS[2.0], 0.2, 0.05))
 
 
 def test_stacked_cfl_violation_and_nan_dt_name_member():
@@ -225,6 +247,16 @@ def test_stacked_cfl_violation_and_nan_dt_name_member():
         step(stack, dt * np.array([1.0, 1.01]))
     with pytest.raises(CFLViolation, match=r"member 0 \(nu=0\.1\) failed: dt=nan exceeds"):
         step(stack, np.array([math.nan, dt[1]]))
+
+
+def test_step_admits_the_bound_and_rejects_a_dt_just_above_it():
+    # the re-check's slack is round-off: 1e-12 of the bound, well under 1e-9
+    s = _pin_state("1d-periodic")
+    stack = _stack([SchemeSpec(nu=0.1), SchemeSpec(nu=0.3)], s, s)
+    bound = stable_dt(stack)
+    step(stack, bound)
+    with pytest.raises(CFLViolation, match=r"member 1 \(nu=0\.3\) failed: dt=.* exceeds"):
+        step(stack, bound * np.array([1.0, 1.0 + 1e-9]))
 
 
 def test_stacked_non_finite_update_names_member_and_cell():

@@ -473,6 +473,22 @@ def test_improve_rejects_zero_defect():
         improve(traj, 0.5, shift(traj, 0.5))
 
 
+@pytest.mark.parametrize("defect, improves", [(2e-12, False), (8e-12, True)])
+def test_improve_threshold_scales_with_e0(defect, improves):
+    # "nothing to improve" below 1e-12 * max(1, |E0|), which is 4e-12 at E0 = 4
+    g = unit_grid()
+    s = FluidState.constant(g, 1.0, 0.0)
+    mean = float(integrate_energy(s, LAW2))
+    traj = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [mean + defect] * 3, e0=4.0)
+    cont = Trajectory(g, LAW2, [0.0, 0.5], [s] * 2, [mean] * 2)
+    if improves:
+        competitor, _ = improve(traj, 0.5, cont)
+        assert competitor.defects()[1] == 0.0
+    else:
+        with pytest.raises(ValueError, match="nothing to improve"):
+            improve(traj, 0.5, cont)
+
+
 def test_improve_on_solver_reset_continuation():
     # end to end: ensemble average with a real defect, solver continuation
     from eulerlab.dissipative import estimate_reynolds
