@@ -290,17 +290,6 @@ def momentum_residual(traj: Trajectory, phis, R: ReynoldsField | None) -> np.nda
 
 # -- ensembles and the energy defect ----------------------------------
 
-def _mean(values, count: int):
-    """Equal-weight average of ``count`` members' values in the arithmetic of
-    ``estimate_reynolds``: summed from +0 in member order, as Python's
-    ``sum`` does, then divided by ``count``."""
-    total = 0.0
-    for value in values:
-        total += value
-    total /= count
-    return total
-
-
 def estimate_reynolds(members) -> tuple:
     """Reynolds stress of an equal-weight ensemble of trajectories.
 
@@ -364,14 +353,6 @@ def estimate_reynolds(members) -> tuple:
     return ReynoldsField(shared.grid, shared.times.copy(), tensor), avg
 
 
-def _sample_defect(march: March, j: int, energy: float) -> float:
-    """Energy defect at sample j of the average of a march's members with
-    averaged energy ``energy``, in ``estimate_reynolds``'s arithmetic."""
-    K = len(march.rho)
-    rho_bar, m_bar = _mean((rho[j] for rho in march.rho), K), _mean((m[j] for m in march.m), K)
-    return energy - integrate_energies(march.grid, rho_bar[None], m_bar[None], march.law)[0]
-
-
 def reset_defects(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_dt: float,
                   delta: float) -> tuple:
     """Stopping-time/reset loop keeping the energy defect at most delta.
@@ -392,11 +373,15 @@ def reset_defects(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_d
     t_end whatever its defect.
     """
     def window(start: DataTriple, horizon: float, last: bool) -> Trajectory:
-        march = March(start, specs, law, horizon, sample_dt, "budget")
+        march, K = March(start, specs, law, horizon, sample_dt, "budget"), len(specs)
         # a "budget" member's energy is its start state's mean energy throughout
-        energy = _mean([integrate_energy(start.state0, law)] * len(specs), len(specs))
+        # (NumPy scalars: from Python 3.12 on, ``sum`` compensates Python floats)
+        energy = sum(np.full(K, integrate_energy(start.state0, law))) / K
         for j in march:
-            if not last and _sample_defect(march, j, energy) > delta:
+            if last:
+                continue
+            rho, m = sum(r[j] for r in march.rho) / K, sum(x[j] for x in march.m) / K
+            if energy - integrate_energies(march.grid, rho[None], m[None], law)[0] > delta:
                 break
         return estimate_reynolds(march.members(j))[1]
 

@@ -6,10 +6,11 @@ nu * dx * Laplacian of the conserved variables enters through the
 diffusive interface flux -nu * (U_R - U_L).  Varying nu produces the
 vanishing-viscosity families the ensemble diagnostics consume.
 
-A ``March`` marches a whole family one sample at a time, every stack
-in turn; ``run`` marches one stack at a time to the end and yields its
-members, making a stack's sample arrays only when it starts, so a
-consumer that drops each member holds one stack's samples at a time.
+A ``March`` has one driver: it makes its stacks' sample arrays and
+marches the stacks in lockstep, one sample at a time, every stack in
+turn.  ``run`` drains that driver one stack at a time and yields the
+stack's members, so a consumer that drops each member holds one stack's
+samples at a time.
 The live members' conserved variables form one array ``U``
 (1 + d, K, *counts), component first: ``U[0]`` is the density and
 ``U[1:]`` the momentum of each member, so one code path serves both.
@@ -329,48 +330,31 @@ class March:
                         for first in range(0, len(specs), group)]
         self.rho, self.m = [], []  # each started member's samples
 
-    def _start(self, ids):
-        """The sample arrays ``rho``, ``m`` of the stack of members ``ids``,
-        holding the initial state, and the march that fills them."""
+    def _samples(self, stacks):
+        """Make the sample arrays of the stacks of member ids ``stacks`` (each
+        member's into ``rho``, ``m``) and march the stacks in lockstep: yields
+        j = 0, 1, ..., n once each of their members has taken sample j."""
         state, n = self._state0, len(self.times) - 1
-        U = np.repeat(_pack(state.rho[None], state.m[None]), len(ids), axis=1)
-        # not np.empty: lower peak RSS, measured
-        rho = np.zeros((len(ids), n + 1) + self.grid.counts)
-        m = np.zeros(rho.shape + (self.grid.d,))
-        rho[:, 0], m[:, 0] = state.rho, state.m
-        march = _march(_Members(self.grid, self.law, self._specs, U, ids), self.times,
-                       self._tol, rho, m)
-        return rho, m, march
-
-    def __iter__(self):
         marches = []
-        for ids in self._stacks:
-            rho, m, march = self._start(ids)
+        for ids in stacks:
+            # not np.empty: lower peak RSS, measured
+            rho = np.zeros((len(ids), n + 1) + self.grid.counts)
+            m = np.zeros(rho.shape + (self.grid.d,))
+            rho[:, 0], m[:, 0] = state.rho, state.m
             self.rho.extend(rho)
             self.m.extend(m)
-            marches.append(march)
+            # made in the call: a name here would hold the first U through the march
+            marches.append(_march(_Members(self.grid, self.law, self._specs,
+                                           _pack(rho[:, 0], m[:, 0]), ids),
+                                  self.times, self._tol, rho, m))
         yield 0
-        for j in range(1, len(self.times)):
+        for j in range(1, n + 1):
             for march in marches:
                 next(march)
             yield j
 
-    def _stack_members(self, ids) -> list:
-        """The trajectories of the stack of members ``ids``, marched to the end."""
-        rho, m, march = self._start(ids)
-        for _ in march:
-            pass
-        return [self._trajectory(r, mm) for r, mm in zip(rho, m)]
-
-    def _trajectories(self):
-        """Each member's trajectory on all samples, in the order of the
-        schemes, one stack at a time: a stack starts once every member of
-        the one before has been handed out, and no reference to a handed-out
-        member is kept here."""
-        for ids in self._stacks:
-            stack = self._stack_members(ids)
-            while stack:
-                yield stack.pop(0)
+    def __iter__(self):
+        return self._samples(self._stacks)
 
     def _energy(self, rho, m):
         """A member's total-energy curve on its samples rho, m (see :func:`run`)."""
@@ -379,18 +363,14 @@ class March:
             return np.minimum.accumulate(mean)
         return np.full(len(mean), mean[0])
 
-    def _trajectory(self, rho, m, j: int | None = None) -> Trajectory:
-        """The trajectory of one member's samples ``rho``, ``m`` on 0..j (all by
-        default), with the total-energy curve of :func:`run`."""
-        j = len(self.times) - 1 if j is None else j
-        return Trajectory(self.grid, self.law, self.times[:j + 1], (rho[:j + 1], m[:j + 1]),
-                          self._energy(rho[:j + 1], m[:j + 1]), e0=self.e0)
-
     def members(self, j: int | None = None) -> list:
         """One ``Trajectory`` per scheme on the samples 0..j (all by
         default) of an iterated march, with the total-energy curve of
         :func:`run`."""
-        return [self._trajectory(rho, m, j) for rho, m in zip(self.rho, self.m)]
+        n = len(self.times) if j is None else j + 1  # the samples kept
+        return [Trajectory(self.grid, self.law, self.times[:n], (rho[:n], m[:n]),
+                           self._energy(rho[:n], m[:n]), e0=self.e0)
+                for rho, m in zip(self.rho, self.m)]
 
 
 def run(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_dt: float,
@@ -417,4 +397,14 @@ def run(triple: DataTriple, specs, law: GasLaw, t_end: float, sample_dt: float,
     raised at the call, errors of the march as the failing member's
     stack marches.  Callers that need a list take ``list(run(...))``.
     """
-    return March(triple, specs, law, t_end, sample_dt, energy_mode)._trajectories()
+    march = March(triple, specs, law, t_end, sample_dt, energy_mode)
+
+    def trajectories():
+        for ids in march._stacks:
+            for _ in march._samples([ids]):
+                pass
+            # hand the stack's members out and keep no reference to them
+            stack, march.rho, march.m = march.members(), [], []
+            while stack:
+                yield stack.pop(0)
+    return trajectories()

@@ -895,6 +895,9 @@ ERROR_LINES = {
         _argv(tmp, "riemann", _riemann_doc(u_l=-10.0, u_r=10.0)),
         "invalid Riemann datum: vacuum region forms: the data admit no positive "
         "intermediate density"),
+    "riemann-bracket": lambda tmp: (
+        _argv(tmp, "riemann", _riemann_doc(rho_r=1.0, u_l=1e20, u_r=-1e20)),
+        "invalid Riemann datum: failed to bracket the intermediate density"),
     "plot-csv-not-found": lambda tmp: (
         _plot_argv(tmp, tmp / "none.csv"), f"CSV file not found: {tmp / 'none.csv'}"),
     "plot-csv-directory": lambda tmp: (

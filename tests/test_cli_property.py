@@ -13,18 +13,28 @@ t_end <= 1 and t_end / sample_dt <= 4.
 ``plot`` takes a CSV instead of a config: any short table of finite floats
 draws, with finite coordinates and labels, also where a column's range
 exceeds the float range.
+
+``diagnose`` and ``select`` take bundles: the bundles of a tiny 1D
+``ensemble`` with one leaf swapped (a ``meta.json`` value, one cell of a
+state or energy CSV, or one ``reynolds.npz`` entry) give exit 0, 1 or 2,
+and a changed ``t`` value of an ``energy.csv`` never exits 0.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import re
+import shutil
+import struct
 import sys
 import tempfile
 
 import jsonschema
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from eulerlab.cli import SCHEMAS, main
@@ -201,3 +211,110 @@ def test_finite_table_always_plots(data, kind):
         with open(os.path.join(tmp, "o", f"{kind}.svg")) as f:
             svg = f.read()
     assert not re.search(r"(?<![a-z])(nan|inf)(?![a-z])", svg)
+
+
+# -- bundles with one swapped leaf ------------------------------------------------
+
+_ENSEMBLE = {"kind": "ensemble", "law": {"a": 1.0, "gamma": 2.0},
+             "grid": {"counts": [8], "lower": [-1.0], "upper": [1.0]},
+             "initial": {"preset": "riemann", "rho_l": 1.0, "u_l": 0.0, "rho_r": 0.25,
+                         "u_r": 0.0},
+             "scheme": {"flux": "hll"}, "nu_list": [0.2, 0.1], "t_end": 0.5,
+             "sample_dt": 0.25}
+_BUNDLES = ("average", "member_00", "member_01")
+_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, -1.0, 0.5, 2.5,
+            1e300, -1e300, sys.float_info.max)
+_JSON_VALUES = _NUMBERS + (0, 3, -1, 2**64, None, True, "x", "reflective", [], {})
+_CSV_TOKENS = tuple(map(repr, _NUMBERS)) + ("1e400", "abc", "", "0x10")
+
+
+@pytest.fixture(scope="module")
+def ensemble_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bundles")
+    cfg = root / "ensemble.json"
+    cfg.write_text(json.dumps(_ENSEMBLE))
+    assert main(["ensemble", "--config", str(cfg), "--out", str(root / "ens")]) == 0
+    return root / "ens"
+
+
+def _json_paths(doc, path=()):
+    """The path of every scalar in ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            yield from _json_paths(v, path + (k,))
+        else:
+            yield path + (k,)
+
+
+def _bits(token: str):
+    try:
+        return struct.pack("<d", float(token))
+    except ValueError:
+        return token
+
+
+def _swap_leaf(draw, tree, bundle, kind) -> bool:
+    """Swap one leaf of ``kind`` in ``tree``; True if an energy.csv time changed."""
+    where = os.path.join(tree, bundle)
+    if kind == "meta":
+        path = os.path.join(where, "meta.json")
+        with open(path) as f:
+            meta = json.load(f)
+        _set(meta, draw(st.sampled_from(list(_json_paths(meta)))),
+             draw(st.sampled_from(_JSON_VALUES)))
+        with open(path, "w") as f:
+            json.dump(meta, f)
+        return False
+    if kind == "reynolds":
+        path = os.path.join(tree, "reynolds.npz")
+        with np.load(path) as data:
+            arrays = {k: data[k].copy() for k in data.files}
+        entry = arrays[draw(st.sampled_from(sorted(arrays)))]
+        pool = (0, -1, 7, 2**62) if entry.dtype.kind == "i" else _NUMBERS
+        entry.flat[draw(st.integers(0, entry.size - 1))] = draw(st.sampled_from(pool))
+        np.savez(path, **arrays)
+        return False
+    name = "energy.csv" if kind == "energy" else f"state_{draw(st.integers(0, 2)):06d}.csv"
+    path = os.path.join(where, name)
+    with open(path) as f:
+        lines = f.read().splitlines()
+    row = draw(st.integers(1, len(lines) - 1))
+    cells = lines[row].split(",")
+    col = draw(st.integers(0, len(cells) - 1))
+    old, cells[col] = cells[col], draw(st.sampled_from(_CSV_TOKENS))
+    lines[row] = ",".join(cells)
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    return kind == "energy" and col == 0 and _bits(cells[col]) != _bits(old)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["diagnose", "select"]))
+def test_bundle_with_one_swapped_leaf_never_raises(ensemble_tree, data, command):
+    bundle = data.draw(st.sampled_from(_BUNDLES), label="bundle")
+    kinds = ["meta", "state", "energy"] + ["reynolds"] * (command == "diagnose")
+    kind = data.draw(st.sampled_from(kinds), label="leaf")
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = shutil.copytree(ensemble_tree, os.path.join(tmp, "ens"))
+        time_changed = _swap_leaf(data.draw, tree, bundle, kind)
+        cfg = {"kind": command}
+        if command == "select":
+            cfg["candidates"] = tree
+        else:
+            cfg["bundle"] = os.path.join(tree, "average" if kind == "reynolds" else bundle)
+            if kind == "reynolds" or data.draw(st.booleans(), label="with stress"):
+                cfg["reynolds"] = os.path.join(tree, "reynolds.npz")
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
+    event(f"{command} {kind}: exit {code}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    if time_changed:
+        assert code != 0

@@ -516,6 +516,17 @@ def test_certify_flags_increasing_energy():
     assert not _check(cert, "energy_monotone")[3]
 
 
+@pytest.mark.parametrize("jump, monotone", [(0.5e-10, True), (2e-10, False)])
+def test_certify_energy_may_start_above_e0_by_round_off(jump, monotone):
+    # the monotonicity check includes the jump from e0 to the first energy
+    # sample, held to 1e-10 * max(1, |e0|), here 4e-10
+    g = grid_1d(16)
+    s = FluidState.constant(g, 1.0, 0.0)
+    traj = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [4.0 + jump * 4.0] * 3, e0=4.0,
+                      check=False)
+    assert _check(certify(traj), "energy_monotone")[3] is monotone
+
+
 def test_certify_flags_negative_defect():
     g = grid_1d(16)
     s = FluidState.constant(g, 1.0, 0.0)

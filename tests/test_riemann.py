@@ -263,3 +263,14 @@ def test_extreme_data_raise_only_value_error(a, gamma, rho_l, u_l, rho_r, u_r, s
         return
     sol.sample_array(np.append(np.linspace(-scale, scale, 21), sol.u_star))
 
+
+@pytest.mark.parametrize("speed, brackets", [(1e10, True), (1e20, False)])
+def test_colliding_streams_bracket_up_to_1e12_times_the_larger_density(speed, brackets):
+    # streams meeting at +-speed (a 1, gamma 2) compress to a star density of
+    # about speed; the bracket grows to 1e12 times the larger side density
+    data = RiemannData(1.0, speed, 1.0, -speed, LAW2)
+    if brackets:
+        assert 1e9 < solve_riemann(data).rho_star < 1e12
+    else:
+        with pytest.raises(ValueError, match="failed to bracket the intermediate density"):
+            solve_riemann(data)

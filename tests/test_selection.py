@@ -10,7 +10,7 @@ from eulerlab.eos import GasLaw
 from eulerlab.fields import FluidState, Grid, integrate_energies, integrate_energy
 from eulerlab.trajectory import OrderResult, Trajectory, compare_local, convex_combine, shift
 from eulerlab.selection import (CandidateSet, F1, F2, check_order_coherence,
-                                default_lambda_grid, is_absolute_minimizer,
+                                default_lambda_grid, default_q, is_absolute_minimizer,
                                 laplace_energy, select)
 from paper_checks import (check_concatenation_inequality, check_shift_identity,
                           compare_admissible, lerch_equal, weighted_norm)
@@ -104,6 +104,12 @@ def test_f2_full_equals_weighted_norm_power():
     assert F2(traj, "full", q=q) == pytest.approx(weighted_norm(traj, q) ** q, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma, q", [(1.4, 2.8 / 2.4), (2.0, 4.0 / 3.0), (3.0, 4.0 / 3.0)])
+def test_default_q_is_q_max_capped_at_4_3(gamma, q):
+    # q_max = 2 gamma / (gamma + 1) is 7/6, 4/3 and 3/2 here
+    assert default_q(GasLaw(a=1.0, gamma=gamma)) == q
+
+
 def test_f2_q_range_enforced():
     traj = curve_traj([0.0, 1.0], [1.5, 1.5])
     with pytest.raises(ValueError, match="range"):
@@ -139,6 +145,16 @@ def test_select_f1_tie_broken_by_f2():
     assert sorted(report.survivors) == [0, 1]
     assert report.selected == 1
     assert not report.tie_flagged
+
+
+@pytest.mark.parametrize("gap, tied", [(0.5e-9, True), (2e-9, False)])
+def test_select_step1_ties_within_1e_9_of_the_least_f1(gap, tied):
+    # F1 of a constant curve is its value; the step-1 tie tolerance is
+    # 1e-9 * |min F1|, here 3e-9
+    low = curve_traj([0.0, 1.0], [3.0, 3.0], e0=4.0)
+    high = curve_traj([0.0, 1.0], [3.0 * (1.0 + gap)] * 2, e0=4.0)
+    report = select(CandidateSet([low, high]))
+    assert report.survivors == ([0, 1] if tied else [0])
 
 
 def test_select_singleton():
@@ -256,6 +272,23 @@ def test_minimizer_uniform_domination():
     v = is_absolute_minimizer(cand, CandidateSet([cand, comp]))
     assert v.is_minimizer
     assert v.lambda_lower == [pytest.approx(0.5)]  # holds from the grid minimum
+
+
+@pytest.mark.parametrize("gap, lam, minimizer",
+                         [(2e-12, 128.0, False), (0.5e-12, 0.5, True)])
+def test_minimizer_tolerance_is_1e_12_of_the_energy_scale(gap, lam, minimizer):
+    # a constant energy excess eps transforms to eps / lam, largest at the
+    # grid's lowest rate 0.5 and least at its top rate 128.  The candidate
+    # may sit above its competitor by 1e-12 * max(1, |E0|), here 4e-12: a
+    # gap of 2e-12 * 4 at the top rate is too much, one of at most
+    # 0.5e-12 * 4 at every rate is within it
+    times = [0.0, 0.5, 1.0]
+    eps = gap * 4.0 * lam
+    cand = curve_traj(times, [3.0 + eps] * 3, e0=4.0)
+    comp = curve_traj(times, [3.0] * 3, e0=4.0)
+    verdict = is_absolute_minimizer(cand, CandidateSet([cand, comp]))
+    assert verdict.is_minimizer is minimizer
+    assert verdict.lambda_lower == [0.5 if minimizer else None]
 
 
 def test_minimizer_crossing_curves_bracket_log2():

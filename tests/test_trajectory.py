@@ -372,6 +372,32 @@ def test_compare_local_witness_window_closes():
     assert res.delta == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("gap, relation", [(1e-5, "less"), (0.5e-6, "incomparable")])
+def test_compare_local_strict_gap_is_1e_6_of_the_energy_scale(gap, relation):
+    # after an equal prefix, u drops below v by gap * scale on the last
+    # sample (scale = max(1, |e0|) = 4): beyond the strict tolerance
+    # 1e-6 * scale it leads, under it (and above the equality tolerance
+    # 1e-9 * scale) the two are incomparable
+    times = [0.0, 0.5, 1.0]
+    u = constant_traj(times, energy=np.array([3.0, 3.0, 3.0 - gap * 4.0]), e0=4.0)
+    v = constant_traj(times, energy=np.full(3, 3.0), e0=4.0)
+    assert compare_local(u, v).relation == relation
+
+
+@pytest.mark.parametrize("other", [
+    dict(times=[0.0, 0.5], energy=np.full(2, 2.0)),
+    dict(times=[0.0, 0.5, 1.1]),
+    dict(e0=3.5),
+    dict(energy=np.array([2.0, 2.0, 1.9])),
+    dict(rho=1.1),
+], ids=["sample-count", "sample-time", "e0", "energy", "field"])
+def test_same_content_tells_each_difference(other):
+    same = dict(times=[0.0, 0.5, 1.0], energy=np.full(3, 2.0), e0=3.0)
+    base, changed = constant_traj(**same), constant_traj(**{**same, **other})
+    assert base.same_content(base)
+    assert not base.same_content(changed) and not changed.same_content(base)
+
+
 def test_local_order_irreflexive_asymmetric():
     rng = np.random.default_rng(11)
     for _ in range(20):
