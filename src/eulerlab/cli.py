@@ -285,7 +285,7 @@ def _initial_state(spec: dict, grid: Grid, law: GasLaw) -> FluidState:
     preset = spec.get("preset")
     if preset is None:
         raise ConfigError("initial data needs a 'preset' or a 'file'")
-    x = grid.meshgrid()[0]
+    x = np.broadcast_to(grid.centers(0).reshape((-1,) + (1,) * (grid.d - 1)), grid.counts)
     if preset == "constant":
         u = spec.get("u", 0.0)
         if np.size(u) not in (1, grid.d):

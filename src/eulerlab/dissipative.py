@@ -19,6 +19,7 @@ and dropped one stack at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -114,15 +115,15 @@ class TestFunction:
         """Exact per-cell integrals of phi and of grad(phi).
 
         Returns (P, G): P has shape counts and holds the cell integral
-        of the space factor; G has shape counts + (d,) and holds the
-        cell integrals of its spatial gradient.  Summing G along any
-        axis telescopes to zero since the bump vanishes at the support
-        boundary.
+        of the space factor, the outer product of the per-axis integrals;
+        G has shape counts + (d,), and G[..., k] holds the cell integrals
+        of its k-th partial derivative, the same product with axis k's
+        face jumps in place of its integrals.  Summing G along any axis
+        telescopes to zero since the bump vanishes at the support boundary.
         """
-        d = grid.d
         vals = []   # per-axis cell integrals of the 1D bump
         jumps = []  # per-axis differences b(right face) - b(left face)
-        for k in range(d):
+        for k in range(grid.d):
             h = grid.spacing[k]
             faces = grid.lower[k] + h * np.arange(grid.counts[k] + 1)
             s = (faces - self.centers[k]) / self.widths[k]
@@ -130,15 +131,9 @@ class TestFunction:
             vals.append(F[1:] - F[:-1])
             b = _bump(s)
             jumps.append(b[1:] - b[:-1])
-        if d == 1:
-            P = vals[0]
-            G = jumps[0][:, None]
-        else:
-            P = vals[0][:, None] * vals[1][None, :]
-            G = np.empty(grid.counts + (2,))
-            G[..., 0] = jumps[0][:, None] * vals[1][None, :]
-            G[..., 1] = vals[0][:, None] * jumps[1][None, :]
-        return P, G
+        outer = functools.partial(functools.reduce, np.multiply.outer)
+        G = [outer(vals[:k] + [jumps[k]] + vals[k + 1:]) for k in range(grid.d)]
+        return outer(vals), np.stack(G, axis=-1)
 
 
 def _place_centers(lo: float, hi: float, halfwidth: float, n: int) -> list:
@@ -152,10 +147,11 @@ def default_dictionary(grid: Grid, t_end: float) -> tuple:
     """Multiscale bump dictionary: 24 scalar and 24 vector members.
 
     Three dyadic scales; at scale j the space bump half-width is a
-    2^-j fraction of the interior, with {2, 4, 6} shifted centers and
-    two shifted time bumps each (2*(2+4+6) = 24).  Vector members reuse
-    the bumps with the direction cycling through the axes.  The bumps need
-    a positive horizon and an interior cell on every axis.
+    2^-j fraction of the interior, with {2, 4, 6} shifted centers on
+    axis 0 (centred on the others) and two shifted time bumps each
+    (2*(2+4+6) = 24).  Vector members reuse the bumps with the direction
+    cycling through the axes.  The bumps need a positive horizon and an
+    interior cell on every axis.
     """
     if t_end <= 0:
         raise ValueError(f"the test functions need a positive time horizon, got t_end={t_end} "
@@ -167,21 +163,14 @@ def default_dictionary(grid: Grid, t_end: float) -> tuple:
     t_lo, t_hi = 0.02 * t_end, 0.98 * t_end
     x_lo = [grid.lower[k] + grid.spacing[k] for k in range(d)]
     x_hi = [grid.upper[k] - grid.spacing[k] for k in range(d)]
+    mid = tuple(0.5 * (x_lo[k] + x_hi[k]) for k in range(1, d))  # centres off axis 0
     scalars = []
     for j, n_centers in zip((1, 2, 3), (2, 4, 6)):
         tw = 0.5 * (t_hi - t_lo) * 0.5**j
-        t_centers = _place_centers(t_lo, t_hi, tw, 2)
-        w0 = 0.5 * (x_hi[0] - x_lo[0]) * 0.5**j
-        c0s = _place_centers(x_lo[0], x_hi[0], w0, n_centers)
-        if d == 2:
-            w1 = 0.5 * (x_hi[1] - x_lo[1]) * 0.5**j
-            c1 = 0.5 * (x_lo[1] + x_hi[1])
-        for tc in t_centers:
-            for c0 in c0s:
-                if d == 1:
-                    scalars.append(TestFunction(tc, tw, (c0,), (w0,)))
-                else:
-                    scalars.append(TestFunction(tc, tw, (c0, c1), (w0, w1)))
+        widths = tuple(0.5 * (x_hi[k] - x_lo[k]) * 0.5**j for k in range(d))
+        c0s = _place_centers(x_lo[0], x_hi[0], widths[0], n_centers)
+        scalars += [TestFunction(tc, tw, (c0,) + mid, widths)
+                    for tc in _place_centers(t_lo, t_hi, tw, 2) for c0 in c0s]
     vectors = [TestFunction(phi.t_center, phi.t_width, phi.centers, phi.widths,
                             direction=i % d)
                for i, phi in enumerate(scalars)]

@@ -93,13 +93,6 @@ class Grid:
         h = self.spacing[axis]
         return self.lower[axis] + h * (np.arange(self.counts[axis]) + 0.5)
 
-    def meshgrid(self):
-        """Cell-center coordinate arrays, one per axis, each of shape counts."""
-        axes = [self.centers(k) for k in range(self.d)]
-        if self.d == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
-
     def to_dict(self) -> dict:
         return {
             "counts": list(self.counts),

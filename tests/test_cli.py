@@ -571,6 +571,56 @@ def test_dt2_demo_end_to_end(tmp_path):
     assert (out / "competitor" / "meta.json").is_file()
 
 
+@pytest.mark.parametrize("slack, passed", [(0.5e-9, True), (2e-9, False)])
+def test_dt1_passes_a_defect_within_1e_9_of_delta(tmp_path, monkeypatch, slack, passed):
+    # the reset loop is replaced by one whose trajectory's largest defect
+    # is delta * (1 + slack)
+    import eulerlab.cli as cli_mod
+    delta = 0.25
+    g = Grid(counts=(8,), lower=(0.0,), upper=(1.0,))
+    s = FluidState.constant(g, 1.0, 0.0)  # mean energy 1
+    traj = Trajectory(g, LAW2, [0.0, 0.5], [s] * 2, [1.0 + delta * (1.0 + slack)] * 2)
+    monkeypatch.setattr(cli_mod, "reset_defects", lambda *args: (traj, []))
+    doc = run_config(tmp_path, extra={"kind": "dt1-demo", "nu_list": [0.2], "delta": delta})
+    out = tmp_path / "o"
+    assert main(["dt1-demo", "--config", write_config(tmp_path, "c.json", doc),
+                 "--out", str(out)]) == (0 if passed else 1)
+    assert json.loads((out / "report.json").read_text())["passed"] is passed
+
+
+@pytest.mark.parametrize("defect, improves", [(0.5e-6, False), (2e-6, True)])
+def test_dt2_needs_a_defect_above_1e_6_of_the_energy_scale(tmp_path, monkeypatch, capsys,
+                                                           defect, improves):
+    # the base average is replaced by one whose defect is defect * scale
+    # (scale = max(1, |e0|) = 4) at every sample; past the threshold the
+    # continuation's average is asked for next
+    import eulerlab.cli as cli_mod
+
+    class Continued(Exception):
+        pass
+
+    g = Grid(counts=(8,), lower=(0.0,), upper=(1.0,))
+    s = FluidState.constant(g, 1.0, 0.0)  # mean energy 1
+    base = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [1.0 + 4.0 * defect] * 3, e0=4.0)
+    averages = [(None, base)]
+
+    def average(members):
+        if not averages:
+            raise Continued
+        return averages.pop()
+
+    monkeypatch.setattr(cli_mod, "estimate_reynolds", average)
+    doc = run_config(tmp_path, extra={"kind": "dt2-demo", "nu_list": [1.0, 0.1]})
+    argv = ["dt2-demo", "--config", write_config(tmp_path, "c.json", doc),
+            "--out", str(tmp_path / "o")]
+    if improves:
+        with pytest.raises(Continued):
+            main(argv)
+    else:
+        assert main(argv) == 2
+        assert "base trajectory has no defect to improve" in capsys.readouterr().err
+
+
 # -- file-based initial data -----------------------------------------------------
 
 def test_run_with_initial_file(tmp_path):
@@ -1282,7 +1332,7 @@ def _diagnose_doc(tmp_path, dim):
     from eulerlab.fields import save_state_csv
     g = Grid(counts=(16, 12), lower=(0.0, 0.0), upper=(1.0, 1.0),
              boundary=("reflective", "reflective"))
-    x, y = g.meshgrid()
+    x, y = np.meshgrid(g.centers(0), g.centers(1), indexing="ij")
     rho = 1.0 + 0.5 * np.exp(-20.0 * ((x - 0.4) ** 2 + (y - 0.6) ** 2))
     m = np.stack([rho * 0.3 * np.sin(math.pi * y), rho * -0.2 * np.cos(math.pi * x)], axis=-1)
     save_state_csv(FluidState(g, rho, m), tmp_path / "init.csv")

@@ -268,7 +268,7 @@ def test_certify_reads_each_sample_once(monkeypatch, with_R):
     # each sample's kinetic tensor and pressure once
     g = Grid(counts=(8, 6), lower=(0.0, 0.0), upper=(1.0, 1.0),
              boundary=("reflective", "reflective"))
-    x, y = g.meshgrid()
+    x, y = np.meshgrid(g.centers(0), g.centers(1), indexing="ij")
     st0 = FluidState(g, 1.0 + 0.5 * np.exp(-20.0 * ((x - 0.4) ** 2 + (y - 0.6) ** 2)),
                      np.stack([0.3 * np.sin(np.pi * y), -0.2 * np.cos(np.pi * x)], axis=-1))
     members = run(DataTriple(st0, integrate_energy(st0, LAW2)),

@@ -89,6 +89,20 @@ def test_validate_initial_data():
         validate_initial_data(DataTriple(vac_mom, 100.0), LAW2)
 
 
+@pytest.mark.parametrize("gap, accepted", [(0.5e-12, True), (2e-12, False)])
+def test_validate_initial_data_allows_1e_12_of_e0(gap, accepted):
+    # density 2 has mean energy 4 at gamma 2, so E0 just under 4 has scale 4
+    s = FluidState.constant(unit_grid_1d(), 2.0, 0.0)
+    mean = integrate_energy(s, LAW2)
+    assert mean == 4.0
+    triple = DataTriple(s, mean - 4.0 * gap)
+    if accepted:
+        validate_initial_data(triple, LAW2)
+    else:
+        with pytest.raises(ValueError, match="exceeds E0"):
+            validate_initial_data(triple, LAW2)
+
+
 def test_validate_initial_data_rejects_nan_mean_energy():
     g = Grid(counts=(4,), lower=(0.0,), upper=(1.0,))
     s = FluidState(g, [1.0, np.nan, 1.0, 1.0], [[0.0]] * 4, check=False)

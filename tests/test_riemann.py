@@ -197,14 +197,23 @@ def _waves(sol):
 
 @settings(max_examples=80, deadline=None)
 @given(sol=riemann_solutions())
+# a weak shock (rho_star / rho - 1 about 2e-6) whose speed, taken from the
+# mass jump, was off by enough to put a probe on the wrong side
+@example(sol=solve_riemann(RiemannData(2.9444224824510674, 0.6018484977526934,
+                                       2.9444224824510674, 0.601825712389837,
+                                       GasLaw(a=1.075516331392825, gamma=2.994698877999501))))
 def test_rankine_hugoniot_at_every_shock(sol):
     law, rs, us = sol.data.law, sol.rho_star, sol.u_star
     for sign, r0, u0 in _waves(sol):
         if rs <= r0 * (1.0 + 1e-6):
             continue
-        s = (rs * us - r0 * u0) / (rs - r0)  # from the mass jump
+        # the speed from the wave curve's mass flux j: the mass jump
+        # (rs us - r0 u0) / (rs - r0) is ill-conditioned for a weak shock
+        dp = float(pressure(rs, law)) - float(pressure(r0, law))
+        s = u0 + sign * math.sqrt(dp / (1.0 / r0 - 1.0 / rs)) / r0
         flux = lambda r, v: r * v * (v - s) + float(pressure(r, law))
         scale = max(abs(flux(rs, us)), abs(flux(r0, u0)), 1.0)
+        assert rs * (us - s) == pytest.approx(r0 * (u0 - s), abs=1e-8 * scale)
         assert flux(rs, us) == pytest.approx(flux(r0, u0), abs=1e-8 * scale)
         # the sampled profile jumps from the star state to the outer state at s
         eps = 1e-7 * (1.0 + abs(s))

@@ -157,6 +157,35 @@ def test_select_step1_ties_within_1e_9_of_the_least_f1(gap, tied):
     assert report.survivors == ([0, 1] if tied else [0])
 
 
+@pytest.mark.parametrize("dist, accepted", [(0.5e-9, True), (2e-9, False)])
+def test_candidate_set_fields_tolerance_is_1e_9_relative_l1(dist, accepted):
+    # one of the 6 unit-density cells of the second member's first sample
+    # differs by 6 * dist, a relative L1 distance of dist
+    base = curve_traj([0.0, 1.0], [3.0, 3.0], e0=4.0)
+    g = base.grid
+    rho = np.ones(g.counts)
+    rho[2] += 6.0 * dist
+    s = FluidState.constant(g, 1.0, 0.0)
+    other = Trajectory(g, LAW2, [0.0, 1.0], [FluidState(g, rho, s.m), s], [3.0, 3.0], e0=4.0)
+    if accepted:
+        CandidateSet([base, other])
+    else:
+        with pytest.raises(ValueError, match="member 1 starts from different fields"):
+            CandidateSet([base, other])
+
+
+@pytest.mark.parametrize("gap, accepted", [(0.5e-12, True), (2e-12, False)])
+def test_candidate_set_e0_tolerance_is_1e_12_of_the_energy_scale(gap, accepted):
+    # e0 = 4 gives the scale 4
+    base = curve_traj([0.0, 1.0], [3.0, 3.0], e0=4.0)
+    other = curve_traj([0.0, 1.0], [3.0, 3.0], e0=4.0 + 4.0 * gap)
+    if accepted:
+        CandidateSet([base, other])
+    else:
+        with pytest.raises(ValueError, match="member 1 starts from a different total energy"):
+            CandidateSet([base, other])
+
+
 def test_select_singleton():
     u = curve_traj([0.0, 1.0], [1.0, 1.0])
     report = select(CandidateSet([u]))

@@ -70,6 +70,23 @@ def test_rejects_initial_upward_jump():
         constant_traj([0.0, 1.0], energy=np.array([2.0, 2.0]), e0=1.5)
 
 
+@pytest.mark.parametrize("gap, accepted", [(0.5e-9, True), (2e-9, False)])
+@pytest.mark.parametrize("energy, message", [
+    (lambda gap: [4.0 + 4.0 * gap] * 2, "jumps up at t=0"),
+    (lambda gap: [3.0, 3.0 + 4.0 * gap], "increases across knot"),
+    (lambda gap: [4.0, 1.0 - 4.0 * gap], "falls below the mean energy"),
+], ids=["initial-jump", "increase", "below-mean"])
+def test_energy_checks_allow_1e_9_of_the_energy_scale(energy, message, gap, accepted):
+    # e0 = 4 gives the scale max(1, |e0|) = 4; the unit-density state has
+    # mean energy 1
+    make = lambda: constant_traj([0.0, 0.5], energy=np.array(energy(gap)), e0=4.0)
+    if accepted:
+        make()
+    else:
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 def test_rejects_unsorted_times():
     g = unit_grid()
     s = FluidState.constant(g, 1.0, 0.0)
@@ -225,6 +242,23 @@ def test_concatenation_rejects_field_mismatch():
     v = constant_traj([0.0, 0.5], rho=1.3, energy=np.array([2.0] * 2))
     with pytest.raises(ValueError, match="mismatch"):
         concatenate(u, v, 0.5)
+
+
+@pytest.mark.parametrize("dist, joins", [(0.5e-10, True), (2e-10, False)])
+def test_concatenation_junction_tolerance_is_1e_10_relative_l1(dist, joins):
+    # v starts from u's state at T but one of the 8 unit-density cells
+    # differs by 8 * dist, a relative L1 distance of dist
+    u = constant_traj([0.0, 0.5, 1.0], energy=np.full(3, 2.0))
+    g = u.grid
+    rho = np.ones(g.counts)
+    rho[3] += 8.0 * dist
+    s = FluidState(g, rho, np.zeros(g.counts + (1,)))
+    v = Trajectory(g, LAW2, [0.0, 0.5], [s] * 2, [2.0, 2.0])
+    if joins:
+        assert concatenate(u, v, 0.5).rho[1, 3] == rho[3]
+    else:
+        with pytest.raises(ValueError, match="fields mismatch at the junction"):
+            concatenate(u, v, 0.5)
 
 
 def test_concatenation_rejects_different_law():
@@ -476,6 +510,20 @@ def test_defect_reset_requires_mean_energy_start():
     cont = Trajectory(g, LAW2, [0.0, 0.5], [s] * 2, [1.2, 1.2])
     with pytest.raises(ValueError, match="mean energy"):
         defect_reset(traj, 0.5, cont)
+
+
+@pytest.mark.parametrize("gap, resets", [(0.5e-9, True), (2e-9, False)])
+def test_defect_reset_start_tolerance_is_1e_9_of_the_energy_scale(gap, resets):
+    # the continuation starts gap * scale above the mean energy 1 (scale 4)
+    g = unit_grid()
+    s = FluidState.constant(g, 1.0, 0.0)
+    traj = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [1.4, 1.4, 1.4], e0=4.0)
+    cont = Trajectory(g, LAW2, [0.0, 0.5], [s] * 2, [1.0 + 4.0 * gap] * 2)
+    if resets:
+        assert defect_reset(traj, 0.5, cont).energy[1] == cont.e0
+    else:
+        with pytest.raises(ValueError, match="must start at the mean energy"):
+            defect_reset(traj, 0.5, cont)
 
 
 def test_improve_constructed_defect():
