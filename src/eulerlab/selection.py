@@ -83,7 +83,11 @@ def exp_weights(times: np.ndarray, lam: float = 1.0) -> np.ndarray:
 
 
 def _f2_integrand(traj: Trajectory, variant: str, q: float | None) -> np.ndarray:
-    """Per-sample integrand of F2, with the cell-sum quadrature."""
+    """Per-sample integrand of F2, with the cell-sum quadrature.
+
+    The cell values are formed in one (n, *counts) buffer, |m|^2 one sample
+    at a time, and each term is summed over the cells of all samples at
+    once, which fixes its bits."""
     if variant not in F2_VARIANTS:
         raise ValueError(f"variant must be one of {F2_VARIANTS}")
     if q is None:
@@ -93,10 +97,16 @@ def _f2_integrand(traj: Trajectory, variant: str, q: float | None) -> np.ndarray
         raise ValueError(f"exponent q={q} outside the admissible range (1, {hi}]")
     cells = tuple(range(1, traj.rho.ndim))
     vol = traj.grid.cell_volume
-    mq = np.sum(np.sqrt(np.sum(traj.m**2, axis=-1)) ** q, axis=cells) * vol
+    cell = np.empty(traj.rho.shape)
+    for m_k, cell_k in zip(traj.m, cell):
+        np.sum(m_k**2, axis=-1, out=cell_k)
+    np.sqrt(cell, out=cell)
+    cell **= q
+    mq = np.sum(cell, axis=cells) * vol
     if variant == "momentum-only":
         return mq
-    return np.sum(traj.rho**q, axis=cells) * vol + mq + np.abs(traj.energy) ** q
+    np.power(traj.rho, q, out=cell)
+    return np.sum(cell, axis=cells) * vol + mq + np.abs(traj.energy) ** q
 
 
 def F1(traj: Trajectory) -> float:

@@ -33,7 +33,13 @@ next one), and ``stable_dt``, ``step``'s re-check of the CFL bound and
 the flux pass all read them.  Each axis sweep packs (U, u, c) into one
 array, ghost-extended by slice copies, and evaluates pressure and
 physical flux once per cell of it; the left and right states of every
-interface are views into it.
+interface are views into it.  A sweep frees its temporaries as soon as
+they are last read: rows of the packed array that the flux has read
+hold later temporaries, the cell differences of the interface fluxes
+among them, and the sweep's arrays are freed before the next axis packs
+its own.  ``step`` updates the stack's ``U`` in place, each axis's
+differences once the next axis has packed ``U``, so one step holds no
+second copy of the state.
 
 ``step`` rejects a dt above the bound and a NaN dt; ``run`` rejects a
 stable dt below its clock tolerance.  Negative densities and non-finite
@@ -161,35 +167,40 @@ def _interface_flux(ext, law, flux, nu, axis):
     """Numerical flux between cells j and j + 1 of ``_extend``'s packed
     (U, un, c), whose second axis is the swept one; the physical flux
     is evaluated once per cell.  ``nu`` is the viscosity at each interface.
+    ``ext`` is consumed: rows it no longer needs hold temporaries.
 
     The arithmetic is written in place to keep temporaries few; each line
-    keeps the order of operations of the formula in its comment."""
+    keeps the order of operations of the formula in its comment.  The cell
+    fluxes are freed once summed, before U_R - U_L is formed."""
     U, un, c = ext[:-2], ext[-2], ext[-1]
-    f = U * un
-    f[0] = U[1 + axis]
-    f[1 + axis] += pressure(U[0], law)
-    fl, fr = f[:, :-1], f[:, 1:]
-    dU = U[:, 1:] - U[:, :-1]
+    F = U * un
+    F[0] = U[1 + axis]
+    F[1 + axis] += pressure(U[0], law)
     if flux == "llf":
-        # 0.5 (F_L + F_R) - 0.5 s (U_R - U_L)
-        a = np.abs(un)
+        # 0.5 (F_L + F_R) - 0.5 s (U_R - U_L), s formed in c's row
+        a = np.abs(un, out=un)
         a += c
-        s = np.maximum(a[:-1], a[1:])
+        s = np.maximum(a[:-1], a[1:], out=c[:-1])
         s *= 0.5
-        f = fl + fr
+        f = F[:, :-1] + F[:, 1:]
+        del F
         f *= 0.5
-        f -= s * dU
+        dU = U[:, 1:] - U[:, :-1]
+        f -= np.multiply(s, dU, out=U[:, :-1])  # U is read for the last time
     else:  # hll: (s_R F_L - s_L F_R + s_L s_R (U_R - U_L)) / (s_R - s_L)
         lo, hi = un - c, un + c
         sl = np.minimum(lo[:-1], lo[1:])
         np.minimum(sl, 0.0, out=sl)
         sr = np.maximum(hi[:-1], hi[1:])
         np.maximum(sr, 0.0, out=sr)
+        del lo, hi
         den = sr - sl
         den = np.where(den > 0, den, 1.0)
-        f = sr * fl
-        f -= sl * fr
-        f += (sl * sr) * dU
+        f = sr * F[:, :-1]
+        f -= sl * F[:, 1:]
+        del F
+        dU = U[:, 1:] - U[:, :-1]
+        f += np.multiply(sl * sr, dU, out=U[:, :-1])  # U is read for the last time
         f /= den
     viscous = nu > 0
     if viscous.any():
@@ -203,7 +214,9 @@ def _interface_flux(ext, law, flux, nu, axis):
 
 def step(stack: _Members, dt) -> _Members:
     """The stack after one conservative update of each member by its dt,
-    which must satisfy the member's CFL bound."""
+    which must satisfy the member's CFL bound.  The update is made in place
+    of the stack's ``U``, which the returned stack holds: ``stack`` is spent
+    unless the dt is rejected."""
     dt_max = stable_dt(stack)
     dt = np.asarray(dt, dtype=float).reshape(-1)
     ok = dt <= dt_max * (1.0 + 1e-12)  # also rejects a NaN dt or bound
@@ -211,12 +224,14 @@ def step(stack: _Members, dt) -> _Members:
         j = int(np.argmin(ok))
         raise CFLViolation(f"{_member(stack, j)}dt={dt[j]} exceeds the stable "
                            f"bound {dt_max[j]}")
-    grid = stack.grid
+    grid, U = stack.grid, stack.U
     nu = np.array([stack.specs[i].nu for i in stack.ids])
     member = (len(nu),) + (1,) * grid.d  # shape of a per-member factor
-    U_new = stack.U.copy()
     for axis, (h, boundary) in enumerate(zip(grid.spacing, grid.boundary)):
         ext = _extend(stack, axis, boundary)
+        if axis:  # the previous axis's update, once this axis has read U
+            U -= d_U
+            del d_U
         # merge the member axis and the cell axes up to the swept one, so
         # that every array op runs on contiguous memory; the fluxes between
         # two merged rows are computed and never used
@@ -226,24 +241,26 @@ def step(stack: _Members, dt) -> _Members:
             nu_x = np.repeat(nu, ext_x.shape[1] // len(nu))[:-1].reshape(
                 (-1,) + (1,) * (grid.d - 1 - axis))
         f = _interface_flux(ext_x, stack.law, stack.specs[0].flux, nu_x, axis)
-        d_U = np.empty(ext_x[:-2].shape)  # f[:, j] - f[:, j - 1] at each cell j
-        np.subtract(f[:, 1:], f[:, :-1], out=d_U[:, 1:-1])
-        d_U = d_U.reshape(ext[:-2].shape)[(slice(None),) * (axis + 2) + (slice(1, -1),)]
+        # f[:, j] - f[:, j - 1] at each cell j, in the U rows the flux consumed
+        np.subtract(f[:, 1:], f[:, :-1], out=ext_x[:-2, 1:-1])
+        d_U = ext[(slice(None, -2),) + (slice(None),) * (axis + 1) + (slice(1, -1),)]
         d_U *= (dt / h).reshape(member)
-        U_new -= d_U
-    if not np.isfinite(U_new).all():
-        bad = ~np.isfinite(U_new).all(axis=0)
+        del ext, ext_x, f  # d_U keeps the ext; the rest is freed
+    U -= d_U
+    del d_U
+    if not np.isfinite(U).all():
+        bad = ~np.isfinite(U).all(axis=0)
         j, *idx = (int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
         raise ValueError(f"{_member(stack, j)}non-finite state produced at cell "
                          f"{tuple(idx)}")
-    rho_new = U_new[0]
+    rho_new = U[0]
     if (rho_new < 0).any():
         j, *idx = (int(i) for i in np.unravel_index(int(np.argmin(rho_new)), rho_new.shape))
         raise ValueError(f"{_member(stack, j)}negative density "
                          f"{rho_new[(j, *idx)]:.3e} produced at cell {tuple(idx)}")
     if not rho_new.all():
-        U_new[1:, rho_new == 0.0] = 0.0
-    return _Members(grid, stack.law, stack.specs, U_new, stack.ids)
+        U[1:, rho_new == 0.0] = 0.0
+    return _Members(grid, stack.law, stack.specs, U, stack.ids)
 
 
 def _march(live: _Members, times, tol: float, rho, m):

@@ -7,7 +7,10 @@ measure: integrals against it are cell sums times the cell volume.
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
+import numpy.lib.format as npy
 
 from .eos import GasLaw, pressure
 from .fields import Grid
@@ -40,7 +43,11 @@ def convexity_gap(kin_mean: np.ndarray, p_mean: np.ndarray, rho: np.ndarray,
     fixes the bits (and the sign of zeros).  The gap is formed in place of
     ``kin_mean``, which is returned."""
     kin_mean -= kinetic_tensor(rho, m)
-    kin_mean += (p_mean - pressure(rho, law))[..., None, None] * np.eye(m.shape[-1])
+    dp = p_mean - pressure(rho, law)
+    # entry by entry, with the bits of the product with the identity (dp * 0.0
+    # is -0.0 or NaN for some dp), and without a tensor-sized temporary
+    for (i, j), e in np.ndenumerate(np.eye(m.shape[-1])):
+        kin_mean[..., i, j] += dp * e
     return kin_mean
 
 
@@ -58,16 +65,18 @@ def symmetric_min_eigenvalues(tensor: np.ndarray) -> np.ndarray:
 class ReynoldsField:
     """Per-time, per-cell symmetric stress matrices on a grid.
 
-    The symmetry check runs one sample at a time, so its temporaries are
-    one sample's size: over the whole tensor they set the peak memory of
-    ``ensemble``.
+    The symmetry check, the norm scale, the smallest eigenvalue and the
+    npz write run one sample at a time, so their temporaries are one
+    sample's size: over the whole tensor they set the peak memory of
+    ``ensemble`` and ``diagnose``.  The per-sample values are reduced by
+    NumPy, so a NaN propagates.
     """
 
     __slots__ = ("grid", "times", "tensor")
 
     def __init__(self, grid: Grid, times, tensor):
         times = np.asarray(times, dtype=float)
-        tensor = np.asarray(tensor, dtype=float)
+        tensor = np.ascontiguousarray(tensor, dtype=float)  # save_npz streams its samples
         d = grid.d
         expected = (len(times),) + grid.counts + (d, d)
         if tensor.shape != expected:
@@ -90,21 +99,29 @@ class ReynoldsField:
         return np.sum(tr, axis=tuple(range(1, tr.ndim))) * self.grid.cell_volume
 
     def norm_scale(self) -> float:
-        """Largest cell Frobenius norm, the scale for PSD tolerances."""
-        fro = np.sqrt(np.sum(self.tensor**2, axis=(-2, -1)))
-        return float(np.max(fro)) if fro.size else 0.0
+        """Largest cell Frobenius norm, the scale for PSD tolerances; 0.0
+        without samples."""
+        fro = [np.sqrt(np.sum(s**2, axis=(-2, -1))).max() for s in self.tensor]
+        return float(np.max(fro)) if fro else 0.0
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue over all cells and sample times."""
-        return float(np.min(symmetric_min_eigenvalues(self.tensor)))
+        return float(np.min([symmetric_min_eigenvalues(s).min() for s in self.tensor]))
 
     def save_npz(self, path) -> None:
-        np.savez(path,
-                 tensor=self.tensor,
-                 times=self.times,
-                 counts=np.array(self.grid.counts),
-                 lower=np.array(self.grid.lower),
-                 upper=np.array(self.grid.upper))
+        """Write the field to ``path`` byte for byte as ``np.savez(path,
+        tensor=..., times=..., counts=..., lower=..., upper=...)`` would, but
+        the stress one sample at a time: ``np.savez`` copies the whole stress
+        into one bytes object first."""
+        with zipfile.ZipFile(path, "w", allowZip64=True) as npz:
+            with npz.open("tensor.npy", "w", force_zip64=True) as f:
+                npy.write_array_header_1_0(f, npy.header_data_from_array_1_0(self.tensor))
+                for sample in self.tensor:
+                    f.write(sample.tobytes())
+            for name, value in (("times", self.times), ("counts", self.grid.counts),
+                                ("lower", self.grid.lower), ("upper", self.grid.upper)):
+                with npz.open(f"{name}.npy", "w", force_zip64=True) as f:
+                    npy.write_array(f, np.asanyarray(value))
 
     @staticmethod
     def load_npz(path, grid: Grid) -> "ReynoldsField":

@@ -1420,6 +1420,34 @@ def test_output_trees_pinned(tmp_path, kind):
     assert _tree_digest(_pinned_tree(tmp_path, kind)) == MORE_TREE_DIGESTS[kind]
 
 
+@pytest.mark.parametrize("dim", sorted(DIAGNOSE_DIGESTS))
+def test_pipeline_reruns_in_one_process_match_the_pins(tmp_path, dim):
+    # ensemble, diagnose and select, twice in one process: the buffers that a
+    # step, the stress checks and F2 write in place carry nothing from one run
+    # into the next.  The 1D ensemble and select trees are those of
+    # TREE_DIGESTS and MORE_TREE_DIGESTS; the 2D datum has its diagnose pin,
+    # and its other trees must read the same in both runs
+    trees = []
+    for run in ("first", "second"):
+        root = tmp_path / run
+        root.mkdir()
+        ens, diag, sel = root / "ensemble", root / "diagnose", root / "select"
+        cfg = write_config(root, "e.json", _diagnose_doc(root, dim))
+        assert main(["ensemble", "--config", cfg, "--out", str(ens)]) == 0
+        if dim == "1d":
+            assert _tree_digest(ens) == TREE_DIGESTS["ensemble"]
+        cfg = write_config(root, "d.json", {"kind": "diagnose", "bundle": str(ens / "average"),
+                                            "reynolds": str(ens / "reynolds.npz")})
+        assert main(["diagnose", "--config", cfg, "--out", str(diag)]) == 0
+        assert _tree_digest(diag) == DIAGNOSE_DIGESTS[dim]
+        cfg = write_config(root, "s.json", {"kind": "select", "candidates": str(ens)})
+        assert main(["select", "--config", cfg, "--out", str(sel)]) == 0
+        if dim == "1d":
+            assert _tree_digest(sel) == MORE_TREE_DIGESTS["select"]
+        trees.append([_tree_digest(out) for out in (ens, diag, sel)])
+    assert trees[0] == trees[1]
+
+
 # sha256 of the SVG of each plot kind, drawn from a file of a pinned tree
 PLOT_DIGESTS = {
     ("defect", "ensemble", "defect.csv"):

@@ -168,12 +168,15 @@ def configs(draw, kind):
                 _set(trial, path, x)
                 if _bounded_horizon(trial):
                     swaps.append((path, x))
-    swap = draw(st.none() | st.sampled_from(swaps)) if swaps else None
+    # the extreme branch first: Hypothesis draws the first branch of a one_of
+    # most often, and with st.none() first about 70 % of march configs and
+    # 83 % of riemann configs carried no extreme
+    swap = draw(st.sampled_from(swaps) | st.none()) if swaps else None
     if swap is not None:
         _set(doc, *swap)
         # ``riemann`` does not march, so a second extreme cannot make an endless march
         others = [s for s in swaps if s[0] != swap[0]] if kind == "riemann" else []
-        second = draw(st.none() | st.sampled_from(others)) if others else None
+        second = draw(st.sampled_from(others) | st.none()) if others else None
         if second is not None:
             _set(doc, *second)
     return doc

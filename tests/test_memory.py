@@ -1,7 +1,9 @@
-"""Peak-memory guards: the ensemble's whole-field work keeps its temporaries
-to about one sample and holds one member at a time, ``certify`` one cell
-integral pair per space bump, and ``riemann`` its profile to about one
-slice, measured with tracemalloc (NumPy reports its buffers to it)."""
+"""Peak-memory guards, measured with tracemalloc (NumPy reports its buffers
+to it): the ensemble's whole-field work keeps its temporaries to about one
+sample and holds one member at a time, and a solver step frees each axis's
+temporaries before the next; the stress's checks and norms run one sample
+at a time, ``certify`` holds one cell integral pair per space bump, F2 one
+integrand buffer, and ``riemann`` its profile to about one slice."""
 
 import json
 import tracemalloc
@@ -13,7 +15,8 @@ from eulerlab.cli import main
 from eulerlab.dissipative import certify, estimate_reynolds
 from eulerlab.eos import GasLaw
 from eulerlab.fields import Grid, integrate_energies
-from eulerlab.stress import ReynoldsField, kinetic_tensor
+from eulerlab.selection import CandidateSet, select
+from eulerlab.stress import ReynoldsField, convexity_gap, kinetic_tensor
 from eulerlab.trajectory import Trajectory
 
 N = 48
@@ -51,6 +54,31 @@ def test_reynolds_field_symmetry_check_peaks_at_one_sample():
     assert _peak(ReynoldsField, GRID, TIMES, tensor) <= 2 * tensor[0].nbytes
 
 
+def _symmetric_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    tensor = rng.standard_normal((len(TIMES),) + grid.counts + (2, 2))
+    tensor += np.swapaxes(tensor, -1, -2)
+    return ReynoldsField(grid, TIMES, tensor)
+
+
+def test_reynolds_field_norm_scale_peaks_at_one_sample():
+    R = _symmetric_field(GRID, 5)
+    # the whole-tensor square and sum took about 13.8 samples' worth
+    assert _peak(R.norm_scale) <= 2 * R.tensor[0].nbytes
+
+
+def test_reynolds_field_min_eigenvalue_peaks_at_one_sample():
+    R = _symmetric_field(GRID, 6)
+    # the whole-tensor eigenvalue formula took about 11 samples' worth
+    assert _peak(R.min_eigenvalue) <= 2 * R.tensor[0].nbytes
+
+
+def test_reynolds_field_npz_write_peaks_at_one_sample(tmp_path):
+    R = _symmetric_field(GRID, 9)
+    # np.savez copied the whole stress, 11 samples' worth, into one bytes object
+    assert _peak(R.save_npz, tmp_path / "r.npz") <= 2 * R.tensor[0].nbytes
+
+
 def test_integrate_energies_peaks_at_one_sample():
     rng = np.random.default_rng(1)
     rho = rng.uniform(0.5, 1.5, (len(TIMES),) + GRID.counts)
@@ -78,9 +106,11 @@ def test_ensemble_peaks_at_its_arrays_and_a_sample_margin(tmp_path):
     sample = N * N * (3 + 3 + 4) * 8
     peak = _peak(main, argv)
     assert (tmp_path / "o" / "reynolds.npz").is_file()
-    # about 4.6 samples above the arrays, mostly the step's temporaries;
-    # holding all three members until the average was formed took it to 8.6
-    assert peak <= len(TIMES) * sample + 5.5 * sample
+    # about 3.2 samples above the arrays, mostly the march's state and the
+    # step's temporaries; 4.6 when a step held a copy of the state and each
+    # axis's temporaries while the next axis made its own, 8.6 when all three
+    # members were held until the average was formed
+    assert peak <= len(TIMES) * sample + 3.5 * sample
 
 
 def test_estimate_reynolds_peaks_at_its_outputs_and_two_tensors():
@@ -111,6 +141,18 @@ def test_kinetic_tensor_peaks_at_its_output():
     assert _peak(kinetic_tensor, rho, m) <= 1.25 * tensor
 
 
+def test_convexity_gap_peaks_at_one_kinetic_tensor():
+    # 64 x 64: the pressure term's broadcast product with the identity took
+    # 2.26 tensors, the kinetic tensor and the product; entry by entry, 1.09
+    rng = np.random.default_rng(7)
+    rho = rng.uniform(0.5, 1.5, (64, 64))
+    m = rng.uniform(-1.0, 1.0, (64, 64, 2))
+    kin_mean = rng.standard_normal((64, 64, 2, 2))
+    p_mean = rng.uniform(1.0, 2.0, (64, 64))
+    law = GasLaw(a=1.0, gamma=1.4)
+    assert _peak(convexity_gap, kin_mean, p_mean, rho, m, law) <= 1.25 * kin_mean.nbytes
+
+
 def test_certify_peaks_at_one_cell_integral_pair_per_space_bump():
     # 128 x 128 with 11 samples, as in the 2D benchmark; the default
     # dictionary's 24 functions per balance have 12 distinct space bumps
@@ -121,13 +163,32 @@ def test_certify_peaks_at_one_cell_integral_pair_per_space_bump():
                       (rng.uniform(0.5, 1.5, (len(TIMES),) + grid.counts),
                        rng.uniform(-1.0, 1.0, (len(TIMES),) + grid.counts + (2,))),
                       np.full(len(TIMES), 10.0), e0=10.0)
-    tensor = rng.standard_normal((len(TIMES),) + grid.counts + (2, 2))
-    tensor += np.swapaxes(tensor, -1, -2)
-    R = ReynoldsField(grid, TIMES, tensor)
+    R = _symmetric_field(grid, 4)
     pair = grid.counts[0] * grid.counts[1] * 3 * 8  # P and G of one bump
-    # about 18.4 pairs: 12 shared pairs and a sample's pairing temporaries;
-    # a pair per test function took 27.7
-    assert _peak(certify, traj, R) <= 20 * pair
+    # about 15.7 pairs, the momentum pass: 12 shared pairs and a sample's
+    # pairing temporaries.  It was 18.4 while the norm scale squared the
+    # whole stress (18.3 pairs), and 27.7 with a pair per test function
+    assert _peak(certify, traj, R) <= 16.5 * pair
+
+
+def test_select_peaks_at_its_members_and_one_integrand_buffer():
+    # 128 x 128 with 11 samples, as in the 2D benchmark; every member
+    # survives step 1, so F2 runs on each
+    grid = Grid(counts=(128, 128), lower=(0.0, 0.0), upper=(1.0, 1.0))
+    law = GasLaw(a=1.0, gamma=1.4)
+    rng = np.random.default_rng(8)
+    members = []
+    for _ in range(3):
+        rho = rng.uniform(0.5, 1.5, (len(TIMES),) + grid.counts)
+        m = rng.uniform(-1.0, 1.0, rho.shape + (2,))
+        rho[0], m[0] = 1.0, 0.0
+        members.append(Trajectory(grid, law, TIMES, (rho, m), np.full(len(TIMES), 10.0),
+                                  e0=10.0))
+    field = grid.counts[0] * grid.counts[1] * 3 * 8  # rho and m of one sample
+    buffer = len(TIMES) * grid.counts[0] * grid.counts[1] * 8
+    # the (n, *counts) integrand buffer and about 0.67 field, one sample's
+    # m**2; the whole-trajectory m**2, its sum, sqrt and power took 11 fields
+    assert _peak(select, CandidateSet(members)) <= buffer + 0.75 * field
 
 
 def test_riemann_profile_peaks_at_its_points_and_two_slices(tmp_path):

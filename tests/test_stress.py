@@ -1,15 +1,20 @@
 """ReynoldsField accepts only a tensor of its grid's shape whose off-diagonal
-pairs agree; non-finite entries are judged, not skipped."""
+pairs agree; non-finite entries are judged, not skipped.  The convexity gap
+adds its pressure term entry by entry with the bits of the identity
+product."""
 
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerlab.dissipative import certify
-from eulerlab.eos import GasLaw
+from eulerlab.eos import GasLaw, pressure
 from eulerlab.fields import FluidState, Grid, integrate_energy
-from eulerlab.stress import ReynoldsField
+from eulerlab.stress import ReynoldsField, convexity_gap, kinetic_tensor
 from eulerlab.trajectory import Trajectory
 
 LAW = GasLaw(a=1.0, gamma=1.4)
@@ -76,3 +81,28 @@ def test_infinite_symmetric_entry_accepted_and_fails_psd_margin(edits):
     cert = certify(traj, R)
     [psd] = [c for c in cert.checks if c[0] == "stress_psd_margin"]
     assert not psd[3] and not cert.passed
+
+
+# signed zeros and non-finite values beside moderate ones: a pressure
+# difference of -0.0, +-inf or NaN is where a product with the identity
+# leaves its mark (-0.0 times 0.0 is -0.0, inf times 0.0 is NaN)
+_ENTRIES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]) | st.floats(-4.0, 4.0)
+_DENSITIES = st.sampled_from([0.0, -0.0, np.inf, np.nan]) | st.floats(0.0, 4.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(1, 2))
+def test_convexity_gap_has_the_bits_of_the_identity_product(data, d):
+    cells = (3, 2)
+
+    def draw(shape, elements=_ENTRIES):
+        return data.draw(hnp.arrays(float, shape, elements=elements))
+
+    kin_mean, p_mean = draw(cells + (d, d)), draw(cells)
+    rho, m = draw(cells, _DENSITIES), draw(cells + (d,))
+    with np.errstate(all="ignore"):
+        expected = kin_mean - kinetic_tensor(rho, m)
+        expected += (p_mean - pressure(rho, LAW))[..., None, None] * np.eye(d)
+        gap = convexity_gap(kin_mean, p_mean, rho, m, LAW)
+    assert gap is kin_mean
+    assert gap.tobytes() == expected.tobytes()

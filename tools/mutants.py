@@ -3,23 +3,27 @@
 Each mutant of ``MUTANTS`` replaces one line of ``src/eulerlab`` with a
 loosened, tightened or misdirected version.  The runner copies the
 repository into a temporary directory, applies each mutant there in turn
-(the checkout is never edited), runs the tier-1 suite with ``-x`` and
-prints whether the suite killed the mutant and which test failed first.
-It exits 1 if any mutant survives or no longer applies, and 2 if the
-unmutated suite fails, since then no failure can be charged to a mutant.
-Every run draws the same Hypothesis examples (seed 0, no example database
-carried from one run to the next), so a kill does not hang on a random
-draw and a failing example found under one mutant is not replayed under
-the next.
+(the checkout is never edited) and runs the mutant's expected killer, the
+test written for that edge; only if the mutant survives it does the rest
+of the tier-1 suite run, with ``-x``.  It prints whether the mutant was
+killed and which test failed first.  A mutant is killed iff some tier-1
+test fails, as when the whole suite ran for every mutant, but most
+mutants cost one test instead of a suite.  It exits 1 if any mutant
+survives or no longer applies, and 2 if the unmutated suite fails or an
+expected killer fails alone on the unmutated code, since then no failure
+can be charged to a mutant.  Every run draws the same Hypothesis examples
+(seed 0, no example database carried from one run to the next), so a
+kill does not hang on a random draw and a failing example found under
+one mutant is not replayed under the next.
 
     python tools/mutants.py              # every mutant
     python tools/mutants.py psd-tol ...  # the named ones
 
-The expected killer is the test written for that edge; with ``-x`` the
-first failing test may be another one, a digest pin for instance.  A full
-pass over the 29 mutants and the unmutated suite takes about 9 minutes on
-2 vCPU.  ``tests/test_mutant_table.py`` checks on every tier-1 run that
-each row still applies, so a moved line is caught without the survey.
+A full pass over the 29 mutants took 1 minute 40 seconds on 2 vCPU, each
+killed by its expected killer; running the suite for each took 9 minutes
+22 seconds.
+``tests/test_mutant_table.py`` checks on every tier-1 run that each row
+still applies, so a moved line is caught without the survey.
 """
 
 from __future__ import annotations
@@ -159,6 +163,12 @@ def main(argv: list) -> int:
         if base.returncode != 0:
             print(f"the unmutated suite fails at {_first_failure(base.stdout)}")
             return 2
+        # a killer that fails alone, out of the suite's order, charges nothing
+        alone = _tier1(copy, env, *sorted({m[4] for m in chosen}))
+        if alone.returncode != 0:
+            print(f"an expected killer fails alone on the unmutated code: "
+                  f"{_first_failure(alone.stdout)}")
+            return 2
         for name, file, old, new, killer in chosen:
             path = copy / "src" / "eulerlab" / file
             source = path.read_text()
@@ -168,7 +178,9 @@ def main(argv: list) -> int:
                 continue
             path.write_text(source.replace(old, new))
             try:
-                done = _tier1(copy, env, f"--ignore={_TABLE_TEST}")
+                done = _tier1(copy, env, killer)
+                if done.returncode == 0:  # the rest of the suite decides
+                    done = _tier1(copy, env, f"--ignore={_TABLE_TEST}")
             finally:
                 path.write_text(source)
             if done.returncode == 0:
