@@ -13,7 +13,6 @@ from .dissipative import (DissipativeCertificate, TestFunction, certify, compati
                           continuity_residual, default_dictionary, estimate_reynolds,
                           momentum_residual, reset_defects)
 from .selection import (CandidateSet, F1, F2, MinimizerVerdict, SelectionReport,
-                        check_order_coherence, default_lambda_grid,
-                        is_absolute_minimizer, laplace_energy, select)
+                        check_order_coherence, is_absolute_minimizer, laplace_energy, select)
 
 __version__ = "0.1.0"

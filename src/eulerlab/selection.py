@@ -5,6 +5,8 @@ energy F1; step 2 picks the survivor minimizing a strictly convex
 weighted norm F2 (full variant over density, momentum and energy, or a
 momentum-only variant).  All time integrals are closed form on the
 piecewise-constant curves, with constant extension beyond the horizon.
+Both refined Dafermos screens read one scan, ``_rate_gaps``: the transform
+of an energy-curve difference at each of the 32 rates of ``_RATES``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ __all__ = [
     "F2",
     "select",
     "laplace_energy",
-    "laplace_gap",
-    "default_lambda_grid",
     "MinimizerVerdict",
     "is_absolute_minimizer",
     "check_order_coherence",
@@ -146,6 +146,13 @@ class SelectionReport:
         return "\n".join(lines) + "\n"
 
 
+def _minimizers(values: list, among, tie_tol: float | None) -> list:
+    """Indices in ``among`` within tie_tol (default 1e-9 relative) of the least value."""
+    m = min(values[i] for i in among)
+    tol = tie_tol if tie_tol is not None else 1e-9 * max(abs(m), 1e-30)
+    return [i for i in among if values[i] <= m + tol]
+
+
 def select(candidates: CandidateSet, variant: str = "full",
            q: float | None = None, tie_tol: float | None = None) -> SelectionReport:
     """Two-step argmin: survivors of F1 up to tie_tol, then minimal F2.
@@ -154,15 +161,11 @@ def select(candidates: CandidateSet, variant: str = "full",
     deterministically by the lowest index and flagged in the report.
     """
     f1 = [F1(tr) for tr in candidates]
-    m1 = min(f1)
-    tol1 = tie_tol if tie_tol is not None else 1e-9 * max(abs(m1), 1e-30)
-    survivors = [i for i, v in enumerate(f1) if v <= m1 + tol1]
+    survivors = _minimizers(f1, range(len(f1)), tie_tol)
     f2 = [None] * len(f1)
     for i in survivors:
         f2[i] = F2(candidates.members[i], variant=variant, q=q)
-    m2 = min(f2[i] for i in survivors)
-    tol2 = tie_tol if tie_tol is not None else 1e-9 * max(abs(m2), 1e-30)
-    tied = [i for i in survivors if f2[i] <= m2 + tol2]
+    tied = _minimizers(f2, survivors, tie_tol)
     selected = tied[0]
     return SelectionReport(f1, survivors, f2, selected,
                            tied=tied, tie_flagged=len(tied) > 1,
@@ -178,20 +181,16 @@ def laplace_energy(traj: Trajectory, lam: float) -> float:
     return float(np.dot(exp_weights(traj.times, lam), traj.energy))
 
 
-def default_lambda_grid() -> np.ndarray:
-    """32 geometrically spaced transform rates from 0.5 to 128."""
-    return np.geomspace(0.5, 128.0, 32)
+# the transform rates of both screens: 32 geometric steps from 0.5 to 128
+_RATES = np.geomspace(0.5, 128.0, 32)
 
 
-def laplace_gap(u: Trajectory, v: Trajectory, lam: float) -> float:
-    """Transform of the energy difference E_u - E_v on shared sample times.
-
-    Weighting the pointwise curve difference avoids the catastrophic
-    cancellation of subtracting two nearly equal transforms at large
-    rates: windows where the curves agree contribute exactly zero.
-    """
-    require_shared(u, v)
-    return float(np.dot(exp_weights(u.times, lam), u.energy - v.energy))
+def _rate_gaps(times: np.ndarray, diff: np.ndarray, k: int = 0) -> np.ndarray:
+    """Transform at each of ``_RATES`` of an energy-curve difference on the
+    sample windows from the k-th on.  Weighting the pointwise difference
+    avoids the cancellation of subtracting two nearly equal transforms at
+    large rates: windows where the curves agree contribute exactly zero."""
+    return np.array([np.dot(exp_weights(times, lam)[k:], diff) for lam in _RATES])
 
 
 @dataclass
@@ -210,7 +209,6 @@ def is_absolute_minimizer(candidate: Trajectory, candidates: CandidateSet) -> Mi
     verdict holds iff such a rate exists for all competitors.  The rates
     are grid-relative lower brackets, not continuum thresholds.
     """
-    lambda_grid = default_lambda_grid()
     tol = 1e-12 * max(1.0, abs(candidate.e0))
     if not any(tr is candidate for tr in candidates):
         raise ValueError("candidate must be a member of the set")
@@ -219,13 +217,12 @@ def is_absolute_minimizer(candidate: Trajectory, candidates: CandidateSet) -> Mi
     for tr in candidates:
         if tr is candidate:
             continue
-        gap = np.array([laplace_gap(candidate, tr, lam) for lam in lambda_grid])
-        ok = gap <= tol
+        ok = _rate_gaps(candidate.times, candidate.energy - tr.energy) <= tol
         if ok[-1] and np.all(ok):
-            lowers.append(float(lambda_grid[0]))
+            lowers.append(float(_RATES[0]))
         elif ok[-1]:
             last_bad = int(np.max(np.nonzero(~ok)[0]))
-            lowers.append(float(lambda_grid[last_bad + 1]))
+            lowers.append(float(_RATES[last_bad + 1]))
         else:
             lowers.append(None)
             ok_all = False
@@ -240,7 +237,7 @@ def check_order_coherence(less: Trajectory, greater: Trajectory,
     (T, T+delta), computes the rate threshold 2*max(E0)/gap (gap = time
     integral of the energy difference over the window) above which the
     transform difference must be negative, and returns the threshold
-    together with any violating rates of the default grid.  The transform
+    together with any violating rates of ``_RATES``.  The transform
     starts at T: compare_local found the samples before it equal.
     """
     if order.relation != "less" or order.T is None:
@@ -261,7 +258,6 @@ def check_order_coherence(less: Trajectory, greater: Trajectory,
     if gap <= 0:
         raise ValueError("witness window carries no positive energy gap")
     threshold = 2.0 * max(less.e0, greater.e0) / gap
-    diff = less.energy[k:] - greater.energy[k:]
-    violations = [float(lam) for lam in default_lambda_grid()
-                  if lam >= threshold and np.dot(exp_weights(times, lam)[k:], diff) >= 0]
+    gaps = _rate_gaps(times, less.energy[k:] - greater.energy[k:], k)
+    violations = [float(lam) for lam, g in zip(_RATES, gaps) if lam >= threshold and g >= 0]
     return threshold, violations

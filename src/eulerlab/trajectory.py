@@ -146,7 +146,8 @@ class Trajectory:
         """Raw energy defect E(t_k+) - mean energy at every sample time."""
         return self.energy - self.mean_energies
 
-    def same_content(self, other: "Trajectory", tol: float = 1e-12) -> bool:
+    def same_content(self, other: "Trajectory") -> bool:
+        tol = 1e-12
         if self.n_samples != other.n_samples or self.grid.counts != other.grid.counts:
             return False
         if np.max(np.abs(self.times - other.times)) > tol:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from eulerlab.fields import rel_l1_distance
-from eulerlab.selection import (F1, F2, _f2_integrand, default_lambda_grid, exp_weights,
+from eulerlab.selection import (F1, F2, _f2_integrand, _RATES, exp_weights,
                                 laplace_energy)
 from eulerlab.trajectory import (OrderResult, Trajectory, concatenate, require_shared,
                                  shift)
@@ -81,11 +81,11 @@ def lerch_equal(u: Trajectory, v: Trajectory) -> bool:
     """Transform-based equality certificate for two energy curves.
 
     True iff the transforms agree within 1e-9/lam * max(E0) at every
-    default grid rate; by density of the exponentials, disagreement
-    certifies genuinely different curves.
+    rate of the selection screens' grid ``_RATES``; by density of the
+    exponentials, disagreement certifies genuinely different curves.
     """
     scale = max(abs(u.e0), abs(v.e0), 1e-30)
-    for lam in default_lambda_grid():
+    for lam in _RATES:
         gap = abs(laplace_energy(u, lam) - laplace_energy(v, lam))
         if gap > 1e-9 * scale / lam:
             return False

@@ -22,7 +22,7 @@ from eulerlab.trajectory import (Trajectory, compare_local, convex_combine,
 from eulerlab.dissipative import (continuity_residual, default_dictionary,
                                   estimate_reynolds, momentum_residual)
 from eulerlab.selection import (CandidateSet, F1, F2, check_order_coherence,
-                                default_lambda_grid, is_absolute_minimizer,
+                                _RATES, is_absolute_minimizer,
                                 laplace_energy, select)
 from paper_checks import check_concatenation_inequality, check_shift_identity
 
@@ -373,13 +373,12 @@ def test_criterion_09_absolute_minimizer_logic():
     cross = is_absolute_minimizer(flat, CandidateSet([flat, drop]))
     assert cross.is_minimizer
     lam_lower = cross.lambda_lower[0]
-    grid_l = default_lambda_grid()
-    k = int(np.argmin(np.abs(grid_l - lam_lower)))
+    k = int(np.argmin(np.abs(_RATES - lam_lower)))
     assert lam_lower >= math.log(2.0) - 1e-12
-    assert grid_l[k - 1] < math.log(2.0)
+    assert _RATES[k - 1] < math.log(2.0)
     assert not is_absolute_minimizer(drop, CandidateSet([flat, drop])).is_minimizer
     _report(9, f"closed-form transforms to 1e-12; domination certified; "
-               f"crossing bracket [{grid_l[k - 1]:.3f}, {lam_lower:.3f}] "
+               f"crossing bracket [{_RATES[k - 1]:.3f}, {lam_lower:.3f}] "
                f"around ln 2 = {math.log(2.0):.3f}")
 
 
@@ -406,7 +405,7 @@ def test_criterion_10_order_coherence():
     for less, greater, order in pairs:
         threshold, violations = check_order_coherence(less, greater, order)
         assert violations == [], (threshold, violations)
-        total_checked += sum(1 for lam in default_lambda_grid() if lam >= threshold)
+        total_checked += sum(1 for lam in _RATES if lam >= threshold)
     assert total_checked > 0
     _report(10, f"{len(pairs)} local-order pairs, {total_checked} grid rates "
                 "above threshold, zero violations")

@@ -197,10 +197,15 @@ def test_riemann_profile_peaks_at_its_points_and_two_slices(tmp_path):
     cfg = {"kind": "riemann", "law": {"a": 1.0, "gamma": 1.4},
            "rho_l": 1.0, "u_l": 0.0, "rho_r": 0.25, "u_r": 0.0,
            "time": 1.0, "x_min": -2.0, "x_max": 2.0, "samples": samples}
+    # the first call in a process keeps about 8 KB more traced memory than a
+    # later one, as the interpreter's free lists and caches fill, and alone
+    # it peaked above the bound; a full-size warm-up keeps that out, so the
+    # guard reads the same alone as after other tests
+    cli.cmd_riemann(cfg, str(tmp_path / "warm-up"))
     peak = _peak(cli.cmd_riemann, cfg, str(tmp_path / "o"))
     assert (tmp_path / "o" / "profile.csv").stat().st_size > 0
     xs_bytes = samples * 8
-    # a slice makes x / t, rho and u; about 1.8 slices here, 64 when the
-    # profile was sampled and formatted whole
+    # a slice makes x / t, rho and u; the peak is about 1.95 slices above
+    # the points here, 64 when the profile was sampled and formatted whole
     one_slice = 3 * cli._PROFILE_ROWS * 8
     assert peak <= xs_bytes + 2 * one_slice

@@ -4,9 +4,13 @@ The survey itself runs tier-1 once per mutant, so it is run on demand
 only.  These checks are cheap: each row's old line is still exactly one
 line of its file, its new line differs, its name is unique and its
 expected killer is a test of the file it names.  A line that moves or
-is reworded then fails here, not at the next survey.
+is reworded then fails here, not at the next survey.  And every line of
+``src/eulerlab`` that holds a float literal below 1e-3, a tolerance or a
+floor, has a row or is listed in ``UNSURVEYED``, so a new tolerance fails
+here until it has a row.
 """
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -32,3 +36,63 @@ def test_mutant_row_follows_the_code(name, file, old, new, killer):
     assert new != old
     path, test = killer.split("::")
     assert re.search(rf"^def {re.escape(test)}\(", (ROOT / path).read_text(), re.MULTILINE)
+
+
+# (file, stripped line) of the lines that hold a float literal below 1e-3
+# and no row's old line; each is to get a row and an edge test, or a
+# reason why its mutant is equivalent, and then leave this set
+UNSURVEYED = {
+    ("cli.py", 'delta = cfg.get("delta_rel", 0.05) * max(triple.E0, 1e-300)'),
+    ("cli.py", 'passed = (order.relation == "less" and min_gap >= 0.5 * eps * (1.0 - 1e-9)'),
+    ("dissipative.py", "psd_tol = 1e-10"),
+    ("dissipative.py",
+     "if (self.centers[k] - self.widths[k] < grid.lower[k] + margin - 1e-12"),
+    ("dissipative.py", "or self.centers[k] + self.widths[k] > grid.upper[k] - margin + 1e-12):"),
+    ("dissipative.py",
+     'k0 = max(int(np.searchsorted(traj.times, lo + 1e-14, side="right") - 1), 0)'),
+    ("dissipative.py", 'k1 = min(int(np.searchsorted(traj.times, hi - 1e-14, side="left")), '
+                       "traj.n_samples - 1)"),
+    ("riemann.py", "_BISECT_TOL = 1e-12"),
+    ("riemann.py",
+     "assert inner_edges[0] <= inner_edges[1] + 1e-12 * max(1.0, *map(abs, inner_edges))"),
+    ("riemann.py", "lo = 1e-14 * min(data.rho_l, data.rho_r)"),
+    ("selection.py", "if not (1.0 < q <= hi + 1e-12):"),
+    ("selection.py", "if times[j + 1] > t_hi + 1e-12:"),
+    ("solver.py", "if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * t_end:"),
+    ("solver.py", "self._specs, self._tol = specs, 1e-14 * t_end"),
+    ("svgplot.py", "edge = lo * (1.0 - 1e-15)"),
+    ("trajectory.py", "_TIME_RTOL = 1e-9"),
+    ("trajectory.py", "tol = 1e-12"),
+    ("trajectory.py", "tol_energy = 1e-9 * max(1.0, abs(u.e0))"),
+    ("trajectory.py", "tol_eq = 1e-9"),
+}
+
+
+def _unsurveyed_lines():
+    """(file, stripped line) of each line of ``src/eulerlab`` that holds a
+    float literal x with 0 < |x| < 1e-3 and contains no old line of a row
+    of its file."""
+    found = set()
+    for path in sorted((ROOT / "src" / "eulerlab").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        olds = [row[2] for row in mutants.MUTANTS if row[1] == path.name]
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Constant) and type(node.value) is float \
+                    and 0.0 < abs(node.value) < 1e-3:
+                line = lines[node.lineno - 1].strip()
+                if not any(old in line for old in olds):
+                    found.add((path.name, line))
+    return found
+
+
+UNSURVEYED_NOW = _unsurveyed_lines()
+
+
+def test_every_tolerance_literal_has_a_row_or_is_listed():
+    assert sorted(UNSURVEYED_NOW - UNSURVEYED) == []
+
+
+def test_every_listed_line_still_holds_an_unsurveyed_literal():
+    # a listed line that was reworded, deleted or given a row leaves the set
+    assert sorted(UNSURVEYED - UNSURVEYED_NOW) == []

@@ -66,8 +66,8 @@ MUTANTS = [
      "tests/test_bit_pins.py::test_certify_bits_pinned"),
     ("default-q", _S, "return min(4.0 / 3.0, q_max(law))", "return q_max(law)",
      "tests/test_selection.py::test_default_q_is_q_max_capped_at_4_3"),
-    ("lambda-lower-index", _S, "lowers.append(float(lambda_grid[last_bad + 1]))",
-     "lowers.append(float(lambda_grid[last_bad]))",
+    ("lambda-lower-index", _S, "lowers.append(float(_RATES[last_bad + 1]))",
+     "lowers.append(float(_RATES[last_bad]))",
      "tests/test_acceptance.py::test_criterion_09_absolute_minimizer_logic"),
     ("coherence-extension", _S,
      "gap += (greater.energy[-1] - less.energy[-1]) * 1.0",
@@ -99,8 +99,8 @@ MUTANTS = [
      "tol = 1e-6 * max(1.0, abs(candidate.e0))",
      "tests/test_selection.py::test_minimizer_tolerance_is_1e_12_of_the_energy_scale"),
     ("select-tie-tol", _S,
-     "tol1 = tie_tol if tie_tol is not None else 1e-9 * max(abs(m1), 1e-30)",
-     "tol1 = tie_tol if tie_tol is not None else 1e-6 * max(abs(m1), 1e-30)",
+     "tol = tie_tol if tie_tol is not None else 1e-9 * max(abs(m), 1e-30)",
+     "tol = tie_tol if tie_tol is not None else 1e-6 * max(abs(m), 1e-30)",
      "tests/test_selection.py::test_select_step1_ties_within_1e_9_of_the_least_f1"),
     ("local-strict-tol", _T, "tol_strict = 1e-6 * scale", "tol_strict = 1e-4 * scale",
      "tests/test_trajectory.py::test_compare_local_strict_gap_is_1e_6_of_the_energy_scale"),
