@@ -26,8 +26,8 @@ import jsonschema
 import numpy as np
 
 from .eos import GasLaw, sound_speed
-from .fields import (DataTriple, FluidState, Grid, integrate_energy, load_state_csv,
-                     read_csv, write_csv, write_json)
+from .fields import (DataTriple, FluidState, Grid, energy_scale, integrate_energy,
+                     load_state_csv, read_csv, write_csv, write_json)
 from .riemann import RiemannData, solve_riemann
 from .solver import SchemeSpec, run
 from .stress import ReynoldsField
@@ -446,10 +446,7 @@ def cmd_riemann(cfg: dict, out: str) -> int:
 def cmd_dt1(cfg: dict, out: str) -> int:
     """Stopping-time/reset loop keeping the energy defect below delta."""
     law, triple, specs = _setup(cfg)
-    if "delta" in cfg:
-        delta = cfg["delta"]
-    else:
-        delta = cfg.get("delta_rel", 0.05) * max(triple.E0, 1e-300)
+    delta = cfg.get("delta", cfg.get("delta_rel", 0.05) * max(triple.E0, 1e-300))
     if not math.isfinite(delta):
         raise ConfigError(f"delta must be finite, got {delta}")
     with _config_errors("ensemble ", Exception):
@@ -478,8 +475,7 @@ def cmd_dt2(cfg: dict, out: str) -> int:
     k = int(np.argmax(defects[:-1])) if base.n_samples > 1 else 0
     T = float(base.times[k])
     eps = float(defects[k])
-    scale = max(1.0, abs(base.e0))
-    if eps <= 1e-6 * scale:
+    if eps <= 1e-6 * energy_scale(base.e0):
         raise ConfigError("base trajectory has no defect to improve; "
                           "increase the horizon or sharpen the datum")
     cont = estimate_reynolds(_members(

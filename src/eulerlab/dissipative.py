@@ -27,10 +27,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .eos import GasLaw, defect_constant, pressure
-from .fields import DataTriple, Grid, integrate_energies, integrate_energy, write_csv
+from .fields import (DataTriple, Grid, energy_scale, integrate_energies, integrate_energy,
+                     write_csv)
 from .solver import March
 from .stress import ReynoldsField, convexity_gap, kinetic_tensor
-from .trajectory import Trajectory, defect_reset, require_shared, stopping_time
+from .trajectory import Trajectory, defect_reset, require_shared, sample_time_tol, stopping_time
 
 __all__ = [
     "TestFunction",
@@ -214,11 +215,12 @@ def _weak_residuals(traj: Trajectory, phis, pairing) -> np.ndarray:
     share one (P, G).  check_interior keeps each support inside [0, t_end]."""
     integrals = {}  # (centers, widths) -> (P, G)
     windows = []  # (phi, k0, k1, P, G) of each function
+    tol = sample_time_tol(traj.t_end)
     for phi in phis:
         phi.check_interior(traj.grid, traj.t_end)
         lo, hi = phi.t_support
-        k0 = max(int(np.searchsorted(traj.times, lo + 1e-14, side="right") - 1), 0)
-        k1 = min(int(np.searchsorted(traj.times, hi - 1e-14, side="left")), traj.n_samples - 1)
+        k0 = max(int(np.searchsorted(traj.times, lo + tol, side="right") - 1), 0)
+        k1 = min(int(np.searchsorted(traj.times, hi - tol, side="left")), traj.n_samples - 1)
         bump = (phi.centers, phi.widths)
         if bump not in integrals:
             integrals[bump] = phi.cell_integrals(traj.grid)
@@ -434,7 +436,7 @@ def certify(traj: Trajectory, R: ReynoldsField | None = None,
     """
     if not (0.0 < residual_factor < math.inf):
         raise ValueError(f"residual_factor must be finite and positive, got {residual_factor}")
-    scale = max(1.0, abs(traj.e0))
+    scale = energy_scale(traj.e0)
     residual_tol = residual_factor * min(traj.grid.spacing) * scale
     round_off = 1e-10 * scale
     dictionary = default_dictionary(traj.grid, traj.t_end)

@@ -165,6 +165,11 @@ def rel_l1_distance(rho1, m1, rho2, m2) -> np.ndarray:
     return num / den
 
 
+def energy_scale(*e0s) -> float:
+    """max(1, |e0|) over the given initial energies: every energy tolerance's scale."""
+    return max(1.0, *map(abs, e0s))
+
+
 def integrate_energies(grid: Grid, rho, m, law: GasLaw) -> np.ndarray:
     """Mean energy, the midpoint-rule integral of the energy density, of each
     sample of stacked ``rho`` (n, *counts) and ``m`` (n, *counts, d); +inf
@@ -210,7 +215,7 @@ def validate_initial_data(triple: DataTriple, law: GasLaw) -> None:
     if math.isinf(mean):
         raise ValueError("initial data rejected: vacuum cell carries momentum: "
                          "mean energy is infinite")
-    if not (triple.E0 - mean >= -1e-12 * max(1.0, triple.E0)):  # NaN fails
+    if not (triple.E0 - mean >= -1e-12 * energy_scale(triple.E0)):  # NaN fails
         raise ValueError(f"initial data rejected: mean energy {mean} exceeds E0 {triple.E0} "
                          f"beyond tolerance")
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eos import GasLaw
-from .fields import rel_l1_distance
-from .trajectory import OrderResult, Trajectory, require_shared
+from .fields import energy_scale, rel_l1_distance
+from .trajectory import OrderResult, Trajectory, require_shared, sample_time_tol
 
 __all__ = [
     "CandidateSet",
@@ -47,7 +47,6 @@ class CandidateSet:
         if not self.members:
             raise ValueError("candidate set must be non-empty")
         base = self.members[0]
-        scale = max(1.0, abs(base.e0))
         for i, tr in enumerate(self.members[1:], start=1):
             try:
                 require_shared(base, tr)
@@ -55,7 +54,7 @@ class CandidateSet:
                 raise ValueError(f"member {i}: {e}") from None
             if rel_l1_distance(tr.rho[:1], tr.m[:1], base.rho[:1], base.m[:1])[0] > 1e-9:
                 raise ValueError(f"member {i} starts from different fields")
-            if abs(tr.e0 - base.e0) > 1e-12 * scale:
+            if abs(tr.e0 - base.e0) > 1e-12 * energy_scale(base.e0):
                 raise ValueError(f"member {i} starts from a different total energy")
 
     def __iter__(self):
@@ -209,7 +208,7 @@ def is_absolute_minimizer(candidate: Trajectory, candidates: CandidateSet) -> Mi
     verdict holds iff such a rate exists for all competitors.  The rates
     are grid-relative lower brackets, not continuum thresholds.
     """
-    tol = 1e-12 * max(1.0, abs(candidate.e0))
+    tol = 1e-12 * energy_scale(candidate.e0)
     if not any(tr is candidate for tr in candidates):
         raise ValueError("candidate must be a member of the set")
     lowers = []
@@ -249,10 +248,10 @@ def check_order_coherence(less: Trajectory, greater: Trajectory,
     times = less.times
     n = less.n_samples
     for j in range(k, n - 1):
-        if times[j + 1] > t_hi + 1e-12:
+        if times[j + 1] - t_hi > sample_time_tol(times[-1]):
             break
         gap += (greater.energy[j] - less.energy[j]) * (times[j + 1] - times[j])
-    if not math.isfinite(t_hi) or t_hi > times[-1]:
+    if t_hi - times[-1] > sample_time_tol(times[-1]):
         # witness extends past the horizon: one unit of constant extension
         gap += (greater.energy[-1] - less.energy[-1]) * 1.0
     if gap <= 0:

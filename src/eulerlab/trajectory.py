@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import GasLaw, pressure
-from .fields import (FluidState, Grid, integrate_energies, load_state_csv, read_csv,
-                     rel_l1_distance, save_state_csv, write_csv, write_json)
+from .fields import (FluidState, Grid, energy_scale, integrate_energies, load_state_csv,
+                     read_csv, rel_l1_distance, save_state_csv, write_csv, write_json)
 from .stress import ReynoldsField, convexity_gap, kinetic_tensor
 
 __all__ = [
@@ -49,6 +49,11 @@ __all__ = [
 
 _TIME_RTOL = 1e-9
 _ENERGY_COLUMNS = ("t", "E")
+
+
+def sample_time_tol(horizon: float) -> float:
+    """Two times within this of each other are one sample time on [0, horizon]."""
+    return _TIME_RTOL * max(1.0, horizon)
 
 
 class Trajectory:
@@ -93,13 +98,13 @@ class Trajectory:
             raise ValueError("times, states and energy must have equal positive length")
         if not np.all(np.isfinite(t)):
             raise ValueError(f"sample times must be finite, got {t[~np.isfinite(t)][0]}")
-        if abs(t[0]) > _TIME_RTOL:
+        if abs(t[0]) > sample_time_tol(t[-1]):
             raise ValueError("sample times must start at 0")
         if len(t) > 1 and np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
         if not np.all(np.isfinite(E)) or not math.isfinite(self.e0):
             raise ValueError("energy curve must be finite")
-        tol = 1e-9 * max(1.0, abs(self.e0))
+        tol = 1e-9 * energy_scale(self.e0)
         if E[0] > self.e0 + tol:
             raise ValueError(f"energy curve jumps up at t=0: E(0+)={E[0]} > E(0)={self.e0}")
         if len(E) > 1 and np.any(np.diff(E) > tol):
@@ -134,7 +139,7 @@ class Trajectory:
     def index_of(self, t: float) -> int:
         """Index of the sample time t; raises if t is not a sample time."""
         k = int(np.argmin(np.abs(self.times - t)))
-        if not abs(self.times[k] - t) <= _TIME_RTOL * max(1.0, self.t_end):  # NaN fails
+        if not abs(self.times[k] - t) <= sample_time_tol(self.t_end):  # NaN fails
             raise ValueError(f"{t} is not a sample time of this trajectory")
         return k
 
@@ -152,10 +157,9 @@ class Trajectory:
             return False
         if np.max(np.abs(self.times - other.times)) > tol:
             return False
-        scale = max(1.0, abs(self.e0))
-        if abs(self.e0 - other.e0) > tol * scale:
+        if abs(self.e0 - other.e0) > tol * energy_scale(self.e0):
             return False
-        if np.max(np.abs(self.energy - other.energy)) > tol * scale:
+        if np.max(np.abs(self.energy - other.energy)) > tol * energy_scale(self.e0):
             return False
         return bool(np.all(rel_l1_distance(self.rho, self.m, other.rho, other.m) <= tol))
 
@@ -167,8 +171,8 @@ def require_shared(u, v, times: bool = True) -> None:
         raise ValueError(f"grids do not match: {u.grid} and {v.grid}")
     if getattr(v, "law", u.law) != u.law:
         raise ValueError(f"gas laws do not match: {u.law} and {v.law}")
-    if times and (len(u.times) != len(v.times)
-                  or not np.all(np.abs(u.times - v.times) <= _TIME_RTOL)):  # NaN fails
+    if times and (len(u.times) != len(v.times) or not np.all(  # NaN fails
+            np.abs(u.times - v.times) <= sample_time_tol(u.times[-1]))):
         raise ValueError(f"sample times do not match: {u.times} and {v.times}")
 
 
@@ -213,7 +217,7 @@ def concatenate(u: Trajectory, v: Trajectory, T: float) -> Trajectory:
     """
     require_shared(u, v, times=False)
     k = u.index_of(T)
-    tol_energy = 1e-9 * max(1.0, abs(u.e0))
+    tol_energy = 1e-9 * energy_scale(u.e0)
     d = rel_l1_distance(u.rho[k:k + 1], u.m[k:k + 1], v.rho[:1], v.m[:1])[0]
     if d > 1e-10:
         raise ValueError(f"fields mismatch at the junction (relative L1 {d:.3e})")
@@ -258,7 +262,7 @@ def compare_local(u: Trajectory, v: Trajectory) -> OrderResult:
     """Local (prefix) order: trajectories must agree in fields and energy
     up to some sample time T and then separate strictly in energy on at
     least one full sample window (T, T + delta]."""
-    scale = max(1.0, abs(u.e0), abs(v.e0))
+    scale = energy_scale(u.e0, v.e0)
     tol_eq = 1e-9
     tol_strict = 1e-6 * scale
     tol_eq_energy = tol_eq * scale
@@ -312,7 +316,7 @@ def defect_reset(traj: Trajectory, T: float, continuation: Trajectory) -> Trajec
     """
     k = traj.index_of(T)
     target = traj.mean_energies[k]
-    if abs(continuation.e0 - target) > 1e-9 * max(1.0, abs(traj.e0)):
+    if abs(continuation.e0 - target) > 1e-9 * energy_scale(traj.e0):
         raise ValueError(
             f"continuation must start at the mean energy {target}, got {continuation.e0}")
     return concatenate(traj, continuation, T)
@@ -323,7 +327,7 @@ def improve(traj: Trajectory, T: float, continuation: Trajectory) -> tuple:
     resetting the positive defect at T; returns it with the comparison."""
     k = traj.index_of(T)
     eps = float(traj.defects()[k])
-    if eps <= 1e-12 * max(1.0, abs(traj.e0)):
+    if eps <= 1e-12 * energy_scale(traj.e0):
         raise ValueError(f"nothing to improve: defect at t={T} is {eps:.3e}")
     competitor = defect_reset(traj, T, continuation)
     order = compare_local(competitor, traj)

@@ -621,6 +621,64 @@ def test_dt2_needs_a_defect_above_1e_6_of_the_energy_scale(tmp_path, monkeypatch
         assert "base trajectory has no defect to improve" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slack, passed", [(0.5e-9, True), (2e-9, False)])
+def test_dt2_passes_a_gap_within_1e_9_of_half_the_defect(tmp_path, monkeypatch, slack, passed):
+    # the base average (e0 3, defect eps = 2 at every sample) and the
+    # competitor are replaced; the competitor sits eps/2 * (1 - slack)
+    # below the base on the whole witness window
+    import eulerlab.cli as cli_mod
+    from eulerlab.trajectory import OrderResult
+    g = Grid(counts=(8,), lower=(0.0,), upper=(1.0,))
+    s = FluidState.constant(g, 1.0, 0.0)  # mean energy 1
+    base = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [3.0] * 3)
+    competitor = Trajectory(g, LAW2, base.times, [s] * 3, [2.0 + slack] * 3, e0=3.0)
+    monkeypatch.setattr(cli_mod, "estimate_reynolds", lambda members: (None, base))
+    monkeypatch.setattr(cli_mod, "improve", lambda traj, T, cont: (
+        competitor, OrderResult("less", T=0.0, delta=math.inf)))
+    doc = run_config(tmp_path, extra={"kind": "dt2-demo", "nu_list": [1.0, 0.1]})
+    out = tmp_path / "o"
+    assert main(["dt2-demo", "--config", write_config(tmp_path, "c.json", doc),
+                 "--out", str(out)]) == (0 if passed else 1)
+    report = json.loads((out / "report.json").read_text())
+    assert report["min_gap_on_window"] == 3.0 - (2.0 + slack)
+    assert report["coherence_violations"] == [] and report["passed"] is passed
+
+
+def test_dt2_on_a_long_horizon_reports_instead_of_raising(tmp_path):
+    # concatenating at T drifts the sample times by about 2e-9 from the
+    # base's at t_end 1e7: one sample time within 1e-9 of the horizon
+    doc = {
+        "kind": "dt2-demo",
+        "grid": {"counts": [16], "lower": [-1e10], "upper": [1e10],
+                 "boundary": ["reflective"]},
+        "law": {"a": 1.0, "gamma": 2.0},
+        "t_end": 1e7,
+        "sample_dt": 1e7 / 12,
+        "initial": {"preset": "riemann", "rho_l": 1.5, "u_l": 0.0,
+                    "rho_r": 0.25, "u_r": 0.0},
+        "nu_list": [1.0, 0.1],
+    }
+    out = tmp_path / "dt2"
+    assert main(["dt2-demo", "--config", write_config(tmp_path, "dt2.json", doc),
+                 "--out", str(out)]) in (0, 1)
+    assert json.loads((out / "report.json").read_text())["relation"] == "less"
+
+
+def test_dt1_delta_floor_keeps_an_all_vacuum_datum_runnable(tmp_path):
+    # E0 = 0, so the default delta is 0.05 * 1e-300, positive
+    from eulerlab.fields import save_state_csv
+    g = Grid(counts=(8,), lower=(-1.0,), upper=(1.0,))
+    save_state_csv(FluidState(g, np.zeros(8), np.zeros((8, 1))), tmp_path / "vacuum.csv")
+    doc = run_config(tmp_path, extra={"kind": "dt1-demo", "nu_list": [0.2]},
+                     initial={"file": str(tmp_path / "vacuum.csv")})
+    doc["grid"]["counts"] = [8]
+    out = tmp_path / "o"
+    assert main(["dt1-demo", "--config", write_config(tmp_path, "c.json", doc),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["delta"] == 0.05 * 1e-300 and report["max_defect"] == 0.0
+
+
 # -- file-based initial data -----------------------------------------------------
 
 def test_run_with_initial_file(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from eulerlab import cli
 from eulerlab.cli import main
 from eulerlab.eos import GasLaw
-from eulerlab.fields import (DataTriple, FluidState, Grid, integrate_energy,
+from eulerlab.fields import (DataTriple, FluidState, Grid, energy_scale, integrate_energy,
                              load_state_csv, read_csv, save_state_csv,
                              validate_initial_data, write_csv)
 
@@ -101,6 +101,12 @@ def test_validate_initial_data_allows_1e_12_of_e0(gap, accepted):
     else:
         with pytest.raises(ValueError, match="exceeds E0"):
             validate_initial_data(triple, LAW2)
+
+
+@pytest.mark.parametrize("e0s, scale", [((0.25,), 1.0), ((-4.0,), 4.0), ((0.0,), 1.0),
+                                        ((0.5, -3.0, 2.0), 3.0)])
+def test_energy_scale_is_the_largest_magnitude_at_least_1(e0s, scale):
+    assert energy_scale(*e0s) == scale
 
 
 def test_validate_initial_data_rejects_nan_mean_energy():

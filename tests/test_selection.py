@@ -511,6 +511,27 @@ def test_order_coherence_ignores_the_prefix_before_T():
     assert sum(lam >= threshold for lam in _RATES) >= 10
 
 
+@pytest.mark.parametrize("t_end, n, k, end, rounds", [
+    (1e5, 10, 2, 5, "below"),   # T + delta falls 7.3e-12 short of times[5]
+    (0.8, 12, 3, 11, "above"),  # T + delta passes the last sample by 1.1e-16
+])
+def test_order_coherence_window_ends_at_its_sample_within_the_rule(t_end, n, k, end, rounds):
+    # the witness window (T, T + delta] runs from sample k to sample end; its
+    # end is that sample time within the sample-time rule, so the gap is
+    # 1 on every window inside it and nothing past it: no window is
+    # dropped, and no unit of constant extension (where the greater curve
+    # has dropped below) is added
+    g = unit_grid()
+    s = FluidState.constant(g, 1.0, 0.0)  # mean energy 1
+    times = (t_end / (n - 1)) * np.arange(n)
+    T, delta = times[k], times[end] - times[k]
+    assert (T + delta > times[end]) == (rounds == "above") and T + delta != times[end]
+    hi = Trajectory(g, LAW2, times, [s] * n, np.where(times < times[end], 3.0, 1.5))
+    lo = Trajectory(g, LAW2, times, [s] * n, np.where(times < T, 3.0, 2.0))
+    threshold, _ = check_order_coherence(lo, hi, OrderResult("less", T=T, delta=delta))
+    assert threshold == pytest.approx(2.0 * 3.0 / (times[end] - times[k]), rel=1e-12)
+
+
 def test_order_coherence_randomized_corpus():
     rng = np.random.default_rng(10)
     checked = 0

@@ -13,7 +13,7 @@ from eulerlab.selection import F1, F2, CandidateSet, check_order_coherence
 from eulerlab.solver import SchemeSpec, run
 from eulerlab.trajectory import (OrderResult, Trajectory, compare_local, concatenate,
                                  convex_combine, defect_reset, improve, load_bundle,
-                                 save_bundle, shift, stopping_time)
+                                 require_shared, save_bundle, shift, stopping_time)
 from paper_checks import (check_shift_identity, compare_admissible, min_energy_merge,
                           weighted_norm)
 
@@ -201,6 +201,27 @@ def test_nan_is_not_a_sample_time():
             call(math.nan)
 
 
+@pytest.mark.parametrize("factor, same", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("horizon", [0.1, 1e7])
+def test_sample_times_agree_within_1e_9_of_the_horizon(horizon, factor, same):
+    # one sample time within 1e-9 * max(1, horizon): 1e-9 at 0.1, 1e-2 at 1e7
+    off = factor * 1e-9 * max(1.0, horizon)
+    times = np.array([0.0, 0.5 * horizon, horizon])
+    u = constant_traj(times)
+    moved = constant_traj(times + [0.0, off, 0.0])
+    if same:
+        require_shared(u, moved)
+        assert u.index_of(0.5 * horizon + off) == 1
+        assert constant_traj(times + [off, 0.0, 0.0]).times[0] == off
+    else:
+        with pytest.raises(ValueError, match="sample times do not match"):
+            require_shared(u, moved)
+        with pytest.raises(ValueError, match="not a sample time"):
+            u.index_of(0.5 * horizon + off)
+        with pytest.raises(ValueError, match="must start at 0"):
+            constant_traj(times + [off, 0.0, 0.0])
+
+
 def test_shift_semigroup():
     rng = np.random.default_rng(4)
     traj = random_step_traj(rng, n_times=9, t_end=2.0)
@@ -264,6 +285,20 @@ def test_concatenation_junction_tolerance_is_1e_10_relative_l1(dist, joins):
         assert concatenate(u, v, 0.5).rho[1, 3] == rho[3]
     else:
         with pytest.raises(ValueError, match="fields mismatch at the junction"):
+            concatenate(u, v, 0.5)
+
+
+@pytest.mark.parametrize("gap, joins", [(0.5e-9, True), (2e-9, False)])
+def test_concatenation_energy_window_allows_1e_9_of_the_energy_scale(gap, joins):
+    # v starts gap * scale above E_u(T) = 2, with scale = max(1, |e0|) = 4
+    g = unit_grid()
+    s = FluidState.constant(g, 1.0, 0.0)
+    u = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [2.0] * 3, e0=4.0)
+    v = Trajectory(g, LAW2, [0.0, 0.5], [s] * 2, [2.0] * 2, e0=2.0 + 4.0 * gap)
+    if joins:
+        assert concatenate(u, v, 0.5).energy_left_at(1) == 2.0
+    else:
+        with pytest.raises(ValueError, match="outside the admissible window"):
             concatenate(u, v, 0.5)
 
 

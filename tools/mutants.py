@@ -19,9 +19,9 @@ one mutant is not replayed under the next.
     python tools/mutants.py              # every mutant
     python tools/mutants.py psd-tol ...  # the named ones
 
-A full pass over the 29 mutants took 1 minute 40 seconds on 2 vCPU, each
-killed by its expected killer; running the suite for each took 9 minutes
-22 seconds.
+A full pass over the 37 mutants took 1 minute 24 seconds on 2 vCPU, each
+killed by its expected killer; running the whole suite for each of 29
+mutants took 9 minutes 22 seconds.
 ``tests/test_mutant_table.py`` checks on every tier-1 run that each row
 still applies, so a moved line is caught without the survey.
 """
@@ -86,8 +86,8 @@ MUTANTS = [
      "vacuum = 0.0", "tests/test_cli.py::test_diagnose_vacuum_consistency_edge"),
     ("stopping-strict", _T, "over = traj.defects() > delta", "over = traj.defects() >= delta",
      "tests/test_trajectory.py::test_stopping_time_needs_a_defect_strictly_above_delta"),
-    ("improve-threshold", _T, "if eps <= 1e-12 * max(1.0, abs(traj.e0)):",
-     "if eps <= 1e-6 * max(1.0, abs(traj.e0)):",
+    ("improve-threshold", _T, "if eps <= 1e-12 * energy_scale(traj.e0):",
+     "if eps <= 1e-6 * energy_scale(traj.e0):",
      "tests/test_trajectory.py::test_improve_threshold_scales_with_e0"),
     ("step-cfl-slack", "solver.py", "ok = dt <= dt_max * (1.0 + 1e-12)",
      "ok = dt <= dt_max * (1.0 + 1e-3)",
@@ -95,8 +95,8 @@ MUTANTS = [
     ("stress-symmetry", "stress.py", "rtol=0.0, atol=1e-12 * scale",
      "rtol=0.0, atol=1e-6 * scale",
      "tests/test_stress.py::test_symmetry_tolerance_is_1e_12_of_the_largest_finite_entry"),
-    ("minimizer-tol", _S, "tol = 1e-12 * max(1.0, abs(candidate.e0))",
-     "tol = 1e-6 * max(1.0, abs(candidate.e0))",
+    ("minimizer-tol", _S, "tol = 1e-12 * energy_scale(candidate.e0)",
+     "tol = 1e-6 * energy_scale(candidate.e0)",
      "tests/test_selection.py::test_minimizer_tolerance_is_1e_12_of_the_energy_scale"),
     ("select-tie-tol", _S,
      "tol = tie_tol if tie_tol is not None else 1e-9 * max(abs(m), 1e-30)",
@@ -108,23 +108,50 @@ MUTANTS = [
      "tests/test_trajectory.py::test_concatenation_junction_tolerance_is_1e_10_relative_l1"),
     ("candidate-fields-tol", _S, "base.m[:1])[0] > 1e-9:", "base.m[:1])[0] > 1e-3:",
      "tests/test_selection.py::test_candidate_set_fields_tolerance_is_1e_9_relative_l1"),
-    ("candidate-e0-tol", _S, "if abs(tr.e0 - base.e0) > 1e-12 * scale:",
-     "if abs(tr.e0 - base.e0) > 1e-6 * scale:",
+    ("candidate-e0-tol", _S, "if abs(tr.e0 - base.e0) > 1e-12 * energy_scale(base.e0):",
+     "if abs(tr.e0 - base.e0) > 1e-6 * energy_scale(base.e0):",
      "tests/test_selection.py::test_candidate_set_e0_tolerance_is_1e_12_of_the_energy_scale"),
-    ("initial-data-tol", "fields.py", "triple.E0 - mean >= -1e-12 * max(1.0, triple.E0)",
-     "triple.E0 - mean >= -1e-6 * max(1.0, triple.E0)",
+    ("initial-data-tol", "fields.py", "triple.E0 - mean >= -1e-12 * energy_scale(triple.E0)",
+     "triple.E0 - mean >= -1e-6 * energy_scale(triple.E0)",
      "tests/test_fields.py::test_validate_initial_data_allows_1e_12_of_e0"),
-    ("energy-curve-tol", _T, "tol = 1e-9 * max(1.0, abs(self.e0))",
-     "tol = 1e-6 * max(1.0, abs(self.e0))",
+    ("energy-curve-tol", _T, "tol = 1e-9 * energy_scale(self.e0)",
+     "tol = 1e-6 * energy_scale(self.e0)",
      "tests/test_trajectory.py::test_energy_checks_allow_1e_9_of_the_energy_scale"),
-    ("reset-start-tol", _T, "if abs(continuation.e0 - target) > 1e-9 * max(1.0, abs(traj.e0)):",
-     "if abs(continuation.e0 - target) > 1e-3 * max(1.0, abs(traj.e0)):",
+    ("reset-start-tol", _T, "if abs(continuation.e0 - target) > 1e-9 * energy_scale(traj.e0):",
+     "if abs(continuation.e0 - target) > 1e-3 * energy_scale(traj.e0):",
      "tests/test_trajectory.py::test_defect_reset_start_tolerance_is_1e_9_of_the_energy_scale"),
     ("dt1-pass-slack", "cli.py", "passed = max_defect <= delta * (1.0 + 1e-9)",
      "passed = max_defect <= delta * (1.0 + 1e-3)",
      "tests/test_cli.py::test_dt1_passes_a_defect_within_1e_9_of_delta"),
-    ("dt2-no-defect", "cli.py", "if eps <= 1e-6 * scale:", "if eps <= 1e-12 * scale:",
+    ("dt2-no-defect", "cli.py", "if eps <= 1e-6 * energy_scale(base.e0):",
+     "if eps <= 1e-12 * energy_scale(base.e0):",
      "tests/test_cli.py::test_dt2_needs_a_defect_above_1e_6_of_the_energy_scale"),
+    # the one energy scale and the one sample-time rule, and the tolerances
+    # that had no row before
+    ("energy-scale-floor", "fields.py", "return max(1.0, *map(abs, e0s))",
+     "return max(0.0, *map(abs, e0s))",
+     "tests/test_fields.py::test_energy_scale_is_the_largest_magnitude_at_least_1"),
+    ("time-rtol", _T, "_TIME_RTOL = 1e-9", "_TIME_RTOL = 1e-8",
+     "tests/test_trajectory.py::test_sample_times_agree_within_1e_9_of_the_horizon"),
+    ("time-horizon", _T, "return _TIME_RTOL * max(1.0, horizon)", "return _TIME_RTOL",
+     "tests/test_trajectory.py::test_sample_times_agree_within_1e_9_of_the_horizon"),
+    ("time-floor", _T, "return _TIME_RTOL * max(1.0, horizon)", "return _TIME_RTOL * horizon",
+     "tests/test_trajectory.py::test_sample_times_agree_within_1e_9_of_the_horizon"),
+    ("coherence-window-end", _S, "if times[j + 1] - t_hi > sample_time_tol(times[-1]):",
+     "if times[j + 1] > t_hi:",
+     "tests/test_selection.py::test_order_coherence_window_ends_at_its_sample_within_the_rule"),
+    ("coherence-horizon", _S, "if t_hi - times[-1] > sample_time_tol(times[-1]):",
+     "if t_hi > times[-1]:",
+     "tests/test_selection.py::test_order_coherence_window_ends_at_its_sample_within_the_rule"),
+    ("concatenate-energy-tol", _T, "tol_energy = 1e-9 * energy_scale(u.e0)",
+     "tol_energy = 1e-6 * energy_scale(u.e0)",
+     "tests/test_trajectory.py::"
+     "test_concatenation_energy_window_allows_1e_9_of_the_energy_scale"),
+    ("dt1-delta-floor", "cli.py", "* max(triple.E0, 1e-300))", "* max(triple.E0, 0.0))",
+     "tests/test_cli.py::test_dt1_delta_floor_keeps_an_all_vacuum_datum_runnable"),
+    ("dt2-pass-slack", "cli.py", "min_gap >= 0.5 * eps * (1.0 - 1e-9)",
+     "min_gap >= 0.5 * eps * (1.0 - 1e-3)",
+     "tests/test_cli.py::test_dt2_passes_a_gap_within_1e_9_of_half_the_defect"),
 ]
 
 _TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
