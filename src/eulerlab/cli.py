@@ -446,7 +446,10 @@ def cmd_riemann(cfg: dict, out: str) -> int:
 def cmd_dt1(cfg: dict, out: str) -> int:
     """Stopping-time/reset loop keeping the energy defect below delta."""
     law, triple, specs = _setup(cfg)
-    delta = cfg.get("delta", cfg.get("delta_rel", 0.05) * max(triple.E0, 1e-300))
+    if "delta" in cfg:
+        delta = cfg["delta"]
+    else:
+        delta = cfg.get("delta_rel", 0.05) * max(triple.E0, 1e-300)
     if not math.isfinite(delta):
         raise ConfigError(f"delta must be finite, got {delta}")
     with _config_errors("ensemble ", Exception):

@@ -12,7 +12,7 @@ from eulerlab.fields import DataTriple, FluidState, Grid, integrate_energy
 from eulerlab.riemann import RiemannData, sample_cell_averages, solve_riemann
 from eulerlab.solver import SchemeSpec, run
 from eulerlab.stress import ReynoldsField
-from eulerlab.trajectory import Trajectory, convex_combine
+from eulerlab.trajectory import Trajectory, convex_combine, sample_time_tol
 from eulerlab.dissipative import (TestFunction, certify, compatibility, continuity_residual,
                                   default_dictionary, estimate_reynolds, momentum_residual)
 
@@ -298,6 +298,28 @@ def test_certify_reads_each_sample_once(monkeypatch, with_R):
     for kin, p in per_momentum_call:
         assert 0 < kin <= avg.n_samples and 0 < p <= avg.n_samples
 
+
+
+@pytest.mark.parametrize("t_end", [1.0, 1e3])
+@pytest.mark.parametrize("offset, first, last", [(0.5, 2, 8), (2.0, 1, 9)])
+def test_support_edge_within_the_sample_time_rule_sits_at_the_sample(t_end, offset, first,
+                                                                     last):
+    # time support edges offset x sample_time_tol outside samples 2 and 8:
+    # within the rule they are at those samples, and the residual reads 2..8;
+    # past it the window takes one more sample on each side
+    times = np.linspace(0.0, t_end, 11)
+    traj = constant_traj(grid_1d(8), 1.0, 0.0, times)
+    tol = sample_time_tol(t_end)
+    lo, hi = times[2] - offset * tol, times[8] + offset * tol
+    phi = TestFunction(0.5 * (lo + hi), 0.5 * (hi - lo), (0.0,), (0.4,))
+    read = []
+
+    def pairing(k):
+        read.append(k)
+        return lambda phi, P, G: (0.0, 0.0)
+
+    dissipative_mod._weak_residuals(traj, [phi], pairing)
+    assert read == list(range(first, last + 1))
 
 # -- ensemble averaging -----------------------------------------------------
 

@@ -19,7 +19,7 @@ one mutant is not replayed under the next.
     python tools/mutants.py              # every mutant
     python tools/mutants.py psd-tol ...  # the named ones
 
-A full pass over the 37 mutants took 1 minute 24 seconds on 2 vCPU, each
+A full pass over the 39 mutants took 1 minute 55 seconds on 2 vCPU, each
 killed by its expected killer; running the whole suite for each of 29
 mutants took 9 minutes 22 seconds.
 ``tests/test_mutant_table.py`` checks on every tier-1 run that each row
@@ -143,11 +143,14 @@ MUTANTS = [
     ("coherence-horizon", _S, "if t_hi - times[-1] > sample_time_tol(times[-1]):",
      "if t_hi > times[-1]:",
      "tests/test_selection.py::test_order_coherence_window_ends_at_its_sample_within_the_rule"),
+    ("residual-support-tol", _D, "tol = sample_time_tol(traj.t_end)", "tol = 1e-14",
+     "tests/test_dissipative.py::"
+     "test_support_edge_within_the_sample_time_rule_sits_at_the_sample"),
     ("concatenate-energy-tol", _T, "tol_energy = 1e-9 * energy_scale(u.e0)",
      "tol_energy = 1e-6 * energy_scale(u.e0)",
      "tests/test_trajectory.py::"
      "test_concatenation_energy_window_allows_1e_9_of_the_energy_scale"),
-    ("dt1-delta-floor", "cli.py", "* max(triple.E0, 1e-300))", "* max(triple.E0, 0.0))",
+    ("dt1-delta-floor", "cli.py", "* max(triple.E0, 1e-300)", "* max(triple.E0, 0.0)",
      "tests/test_cli.py::test_dt1_delta_floor_keeps_an_all_vacuum_datum_runnable"),
     ("dt2-pass-slack", "cli.py", "min_gap >= 0.5 * eps * (1.0 - 1e-9)",
      "min_gap >= 0.5 * eps * (1.0 - 1e-3)",
