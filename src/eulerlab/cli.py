@@ -485,7 +485,7 @@ def cmd_dt2(cfg: dict, out: str) -> int:
         cfg, law, DataTriple(base.states[k], float(base.mean_energies[k])), specs,
         cfg["t_end"] - T, "envelope"))[1]
     competitor, order = improve(base, T, cont)
-    threshold, violations = check_order_coherence(competitor, base, order) \
+    threshold, violations = check_order_coherence(competitor, base) \
         if order.relation == "less" else (None, None)
     # witness window where the base energy has not yet dropped below
     # E(T+) - eps/2; the competitor gap must stay >= eps/2 there

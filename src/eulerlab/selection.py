@@ -11,14 +11,13 @@ of an energy-curve difference at each of the 32 rates of ``_RATES``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .eos import GasLaw
 from .fields import energy_scale, rel_l1_distance
-from .trajectory import OrderResult, Trajectory, require_shared, sample_time_tol
+from .trajectory import Trajectory, _local_order, require_shared
 
 __all__ = [
     "CandidateSet",
@@ -228,34 +227,24 @@ def is_absolute_minimizer(candidate: Trajectory, candidates: CandidateSet) -> Mi
     return MinimizerVerdict(ok_all, lowers)
 
 
-def check_order_coherence(less: Trajectory, greater: Trajectory,
-                          order: OrderResult) -> tuple:
-    """Transform-side consequence of a local-order verdict.
+def check_order_coherence(less: Trajectory, greater: Trajectory) -> tuple:
+    """Transform-side consequence of compare_local(less, greater) == "less".
 
-    Given compare_local(less, greater) == "less" with witness window
-    (T, T+delta), computes the rate threshold 2*max(E0)/gap (gap = time
-    integral of the energy difference over the window) above which the
-    transform difference must be negative, and returns the threshold
-    together with any violating rates of ``_RATES``.  The transform
-    starts at T: compare_local found the samples before it equal.
+    On the witness windows k..j (the last sample's window is one unit of
+    constant extension), computes the rate threshold 2*max(E0)/gap (gap =
+    time integral of the energy difference) above which the transform
+    difference must be negative, and returns the threshold together with
+    any violating rates of ``_RATES``.  The transform starts at t_k:
+    compare_local found the samples before it equal.
     """
-    if order.relation != "less" or order.T is None:
-        raise ValueError("coherence check needs a 'less' result with a witness window")
-    require_shared(less, greater)
-    k = less.index_of(order.T)
-    t_hi = order.T + order.delta if math.isfinite(order.delta) else math.inf
-    gap = 0.0
+    relation, k, j = _local_order(less, greater)
+    if relation != "less":
+        raise ValueError(f"coherence check needs a pair in the local order 'less', "
+                         f"got '{relation}'")
     times = less.times
-    n = less.n_samples
-    for j in range(k, n - 1):
-        if times[j + 1] - t_hi > sample_time_tol(times[-1]):
-            break
-        gap += (greater.energy[j] - less.energy[j]) * (times[j + 1] - times[j])
-    if t_hi - times[-1] > sample_time_tol(times[-1]):
-        # witness extends past the horizon: one unit of constant extension
-        gap += (greater.energy[-1] - less.energy[-1]) * 1.0
-    if gap <= 0:
-        raise ValueError("witness window carries no positive energy gap")
+    widths = np.append(np.diff(times), 1.0)
+    # cumsum adds the window terms one by one, in time order
+    gap = np.cumsum((greater.energy[k:j + 1] - less.energy[k:j + 1]) * widths[k:j + 1])[-1]
     threshold = 2.0 * max(less.e0, greater.e0) / gap
     gaps = _rate_gaps(times, less.energy[k:] - greater.energy[k:], k)
     violations = [float(lam) for lam, g in zip(_RATES, gaps) if lam >= threshold and g >= 0]

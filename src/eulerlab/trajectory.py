@@ -12,10 +12,10 @@ sit above ``energy[0]`` (an instantaneous dissipation jump at t = 0).
 Beyond the final sample every quantity extends as a constant, which
 makes all exponentially weighted time integrals closed-form.
 
-Invariants enforced at construction: finite sample times from 0, strictly
-increasing; E non-increasing across knots; and E(t+) at least the mean
-(integrated) energy of the fields at every sample time, up to a relative
-tolerance.
+Invariants enforced at construction: sample times from 0, strictly
+increasing (even with ``check=False``) and finite; E non-increasing across
+knots; and E(t+) at least the mean (integrated) energy of the fields at
+every sample time, up to a relative tolerance.
 """
 
 from __future__ import annotations
@@ -76,6 +76,15 @@ class Trajectory:
             raise ValueError(f"fields {rho.shape}, {m.shape} are not samples of {grid}")
         times = np.array(times, dtype=float)
         energy = np.array(energy, dtype=float)
+        # the sample structure, which even an unchecked trajectory needs
+        if times.ndim != 1 or not 0 < len(times) == len(rho) == len(energy):
+            raise ValueError("times, states and energy must have equal positive length")
+        if check and not np.all(np.isfinite(times)):
+            raise ValueError(f"sample times must be finite, got {times[~np.isfinite(times)][0]}")
+        if abs(times[0]) > sample_time_tol(times[-1]):
+            raise ValueError("sample times must start at 0")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("sample times must be strictly increasing")
         for a in (times, energy, rho, m):
             a.setflags(write=False)
         if e0 is None:
@@ -94,14 +103,6 @@ class Trajectory:
 
     def _validate(self) -> None:
         t, E = self.times, self.energy
-        if t.ndim != 1 or len(t) < 1 or len(t) != len(self.rho) or len(t) != len(E):
-            raise ValueError("times, states and energy must have equal positive length")
-        if not np.all(np.isfinite(t)):
-            raise ValueError(f"sample times must be finite, got {t[~np.isfinite(t)][0]}")
-        if abs(t[0]) > sample_time_tol(t[-1]):
-            raise ValueError("sample times must start at 0")
-        if len(t) > 1 and np.any(np.diff(t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
         if not np.all(np.isfinite(E)) or not math.isfinite(self.e0):
             raise ValueError("energy curve must be finite")
         tol = 1e-9 * energy_scale(self.e0)
@@ -150,18 +151,6 @@ class Trajectory:
     def defects(self) -> np.ndarray:
         """Raw energy defect E(t_k+) - mean energy at every sample time."""
         return self.energy - self.mean_energies
-
-    def same_content(self, other: "Trajectory") -> bool:
-        tol = 1e-12
-        if self.n_samples != other.n_samples or self.grid.counts != other.grid.counts:
-            return False
-        if np.max(np.abs(self.times - other.times)) > tol:
-            return False
-        if abs(self.e0 - other.e0) > tol * energy_scale(self.e0):
-            return False
-        if np.max(np.abs(self.energy - other.energy)) > tol * energy_scale(self.e0):
-            return False
-        return bool(np.all(rel_l1_distance(self.rho, self.m, other.rho, other.m) <= tol))
 
 
 def require_shared(u, v, times: bool = True) -> None:
@@ -258,10 +247,11 @@ def convex_combine(u: Trajectory, v: Trajectory, lam: float) -> tuple:
 
 # -- order relations --------------------------------------------------
 
-def compare_local(u: Trajectory, v: Trajectory) -> OrderResult:
-    """Local (prefix) order: trajectories must agree in fields and energy
-    up to some sample time T and then separate strictly in energy on at
-    least one full sample window (T, T + delta]."""
+def _local_order(u: Trajectory, v: Trajectory) -> tuple:
+    """The local order as (relation, k, j): for "less" and "greater" the
+    trajectories agree up to sample k and separate strictly in energy on
+    the windows k..j (j = n - 1 runs on past the horizon); k and j are None
+    for "equal" and "incomparable"."""
     scale = energy_scale(u.e0, v.e0)
     tol_eq = 1e-9
     tol_strict = 1e-6 * scale
@@ -270,7 +260,7 @@ def compare_local(u: Trajectory, v: Trajectory) -> OrderResult:
     n = u.n_samples
     fields_eq = rel_l1_distance(u.rho, u.m, v.rho, v.m) <= tol_eq
     if not fields_eq[0] or abs(u.e0 - v.e0) > tol_eq_energy:
-        return OrderResult("incomparable")
+        return "incomparable", None, None
     k = 0
     while (k < n - 1 and abs(u.energy[k] - v.energy[k]) <= tol_eq_energy
            and fields_eq[k + 1]):
@@ -278,7 +268,7 @@ def compare_local(u: Trajectory, v: Trajectory) -> OrderResult:
     # prefix [0, t_k] agrees; inspect the energy window (t_k, t_{k+1}]
     gap = u.energy[k] - v.energy[k]
     if abs(gap) <= tol_eq_energy and k == n - 1:
-        return OrderResult("equal")
+        return "equal", None, None
     if gap < -tol_strict:
         lead, lag = u, v
         relation = "less"
@@ -286,12 +276,22 @@ def compare_local(u: Trajectory, v: Trajectory) -> OrderResult:
         lead, lag = v, u
         relation = "greater"
     else:
-        return OrderResult("incomparable")
+        return "incomparable", None, None
     j = k
     while j < n - 1 and lead.energy[j + 1] < lag.energy[j + 1] - tol_strict:
         j += 1
+    return relation, k, j
+
+
+def compare_local(u: Trajectory, v: Trajectory) -> OrderResult:
+    """Local (prefix) order: trajectories must agree in fields and energy
+    up to some sample time T and then separate strictly in energy on at
+    least one full sample window (T, T + delta]."""
+    relation, k, j = _local_order(u, v)
+    if k is None:
+        return OrderResult(relation)
     T = float(u.times[k])
-    delta = math.inf if j == n - 1 else float(u.times[j + 1] - u.times[k])
+    delta = math.inf if j == u.n_samples - 1 else float(u.times[j + 1] - u.times[k])
     return OrderResult(relation, T=T, delta=delta)
 
 
@@ -359,7 +359,7 @@ def load_bundle(dirpath: str, check: bool = True) -> Trajectory:
     meta.json bit for bit, as :func:`save_bundle` writes it.
     With check=False invariant violations (for instance a hand-edited
     increasing energy curve) are tolerated so diagnostics can report
-    them instead of refusing to look.
+    them instead of refusing to look; the times must still increase from 0.
     """
     with open(os.path.join(dirpath, "meta.json")) as f:
         meta = json.load(f)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from eulerlab.fields import rel_l1_distance
+from eulerlab.fields import energy_scale, rel_l1_distance
 from eulerlab.selection import (F1, F2, _f2_integrand, _RATES, exp_weights,
                                 laplace_energy)
 from eulerlab.trajectory import (OrderResult, Trajectory, concatenate, require_shared,
@@ -29,6 +29,22 @@ def _functional(traj: Trajectory, variant: str | None, q: float | None) -> float
 
 
 # -- order relations --------------------------------------------------
+
+def same_content(a: Trajectory, b: Trajectory) -> bool:
+    """a and b agree within 1e-12: in sample count, grid, sample times,
+    initial energy and energy curve (relative to a's energy scale) and in
+    the fields (relative L1)."""
+    tol = 1e-12
+    if a.n_samples != b.n_samples or a.grid.counts != b.grid.counts:
+        return False
+    if np.max(np.abs(a.times - b.times)) > tol:
+        return False
+    if abs(a.e0 - b.e0) > tol * energy_scale(a.e0):
+        return False
+    if np.max(np.abs(a.energy - b.energy)) > tol * energy_scale(a.e0):
+        return False
+    return bool(np.all(rel_l1_distance(a.rho, a.m, b.rho, b.m) <= tol))
+
 
 def _full_energy_curves(u: Trajectory, v: Trajectory) -> tuple:
     require_shared(u, v)

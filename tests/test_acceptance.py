@@ -251,7 +251,7 @@ def test_criterion_06_dt2_improvement():
         assert eps > 1e-6 * max(1.0, traj.e0)
         competitor, order = improve(traj, T, cont)
         assert order.relation == "less"
-        _LESS_PAIRS.append((competitor, traj, order))
+        _LESS_PAIRS.append((competitor, traj))
         # witness window of the halving bound: base energy still above
         # E(T+) - eps/2
         e_plus = traj.energy[k]
@@ -397,13 +397,12 @@ def test_criterion_10_order_coherence():
         if not np.all(vals[k:] < u.energy[k:] - 1e-6):
             continue
         lower = Trajectory(grid, LAW2, times, u.states, vals, e0=u.e0, check=False)
-        order = compare_local(lower, u)
-        if order.relation == "less":
-            pairs.append((lower, u, order))
+        if compare_local(lower, u).relation == "less":
+            pairs.append((lower, u))
     assert len(pairs) >= 40
     total_checked = 0
-    for less, greater, order in pairs:
-        threshold, violations = check_order_coherence(less, greater, order)
+    for less, greater in pairs:
+        threshold, violations = check_order_coherence(less, greater)
         assert violations == [], (threshold, violations)
         total_checked += sum(1 for lam in _RATES if lam >= threshold)
     assert total_checked > 0

@@ -265,6 +265,40 @@ def test_diagnose_malformed_bundle(tmp_path, capsys):
     assert "malformed bundle" in capsys.readouterr().err
 
 
+def _swap_sample_times_3_and_4(bundle):
+    # meta.json and energy.csv agree bit for bit, on times that decrease
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["times"][3], meta["times"][4] = meta["times"][4], meta["times"][3]
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    lines = (bundle / "energy.csv").read_text().splitlines()
+    (t3, e3), (t4, e4) = lines[4].split(","), lines[5].split(",")
+    lines[4], lines[5] = f"{t4},{e3}", f"{t3},{e4}"
+    (bundle / "energy.csv").write_text("\n".join(lines) + "\n")
+
+
+def _drop_every_sample(bundle):
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["times"] = []
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    (bundle / "energy.csv").write_text("t,E\n")
+    for state in bundle.glob("state_*.csv"):
+        state.unlink()
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_swap_sample_times_3_and_4, "sample times must be strictly increasing"),
+    (_drop_every_sample, "times, states and energy must have equal positive length"),
+], ids=["swapped-times", "no-sample"])
+def test_diagnose_bundle_without_increasing_times_is_malformed(tmp_path, capsys, edit, reason):
+    # diagnose reads bundles unchecked, but not without their sample structure
+    bundle = _run_bundle(tmp_path)
+    edit(bundle)
+    capsys.readouterr()
+    assert main(_diagnose_argv(tmp_path, bundle=str(bundle))) == 2
+    assert capsys.readouterr().err == f"error: malformed bundle {bundle}: {reason}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _set_energy_time(bundle, k, text):
     """Write ``text`` as the ``t`` entry of data row ``k + 1`` of energy.csv."""
     lines = (bundle / "energy.csv").read_text().splitlines()

@@ -54,8 +54,6 @@ UNSURVEYED = {
     ("solver.py", "if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * t_end:"),
     ("solver.py", "self._specs, self._tol = specs, 1e-14 * t_end"),
     ("svgplot.py", "edge = lo * (1.0 - 1e-15)"),
-    ("trajectory.py", "tol = 1e-12"),
-    ("trajectory.py", "tol_eq = 1e-9"),
 }
 
 

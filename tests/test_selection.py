@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from eulerlab.eos import GasLaw
 from eulerlab.fields import FluidState, Grid, integrate_energies, integrate_energy
-from eulerlab.trajectory import OrderResult, Trajectory, compare_local, convex_combine, shift
+from eulerlab.trajectory import Trajectory, compare_local, convex_combine, shift
 from eulerlab.selection import (CandidateSet, F1, F2, check_order_coherence,
                                 _RATES, default_q, is_absolute_minimizer,
                                 laplace_energy, select)
@@ -488,9 +488,8 @@ def test_order_coherence_on_local_less():
     lo_vals = np.full(9, 3.0)
     lo_vals[4:] = 1.5
     lo = Trajectory(g, LAW2, times, [s] * 9, lo_vals)
-    order = compare_local(lo, hi)
-    assert order.relation == "less"
-    threshold, violations = check_order_coherence(lo, hi, order)
+    assert compare_local(lo, hi).relation == "less"
+    threshold, violations = check_order_coherence(lo, hi)
     assert violations == []
     assert any(lam >= threshold for lam in _RATES)  # the check was not vacuous
 
@@ -506,7 +505,7 @@ def test_order_coherence_ignores_the_prefix_before_T():
     hi = Trajectory(g, LAW2, times, [s] * 9, np.full(9, 3.0))
     order = compare_local(lo, hi)
     assert (order.relation, order.T) == ("less", 1.0)
-    threshold, violations = check_order_coherence(lo, hi, order)
+    threshold, violations = check_order_coherence(lo, hi)
     assert violations == []
     assert sum(lam >= threshold for lam in _RATES) >= 10
 
@@ -516,20 +515,45 @@ def test_order_coherence_ignores_the_prefix_before_T():
     (0.8, 12, 3, 11, "above"),  # T + delta passes the last sample by 1.1e-16
 ])
 def test_order_coherence_window_ends_at_its_sample_within_the_rule(t_end, n, k, end, rounds):
-    # the witness window (T, T + delta] runs from sample k to sample end; its
-    # end is that sample time within the sample-time rule, so the gap is
-    # 1 on every window inside it and nothing past it: no window is
-    # dropped, and no unit of constant extension (where the greater curve
-    # has dropped below) is added
+    # compare_local's witness window runs from sample k to sample end, where
+    # hi drops; T + delta misses times[end] by round-off, but the check reads
+    # the window as the sample indices k..end - 1, so the gap is 1 on each of
+    # those windows and nothing past them: no window is dropped, and no unit
+    # of constant extension (where the greater curve has dropped below) is
+    # added
     g = unit_grid()
     s = FluidState.constant(g, 1.0, 0.0)  # mean energy 1
     times = (t_end / (n - 1)) * np.arange(n)
-    T, delta = times[k], times[end] - times[k]
-    assert (T + delta > times[end]) == (rounds == "above") and T + delta != times[end]
     hi = Trajectory(g, LAW2, times, [s] * n, np.where(times < times[end], 3.0, 1.5))
-    lo = Trajectory(g, LAW2, times, [s] * n, np.where(times < T, 3.0, 2.0))
-    threshold, _ = check_order_coherence(lo, hi, OrderResult("less", T=T, delta=delta))
+    lo = Trajectory(g, LAW2, times, [s] * n, np.where(times < times[k], 3.0, 2.0))
+    order = compare_local(lo, hi)
+    assert (order.relation, order.T) == ("less", times[k])
+    t_hi = order.T + order.delta
+    assert (t_hi > times[end]) == (rounds == "above") and t_hi != times[end]
+    gap = 0.0
+    for i in range(k, end):
+        gap += (3.0 - 2.0) * (times[i + 1] - times[i])
+    threshold, _ = check_order_coherence(lo, hi)
+    assert threshold == 2.0 * 3.0 / gap
     assert threshold == pytest.approx(2.0 * 3.0 / (times[end] - times[k]), rel=1e-12)
+
+
+def test_order_coherence_window_to_the_horizon_takes_one_unit_of_extension():
+    # lo stays 1 below hi from sample 3 on, so the witness window runs past
+    # the horizon: the gap sums the windows from sample 3 and one unit of
+    # constant extension beyond the last sample
+    g = unit_grid()
+    s = FluidState.constant(g, 1.0, 0.0)  # mean energy 1
+    times = np.linspace(0.0, 2.0, 9)
+    hi = Trajectory(g, LAW2, times, [s] * 9, np.full(9, 3.0))
+    lo = Trajectory(g, LAW2, times, [s] * 9, np.where(times < times[3], 3.0, 2.0))
+    assert compare_local(lo, hi).delta == math.inf
+    gap = 0.0
+    for i in range(3, 8):
+        gap += (3.0 - 2.0) * (times[i + 1] - times[i])
+    gap += (3.0 - 2.0) * 1.0
+    threshold, violations = check_order_coherence(lo, hi)
+    assert threshold == 2.0 * 3.0 / gap and violations == []
 
 
 def test_order_coherence_randomized_corpus():
@@ -546,11 +570,10 @@ def test_order_coherence_randomized_corpus():
         if np.any(vals[k:] >= u.energy[k:] - 1e-6):
             continue
         lower = Trajectory(u.grid, u.law, u.times, u.states, vals, e0=u.e0, check=False)
-        order = compare_local(lower, u)
-        if order.relation != "less":
+        if compare_local(lower, u).relation != "less":
             continue
         checked += 1
-        _, violations = check_order_coherence(lower, u, order)
+        _, violations = check_order_coherence(lower, u)
         assert violations == []
     assert checked >= 10
 
@@ -686,9 +709,8 @@ def test_order_coherence_on_generated_less_pairs(case):
     members, _ = case
     for u in members:
         for v in members:
-            order = compare_local(u, v)
-            if order.relation == "less":
-                _, violations = check_order_coherence(u, v, order)
+            if compare_local(u, v).relation == "less":
+                _, violations = check_order_coherence(u, v)
                 assert violations == []
 
 
@@ -717,11 +739,20 @@ def test_absolute_minimizer_needs_a_member():
         is_absolute_minimizer(outsider, CandidateSet([a]))
 
 
-@pytest.mark.parametrize("order, message", [
-    (OrderResult("equal"), "needs a 'less' result with a witness window"),
-    (OrderResult("less", T=0.0, delta=0.5), "carries no positive energy gap"),
-], ids=["not-less", "no-gap"])
-def test_order_coherence_rejects_order_without_witness_gap(order, message):
-    a = curve_traj([0.0, 0.5, 1.0], [3.0, 3.0, 3.0])
-    with pytest.raises(ValueError, match=message):
-        check_order_coherence(a, a, order)
+def _not_less_pairs():
+    # sample 1 on: 5e-7 below, within the strict tolerance 1e-6 * scale (scale 3)
+    # and beyond the equality tolerance 1e-9 * scale; a caller-supplied
+    # "less" order with T 0.5 and delta inf once took this pair to the
+    # threshold 8.0e6 with no violations
+    near = curve_traj([0.0, 0.5, 1.0], [3.0, 3.0 - 5e-7, 3.0 - 5e-7], e0=3.0)
+    a = curve_traj([0.0, 0.5, 1.0], [3.0, 3.0, 3.0], e0=3.0)
+    lower = curve_traj([0.0, 0.5, 1.0], [3.0, 2.0, 2.0], e0=3.0)
+    return {"incomparable": (near, a), "equal": (a, a), "greater": (a, lower)}
+
+
+@pytest.mark.parametrize("relation", ["incomparable", "equal", "greater"])
+def test_order_coherence_rejects_a_pair_that_is_not_less(relation):
+    u, v = _not_less_pairs()[relation]
+    assert compare_local(u, v).relation == relation
+    with pytest.raises(ValueError, match=f"local order 'less', got '{relation}'"):
+        check_order_coherence(u, v)

@@ -11,11 +11,11 @@ from eulerlab.eos import GasLaw
 from eulerlab.fields import DataTriple, FluidState, Grid, integrate_energies, integrate_energy
 from eulerlab.selection import F1, F2, CandidateSet, check_order_coherence
 from eulerlab.solver import SchemeSpec, run
-from eulerlab.trajectory import (OrderResult, Trajectory, compare_local, concatenate,
+from eulerlab.trajectory import (Trajectory, compare_local, concatenate,
                                  convex_combine, defect_reset, improve, load_bundle,
                                  require_shared, save_bundle, shift, stopping_time)
 from paper_checks import (check_shift_identity, compare_admissible, min_energy_merge,
-                          weighted_norm)
+                          same_content, weighted_norm)
 
 LAW2 = GasLaw(a=1.0, gamma=2.0)
 
@@ -111,6 +111,27 @@ def test_rejects_non_finite_times(bad, where):
         Trajectory(g, LAW2, times, [s] * 3, [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("times, message", [
+    ([0.0, 1.0, 0.5], "strictly increasing"),
+    ([0.5, 1.0, 1.5], "must start at 0"),
+    ([], "equal positive length"),
+], ids=["swapped", "late-start", "no-sample"])
+def test_unchecked_trajectory_still_needs_increasing_times_from_0(times, message):
+    # check=False waives the invariants a diagnosis reports, not the sample
+    # structure every reading of the curve relies on
+    g = unit_grid()
+
+    def unchecked(times):
+        n = len(times)
+        fields = (np.ones((n,) + g.counts), np.zeros((n,) + g.counts + (1,)))
+        return Trajectory(g, LAW2, times, fields, np.full(n, 2.0), e0=2.0, check=False)
+
+    with pytest.raises(ValueError, match=message):
+        unchecked(times)
+    # a non-finite time is still left to the diagnosis
+    assert math.isnan(unchecked([0.0, math.nan, 1.0]).times[1])
+
+
 def test_stacked_fields_kept_without_copy_and_read_only():
     rng = np.random.default_rng(2)
     g = Grid(counts=(4, 3), lower=(0.0, 0.0), upper=(1.0, 1.0))
@@ -177,7 +198,7 @@ def test_weighted_norm_q_range():
 def test_shift_identity_at_zero():
     rng = np.random.default_rng(3)
     traj = random_step_traj(rng)
-    assert shift(traj, 0.0).same_content(traj)
+    assert same_content(shift(traj, 0.0), traj)
 
 
 def test_shift_constant_keeps_values():
@@ -227,7 +248,7 @@ def test_shift_semigroup():
     traj = random_step_traj(rng, n_times=9, t_end=2.0)
     a = shift(shift(traj, 0.5), 0.75)
     b = shift(traj, 1.25)
-    assert a.same_content(b)
+    assert same_content(a, b)
 
 
 def test_shift_initial_energy_is_left_value():
@@ -242,7 +263,7 @@ def test_self_concatenation_is_identity():
     traj = random_step_traj(rng, n_times=7)
     T = float(traj.times[3])
     joined = concatenate(traj, shift(traj, T), T)
-    assert joined.same_content(traj)
+    assert same_content(joined, traj)
 
 
 def test_concatenation_drops_energy_to_mean():
@@ -318,7 +339,7 @@ def test_concatenation_associativity():
     w = shift(traj, 1.5)
     left = concatenate(concatenate(traj, v, 0.5), w, 1.5)
     right = concatenate(traj, concatenate(v, shift(v, 1.0), 1.0), 0.5)
-    assert left.same_content(right)
+    assert same_content(left, right)
 
 
 # -- convex combination ---------------------------------------------------
@@ -328,7 +349,7 @@ def test_convex_combine_lambda_one_returns_u():
     u = random_step_traj(rng)
     v = random_step_traj(rng)
     comb, stress = convex_combine(u, v, 1.0)
-    assert comb.same_content(u)
+    assert same_content(comb, u)
     assert stress.norm_scale() == 0.0
 
 
@@ -383,7 +404,7 @@ def _different_grid_calls():
         lambda: estimate_reynolds([u, v]),
         lambda: CandidateSet([u, v]),
         lambda: concatenate(u, v, 1.0),
-        lambda: check_order_coherence(u, v, OrderResult("less", T=0.0, delta=1.0)),
+        lambda: check_order_coherence(u, v),
     ]
 
 
@@ -447,6 +468,23 @@ def test_compare_local_witness_window_closes():
     assert res.delta == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("factor, relation", [(0.5, "equal"), (2.0, "incomparable")])
+def test_compare_local_equality_is_1e_9_of_the_energy_scale_and_relative_l1(factor, relation):
+    # from sample 1 on, one pair differs by factor * 1e-9 * scale in energy
+    # (scale = max(1, |e0|) = 4) and another by factor * 1e-9 in the relative
+    # L1 distance of the fields: within the equality tolerance each pair is
+    # equal, beyond it (and under the strict 1e-6 * scale) incomparable
+    g = unit_grid()
+    s = FluidState.constant(g, 1.0, 0.0)
+    moved = FluidState.constant(g, 1.0 + factor * 1e-9, 0.0)
+    times = [0.0, 0.5, 1.0]
+    u = Trajectory(g, LAW2, times, [s] * 3, [3.0] * 3, e0=4.0)
+    lower = Trajectory(g, LAW2, times, [s] * 3, [3.0] + [3.0 - factor * 4e-9] * 2, e0=4.0)
+    apart = Trajectory(g, LAW2, times, [s, moved, moved], [3.0] * 3, e0=4.0)
+    assert compare_local(u, lower).relation == relation
+    assert compare_local(u, apart).relation == relation
+
+
 @pytest.mark.parametrize("gap, relation", [(1e-5, "less"), (0.5e-6, "incomparable")])
 def test_compare_local_strict_gap_is_1e_6_of_the_energy_scale(gap, relation):
     # after an equal prefix, u drops below v by gap * scale on the last
@@ -469,8 +507,8 @@ def test_compare_local_strict_gap_is_1e_6_of_the_energy_scale(gap, relation):
 def test_same_content_tells_each_difference(other):
     same = dict(times=[0.0, 0.5, 1.0], energy=np.full(3, 2.0), e0=3.0)
     base, changed = constant_traj(**same), constant_traj(**{**same, **other})
-    assert base.same_content(base)
-    assert not base.same_content(changed) and not changed.same_content(base)
+    assert same_content(base, base)
+    assert not same_content(base, changed) and not same_content(changed, base)
 
 
 def test_local_order_irreflexive_asymmetric():
@@ -531,7 +569,7 @@ def test_defect_reset_identity_when_no_defect():
     s = FluidState.constant(g, 1.0, 0.0)
     traj = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [1.0, 1.0, 1.0])
     out = defect_reset(traj, 0.5, shift(traj, 0.5))
-    assert out.same_content(traj)
+    assert same_content(out, traj)
 
 
 def test_nan_state_rejected():
@@ -785,7 +823,7 @@ def test_concatenation_associative_on_generated_trajectories(data):
     T1, T2 = float(u.times[k1]), float(v.times[k2])
     left = concatenate(concatenate(u, v, T1), w, T1 + T2)
     right = concatenate(u, concatenate(v, w, T2), T1)
-    assert left.same_content(right)
+    assert same_content(left, right)
 
 
 @settings(max_examples=60, deadline=None)
