@@ -323,14 +323,12 @@ def defect_reset(traj: Trajectory, T: float, continuation: Trajectory) -> Trajec
 
 
 def improve(traj: Trajectory, T: float, continuation: Trajectory) -> tuple:
-    """Competitor strictly below traj in the local order, built by
-    resetting the positive defect at T; returns it with the comparison."""
-    k = traj.index_of(T)
-    eps = float(traj.defects()[k])
-    if eps <= 1e-12 * energy_scale(traj.e0):
-        raise ValueError(f"nothing to improve: defect at t={T} is {eps:.3e}")
+    """Competitor strictly below traj in the local order, built by resetting
+    the defect at T; returns it with the order, or raises if not "less"."""
     competitor = defect_reset(traj, T, continuation)
     order = compare_local(competitor, traj)
+    if order.relation != "less":
+        raise ValueError(f"nothing to improve: the reset at t={T} is {order.relation}")
     return competitor, order
 
 

@@ -169,6 +169,17 @@ def test_diagnose_pass_and_fail(tmp_path):
     assert "energy_monotone" in failed
 
 
+def test_diagnose_certifies_a_bundle_far_from_the_origin(tmp_path):
+    # at 1e6 the test-function supports round by about 1e-10, far above 1e-12
+    doc = run_config(tmp_path, grid={"counts": [12], "lower": [1e6], "upper": [1e6 + 2.0],
+                                     "boundary": ["reflective"]})
+    bundle = tmp_path / "bundle"
+    assert main(["run", "--config", write_config(tmp_path, "r.json", doc),
+                 "--out", str(bundle)]) == 0
+    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(bundle)})
+    assert main(["diagnose", "--config", diag, "--out", str(tmp_path / "ok")]) == 0
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -653,6 +664,26 @@ def test_dt2_needs_a_defect_above_1e_6_of_the_energy_scale(tmp_path, monkeypatch
     else:
         assert main(argv) == 2
         assert "base trajectory has no defect to improve" in capsys.readouterr().err
+
+
+def test_dt2_reset_gap_within_rounding_of_the_strict_gap_has_no_defect(tmp_path, monkeypatch,
+                                                                       capsys):
+    # the base average's defect (scale 4) passes the 1e-6 * scale pre-check by
+    # 2e-9, and the continuation's average starts 3e-9 above the mean energy,
+    # within the reset's 1e-9 * scale: the reset gap sits 1e-9 inside the
+    # local order's strict gap, so the order is "incomparable", not "less"
+    import eulerlab.cli as cli_mod
+    g = Grid(counts=(8,), lower=(0.0,), upper=(1.0,))
+    s = FluidState.constant(g, 1.0, 0.0)  # mean energy 1
+    base = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [1.0 + 4e-6 + 2e-9] * 3, e0=4.0)
+    cont = Trajectory(g, LAW2, base.times, [s] * 3, [1.0 + 3e-9] * 3)
+    averages = [(None, cont), (None, base)]
+    monkeypatch.setattr(cli_mod, "estimate_reynolds", lambda members: averages.pop())
+    doc = run_config(tmp_path, extra={"kind": "dt2-demo", "nu_list": [1.0, 0.1]})
+    assert main(["dt2-demo", "--config", write_config(tmp_path, "c.json", doc),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "base trajectory has no defect to improve" in capsys.readouterr().err
+    assert not averages
 
 
 @pytest.mark.parametrize("slack, passed", [(0.5e-9, True), (2e-9, False)])

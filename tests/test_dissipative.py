@@ -693,9 +693,32 @@ def test_test_function_support_in_the_boundary_cell_rejected():
         phi.check_interior(grid_1d(16), 1.0)
 
 
-def test_place_centers_rejects_a_bump_wider_than_the_interval():
-    with pytest.raises(ValueError, match="does not fit inside the interval"):
-        dissipative_mod._place_centers(0.0, 1.0, 0.6, 2)
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("factor, passes", [(0.5, True), (2.0, False)])
+def test_support_edge_may_miss_the_margin_by_4_ulps(side, factor, passes):
+    # on [1e6, 1e6 + 2] with h = 0.125 the slack is 4 ulps of 1e6 + 2, 2^-31;
+    # the support reaches into the boundary cell by factor * slack, exactly
+    g = grid_1d(16, 1e6, 1e6 + 2.0)
+    slack = 4.0 * np.spacing(1e6 + 2.0)
+    edge = 1e6 + 0.125 - factor * slack if side == "lower" else 1e6 + 1.875 + factor * slack
+    c = edge + 0.25 if side == "lower" else edge - 0.25
+    phi = TestFunction(0.5, 0.25, (c,), (0.25,))
+    assert (c - 0.25 if side == "lower" else c + 0.25) == edge
+    if passes:
+        phi.check_interior(g, 1.0)
+    else:
+        with pytest.raises(ValueError, match="avoid the boundary by one cell"):
+            phi.check_interior(g, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(offset=st.floats(-1e8, 1e8), width=st.floats(1e-3, 123.0),
+       n=st.integers(3, 1000))
+def test_dictionary_supports_are_interior_at_any_offset(offset, width, n):
+    # the support edges round with the coordinates, not with the cell
+    g = grid_1d(n, offset, offset + width)
+    for phi in default_dictionary(g, 1.0):
+        phi.check_interior(g, 1.0)  # must not raise
 
 
 def test_estimate_reynolds_of_no_member_rejected():

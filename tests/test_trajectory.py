@@ -626,20 +626,36 @@ def test_improve_rejects_zero_defect():
         improve(traj, 0.5, shift(traj, 0.5))
 
 
-@pytest.mark.parametrize("defect, improves", [(2e-12, False), (8e-12, True)])
-def test_improve_threshold_scales_with_e0(defect, improves):
-    # "nothing to improve" below 1e-12 * max(1, |E0|), which is 4e-12 at E0 = 4
+@pytest.mark.parametrize("defect, improves", [(2e-6, False), (8e-6, True)])
+def test_improve_needs_the_local_order_strict_gap(defect, improves):
+    # the reset lowers E(T+) by the defect; "less" needs more than the local
+    # order's strict gap 1e-6 * max(1, |E0|), which is 4e-6 at E0 = 4
     g = unit_grid()
     s = FluidState.constant(g, 1.0, 0.0)
     mean = float(integrate_energy(s, LAW2))
     traj = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [mean + defect] * 3, e0=4.0)
     cont = Trajectory(g, LAW2, [0.0, 0.5], [s] * 2, [mean] * 2)
     if improves:
-        competitor, _ = improve(traj, 0.5, cont)
-        assert competitor.defects()[1] == 0.0
+        competitor, order = improve(traj, 0.5, cont)
+        assert order.relation == "less" and competitor.defects()[1] == 0.0
     else:
-        with pytest.raises(ValueError, match="nothing to improve"):
+        with pytest.raises(ValueError, match="nothing to improve: .* incomparable"):
             improve(traj, 0.5, cont)
+
+
+@pytest.mark.parametrize("eps, relation", [(5e-10, "equal"), (5e-9, "incomparable"),
+                                           (5e-7, "incomparable")])
+def test_improve_refuses_a_reset_the_local_order_does_not_call_less(eps, relation):
+    # E0 = mean + eps on a constant state (scale about 1): the reset is
+    # within the equality tolerance 1e-9 or under the strict gap 1e-6
+    g = unit_grid()
+    s = FluidState.constant(g, 1.0, 0.0)
+    mean = float(integrate_energy(s, LAW2))
+    traj = Trajectory(g, LAW2, [0.0, 0.5, 1.0], [s] * 3, [mean + eps] * 3)
+    cont = Trajectory(g, LAW2, [0.0, 0.5], [s] * 2, [mean] * 2)
+    assert compare_local(defect_reset(traj, 0.5, cont), traj).relation == relation
+    with pytest.raises(ValueError, match=f"nothing to improve: the reset at t=0.5 is {relation}"):
+        improve(traj, 0.5, cont)
 
 
 def test_improve_on_solver_reset_continuation():

@@ -19,7 +19,7 @@ one mutant is not replayed under the next.
     python tools/mutants.py              # every mutant
     python tools/mutants.py psd-tol ...  # the named ones
 
-A full pass over the 38 mutants took 1 minute 26 seconds on 2 vCPU, each
+A full pass over the 38 mutants took 1 minute 21 seconds on 2 vCPU, each
 killed by its expected killer; running the whole suite for each of 29
 mutants took 9 minutes 22 seconds.
 ``tests/test_mutant_table.py`` checks on every tier-1 run that each row
@@ -86,9 +86,6 @@ MUTANTS = [
      "vacuum = 0.0", "tests/test_cli.py::test_diagnose_vacuum_consistency_edge"),
     ("stopping-strict", _T, "over = traj.defects() > delta", "over = traj.defects() >= delta",
      "tests/test_trajectory.py::test_stopping_time_needs_a_defect_strictly_above_delta"),
-    ("improve-threshold", _T, "if eps <= 1e-12 * energy_scale(traj.e0):",
-     "if eps <= 1e-6 * energy_scale(traj.e0):",
-     "tests/test_trajectory.py::test_improve_threshold_scales_with_e0"),
     ("step-cfl-slack", "solver.py", "ok = dt <= dt_max * (1.0 + 1e-12)",
      "ok = dt <= dt_max * (1.0 + 1e-3)",
      "tests/test_stacked_run.py::test_step_admits_the_bound_and_rejects_a_dt_just_above_it"),
@@ -152,6 +149,10 @@ MUTANTS = [
     ("local-equal-tol", _T, "tol_eq = 1e-9", "tol_eq = 1e-8",
      "tests/test_trajectory.py::"
      "test_compare_local_equality_is_1e_9_of_the_energy_scale_and_relative_l1"),
+    ("support-slack", _D,
+     "slack = 4.0 * math.ulp(max(abs(grid.lower[k]), abs(grid.upper[k])))",
+     "slack = 16.0 * math.ulp(max(abs(grid.lower[k]), abs(grid.upper[k])))",
+     "tests/test_dissipative.py::test_support_edge_may_miss_the_margin_by_4_ulps"),
 ]
 
 _TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
