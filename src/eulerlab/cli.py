@@ -406,18 +406,36 @@ def cmd_select(cfg: dict, out: str) -> int:
 
 
 # profile rows sampled and written per slice: a few thousand keep the
-# sampler's and the writer's temporaries small beside the whole ``xs``
+# points, the sampler's temporaries and the writer's blocks small
 _PROFILE_ROWS = 4096
+
+
+def _points(lo: float, hi: float, num: int, start: int, stop: int) -> np.ndarray:
+    """``np.linspace(lo, hi, num)[start:stop]`` for ``num >= 2``, by the
+    same float64 operations as linspace, so every point has its bits."""
+    lo, hi = float(lo), float(hi)  # as linspace casts integer ends
+    x = np.arange(start, stop, dtype=float)
+    delta = hi - lo
+    step = delta / (num - 1)
+    if step == 0:  # a subnormal width: linspace divides before it scales
+        x /= num - 1
+        x *= delta
+    else:
+        x *= step
+    x += lo
+    if stop == num:
+        x[-1] = hi
+    return x
 
 
 def cmd_riemann(cfg: dict, out: str) -> int:
     """Exact solution: ``profile.csv`` of (x, rho, u) at ``samples`` points
     of ``np.linspace(x_min, x_max, samples)`` at ``time``, and ``star.json``.
 
-    The points are built whole, so their bits do not depend on the
-    slicing; the profile is sampled and written ``_PROFILE_ROWS`` rows at
-    a time.  ``sample_array`` is elementwise, so every row has the bits
-    of one whole-profile call, in bounded memory.
+    The profile is built, sampled and written ``_PROFILE_ROWS`` rows at a
+    time: :func:`_points` gives each slice the bits of the whole linspace,
+    and ``sample_array`` is elementwise, so every row has the bits of one
+    whole-profile call, in memory that does not grow with ``samples``.
     """
     for key in ("time", "x_min", "x_max"):
         if not math.isfinite(cfg[key]):
@@ -428,11 +446,11 @@ def cmd_riemann(cfg: dict, out: str) -> int:
     law = _build_law(cfg)
     with _config_errors("invalid Riemann datum: "):
         sol = solve_riemann(RiemannData(cfg["rho_l"], cfg["u_l"], cfg["rho_r"], cfg["u_r"], law))
-    xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["samples"])
+    num = cfg["samples"]
 
     def profile():
-        for start in range(0, len(xs), _PROFILE_ROWS):
-            x = xs[start:start + _PROFILE_ROWS]
+        for start in range(0, num, _PROFILE_ROWS):
+            x = _points(cfg["x_min"], cfg["x_max"], num, start, min(start + _PROFILE_ROWS, num))
             with np.errstate(over="ignore"):  # x / t beyond the float range is the far field
                 xi = x / cfg["time"]
             yield (x, *sol.sample_array(xi))

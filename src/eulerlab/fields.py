@@ -222,49 +222,165 @@ def validate_initial_data(triple: DataTriple, law: GasLaw) -> None:
 
 # -- CSV codec --------------------------------------------------------
 
-# rows formatted per write: large enough to amortise the per-call
-# overhead, small enough that a block's Python floats and strings
-# (~60 KB) do not raise the peak memory of a 200k-row profile write;
-# 1024-row blocks measured about 0.25 MB higher peak RSS
+# rows checked for constant columns at a time, and changing values formatted
+# at most per call when row blocks are joined: enough that NumPy's per-call
+# cost is spread over many values, few enough that a block's digit and
+# character arrays stay small beside a trajectory or a profile slice
 _BLOCK_ROWS = 256
+_BLOCK_VALUES = 1536
 
 _STATE_COLUMNS = {1: ("i", "rho", "mx"), 2: ("i", "j", "rho", "mx", "my")}
 
 
-def _constant_blocks(column) -> list:
-    """Per block of ``_BLOCK_ROWS`` rows of ``column``, whether all its rows
-    hold the same bits: compared as unsigned integers, so ``-0.0`` and
-    ``0.0``, or two NaN payloads, never count as one value."""
-    bits = column.view(f"u{column.itemsize}")
-    full = len(bits) - len(bits) % _BLOCK_ROWS
-    blocks = bits[:full].reshape(-1, _BLOCK_ROWS)
-    same = (blocks == blocks[:, :1]).all(axis=1).tolist()
-    if full < len(bits):
-        same.append(bool((bits[full:] == bits[full]).all()))
-    return same
+@functools.cache
+def _digit_tables() -> tuple:
+    """The exact floats 10**0 .. 10**21; the two ASCII digits of each of
+    0 .. 99 as one uint16; and, as rows of 20 bytes laid out as a digit
+    row of :func:`_fields`, the masks of digits i < j for j = 0 .. 17 and
+    the "0"s before digit 0 for 0 .. 3 of them."""
+    column = np.arange(20) - 3
+    below = np.where((column >= 0) & (column < np.arange(18)[:, None]), 255, 0)
+    zeros = np.where(column >= -np.arange(4)[:, None], 48, 0) * (column < 0)
+    return (np.array([float(10 ** j) for j in range(22)]),
+            np.frombuffer("".join(f"{j:02d}" for j in range(100)).encode(), np.uint16),
+            *(t.astype(np.uint8).view("V20").ravel() for t in (below, zeros)))
+
+
+def _split(v) -> tuple:
+    """Veltkamp's split of ``v`` into halves of 26 bits, hi + lo = v."""
+    hi = 134217729.0 * v  # 2**27 + 1
+    lo = hi - v
+    hi -= lo
+    return hi, np.subtract(v, hi, out=lo)
+
+
+def _scaled(a, k, tens) -> np.ndarray:
+    """The integer nearest ``a * 10**(16 - k)``, ties to even.  Dekker's
+    product gives it exactly as p + e; where the result has 17 digits, p is
+    an even integer (it is at least 2**53), so the nearest is p + rint(e).
+    The operations run in place, so a block holds few temporaries."""
+    s = tens[16 - k]
+    p = a * s
+    (ah, al), (sh, sl) = _split(a), _split(s)
+    e = ah * sh
+    e -= p
+    e += np.multiply(ah, sl, out=ah)
+    e += np.multiply(al, sh, out=sh)
+    e += np.multiply(al, sl, out=sl)
+    d = p.astype(np.int64)
+    d += np.rint(e, out=e).astype(np.int64)
+    return d
+
+
+def _fields(values, limits) -> tuple:
+    """The ``%.17g`` text of the float64 ``values`` (rows, columns) as
+    NUL-padded rows of bytes, one per value in row-major order, and the
+    mask of the values so written: zero and 1e-4 <= |x| < 1e17 (``limits``
+    per column), where ``%g`` writes no exponent.  A row is wide enough
+    for any ``%`` text the caller writes over the others.
+
+    The 17 digits D of |x| = D * 10**(k - 16) come from :func:`_scaled`,
+    with k from log10, corrected once where log10 rounded across a power
+    of ten.  A row is the sign, the digits up to k, a "0" if k < 0, the
+    point, the "0"s after it if k < -1 and the digits after k up to the
+    last nonzero one; the NULs left between them are dropped by the caller."""
+    a = np.abs(values)
+    fast = (((a >= 1e-4) | (a == 0.0)) & (a < limits)).ravel()
+    a, values = a.ravel(), values.ravel()
+    tens, pairs, below, zeros = _digit_tables()
+    zero = fast & (a == 0.0)
+    a[~fast | zero] = 1.0
+    k = np.minimum(np.floor(np.log10(a)), 16).astype(np.int64)
+    d = _scaled(a, k, tens)
+    off = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+    if off.any():
+        k += off
+        d = _scaled(a, k, tens)
+    del a, off
+    k[zero] = -1
+    n, low, high = len(values), int(k.min()), max(int(k.max()), 0)
+    digits = np.zeros((n, 20), np.uint8)  # digit i in column 3 + i
+    lead = d // 10 ** 16
+    digits[:, 3] = lead + 48
+    q = d - lead * 10 ** 16
+    two = digits[:, 4:].view(np.uint16)
+    for g in range(7, -1, -1):
+        r = q // 100
+        two[:, g] = pairs[q - r * 100]
+        q = r
+    del d, lead, q
+
+    def rows(table, index):
+        return table[index].view(np.uint8).reshape(n, 20)
+
+    last = 19 - np.argmax(digits[:, :2:-1] != 48, axis=1)  # the last nonzero digit
+    last[zero] = 2
+    upto_k = rows(below, np.maximum(k + 1, 0))
+    whole = digits & upto_k
+    frac = digits & rows(below, last - 2) & ~upto_k
+    first = max(low + 1, 0) + 3
+    if low < -1:
+        frac |= rows(zeros, np.clip(-1 - k, 0, 3))
+        first -= 3
+    part = max(20 - first, 0 if fast.all() else 21 - high)  # a '%' text has <= 24 bytes
+    out = np.zeros((n, high + 4 + part), np.uint8)
+    out[:, 0] = np.where(fast & np.signbit(values), 45, 0)
+    out[:, 1:high + 2] = whole[:, 3:high + 4]
+    out[:, high + 2] = np.where(k < 0, 48, 0)
+    out[:, high + 3] = np.where(last - 3 > k, 46, 0)
+    out[:, high + 4:high + 24 - first] = frac[:, first:]
+    return out, fast
+
+
+def _write_block(f, columns, formats, limits, start, stop, texts) -> None:
+    """Write rows ``start:stop`` of ``columns``, where ``texts`` holds the
+    text of each column that is constant there and None for the others."""
+    rows, changing = stop - start, [j for j, text in enumerate(texts) if text is None]
+    if not changing:
+        f.write((b",".join(texts) + b"\n") * rows)
+        return
+    values = np.stack([columns[j][start:stop] for j in changing], axis=1, dtype=float)
+    fields, fast = _fields(values, limits[changing])
+    fields = fields.reshape(rows, len(changing), -1)
+    for i, m in zip(*np.nonzero(~fast.reshape(rows, -1))):
+        text = formats[changing[m]] % columns[changing[m]][start + i].item()
+        fields[i, m] = np.frombuffer(text.encode().ljust(fields.shape[2], b"\0"), np.uint8)
+    pad = b"\0" * fields.shape[2]
+    template = b",".join(pad if text is None else text for text in texts) + b"\n"
+    chars = bytearray(rows * len(template))
+    block = np.frombuffer(chars, np.uint8).reshape(rows, -1)
+    block[:] = np.frombuffer(template, np.uint8)
+    for m, j in enumerate(changing):
+        at = sum(len(text or pad) + 1 for text in texts[:j])
+        block[:, at:at + len(pad)] = fields[:, m]
+    del block, fields
+    f.write(chars.translate(None, b"\0"))
 
 
 def _write_rows(f, columns) -> None:
-    """Write the rows of equal-length ``columns`` to ``f`` in blocks of
-    ``_BLOCK_ROWS``, formatting a column that is constant within a block
-    once."""
+    """Write the rows of equal-length ``columns`` to the binary file ``f``,
+    ``_BLOCK_ROWS`` at a time.  A column whose bits (so -0.0 and 0.0, or two
+    NaN payloads, differ) do not change within them is formatted once; runs
+    of blocks with the same such texts are joined up to ``_BLOCK_VALUES``
+    changing values, so that one call of :func:`_fields` formats many."""
     columns = [np.asarray(c) for c in columns]
     formats = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
-    constant = [_constant_blocks(c) for c in columns]
-    n = len(columns[0])
-    for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
-        parts, changing = [], []
-        for c, fmt, same in zip(columns, formats, constant):
-            if same[b]:
-                parts.append(fmt % c[start].item())
-            else:
-                parts.append(fmt)
-                changing.append(c[start:start + _BLOCK_ROWS].tolist())
-        row = ",".join(parts) + "\n"
-        if changing:
-            f.write("".join(map(row.__mod__, zip(*changing))))
-        else:
-            f.write(row * min(_BLOCK_ROWS, n - start))
+    limits = np.array([1e15 if fmt == "%d" else 1e17 for fmt in formats])  # ints: exact
+    bits = [c.view(f"u{c.itemsize}") for c in columns]
+    run = None  # (start, stop, texts) of the rows not yet written
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(columns[0]))
+        texts = [(fmt % c[start].item()).encode() if (u[start:stop] == u[start]).all() else None
+                 for c, u, fmt in zip(columns, bits, formats)]
+        if run and run[2] == texts and \
+                (stop - run[0]) * max(texts.count(None), 1) <= _BLOCK_VALUES:
+            run = (run[0], stop, texts)
+            continue
+        if run:
+            _write_block(f, columns, formats, limits, *run)
+        run = (start, stop, texts)
+    if run:
+        _write_block(f, columns, formats, limits, *run)
 
 
 def write_csv(path, names, blocks) -> None:
@@ -272,16 +388,17 @@ def write_csv(path, names, blocks) -> None:
     of column tuples whose rows follow one another; a caller with whole
     columns passes ``[columns]``, a streaming one a generator of slices.
 
-    Integer columns are written as decimal integers, float columns with
-    ``%.17g``, which reads back to the same double.  Rows are formatted
-    in blocks of ``_BLOCK_ROWS``, each row one ``%``-format of a tuple,
-    which is faster than ``str.format``.  A column whose bits do not
-    change within a block is formatted once and spliced into the block's
-    row format, so only the changing columns are formatted per row; a
-    block with no changing column is one row repeated.
+    Integer columns are written as ``%d`` and float columns as ``%.17g``,
+    which reads back to the same double, byte for byte as Python's ``%``.
+    Rows are written in blocks of ``_BLOCK_ROWS``.  A column whose bits do
+    not change within a block is formatted once per block.  The others are
+    formatted together with NumPy integer arithmetic: the 17 digits come
+    exact from Dekker's error-free product, rounded half to even.  Values
+    outside that path (NaN, infinities, zero excepted |x| < 1e-4 or
+    |x| >= 1e17, and integers of magnitude 10**15 or more) take ``%``.
     """
-    with open(path, "w") as f:
-        f.write(",".join(names) + "\n")
+    with open(path, "wb") as f:
+        f.write((",".join(names) + "\n").encode())
         for columns in blocks:
             _write_rows(f, columns)
             del columns  # a streamed slice is freed before the next is made

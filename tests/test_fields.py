@@ -265,14 +265,15 @@ _INT_PALETTES = st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=3)
 
 def _cuts(draw, n) -> list:
     """Sorted row indices 0, ..., n, with inner cuts at, beside and across
-    the 256-row block edges."""
-    inner = st.one_of(st.sampled_from([1, 255, 256, 257, 511, 512]), st.integers(0, n))
+    the 256-row block edges and the edge of a 1536-row run of blocks."""
+    inner = st.one_of(st.sampled_from([1, 255, 256, 257, 511, 512, 1535, 1536]),
+                      st.integers(0, n))
     return sorted({0, n, *(k for k in draw(st.lists(inner, max_size=4)) if k < n)})
 
 
 @st.composite
 def _csv_tables(draw):
-    n = draw(st.sampled_from([0, 1, 255, 256, 257, 513]))
+    n = draw(st.sampled_from([0, 1, 255, 256, 257, 513, 1537]))
     columns = []
     for _ in range(draw(st.integers(1, 3))):
         is_int = draw(st.booleans())
@@ -307,6 +308,78 @@ def test_write_csv_matches_the_per_row_format(tmp_path_factory, table):
         nan = np.isnan(expected)  # the text "nan" carries no sign or payload
         assert np.array_equal(np.isnan(data[:, k]), nan)
         assert data[~nan, k].tobytes() == expected[~nan].tobytes()
+
+
+def _value_classes(rng) -> np.ndarray:
+    """Doubles of every class the digit path and its '%' fallback meet."""
+    powers = np.array([float(f"1e{j}") for j in range(-22, 23)])
+    odd = rng.integers(1, 2 ** 53, 20000) | 1
+    return np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf),
+        rng.uniform(-1e3, 1e3, 20000),
+        rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-22.0, 21.0, 20000),
+        rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(float),
+        # m * 2**-j with odd m: exact decimals, ties among them
+        odd * 2.0 ** -rng.integers(1, 60, 20000).astype(float),
+        rng.uniform(5e-5, 1e-4, 1000), rng.uniform(1e17, 2e17, 1000),  # beside the edges
+        [0.0, -0.0, 1e-4, 1e17, np.nextafter(1e17, 0.0), 0.5, 2.5, -7.0],
+    ])
+
+
+def _mismatched_rows(path, names, columns) -> list:
+    """The first few (row, written, expected) where ``path`` differs from
+    the per-row format: a short list, where a whole-text diff of a large
+    table takes minutes."""
+    got = path.read_text().splitlines()
+    want = _reference_csv(names, columns).splitlines()
+    assert len(got) == len(want)
+    return [(k, a, b) for k, (a, b) in enumerate(zip(got, want)) if a != b][:3]
+
+
+def test_write_csv_digits_match_the_per_value_format_over_every_class(tmp_path):
+    values = _value_classes(np.random.default_rng(32))
+    columns = [values, values[::-1].copy(), np.roll(values, 7)]
+    path = tmp_path / "classes.csv"
+    write_csv(path, ("a", "b", "c"), [columns])
+    mismatches = _mismatched_rows(path, ("a", "b", "c"), columns)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_write_csv_integers_match_the_per_value_format_at_the_fallback_edge(tmp_path, dtype):
+    edge = [0, 1, 10 ** 15 - 1, 10 ** 15, 2 ** 53 + 1, 2 ** 63 - 1]
+    if dtype is np.int64:
+        edge += [-v for v in edge] + [-2 ** 63]
+    else:
+        edge += [2 ** 64 - 1]
+    column = np.array(edge * 3, dtype=dtype)
+    columns = [column, np.arange(len(column)) / 3.0]
+    path = tmp_path / "ints.csv"
+    write_csv(path, ("n", "x"), [columns])
+    mismatches = _mismatched_rows(path, ("n", "x"), columns)
+    assert mismatches == []
+
+
+_ENDS = st.one_of(st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True),
+                  st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -2.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lo=_ENDS, hi=_ENDS, num=st.integers(2, 20000), data=st.data())
+@example(lo=0.0, hi=5e-324, num=7, data=None)
+@example(lo=1.0, hi=1.0, num=3, data=None)
+@example(lo=0.1, hi=0.3, num=4097, data=None)
+def test_profile_points_per_slice_equal_the_whole_linspace(lo, hi, num, data):
+    if data is None:
+        cuts = sorted({0, min(cli._PROFILE_ROWS, num), num})
+    else:
+        inner = st.one_of(st.sampled_from([1, num - 1, cli._PROFILE_ROWS]),
+                          st.integers(0, num))
+        cuts = sorted({0, num, *(k for k in data.draw(st.lists(inner, max_size=4)) if k < num)})
+    with np.errstate(over="ignore", invalid="ignore"):  # ends 1e300 apart overflow both
+        whole = np.linspace(lo, hi, num)
+        parts = [cli._points(lo, hi, num, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=True)

@@ -3,18 +3,20 @@ to it): the ensemble's whole-field work keeps its temporaries to about one
 sample and holds one member at a time, and a solver step frees each axis's
 temporaries before the next; the stress's checks and norms run one sample
 at a time, ``certify`` holds one cell integral pair per space bump, F2 one
-integrand buffer, and ``riemann`` its profile to about one slice."""
+integrand buffer, ``riemann`` one slice of its points and the CSV writer's
+block, and the writer one block of a table however long it is."""
 
 import json
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from eulerlab import cli
 from eulerlab.cli import main
 from eulerlab.dissipative import certify, estimate_reynolds
 from eulerlab.eos import GasLaw
-from eulerlab.fields import Grid, integrate_energies
+from eulerlab.fields import Grid, integrate_energies, write_csv
 from eulerlab.selection import CandidateSet, select
 from eulerlab.stress import ReynoldsField, convexity_gap, kinetic_tensor
 from eulerlab.trajectory import Trajectory
@@ -191,7 +193,25 @@ def test_select_peaks_at_its_members_and_one_integrand_buffer():
     assert _peak(select, CandidateSet(members)) <= buffer + 0.75 * field
 
 
-def test_riemann_profile_peaks_at_its_points_and_two_slices(tmp_path):
+# the CSV writer's working memory for one call of its formatter, which
+# takes at most 1536 changing values: their digits, masks and characters
+WRITER_BLOCK = 20 * 1536 * 8
+
+
+@pytest.mark.parametrize("rows", [2001, 200001])
+def test_write_csv_peaks_at_one_block_however_long_the_table(tmp_path, rows):
+    rng = np.random.default_rng(10)
+    columns = [rng.uniform(-2.0, 2.0, rows), rng.uniform(0.2, 1.0, rows),
+               rng.uniform(-1.0, 1.0, rows)]
+    write_csv(tmp_path / "warm-up.csv", "xyz", [columns])  # its digit tables
+    peak = _peak(write_csv, tmp_path / "t.csv", "xyz", [columns])
+    # about 17.4 blocks' values at both lengths; the per-row '%' writer took
+    # 6.2 at 2001 rows and 23.3 at 200001, as it compared whole columns
+    # for constant blocks
+    assert peak <= WRITER_BLOCK
+
+
+def test_riemann_profile_peaks_at_one_slice_and_one_writer_block(tmp_path):
     # a fan covers about a fifth of the points, so some slices lie wholly in it
     samples = 200001
     cfg = {"kind": "riemann", "law": {"a": 1.0, "gamma": 1.4},
@@ -204,8 +224,8 @@ def test_riemann_profile_peaks_at_its_points_and_two_slices(tmp_path):
     cli.cmd_riemann(cfg, str(tmp_path / "warm-up"))
     peak = _peak(cli.cmd_riemann, cfg, str(tmp_path / "o"))
     assert (tmp_path / "o" / "profile.csv").stat().st_size > 0
-    xs_bytes = samples * 8
-    # a slice makes x / t, rho and u; the peak is about 1.95 slices above
-    # the points here, 64 when the profile was sampled and formatted whole
+    # a slice holds its points, x / t, rho and u, and the writer one block;
+    # the peak is about 360 KB, 3.7 slices, where the whole points alone
+    # were 1.6 MB, and it does not grow with ``samples``
     one_slice = 3 * cli._PROFILE_ROWS * 8
-    assert peak <= xs_bytes + 2 * one_slice
+    assert peak <= 2 * one_slice + WRITER_BLOCK

@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from eulerlab.eos import GasLaw
 from eulerlab.fields import FluidState, Grid, integrate_energies, integrate_energy
-from eulerlab.trajectory import Trajectory, compare_local, convex_combine, shift
+from eulerlab.trajectory import (Trajectory, compare_local, concatenate, convex_combine,
+                                 shift)
 from eulerlab.selection import (CandidateSet, F1, F2, check_order_coherence,
                                 _RATES, default_q, is_absolute_minimizer,
                                 laplace_energy, select)
@@ -701,6 +702,104 @@ def test_selection_commutes_with_shift(case, variant):
     assume(all(_separated(r.f1_values) and _separated(r.f2_values) for r in reports))
     assert reports[0].survivors == reports[1].survivors
     assert reports[0].selected == reports[1].selected
+
+
+@st.composite
+def heads_and_tails(draw):
+    """Heads h_1..h_a on samples 0..k from one state to one state at
+    T = t_k, and tails v_1..v_b from that state, whose shared e0 lies in
+    every head's concatenation window.  Energies are a shared floor (the
+    running maximum of the later mean energies) plus a non-increasing
+    slack from {0, 0.5, 2}, so exact ties occur and every gap is far from
+    the order's tolerances; returns the heads, the tails and T."""
+    k, n, cells = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    g = unit_grid(cells)
+
+    def fields(count):
+        return (draw(hnp.arrays(float, (count, cells), elements=st.floats(0.25, 2.0))),
+                draw(hnp.arrays(float, (count, cells, 1), elements=st.floats(-1.0, 1.0))))
+
+    def slack(count):
+        values = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=count,
+                               max_size=count))
+        return np.sort(values)[::-1]
+
+    def energies(stacks, floor_min=0.0):
+        means = np.array([integrate_energies(g, r, mk, LAW2) for r, mk in stacks])
+        floor = np.maximum(np.maximum.accumulate(means.max(axis=0)[::-1])[::-1], floor_min)
+        return [floor + slack(len(floor)) for _ in stacks]
+
+    start, junction = fields(1), fields(1)
+    tails = []
+    for _ in range(draw(st.integers(2, 3))):
+        rest = fields(n - 1)
+        tails.append(tuple(np.concatenate([a, b]) for a, b in zip(junction, rest)))
+    tail_energy = energies(tails)
+    e_T = max(e[0] for e in tail_energy)
+    heads = []
+    for _ in range(draw(st.integers(1, 3))):
+        inner = fields(k - 1)
+        heads.append(tuple(np.concatenate(parts) for parts in zip(start, inner, junction)))
+    head_energy = energies([(r[:k], mk[:k]) for r, mk in heads], floor_min=e_T)
+    e0 = max(e[0] for e in head_energy)
+    dt = 0.25
+    heads = [Trajectory(g, LAW2, dt * np.arange(k + 1), fld, np.append(e, e_T), e0=e0)
+             for fld, e in zip(heads, head_energy)]
+    tails = [Trajectory(g, LAW2, dt * np.arange(n), fld, e, e0=e_T)
+             for fld, e in zip(tails, tail_energy)]
+    return heads, tails, dt * k
+
+
+_FUNCTIONALS = {"F1": F1, "F2 full": lambda u: F2(u, "full"),
+                "F2 momentum-only": lambda u: F2(u, "momentum-only")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=heads_and_tails())
+def test_functionals_split_at_the_junction_of_a_concatenation(case):
+    # F(concatenate(h, v, T)) = (the part of h before T) + e^(-T) F(v); the
+    # head's part is F(h) less e^(-T) times F of its one-sample rest at T
+    heads, tails, T = case
+    for name, f in _FUNCTIONALS.items():
+        for h in heads:
+            head = f(h) - math.exp(-T) * f(shift(h, T))
+            for v in tails:
+                whole, part = f(concatenate(h, v, T)), math.exp(-T) * f(v)
+                assert whole == pytest.approx(head + part, rel=1e-12,
+                                              abs=1e-12 * max(abs(head), abs(part))), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=heads_and_tails(), variant=st.sampled_from(["full", "momentum-only"]))
+def test_selection_restarts_at_a_junction(case, variant):
+    # the selection among all concatenations c_ij picks the best head and,
+    # after T, the member that the selection among the tails picks
+    heads, tails, T = case
+    joined = [concatenate(h, v, T) for h in heads for v in tails]
+    report = select(CandidateSet(joined), variant=variant)
+    among_tails = select(CandidateSet(tails), variant=variant)
+    assume(all(_separated(r.f1_values) and _separated(r.f2_values)
+               for r in (report, among_tails)))
+    i, j = divmod(report.selected, len(tails))
+    rest, best = shift(joined[report.selected], T), tails[among_tails.selected]
+    assert rest.energy.tobytes() == best.energy.tobytes()
+    assert rest.rho.tobytes() == best.rho.tobytes() and rest.m.tobytes() == best.m.tobytes()
+    head_f1 = [F1(h) - math.exp(-T) * F1(shift(h, T)) for h in heads]
+    assert _separated(head_f1) and head_f1[i] == min(head_f1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=heads_and_tails())
+def test_local_order_of_concatenations_is_that_of_their_tails(case):
+    heads, tails, T = case
+    for h in heads:
+        for v in tails:
+            for w in tails:
+                joined = compare_local(concatenate(h, v, T), concatenate(h, w, T))
+                alone = compare_local(v, w)
+                assert joined.relation == alone.relation
+                if alone.T is not None:
+                    assert joined.T == T + alone.T and joined.delta == alone.delta
 
 
 @settings(max_examples=80, deadline=None)

@@ -19,11 +19,13 @@ one mutant is not replayed under the next.
     python tools/mutants.py              # every mutant
     python tools/mutants.py psd-tol ...  # the named ones
 
-A full pass over the 38 mutants took 1 minute 21 seconds on 2 vCPU, each
+A full pass over the 47 mutants took 1 minute 16 seconds on 2 vCPU, each
 killed by its expected killer; running the whole suite for each of 29
 mutants took 9 minutes 22 seconds.
 ``tests/test_mutant_table.py`` checks on every tier-1 run that each row
-still applies, so a moved line is caught without the survey.
+still applies, so a moved line is caught without the survey.  Mutants
+that no test can tell from the code, since both sides of the edge write
+the same bytes, are listed in ``EQUIVALENT`` with the reason instead.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 _D, _S, _T = "dissipative.py", "selection.py", "trajectory.py"
+_F = "fields.py"
+_LIMITS = 'limits = np.array([1e15 if fmt == "%d" else 1e17 for fmt in formats])  # ints: exact'
+_SPLIT = "hi = 134217729.0 * v  # 2**27 + 1"
+_CLASSES = "tests/test_fields.py::test_write_csv_digits_match_the_per_value_format_over_every_class"
+_POINTS = "tests/test_fields.py::test_profile_points_per_slice_equal_the_whole_linspace"
 
 # (name, file under src/eulerlab, old line, new line, expected killing test)
 MUTANTS = [
@@ -153,6 +160,45 @@ MUTANTS = [
      "slack = 4.0 * math.ulp(max(abs(grid.lower[k]), abs(grid.upper[k])))",
      "slack = 16.0 * math.ulp(max(abs(grid.lower[k]), abs(grid.upper[k])))",
      "tests/test_dissipative.py::test_support_edge_may_miss_the_margin_by_4_ulps"),
+    # the CSV writer's digit path and the per-slice profile points
+    ("csv-fast-low", _F, "fast = (((a >= 1e-4) | (a == 0.0)) & (a < limits)).ravel()",
+     "fast = (((a >= 5e-5) | (a == 0.0)) & (a < limits)).ravel()", _CLASSES),
+    ("csv-fast-high", _F, _LIMITS, _LIMITS.replace("else 1e17", "else 2e17"), _CLASSES),
+    ("csv-int-limit", _F, _LIMITS, _LIMITS.replace("1e15 if", "1e16 if"),
+     "tests/test_fields.py::test_write_csv_integers_match_the_per_value_format_at_the_fallback_edge"),
+    ("csv-log10-retry", _F, "    if off.any():", "    if False:", _CLASSES),
+    ("csv-round-half-even", _F, "d += np.rint(e, out=e).astype(np.int64)",
+     "d += np.floor(e, out=e).astype(np.int64)", _CLASSES),
+    ("csv-split-half", _F, _SPLIT, _SPLIT.replace("134217729.0", "67108864.5"), _CLASSES),
+    ("csv-block-values", _F, "_BLOCK_VALUES = 1536", "_BLOCK_VALUES = 15360",
+     "tests/test_memory.py::test_write_csv_peaks_at_one_block_however_long_the_table"),
+    ("points-endpoint", "cli.py", "        x[-1] = hi", "        x[-1] = x[-1]", _POINTS),
+    ("points-subnormal-width", "cli.py", "    if step == 0:", "    if False:", _POINTS),
+]
+
+# (file, old line, new line, why no tier-1 test can tell the mutant from the
+# code): each literal of the writer's digit path at 0.5x or 2x where that
+# only moves values between two paths that write the same bytes
+EQUIVALENT = [
+    (_F, "fast = (((a >= 1e-4) | (a == 0.0)) & (a < limits)).ravel()",
+     "fast = (((a >= 2e-4) | (a == 0.0)) & (a < limits)).ravel()",
+     "values in [1e-4, 2e-4) go to '%', which writes the same text"),
+    (_F, _LIMITS, _LIMITS.replace("else 1e17", "else 5e16"),
+     "values in [5e16, 1e17) go to '%', which writes the same text"),
+    (_F, _LIMITS, _LIMITS.replace("1e15 if", "5e14 if"),
+     "integers in [5e14, 1e15) go to '%d', which writes the same text"),
+    (_F, _LIMITS, _LIMITS.replace("1e15 if", "2e15 if"),
+     "integers below 2**53 are exact as floats, so [1e15, 2e15) keeps its digits"),
+    (_F, "a[~fast | zero] = 1.0", "a[~fast | zero] = 0.5",
+     "the placeholder's digits are written over ('%' rows) or masked (zeros)"),
+    (_F, "a[~fast | zero] = 1.0", "a[~fast | zero] = 2.0",
+     "the placeholder's digits are written over ('%' rows) or masked (zeros)"),
+    (_F, "_BLOCK_VALUES = 1536", "_BLOCK_VALUES = 768",
+     "smaller runs of blocks write the same rows, in more calls"),
+    (_F, _SPLIT, _SPLIT.replace("134217729.0", "268435458.0"),
+     "2 * (2**27 + 1) splits into halves of at most 25 and 27 bits, so only the "
+     "smallest partial product can round, by under 1e-14: no rounding tie moved "
+     "over 3e6 values"),
 ]
 
 _TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
