@@ -3,10 +3,10 @@ outputs on seeded 3-member ensembles with vacuum cells and -0.0 momentum.
 
 The perfbench inputs carry neither vacuum nor signed zeros, so only these
 pins see a change in the sign of a zero (Python ``sum`` starts from +0,
-``np.sum`` does not) or in the order of a reduction.
+``np.sum`` does not) or in the order of a reduction.  A change of storage
+layout or loop structure must leave every digest in place.
 """
 
-import hashlib
 import json
 
 import numpy as np
@@ -17,6 +17,7 @@ from eulerlab.eos import GasLaw
 from eulerlab.fields import FluidState, Grid, integrate_energy
 from eulerlab.selection import F1, F2
 from eulerlab.trajectory import Trajectory, convex_combine
+from pins import assert_pinned, sha256
 
 LAW = GasLaw(a=1.0, gamma=1.4)
 SHAPES = {"1d": (16,), "2d": (12, 10)}
@@ -49,38 +50,16 @@ def _ensemble(counts, seed, members=3, n=5):
     return out
 
 
-def _digest(*arrays) -> str:
-    h = hashlib.sha256()
+def _tagged(*arrays):
+    """Each array as float64, led by the repr of its shape."""
     for a in arrays:
         a = np.ascontiguousarray(a, dtype=float)
-        h.update(repr(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
+        yield repr(a.shape).encode()
+        yield a
 
 
 def _fields(traj):
     return (np.stack([s.rho for s in traj.states]), np.stack([s.m for s in traj.states]))
-
-
-# a change of storage layout or loop structure must leave every digest in place
-REYNOLDS_DIGESTS = {
-    "1d": "15fea54861a3921d57c541234ee87e4829a17e3b0bfc80626bcbf8db7a725b30",
-    "2d": "513376c9514e4b7e8eb81d7d865a15e9c8f7d4acd8f852bef52918411eb8bc9f",
-}
-COMBINE_DIGESTS = {
-    ("1d", 0.3): "b5dfbe5beae7f1e80ea2d5b243aea851b9ac263a38651cad219d1ad0ae6f8d69",
-    ("1d", 1.0): "04b1c0212a8c1d812f8156012217d3871fa79b648718a49eb543b20993dfeaf1",
-    ("2d", 0.3): "6cb40f0ea3c07abc7ee7d7a28e075e12eb826ca056f6200d2437f998bdb8961a",
-    ("2d", 1.0): "8f07d7eebc6529ef514ff54958a80e75ad2789653a724e924f99c120940be67a",
-}
-FUNCTIONAL_DIGESTS = {
-    "1d": "466522f1aec2a9baee85badc604247a02838e16cffb483c51a783524051fdab5",
-    "2d": "d8b219293cca6392a7ed31e3922a84df488b0315849e52ba98e057254dd3f73e",
-}
-CERTIFY_DIGESTS = {
-    "1d": "807c3a2f08c1089b24514ed68df26623f1704a65e3febab64f5b45cdf4446dbf",
-    "2d": "d8cf22ddb280935259c137f4cb1d96e86ccd8a3016dc109e83ab595e60741e0e",
-}
 
 
 @pytest.mark.parametrize("dim", sorted(SHAPES))
@@ -90,8 +69,8 @@ def test_estimate_reynolds_bits_pinned(dim):
     rho, m = _fields(avg)
     # every member holds -0.0 in some cells; the member average starts from +0
     assert (m == 0).any() and not np.signbit(m[m == 0]).any()
-    assert _digest(R.tensor, R.times, rho, m, avg.mean_energies, avg.energy,
-                   [avg.e0]) == REYNOLDS_DIGESTS[dim]
+    assert_pinned(f"bit_pins.reynolds/{dim}",
+                  _tagged(R.tensor, R.times, rho, m, avg.mean_energies, avg.energy, [avg.e0]))
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0])
@@ -101,8 +80,8 @@ def test_convex_combine_bits_pinned(dim, lam):
     comb, gap = convex_combine(u, v, lam)
     rho, m = _fields(comb)
     assert np.signbit(m[m == 0]).any()  # lam * -0.0 + (1 - lam) * -0.0 stays -0.0
-    assert _digest(gap.tensor, rho, m, comb.mean_energies, comb.energy,
-                   [comb.e0]) == COMBINE_DIGESTS[(dim, lam)]
+    assert_pinned(f"bit_pins.combine/{dim}-{lam}",
+                  _tagged(gap.tensor, rho, m, comb.mean_energies, comb.energy, [comb.e0]))
 
 
 @pytest.mark.parametrize("dim", sorted(SHAPES))
@@ -111,17 +90,17 @@ def test_selection_functionals_bits_pinned(dim):
     _, avg = estimate_reynolds(members)
     values = [[F1(tr), F2(tr, variant="full"), F2(tr, variant="momentum-only")]
               for tr in members + [avg]]
-    assert _digest(values) == FUNCTIONAL_DIGESTS[dim]
+    assert_pinned(f"bit_pins.functionals/{dim}", _tagged(values))
 
 
 @pytest.mark.parametrize("dim", sorted(SHAPES))
 def test_certify_bits_pinned(dim):
     members = _ensemble(SHAPES[dim], seed=3)
     R, avg = estimate_reynolds(members)
-    h = hashlib.sha256()
+    payload = []
     for traj, stress in ((avg, R), (members[0], None)):
         cert = certify(traj, stress)
-        h.update((json.dumps(certificate_doc(cert), indent=1, sort_keys=True) + "\n").encode())
-        h.update(_digest([c[1] for c in cert.checks], traj.times,
-                         *compatibility(traj, stress)).encode())
-    assert h.hexdigest() == CERTIFY_DIGESTS[dim]
+        doc = json.dumps(certificate_doc(cert), indent=1, sort_keys=True) + "\n"
+        arrays = _tagged([c[1] for c in cert.checks], traj.times, *compatibility(traj, stress))
+        payload += [doc.encode(), sha256(arrays).encode()]
+    assert_pinned(f"bit_pins.certify/{dim}", payload)

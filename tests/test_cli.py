@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -13,6 +12,7 @@ from eulerlab.eos import GasLaw, sound_speed
 from eulerlab.fields import FluidState, Grid, integrate_energy, read_csv
 from eulerlab.stress import ReynoldsField
 from eulerlab.trajectory import Trajectory, load_bundle, save_bundle
+from pins import assert_pinned, sha256, tree
 
 LAW2 = GasLaw(a=1.0, gamma=2.0)
 
@@ -21,6 +21,10 @@ def write_config(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _argv(tmp, kind, doc, out=None):
+    return [kind, "--config", write_config(tmp, "c.json", doc), "--out", str(out or tmp / "o")]
 
 
 def run_config(tmp_path, extra=None, **overrides):
@@ -39,53 +43,38 @@ def run_config(tmp_path, extra=None, **overrides):
     return doc
 
 
-def read_tree(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for f in sorted(files):
-            p = os.path.join(dirpath, f)
-            with open(p, "rb") as fh:
-                out[os.path.relpath(p, root)] = fh.read()
-    return out
-
-
 # -- config validation ---------------------------------------------------
 
 def test_missing_field_names_it(tmp_path, capsys):
     doc = run_config(tmp_path)
     del doc["t_end"]
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "run", doc)) == 2
     assert "t_end" in capsys.readouterr().err
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
     doc = run_config(tmp_path)
     doc["typo_field"] = 1
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "run", doc)) == 2
     assert "typo_field" in capsys.readouterr().err
 
 
 def test_kind_mismatch_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, "c.json", run_config(tmp_path))
-    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "ensemble", run_config(tmp_path))) == 2
 
 
 def test_nested_bad_value_reported(tmp_path, capsys):
     doc = run_config(tmp_path)
     doc["law"]["gamma"] = 0.5
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "run", doc)) == 2
     assert "gamma" in capsys.readouterr().err
 
 
 # -- run -------------------------------------------------------------------
 
 def test_run_constant_flat_energy(tmp_path):
-    cfg = write_config(tmp_path, "c.json", run_config(tmp_path))
     out = tmp_path / "bundle"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(_argv(tmp_path, "run", run_config(tmp_path), out)) == 0
     energy = np.genfromtxt(out / "energy.csv", delimiter=",", names=True)
     assert np.allclose(energy["E"], energy["E"][0])
     traj = load_bundle(out)
@@ -116,9 +105,8 @@ def test_run_riemann_refinement(tmp_path):
 def test_ensemble_identical_nus_zero_reynolds(tmp_path):
     doc = run_config(tmp_path, extra={"kind": "ensemble", "nu_list": [0.2, 0.2]})
     del doc["scheme"]
-    cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "ens"
-    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+    assert main(_argv(tmp_path, "ensemble", doc, out)) == 0
     R = ReynoldsField.load_npz(out / "reynolds.npz", load_bundle(out / "average").grid)
     assert R.norm_scale() <= 1e-14
     assert (out / "member_00").is_dir() and (out / "member_01").is_dir()
@@ -127,9 +115,8 @@ def test_ensemble_identical_nus_zero_reynolds(tmp_path):
 
 def test_ensemble_single_member_zero_reynolds(tmp_path):
     doc = run_config(tmp_path, extra={"kind": "ensemble", "nu_list": [0.3]})
-    cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "ens"
-    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+    assert main(_argv(tmp_path, "ensemble", doc, out)) == 0
     R = ReynoldsField.load_npz(out / "reynolds.npz", load_bundle(out / "average").grid)
     assert R.norm_scale() <= 1e-14
 
@@ -139,9 +126,8 @@ def test_ensemble_riemann_defect_csv(tmp_path):
     doc["initial"] = {"preset": "riemann", "rho_l": 1.0, "u_l": 0.0,
                       "rho_r": 0.25, "u_r": 0.0}
     doc["t_end"] = 0.4
-    cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "ens"
-    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
+    assert main(_argv(tmp_path, "ensemble", doc, out)) == 0
     table = np.genfromtxt(out / "defect.csv", delimiter=",", names=True)
     assert set(table.dtype.names) == {"t", "defect", "traceR", "slack"}
     assert table["defect"].max() > 0
@@ -757,9 +743,8 @@ def test_run_with_initial_file(tmp_path):
     doc = run_config(tmp_path)
     doc["grid"]["boundary"] = ["periodic"]
     doc["initial"] = {"file": str(csv_path)}
-    cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "bundle"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(_argv(tmp_path, "run", doc, out)) == 0
     traj = load_bundle(out)
     assert np.allclose(traj.states[0].rho, rho)
 
@@ -773,9 +758,8 @@ def test_run_with_initial_file(tmp_path):
 def test_run_acoustic_preset_simple_wave(tmp_path, grid, initial):
     # a right-moving simple wave: the left Riemann invariant u - 2c/(gamma-1)
     # is constant in the initial state
-    cfg = write_config(tmp_path, "c.json", run_config(tmp_path, grid=grid, initial=initial))
     out = tmp_path / "bundle"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(_argv(tmp_path, "run", run_config(tmp_path, grid=grid, initial=initial), out)) == 0
     names, table = read_csv(out / "state_000000.csv")
     cols = dict(zip(names, table.T))
     rho = cols["rho"]
@@ -835,9 +819,8 @@ def test_plot_defect_csv(tmp_path):
     doc = run_config(tmp_path, extra={"kind": "ensemble", "nu_list": [0.4, 0.1]})
     doc["initial"] = {"preset": "riemann", "rho_l": 1.0, "u_l": 0.0,
                       "rho_r": 0.25, "u_r": 0.0}
-    cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "ens"
-    main(["ensemble", "--config", cfg, "--out", str(out)])
+    main(_argv(tmp_path, "ensemble", doc, out))
     assert main(["plot", "--csv", str(out / "defect.csv"), "--kind", "defect",
                  "--out", str(tmp_path / "pd")]) == 0
     svg = (tmp_path / "pd" / "defect.svg").read_text()
@@ -862,10 +845,10 @@ def test_ensemble_rerun_byte_identical(tmp_path):
     out1, out2 = tmp_path / "e1", tmp_path / "e2"
     assert main(["ensemble", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
     assert main(["ensemble", "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
-    assert read_tree(out1) == read_tree(out2)
+    assert list(tree(out1)) == list(tree(out2))
     out3 = tmp_path / "e3"
     assert main(["ensemble", "--config", cfg, "--out", str(out3), "--seed", "8"]) == 0
-    assert read_tree(out3) == read_tree(out1)  # --seed is accepted and ignored
+    assert list(tree(out3)) == list(tree(out1))  # --seed is accepted and ignored
 
 
 def test_select_rerun_byte_identical(tmp_path):
@@ -874,7 +857,7 @@ def test_select_rerun_byte_identical(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert main(["select", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["select", "--config", cfg, "--out", str(out2)]) == 0
-    assert read_tree(out1) == read_tree(out2)
+    assert list(tree(out1)) == list(tree(out2))
 
 
 # -- viscosities the march cannot take -------------------------------------------
@@ -888,8 +871,7 @@ def test_run_non_finite_nu_is_config_error(tmp_path, capsys):
 
 def test_run_failing_march_is_config_error(tmp_path, capsys):
     doc = run_config(tmp_path, scheme={"flux": "llf", "nu": 1e300})
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "run", doc)) == 2
     assert "run member 0 (nu=1e+300) failed: stable dt" in capsys.readouterr().err
 
 
@@ -899,8 +881,7 @@ def test_run_failing_march_is_config_error(tmp_path, capsys):
 ])
 def test_ensemble_unmarchable_nu_is_config_error(tmp_path, capsys, nu, message):
     doc = run_config(tmp_path, extra={"kind": "ensemble", "nu_list": [0.2, nu]})
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "ensemble", doc)) == 2
     assert message in capsys.readouterr().err
 
 
@@ -908,8 +889,7 @@ def test_run_energy_below_mean_energy_is_config_error(tmp_path, capsys):
     doc = run_config(tmp_path, scheme={"flux": "hll"},
                      initial={"preset": "riemann", "rho_l": 1.0, "u_l": 0.0,
                               "rho_r": 0.25, "u_r": 0.0, "E0": 0.01})
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "run", doc)) == 2
     assert capsys.readouterr().err == ("error: run initial data rejected: mean energy 1.0625 "
                                        "exceeds E0 0.01 beyond tolerance\n")
 
@@ -950,10 +930,6 @@ def test_unbuildable_config_is_config_error(tmp_path, capsys, case):
     assert not (tmp_path / "o").exists()
 
 # -- one error line per config-error site -----------------------------------------
-
-def _argv(tmp, kind, doc):
-    return [kind, "--config", write_config(tmp, "c.json", doc), "--out", str(tmp / "o")]
-
 
 def _diagnose_argv(tmp, **keys):
     return _argv(tmp, "diagnose", {"kind": "diagnose", **keys})
@@ -1106,8 +1082,7 @@ def test_error_line(tmp_path, capsys, case):
 ], ids=["constant-energy", "riemann-momentum", "acoustic-sound-speed"])
 def test_overflowing_initial_data_is_config_error(tmp_path, capsys, initial, law, reason):
     # the overflow itself warns nothing: its non-finite result is rejected by name
-    cfg = write_config(tmp_path, "c.json", run_config(tmp_path, initial=initial, law=law))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "run", run_config(tmp_path, initial=initial, law=law))) == 2
     assert capsys.readouterr().err == f"error: invalid initial data: {reason}\n"
     assert not (tmp_path / "o").exists()
 
@@ -1126,8 +1101,7 @@ def test_config_nan_token_is_config_error(tmp_path, capsys, kind):
 def test_infinite_law_is_config_error(tmp_path, capsys, key):
     doc = _riemann_doc()
     doc["law"][key] = math.inf
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "riemann", doc)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid law: ") and "finite" in err
     assert not (tmp_path / "o").exists()
@@ -1136,16 +1110,14 @@ def test_infinite_law_is_config_error(tmp_path, capsys, key):
 @pytest.mark.parametrize("key, value", [("time", math.inf), ("x_min", -math.inf),
                                         ("x_max", math.inf)])
 def test_riemann_infinite_coordinate_is_config_error(tmp_path, capsys, key, value):
-    cfg = write_config(tmp_path, "c.json", _riemann_doc(**{key: value}))
-    assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "riemann", _riemann_doc(**{key: value}))) == 2
     assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key", ["rho_l", "u_l", "rho_r", "u_r"])
 def test_riemann_infinite_state_is_config_error(tmp_path, capsys, key):
-    cfg = write_config(tmp_path, "c.json", _riemann_doc(**{key: math.inf}))
-    assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "riemann", _riemann_doc(**{key: math.inf}))) == 2
     assert capsys.readouterr().err == (f"error: invalid Riemann datum: {key} must be "
                                        f"finite, got inf\n")
     assert not (tmp_path / "o").exists()
@@ -1159,8 +1131,7 @@ def test_riemann_infinite_state_is_config_error(tmp_path, capsys, key):
 def test_riemann_density_out_of_solver_range_is_config_error(tmp_path, capsys, key, value,
                                                              reason):
     doc = _riemann_doc(law={"a": 1.0, "gamma": 1.4}, **{key: value})
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "riemann", doc)) == 2
     assert capsys.readouterr().err == (f"error: invalid Riemann datum: {key} {reason}, "
                                        f"got {value}\n")
     assert not (tmp_path / "o").exists()
@@ -1171,8 +1142,7 @@ def test_riemann_round_off_wave_edges_profile(tmp_path):
     # 1-wave's lies 7.4e-15 relative above the 2-wave's (was AssertionError)
     doc = _riemann_doc(law={"a": 0.0440, "gamma": 3.8255}, rho_l=2.03e33, u_l=-0.00299,
                        rho_r=1.49e-6, u_r=1.112)
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["riemann", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert main(_argv(tmp_path, "riemann", doc)) == 0
     prof = np.genfromtxt(tmp_path / "o" / "profile.csv", delimiter=",", names=True)
     assert np.isfinite(prof["u"]).all()
     assert np.isfinite(prof["rho"]).all() and (prof["rho"] > 0).all()
@@ -1195,16 +1165,14 @@ def test_riemann_tiny_time_samples_the_far_field(tmp_path):
 def test_infinite_grid_bound_is_config_error(tmp_path, capsys, key, bounds):
     doc = run_config(tmp_path)
     doc["grid"][key] = bounds
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "run", doc)) == 2
     assert capsys.readouterr().err == f"error: invalid grid: {key} must be finite, got {bounds}\n"
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key", ["t_end", "sample_dt"])
 def test_infinite_march_time_is_config_error(tmp_path, capsys, key):
-    cfg = write_config(tmp_path, "c.json", run_config(tmp_path, **{key: math.inf}))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "run", run_config(tmp_path, **{key: math.inf}))) == 2
     assert capsys.readouterr().err == f"error: run {key} must be finite, got inf\n"
     assert not (tmp_path / "o").exists()
 
@@ -1212,8 +1180,7 @@ def test_infinite_march_time_is_config_error(tmp_path, capsys, key):
 @pytest.mark.parametrize("key", ["delta", "delta_rel"])
 def test_dt1_infinite_delta_is_config_error(tmp_path, capsys, key):
     doc = run_config(tmp_path, extra={"kind": "dt1-demo", "nu_list": [0.2], key: math.inf})
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["dt1-demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(_argv(tmp_path, "dt1-demo", doc)) == 2
     assert capsys.readouterr().err == "error: delta must be finite, got inf\n"
     assert not (tmp_path / "o").exists()
 
@@ -1284,23 +1251,10 @@ def test_ensemble_is_one_stacked_run(tmp_path, monkeypatch):
     for name in ("stable_dt", "step"):
         monkeypatch.setattr(solver_mod, name, counted(name, getattr(solver_mod, name)))
     doc = run_config(tmp_path, extra={"kind": "ensemble", "nu_list": [0.4, 0.2, 0.1]})
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert main(_argv(tmp_path, "ensemble", doc)) == 0
     assert calls["run"] == 1
     assert calls["step"] > 0
     assert calls["stable_dt"] == 2 * calls["step"]
-
-
-def _tree_digest(root):
-    h = hashlib.sha256()
-    for dirpath, dirs, files in sorted(os.walk(root)):
-        dirs.sort()
-        for f in sorted(files):
-            p = os.path.join(dirpath, f)
-            h.update(os.path.relpath(p, root).encode() + b"\0")
-            with open(p, "rb") as fh:
-                h.update(fh.read())
-    return h.hexdigest()
 
 
 def _pinned_doc(kind, counts=64, t_end=0.5, sample_dt=0.05):
@@ -1317,22 +1271,9 @@ def _pinned_doc(kind, counts=64, t_end=0.5, sample_dt=0.05):
     return doc
 
 
-# sha256 of every output file (path and bytes) of a 64-cell HLL Riemann
-# datum with nu_list [0.4, 0.2, 0.1]; recorded when each viscosity was
-# marched by its own run call (dt1-demo resets five times)
-TREE_DIGESTS = {
-    "ensemble": "8f734d5c6876e14c5301310fa8bf705070b91d922ab6ca10432c93746b81fcab",
-    "dt1-demo": "121893c2a8b6647301f851cf845862bdc09782834d64659a468891a8fb708dfb",
-    "dt2-demo": "b379bcad5b1efc3c0f5e65417135ebb4fa03ff299060d5e370da2c9a5b12d485",
-}
-
-
-@pytest.mark.parametrize("kind", sorted(TREE_DIGESTS))
+@pytest.mark.parametrize("kind", ["dt1-demo", "dt2-demo", "ensemble"])
 def test_ensemble_output_trees_pinned(tmp_path, kind):
-    cfg = write_config(tmp_path, "c.json", _pinned_doc(kind))
-    out = tmp_path / "o"
-    main([kind, "--config", cfg, "--out", str(out)])
-    assert _tree_digest(out) == TREE_DIGESTS[kind]
+    assert_pinned(f"cli.trees/{kind}", tree(_pinned_tree(tmp_path, kind)))
 
 
 def _pinned_2d_doc():
@@ -1347,24 +1288,12 @@ def _pinned_2d_doc():
                         "u_r": 0.0}}
 
 
-# the ensemble output tree of _pinned_2d_doc; recorded when the members of
-# all stacks were held until the average was formed
-ENSEMBLE_2D_DIGEST = "9973e7a1ac6678564491f193f62b600fc1b648ee9ca22ece514b32a11742e6a2"
-
-
 def test_ensemble_2d_three_stacks_output_tree_pinned(tmp_path):
     import eulerlab.solver as solver_mod
     assert solver_mod._STACK_CELLS // (48 * 48) == 1
-    cfg = write_config(tmp_path, "c.json", _pinned_2d_doc())
     out = tmp_path / "o"
-    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 0
-    assert _tree_digest(out) == ENSEMBLE_2D_DIGEST
-
-
-# the dt1-demo output tree of a 2048-cell datum, whose three members march
-# in three stacks of one (2048 > _STACK_CELLS / 2); it resets three times,
-# the last time at t_end.  Recorded when every window was marched to t_end
-DT1_THREE_STACKS_DIGEST = "fe922d6bffb7d0bafd7f6c7aa95e2f4d4d8f33c5235002d84f975ff2ec343f04"
+    assert main(_argv(tmp_path, "ensemble", _pinned_2d_doc(), out)) == 0
+    assert_pinned("cli.ensemble_2d/three-stacks", tree(out))
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
@@ -1388,8 +1317,7 @@ def test_ensemble_2d_failing_second_member_leaves_no_bundle(tmp_path, capsys, mo
     if existing:
         out.mkdir()
         (out / "kept.txt").write_text("kept")
-    cfg = write_config(tmp_path, "c.json", doc)
-    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
+    assert main(_argv(tmp_path, "ensemble", doc, out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ensemble member 1 (nu=1e+300) failed: stable dt ")
     assert written == ["member_00"]
@@ -1401,11 +1329,10 @@ def test_dt1_three_stacks_output_tree_pinned(tmp_path):
     assert solver_mod._STACK_CELLS // 2048 == 1
     doc = _pinned_doc("dt1-demo", counts=2048, t_end=0.05, sample_dt=0.01)
     doc["delta_rel"] = 0.0005
-    cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "o"
-    assert main(["dt1-demo", "--config", cfg, "--out", str(out)]) == 0
+    assert main(_argv(tmp_path, "dt1-demo", doc, out)) == 0
     assert json.loads((out / "report.json").read_text())["resets"] == [0.01, 0.03, 0.05]
-    assert _tree_digest(out) == DT1_THREE_STACKS_DIGEST
+    assert_pinned("cli.dt1_demo_2048/three-stacks", tree(out))
 
 
 def _fail_first_window_at(monkeypatch, sample):
@@ -1443,7 +1370,7 @@ def test_dt1_member_failure_in_a_discarded_tail_is_never_reached(tmp_path, monke
     _fail_first_window_at(monkeypatch, 2)
     out = tmp_path / "o"
     assert main(["dt1-demo", "--config", cfg, "--out", str(out)]) == 0
-    assert _tree_digest(out) == TREE_DIGESTS["dt1-demo"]
+    assert_pinned("cli.trees/dt1-demo", tree(out))
 
 
 def _diagnose_doc(tmp_path, dim):
@@ -1467,45 +1394,28 @@ def _diagnose_doc(tmp_path, dim):
             "nu_list": [0.4, 0.2, 0.1]}
 
 
-# sha256 of diagnose's output tree (certificate.json and certificate.csv)
-# on a solver-made ensemble average with its reynolds.npz; recorded when
-# each test function had its own weak-form residual call
-DIAGNOSE_DIGESTS = {
-    "1d": "3af0fc241739cfa26c2e012360f433d111e955002bd36e8aacb7de0d0789234f",
-    "2d": "fbf5325d5729fcac799763ceada7ef15e63a535c4c00516d60c376a044036d89",
-}
-
-
-@pytest.mark.parametrize("dim", sorted(DIAGNOSE_DIGESTS))
-def test_diagnose_output_trees_pinned(tmp_path, dim):
-    ens = tmp_path / "ens"
-    cfg = write_config(tmp_path, "e.json", _diagnose_doc(tmp_path, dim))
+def _diagnosed(root, dim, **extra):
+    """Run ensemble on ``_diagnose_doc`` into root/ensemble, then diagnose on its
+    average into root/diagnose: diagnose's exit code and the two directories."""
+    ens, out = root / "ensemble", root / "diagnose"
+    cfg = write_config(root, "e.json", _diagnose_doc(root, dim))
     assert main(["ensemble", "--config", cfg, "--out", str(ens)]) == 0
-    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(ens / "average"),
-                                             "reynolds": str(ens / "reynolds.npz")})
-    out = tmp_path / "o"
-    assert main(["diagnose", "--config", diag, "--out", str(out)]) == 0
-    assert sorted(os.listdir(out)) == ["certificate.csv", "certificate.json"]
-    assert _tree_digest(out) == DIAGNOSE_DIGESTS[dim]
+    cfg = write_config(root, "d.json", {"kind": "diagnose", "bundle": str(ens / "average"),
+                                        "reynolds": str(ens / "reynolds.npz"), **extra})
+    return main(["diagnose", "--config", cfg, "--out", str(out)]), ens, out
 
 
-# sha256 of diagnose's output tree on the 1D ensemble average of
-# _diagnose_doc with residual_factor 0.5, and its exit code; recorded with
-# the tolerances held in a CertificateTolerances object
-DIAGNOSE_RESIDUAL_FACTOR_PIN = (
-    0, "30e85f90b2b6d6452723440a6be675c7790a99d9531cfed97b80fa911df14c0c")
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_diagnose_output_trees_pinned(tmp_path, dim):
+    code, _, out = _diagnosed(tmp_path, dim)
+    assert code == 0 and sorted(os.listdir(out)) == ["certificate.csv", "certificate.json"]
+    assert_pinned(f"cli.diagnose/{dim}", tree(out))
 
 
 def test_diagnose_residual_factor_output_tree_pinned(tmp_path):
-    ens = tmp_path / "ens"
-    cfg = write_config(tmp_path, "e.json", _diagnose_doc(tmp_path, "1d"))
-    assert main(["ensemble", "--config", cfg, "--out", str(ens)]) == 0
-    diag = write_config(tmp_path, "d.json", {"kind": "diagnose", "bundle": str(ens / "average"),
-                                             "reynolds": str(ens / "reynolds.npz"),
-                                             "residual_factor": 0.5})
-    out = tmp_path / "o"
-    code = main(["diagnose", "--config", diag, "--out", str(out)])
-    assert (code, _tree_digest(out)) == DIAGNOSE_RESIDUAL_FACTOR_PIN
+    code, _, out = _diagnosed(tmp_path, "1d", residual_factor=0.5)
+    assert code == 0
+    assert_pinned("cli.diagnose_residual_factor/0.5", tree(out))
 
 
 # -- the other subcommands' outputs and the config schemas, pinned ------------
@@ -1529,75 +1439,46 @@ def _pinned_tree(tmp_path, kind):
     return out
 
 
-# sha256 of the output trees of _pinned_tree, recorded with the cli built
-# around _specs and _run_ensemble
-MORE_TREE_DIGESTS = {
-    "run": "b27335b43e54a3866556a54f94fd28e276625388d5d2555a32967b41e2c0d5eb",
-    "riemann": "234a69b1fee2fd27da725de58690c1d9155871bca01c6cddb1da7021b0eba369",
-    "select": "2e25e9d764f14625021bbce301d932d1fba5d9a0cff5a8aaf1e57b9a43091ca7",
-}
-
-
-@pytest.mark.parametrize("kind", sorted(MORE_TREE_DIGESTS))
+@pytest.mark.parametrize("kind", ["riemann", "run", "select"])
 def test_output_trees_pinned(tmp_path, kind):
-    assert _tree_digest(_pinned_tree(tmp_path, kind)) == MORE_TREE_DIGESTS[kind]
+    assert_pinned(f"cli.more_trees/{kind}", tree(_pinned_tree(tmp_path, kind)))
 
 
-@pytest.mark.parametrize("dim", sorted(DIAGNOSE_DIGESTS))
+@pytest.mark.parametrize("dim", ["1d", "2d"])
 def test_pipeline_reruns_in_one_process_match_the_pins(tmp_path, dim):
     # ensemble, diagnose and select, twice in one process: the buffers that a
     # step, the stress checks and F2 write in place carry nothing from one run
     # into the next.  The 1D ensemble and select trees are those of
-    # TREE_DIGESTS and MORE_TREE_DIGESTS; the 2D datum has its diagnose pin,
+    # cli.trees and cli.more_trees; the 2D datum has its diagnose pin,
     # and its other trees must read the same in both runs
     trees = []
     for run in ("first", "second"):
         root = tmp_path / run
         root.mkdir()
-        ens, diag, sel = root / "ensemble", root / "diagnose", root / "select"
-        cfg = write_config(root, "e.json", _diagnose_doc(root, dim))
-        assert main(["ensemble", "--config", cfg, "--out", str(ens)]) == 0
+        code, ens, diag = _diagnosed(root, dim)
+        assert code == 0
         if dim == "1d":
-            assert _tree_digest(ens) == TREE_DIGESTS["ensemble"]
-        cfg = write_config(root, "d.json", {"kind": "diagnose", "bundle": str(ens / "average"),
-                                            "reynolds": str(ens / "reynolds.npz")})
-        assert main(["diagnose", "--config", cfg, "--out", str(diag)]) == 0
-        assert _tree_digest(diag) == DIAGNOSE_DIGESTS[dim]
+            assert_pinned("cli.trees/ensemble", tree(ens))
+        assert_pinned(f"cli.diagnose/{dim}", tree(diag))
+        sel = root / "select"
         cfg = write_config(root, "s.json", {"kind": "select", "candidates": str(ens)})
         assert main(["select", "--config", cfg, "--out", str(sel)]) == 0
         if dim == "1d":
-            assert _tree_digest(sel) == MORE_TREE_DIGESTS["select"]
-        trees.append([_tree_digest(out) for out in (ens, diag, sel)])
+            assert_pinned("cli.more_trees/select", tree(sel))
+        trees.append([sha256(tree(out)) for out in (ens, diag, sel)])
     assert trees[0] == trees[1]
 
 
-# sha256 of the SVG of each plot kind, drawn from a file of a pinned tree
-PLOT_DIGESTS = {
-    ("defect", "ensemble", "defect.csv"):
-        "6bf61cf351c8cde998a8246f502924759b04557627ca7f83d99c2b64ede2cec5",
-    ("energy", "run", "energy.csv"):
-        "9b665d967e91e354657504f8a7b1595aa110bb1f19e18183ca726458ca6aab37",
-    ("profile", "riemann", "profile.csv"):
-        "8e6e044ed56856b8aecb2fc909ba4cf5209e7923b181a7252e8d4bf66202cc08",
-    ("profile", "run", "state_000010.csv"):
-        "1a057d1671420cfe099957875828a8e7b77476cc4eee3ae0eb502b8a9fae501d",
-}
-
-
-@pytest.mark.parametrize("kind, tree, name", sorted(PLOT_DIGESTS))
-def test_plot_svgs_pinned(tmp_path, kind, tree, name):
-    csv = _pinned_tree(tmp_path, tree) / name
+@pytest.mark.parametrize("kind, tree_kind, name", [
+    ("defect", "ensemble", "defect.csv"), ("energy", "run", "energy.csv"),
+    ("profile", "riemann", "profile.csv"), ("profile", "run", "state_000010.csv")])
+def test_plot_svgs_pinned(tmp_path, kind, tree_kind, name):
+    csv = _pinned_tree(tmp_path, tree_kind) / name
     out = tmp_path / "plot"
     assert main(["plot", "--csv", str(csv), "--kind", kind, "--out", str(out)]) == 0
-    svg = (out / f"{kind}.svg").read_bytes()
-    assert hashlib.sha256(svg).hexdigest() == PLOT_DIGESTS[(kind, tree, name)]
-
-
-# sha256 of the config schemas, a pinned interface
-SCHEMAS_DIGEST = "59ee9be7f2d46c4099c4cce9727ab5eb1eacdd1e55c98037ea064374697e32f1"
+    assert_pinned(f"cli.plots/{kind}-{tree_kind}-{name}", [(out / f"{kind}.svg").read_bytes()])
 
 
 def test_config_schemas_pinned():
     from eulerlab.cli import SCHEMAS
-    text = json.dumps(SCHEMAS, sort_keys=True).encode()
-    assert hashlib.sha256(text).hexdigest() == SCHEMAS_DIGEST
+    assert_pinned("cli.schemas/config", [json.dumps(SCHEMAS, sort_keys=True).encode()])

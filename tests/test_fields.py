@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import warnings
@@ -15,6 +14,7 @@ from eulerlab.eos import GasLaw
 from eulerlab.fields import (DataTriple, FluidState, Grid, energy_scale, integrate_energy,
                              load_state_csv, read_csv, save_state_csv,
                              validate_initial_data, write_csv)
+from pins import assert_pinned
 
 LAW2 = GasLaw(a=1.0, gamma=2.0)
 
@@ -186,26 +186,12 @@ def edge_state_2d():
     return FluidState(g, rho, m)
 
 
-def sha256_of(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-# digests recorded with the per-row writer that preceded the block codec
-STATE_CSV_SHA256 = {
-    "1d": "3d8510ec7ec6be0ffe7cf851ae3f1d3f26d639ff81c6af956b2d6d51f16798a1",
-    "2d": "2ebc03dc12b599a20fcd8d70ae7a781432c85d86e4d8dd1b63825a8eb9648783",
-}
-PROFILE_CSV_SHA256 = "eee230009d511ce2ef327284cf05d95fdd798aa905379419aecfd116e33ed044"
-# recorded with the writer that sampled and formatted the profile whole
-STREAMED_PROFILE_CSV_SHA256 = "ad1b28c25902e50cdd8cc4e518e44f9a6d1773027a950055a7b75bbbd549d479"
-
-
 @pytest.mark.parametrize("dim", ["1d", "2d"])
 def test_state_csv_bytes_pinned(tmp_path, dim):
     s = edge_state_1d() if dim == "1d" else edge_state_2d()
     path = tmp_path / "state.csv"
     save_state_csv(s, path)
-    assert sha256_of(path) == STATE_CSV_SHA256[dim]
+    assert_pinned(f"fields.state_csv/{dim}", [path.read_bytes()])
     loaded = load_state_csv(s.grid, path)
     assert loaded.rho.tobytes() == s.rho.tobytes()
     assert loaded.m.tobytes() == s.m.tobytes()
@@ -220,7 +206,7 @@ def test_riemann_profile_csv_bytes_pinned(tmp_path):
     }))
     out = tmp_path / "rp"
     assert main(["riemann", "--config", str(cfg), "--out", str(out)]) == 0
-    assert sha256_of(out / "profile.csv") == PROFILE_CSV_SHA256
+    assert_pinned("fields.profile_csv/riemann", [(out / "profile.csv").read_bytes()])
 
 
 def test_streamed_riemann_profile_csv_bytes_pinned(tmp_path):
@@ -235,7 +221,7 @@ def test_streamed_riemann_profile_csv_bytes_pinned(tmp_path):
     }))
     out = tmp_path / "rp"
     assert main(["riemann", "--config", str(cfg), "--out", str(out)]) == 0
-    assert sha256_of(out / "profile.csv") == STREAMED_PROFILE_CSV_SHA256
+    assert_pinned("fields.streamed_profile_csv/riemann", [(out / "profile.csv").read_bytes()])
     _, data = read_csv(out / "profile.csv", ("x", "rho", "u"))
     rho, edge = data[:, 1], cli._PROFILE_ROWS
     assert samples > 3 * edge

@@ -13,6 +13,7 @@ names a line that still exists and says why no test can see it.
 
 import ast
 import importlib.util
+import os
 import re
 from pathlib import Path
 
@@ -67,12 +68,6 @@ UNSURVEYED = {
     ("selection.py", "if not (1.0 < q <= hi + 1e-12):"):
         "round-off slack over q_max for a q computed from the same law elsewhere; "
         "waits for item 2, which rewrites selection's checks",
-    ("solver.py", "if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * t_end:"):
-        "round-off slack in n * sample_dt = t_end; its edge test needs a sample_dt "
-        "that misses a divisor of t_end by 0.5e-9 and 2e-9 relative: item 5's next pass",
-    ("solver.py", "self._specs, self._tol = specs, 1e-14 * t_end"):
-        "the clock tolerance that lands a step on a sample; moving it moves the sample "
-        "bits of marches, so its edge test comes with item 8's re-record tools",
     ("svgplot.py", "edge = lo * (1.0 - 1e-15)"):
         "reached only for a constant column beyond 2**53, where the one-step widening "
         "rounds away; no pinned plot has one, so its edge test is item 5's next pass",
@@ -112,3 +107,17 @@ def test_every_tolerance_literal_has_a_row_or_is_listed():
 def test_every_listed_line_still_holds_an_unsurveyed_literal():
     # a listed line that was reworded, deleted or given a row leaves the set
     assert sorted(UNSURVEYED.keys() - UNSURVEYED_NOW) == []
+
+
+def test_a_run_past_the_timeout_kills_a_mutant_and_fails_the_unmutated_suite(tmp_path, capsys):
+    # a one-test copy whose test sleeps past the time-out, mutated or not
+    (tmp_path / "src" / "eulerlab").mkdir(parents=True)
+    (tmp_path / "src" / "eulerlab" / "pause.py").write_text("PAUSE = 60.0\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_pause.py").write_text(
+        "import time\n\n\ndef test_pause():\n    time.sleep(60)\n")
+    row = ("pause", "pause.py", "PAUSE = 60.0", "PAUSE = 90.0", "tests/test_pause.py::test_pause")
+    assert not mutants._survey(tmp_path, dict(os.environ), 1, row)
+    assert capsys.readouterr().out.startswith("pause: killed by a run that timed out after 1 s")
+    assert mutants.main([], root=tmp_path, timeout=1) == 2
+    assert capsys.readouterr().out.startswith("the unmutated suite fails at a run that timed out")

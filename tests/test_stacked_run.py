@@ -1,7 +1,8 @@
 """The stacked march of ``solver.run``: every member bit-identical to its
 one-member run, each member's own clock, and guards that name the member."""
 
-import hashlib
+import contextlib
+import itertools
 import math
 import weakref
 
@@ -15,6 +16,7 @@ import eulerlab.solver as solver_mod
 from eulerlab.eos import GasLaw
 from eulerlab.fields import DataTriple, FluidState, Grid, integrate_energy
 from eulerlab.solver import FLUX_KINDS, CFLViolation, SchemeSpec, run, stable_dt, step
+from pins import assert_pinned, sha256
 from test_solver import _stack, _vacuum_wall_state
 
 LAWS = {2.0: GasLaw(a=1.0, gamma=2.0), 1.4: GasLaw(a=1.0, gamma=1.4)}
@@ -47,77 +49,33 @@ def _pin_state(case):
     return _vacuum_wall_state((16,) if case == "1d-vacuum" else (12, 10))
 
 
-def _digest(members):
-    h = hashlib.sha256()
-    for tr in members:
-        for a in (tr.times, tr.rho, tr.m, tr.energy, tr.mean_energies):
-            h.update(a.tobytes())
-        h.update(repr(tr.e0).encode())
-    return h.hexdigest()
-
-
-# sha256 of every member's times, fields, energy curve, mean energies and
-# e0 for an ensemble marched to t = 0.2 (samples every 0.05), recorded
-# with one ``run`` call per viscosity before ``run`` stacked its members;
-# gamma 2 runs in "envelope" mode, gamma 1.4 in "budget" mode.  The
-# "2d-mixed-*" and "2d-two-stacks" entries were recorded with the stacked
-# ``run`` before the solver packed density and momentum into one array
-RUN_DIGESTS = {
-    ("hll", "2d-mixed-reflective-periodic", (0.15, 0.0, 0.3), 2.0): "ffda192f2bb6b97f261f303889bf35f6c52d5acd25c8ba00e291a6f5a2ce2316",
-    ("llf", "2d-mixed-reflective-periodic", (0.15, 0.0, 0.3), 2.0): "2af1d10cca251cdd20b620240c82c931f0a12204deb94369083a4f5a2abf0c0e",
-    ("hll", "2d-mixed-periodic-reflective", (0.15, 0.0, 0.3), 2.0): "76080a08cebe0b3ab05313f0d58e0d1b7883864712675cac0999bbbef916ec3a",
-    ("llf", "2d-mixed-periodic-reflective", (0.15, 0.0, 0.3), 2.0): "5601fce742905e01373b54e591bc0776b6695bf60d7740af615d1901589e41a5",
-    ("llf", "2d-two-stacks", (0.2, 0.05), 2.0): "b63f58d599c5f24277c27c7d74d08ad1e6e3e6748443b26733f6e8f7773e53c4",
-    ("hll", "2d-two-stacks", (0.2, 0.05), 2.0): "ddd39552aefea26620ce51677fdbf49cb9eeb05da7ceb8bd7d0e65d5688d0dfa",
-    ("hll", "1d-periodic", (0.4, 0.2, 0.1), 2.0): "48e0e80362346163adfdb66ec9c0c82202fd9995f78158bf9dec7ac103c39eac",
-    ("hll", "1d-periodic", (0.4, 0.2, 0.1), 1.4): "27dd03cdc9f572ba5d89f89c01d30ea2517eca182962ec9a0ddd111afb964b22",
-    ("hll", "1d-periodic", (0.15, 0.0), 2.0): "e09083e0a2fa52e2dcac8e56c5d74a787c4c437a61eb4e8302bae1d6515ec7c2",
-    ("hll", "1d-periodic", (0.15, 0.0), 1.4): "ecc2b91708af8ad99d31e22ada62fcc85ea588683af18cc11124c2408d76589c",
-    ("hll", "1d-periodic", (0.2, 0.2), 2.0): "096e59b79f3a8a03c0537da35a57731988d4d2fcede6248082b8866b3ca7fb4f",
-    ("hll", "1d-periodic", (0.2, 0.2), 1.4): "921295243248faab2c331c61d9ca7a52f1e7c91f5685f077f28cbb38e095b37c",
-    ("hll", "1d-vacuum", (0.4, 0.2, 0.1), 2.0): "56d55e2da0aebe614834911ffa14aff9127b2a79d0ae701532f9470e627f1669",
-    ("hll", "1d-vacuum", (0.4, 0.2, 0.1), 1.4): "9101ab4318ffd31e5cc7ecce45584d79dd4bd398c4b2d48de6e4097db76d0a41",
-    ("hll", "1d-vacuum", (0.15, 0.0), 2.0): "9e0b5edae75d2f2ea4c7262aa14437ea1e7f8cb7884f1fb819abd9876c35b96f",
-    ("hll", "1d-vacuum", (0.15, 0.0), 1.4): "b4970acb06f13b8c21ddb2d2dd12acfc601ab997d0539cc0e9dd6d7b1133f1d2",
-    ("hll", "1d-vacuum", (0.2, 0.2), 2.0): "1f7c75ee4a0413811345a166e99b7f55b0147facb9a1d44a3700927dc8334a0e",
-    ("hll", "1d-vacuum", (0.2, 0.2), 1.4): "35d2c32e390be51707aabaed59307bc2addeb1a243b6e8b933b2d8690b1f029e",
-    ("hll", "2d-vacuum", (0.4, 0.2, 0.1), 2.0): "e268a2c15f56768b2c5938c698e5717b9b4fb0ddde55b38f7bac418309dce105",
-    ("hll", "2d-vacuum", (0.4, 0.2, 0.1), 1.4): "145d93206179b705ff3195b75854fca86fa59602cec47ea89df586161b73dd68",
-    ("hll", "2d-vacuum", (0.15, 0.0), 2.0): "71278ad3c251ab4f85bebc0b7420e43778dea02b130f08a64025b3e0436bcae3",
-    ("hll", "2d-vacuum", (0.15, 0.0), 1.4): "4d1cf48946fa74e9579c79ba59d8986c8c077fa35c3b1aba560e1c14bf9b19ec",
-    ("hll", "2d-vacuum", (0.2, 0.2), 2.0): "a010e1d81ade97f4e08b7322ceedd41181e7e8e75b3e004afa147aa2784692a5",
-    ("hll", "2d-vacuum", (0.2, 0.2), 1.4): "5029785ef36904529328d355483c7a94cf491c7875a424905a43f351d9b8ff14",
-    ("llf", "1d-periodic", (0.4, 0.2, 0.1), 2.0): "acfac15c9efd4623dc4ea568ec7cde872d1ac8ee02a743b9ae9b7f201bde1264",
-    ("llf", "1d-periodic", (0.4, 0.2, 0.1), 1.4): "565e9bcb699a0ba4dcd723d0fd4e50fca0a7c6f936e48dc6a7994f21cacf326f",
-    ("llf", "1d-periodic", (0.15, 0.0), 2.0): "7bd61a5ec59924dc081213fe68c1e5e76631a19b915c54e713686be223d8eeb2",
-    ("llf", "1d-periodic", (0.15, 0.0), 1.4): "53dfe026ca707332b4c3fcb989a8380e4335bcfa9924b6ce265336436f36d10c",
-    ("llf", "1d-periodic", (0.2, 0.2), 2.0): "a06193559e2403e2d331e0d13b88d6c732ef469d43e195496c5ba0e96496abb6",
-    ("llf", "1d-periodic", (0.2, 0.2), 1.4): "40ae3b9c572cf2e51334948d3c39c4731050909d0ef51c8b556367a5c02e518a",
-    ("llf", "1d-vacuum", (0.4, 0.2, 0.1), 2.0): "62ca822eedb0b0a1a1bd102d55c54751d5917bb94ad311709ab0e538603d2d9b",
-    ("llf", "1d-vacuum", (0.4, 0.2, 0.1), 1.4): "5615ed8667155aa8ad183c23f332f22dfa7a6edd9e10e479b2c7de2b7e8f7a38",
-    ("llf", "1d-vacuum", (0.15, 0.0), 2.0): "d19716b047006ae807b27cfdb6b55917bcb4d2b4d1359f72fdaf59f30388699c",
-    ("llf", "1d-vacuum", (0.15, 0.0), 1.4): "3af78fad2ff801038ca00ec4fbfe79b67752f210041b7a831da5f88185e1c699",
-    ("llf", "1d-vacuum", (0.2, 0.2), 2.0): "607a4c4213cf0a5c8b5172ed467945f0ce544fd326c13e73aa8c2656eab6a4db",
-    ("llf", "1d-vacuum", (0.2, 0.2), 1.4): "1ab573b95c45dded730eb95df4faa9eec62aacb6b5fe19bcb19e5c594d268f73",
-    ("llf", "2d-vacuum", (0.4, 0.2, 0.1), 2.0): "2faa67f47e5854c8cc6dad4edea3872c9a1ee2103a97b4876616f0fec873b7bf",
-    ("llf", "2d-vacuum", (0.4, 0.2, 0.1), 1.4): "d631c05b69676dd9534bb3808eef601719e2b8c01e1aa28a67bda60d17381fa3",
-    ("llf", "2d-vacuum", (0.15, 0.0), 2.0): "c94688eedcaee8afe55ca812115f86cd51a643ed6d83494b03413890572f68e3",
-    ("llf", "2d-vacuum", (0.15, 0.0), 1.4): "4a38245a7c8c3e8a1ed7de5e0667d7c0c73e16791c1d31a9b7846234a5ad7b2d",
-    ("llf", "2d-vacuum", (0.2, 0.2), 2.0): "7cec0e5d023ed1ff1e052994d8c043f23dd052d2da3df0af668d599143d784ab",
-    ("llf", "2d-vacuum", (0.2, 0.2), 1.4): "9704ecb94ae9e656644d212e9035e09ee96414b35bfd5c9693f8e8b417e2b90b",
-}
-
-
-@pytest.mark.parametrize("flux, case, nus, gamma", sorted(RUN_DIGESTS),
-                         ids=[f"{f}-{c}-{'_'.join(map(str, n))}-g{g}"
-                              for f, c, n, g in sorted(RUN_DIGESTS)])
-def test_run_ensemble_bits_pinned(flux, case, nus, gamma):
+def _pin_triple(case, law=LAWS[2.0]):
     s = _pin_state(case)
+    return DataTriple(s, integrate_energy(s, law))
+
+
+def _payload(members):
+    for tr in members:
+        yield from (tr.times, tr.rho, tr.m, tr.energy, tr.mean_energies, repr(tr.e0).encode())
+
+
+RUN_CASES = sorted(
+    [(f, f"2d-mixed-{b}", (0.15, 0.0, 0.3), 2.0) for f in FLUX_KINDS
+     for b in ("reflective-periodic", "periodic-reflective")]
+    + [(f, "2d-two-stacks", (0.2, 0.05), 2.0) for f in FLUX_KINDS]
+    + list(itertools.product(FLUX_KINDS, ("1d-periodic", "1d-vacuum", "2d-vacuum"),
+                             ((0.4, 0.2, 0.1), (0.15, 0.0), (0.2, 0.2)), (2.0, 1.4))))
+
+
+@pytest.mark.parametrize("flux, case, nus, gamma", RUN_CASES,
+                         ids=[f"{f}-{c}-{'_'.join(map(str, n))}-g{g}" for f, c, n, g in RUN_CASES])
+def test_run_ensemble_bits_pinned(flux, case, nus, gamma):
     law = LAWS[gamma]
     mode = "envelope" if gamma == 2.0 else "budget"
-    members = run(DataTriple(s, integrate_energy(s, law)),
-                  [SchemeSpec(flux=flux, nu=nu) for nu in nus], law, 0.2, 0.05, mode)
-    assert _digest(members) == RUN_DIGESTS[(flux, case, nus, gamma)]
+    members = run(_pin_triple(case, law), [SchemeSpec(flux=flux, nu=nu) for nu in nus], law,
+                  0.2, 0.05, mode)
+    assert_pinned(f"stacked_run.run/{flux}-{case}-{'_'.join(map(str, nus))}-g{gamma}",
+                  _payload(members))
 
 
 # -- each member of a stack is its own one-member run ------------------------
@@ -156,7 +114,7 @@ def test_stacked_members_equal_one_member_runs(case, mode):
             list(run(triple, specs, law, 0.1, 0.05, mode))
         return
     stacked = run(triple, specs, law, 0.1, 0.05, mode)
-    assert [_digest([tr]) for tr in stacked] == [_digest([tr]) for tr in alone]
+    assert [sha256(_payload([tr])) for tr in stacked] == [sha256(_payload([tr])) for tr in alone]
 
 
 def test_finished_members_leave_the_stack(monkeypatch):
@@ -169,8 +127,7 @@ def test_finished_members_leave_the_stack(monkeypatch):
         sizes.append(len(stack.ids))
         return inner(stack, dt)
 
-    s = _pin_state("1d-vacuum")
-    triple = DataTriple(s, integrate_energy(s, LAWS[2.0]))
+    triple = _pin_triple("1d-vacuum")
     specs = [SchemeSpec(nu=0.4), SchemeSpec(nu=0.0)]
     monkeypatch.setattr(solver_mod, "step", counting_step)
     alone = []
@@ -185,8 +142,7 @@ def test_finished_members_leave_the_stack(monkeypatch):
 
 
 def test_two_stack_case_has_two_stacks():
-    s = _pin_state("2d-two-stacks")
-    march = solver_mod.March(DataTriple(s, integrate_energy(s, LAWS[2.0])),
+    march = solver_mod.March(_pin_triple("2d-two-stacks"),
                              [SchemeSpec(nu=0.2), SchemeSpec(nu=0.05)], LAWS[2.0], 0.2, 0.05)
     assert len(march._stacks) == 2
 
@@ -195,7 +151,6 @@ def test_run_frees_a_stack_before_the_next_one_starts(monkeypatch):
     # a consumer that drops each member holds one stack's samples at a
     # time: when the second stack's march is made, the first stack's sample
     # array is gone
-    s = _pin_state("2d-two-stacks")
     stacks, freed = [], []
     inner = solver_mod._march
 
@@ -205,7 +160,7 @@ def test_run_frees_a_stack_before_the_next_one_starts(monkeypatch):
         return inner(live, times, tol, rho, m)
 
     monkeypatch.setattr(solver_mod, "_march", checking_march)
-    for tr in run(DataTriple(s, integrate_energy(s, LAWS[2.0])),
+    for tr in run(_pin_triple("2d-two-stacks"),
                   [SchemeSpec(nu=0.2), SchemeSpec(nu=0.05)], LAWS[2.0], 0.2, 0.05):
         assert tr.rho.base is stacks[-1]()
         del tr
@@ -213,8 +168,7 @@ def test_run_frees_a_stack_before_the_next_one_starts(monkeypatch):
 
 
 def test_run_rejects_mixed_fluxes_and_no_scheme():
-    s = _pin_state("1d-periodic")
-    triple = DataTriple(s, integrate_energy(s, LAWS[2.0]))
+    triple = _pin_triple("1d-periodic")
     with pytest.raises(ValueError, match="share the flux"):
         run(triple, [SchemeSpec(flux="llf"), SchemeSpec(flux="hll")], LAWS[2.0], 0.2, 0.05)
     with pytest.raises(ValueError, match="at least one scheme"):
@@ -231,11 +185,31 @@ def test_non_finite_nu_rejected():
 
 def test_tiny_stable_dt_names_member():
     # nu = 1e300 makes the stable dt about 1e-303: the march would never end
-    s = _pin_state("1d-periodic")
-    triple = DataTriple(s, integrate_energy(s, LAWS[2.0]))
+    triple = _pin_triple("1d-periodic")
     with pytest.raises(ValueError, match=r"member 1 \(nu=1e\+300\) failed: stable dt "
                                          r".* below the clock tolerance 2e-15"):
         list(run(triple, [SchemeSpec(nu=0.1), SchemeSpec(nu=1e300)], LAWS[2.0], 0.2, 0.05))
+
+
+@pytest.mark.parametrize("short, steps", [(0.7, 1), (1.4, 2)])
+def test_a_step_ending_within_the_clock_tolerance_takes_the_sample(monkeypatch, short, steps):
+    # the clock tolerance is 1e-14 * t_end: a step that ends 0.7 of it short
+    # of a sample takes the sample; one that ends 1.4 of it short needs a
+    # second step.  t_end = 2**-8 lies below this state's true stable dt
+    t_end = 2.0 ** -8
+    dts, inner = [], solver_mod.step
+    monkeypatch.setattr(solver_mod, "stable_dt",
+                        lambda stack: np.full(len(stack.ids), t_end - short * 1e-14 * t_end))
+    monkeypatch.setattr(solver_mod, "step", lambda stack, dt: dts.append(dt) or inner(stack, dt))
+    list(run(_pin_triple("1d-periodic"), [SchemeSpec(nu=0.1)], LAWS[2.0], t_end, t_end))
+    assert len(dts) == steps
+
+
+@pytest.mark.parametrize("miss, error", [(0.5e-9, None), (2e-9, "sample_dt must divide t_end")],
+                         ids=["0.5e-9", "2e-9"])
+def test_sample_dt_may_miss_a_divisor_of_t_end_by_1e_9_relative(miss, error):
+    with pytest.raises(ValueError, match=error) if error else contextlib.nullcontext():
+        run(_pin_triple("1d-periodic"), [SchemeSpec(nu=0.1)], LAWS[2.0], 0.2, 0.05 * (1.0 + miss))
 
 
 def test_stacked_cfl_violation_and_nan_dt_name_member():

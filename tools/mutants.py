@@ -11,7 +11,9 @@ test fails, as when the whole suite ran for every mutant, but most
 mutants cost one test instead of a suite.  It exits 1 if any mutant
 survives or no longer applies, and 2 if the unmutated suite fails or an
 expected killer fails alone on the unmutated code, since then no failure
-can be charged to a mutant.  Every run draws the same Hypothesis examples
+can be charged to a mutant.  A pytest run stopped after ``TIMEOUT``
+seconds counts as a failing one: a kill under a mutant, exit 2 on the
+unmutated code.  Every run draws the same Hypothesis examples
 (seed 0, no example database carried from one run to the next), so a
 kill does not hang on a random draw and a failing example found under
 one mutant is not replayed under the next.
@@ -19,7 +21,7 @@ one mutant is not replayed under the next.
     python tools/mutants.py              # every mutant
     python tools/mutants.py psd-tol ...  # the named ones
 
-A full pass over the 47 mutants took 1 minute 16 seconds on 2 vCPU, each
+A full pass over the 51 mutants took 2 minutes 44 seconds on 2 vCPU, each
 killed by its expected killer; running the whole suite for each of 29
 mutants took 9 minutes 22 seconds.
 ``tests/test_mutant_table.py`` checks on every tier-1 run that each row
@@ -46,6 +48,12 @@ _LIMITS = 'limits = np.array([1e15 if fmt == "%d" else 1e17 for fmt in formats])
 _SPLIT = "hi = 134217729.0 * v  # 2**27 + 1"
 _CLASSES = "tests/test_fields.py::test_write_csv_digits_match_the_per_value_format_over_every_class"
 _POINTS = "tests/test_fields.py::test_profile_points_per_slice_equal_the_whole_linspace"
+_GRID = "if n < 1 or abs(n * sample_dt - t_end) > 1e-9 * t_end:"
+_GRID_TEST = ("tests/test_stacked_run.py::"
+              "test_sample_dt_may_miss_a_divisor_of_t_end_by_1e_9_relative")
+_CLOCK = "self._specs, self._tol = specs, 1e-14 * t_end"
+_CLOCK_TEST = ("tests/test_stacked_run.py::"
+               "test_a_step_ending_within_the_clock_tolerance_takes_the_sample")
 
 # (name, file under src/eulerlab, old line, new line, expected killing test)
 MUTANTS = [
@@ -172,6 +180,11 @@ MUTANTS = [
     ("csv-split-half", _F, _SPLIT, _SPLIT.replace("134217729.0", "67108864.5"), _CLASSES),
     ("csv-block-values", _F, "_BLOCK_VALUES = 1536", "_BLOCK_VALUES = 15360",
      "tests/test_memory.py::test_write_csv_peaks_at_one_block_however_long_the_table"),
+    # the march's sample grid and its clock
+    ("sample-grid-loose", "solver.py", _GRID, _GRID.replace("1e-9", "1e-8"), _GRID_TEST),
+    ("sample-grid-tight", "solver.py", _GRID, _GRID.replace("1e-9", "1e-10"), _GRID_TEST),
+    ("clock-tol-low", "solver.py", _CLOCK, _CLOCK.replace("1e-14", "5e-15"), _CLOCK_TEST),
+    ("clock-tol-high", "solver.py", _CLOCK, _CLOCK.replace("1e-14", "2e-14"), _CLOCK_TEST),
     ("points-endpoint", "cli.py", "        x[-1] = hi", "        x[-1] = x[-1]", _POINTS),
     ("points-subnormal-width", "cli.py", "    if step == 0:", "    if False:", _POINTS),
 ]
@@ -203,6 +216,10 @@ EQUIVALENT = [
 
 _TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
           "--continue-on-collection-errors", "--hypothesis-seed=0"]
+# seconds one pytest run may take: the unmutated suite takes about 40 s on
+# 2 vCPU, while a killer that fails with a huge assertion can spend many
+# minutes building its report
+TIMEOUT = 300
 
 
 # the table's own test: a mutated line no longer occurs in its file, so
@@ -210,18 +227,48 @@ _TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
 _TABLE_TEST = "tests/test_mutant_table.py"
 
 
-def _tier1(copy: Path, env: dict, *extra: str) -> subprocess.CompletedProcess:
+def _tier1(copy: Path, env: dict, timeout: float, *extra: str):
+    """The completed pytest run, or None if it took over ``timeout`` seconds."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
-    return subprocess.run(_TIER1 + list(extra), cwd=copy, env=env, capture_output=True,
-                          text=True)
+    try:
+        return subprocess.run(_TIER1 + list(extra), cwd=copy, env=env, capture_output=True,
+                              text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None
 
 
-def _first_failure(output: str) -> str:
-    found = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
+def _first_failure(done, timeout: float) -> str:
+    if done is None:
+        return f"a run that timed out after {timeout} s"
+    found = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
     return found.group(1) if found else "no test named"
 
 
-def main(argv: list) -> int:
+def _survey(copy: Path, env: dict, timeout: float, row: tuple) -> bool:
+    """Apply the mutant ``row`` to ``copy`` and print whether some test
+    killed it; True if it survived or does not apply."""
+    name, file, old, new, killer = row
+    path = copy / "src" / "eulerlab" / file
+    source = path.read_text()
+    if source.count(old) != 1:
+        print(f"{name}: does not apply, {old!r} is not one line of {file}")
+        return True
+    path.write_text(source.replace(old, new))
+    try:
+        done = _tier1(copy, env, timeout, killer)
+        if done is not None and done.returncode == 0:  # the rest of the suite decides
+            done = _tier1(copy, env, timeout, f"--ignore={_TABLE_TEST}")
+    finally:
+        path.write_text(source)
+    if done is not None and done.returncode == 0:
+        print(f"{name}: SURVIVED (expected killer {killer})")
+        return True
+    # a run that times out counts as a kill
+    print(f"{name}: killed by {_first_failure(done, timeout)} (expected killer {killer})")
+    return False
+
+
+def main(argv: list, root: Path = ROOT, timeout: float = TIMEOUT) -> int:
     chosen = [m for m in MUTANTS if not argv or m[0] in argv]
     unknown = set(argv) - {m[0] for m in MUTANTS}
     if unknown:
@@ -230,39 +277,21 @@ def main(argv: list) -> int:
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+        shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
             ".git", ".hypothesis", ".perfbench", ".pytest_cache", "__pycache__"))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        base = _tier1(copy, env)
-        if base.returncode != 0:
-            print(f"the unmutated suite fails at {_first_failure(base.stdout)}")
+        base = _tier1(copy, env, timeout)
+        if base is None or base.returncode != 0:
+            print(f"the unmutated suite fails at {_first_failure(base, timeout)}")
             return 2
         # a killer that fails alone, out of the suite's order, charges nothing
-        alone = _tier1(copy, env, *sorted({m[4] for m in chosen}))
-        if alone.returncode != 0:
+        alone = _tier1(copy, env, timeout, *sorted({m[4] for m in chosen}))
+        if alone is None or alone.returncode != 0:
             print(f"an expected killer fails alone on the unmutated code: "
-                  f"{_first_failure(alone.stdout)}")
+                  f"{_first_failure(alone, timeout)}")
             return 2
-        for name, file, old, new, killer in chosen:
-            path = copy / "src" / "eulerlab" / file
-            source = path.read_text()
-            if source.count(old) != 1:
-                print(f"{name}: does not apply, {old!r} is not one line of {file}")
-                failures += 1
-                continue
-            path.write_text(source.replace(old, new))
-            try:
-                done = _tier1(copy, env, killer)
-                if done.returncode == 0:  # the rest of the suite decides
-                    done = _tier1(copy, env, f"--ignore={_TABLE_TEST}")
-            finally:
-                path.write_text(source)
-            if done.returncode == 0:
-                print(f"{name}: SURVIVED (expected killer {killer})")
-                failures += 1
-            else:
-                print(f"{name}: killed by {_first_failure(done.stdout)} "
-                      f"(expected killer {killer})")
+        for row in chosen:
+            failures += _survey(copy, env, timeout, row)
             sys.stdout.flush()
     return 1 if failures else 0
 
